@@ -32,7 +32,7 @@ from .fileio import (
     write_decomposition_text,
     write_text,
 )
-from .results import EXIT_CODES, SolveResult, Status
+from .results import EXIT_CODES, EXIT_UNDECIDED, SolveResult, Status
 
 
 def _load_instance(args):
@@ -108,9 +108,9 @@ def _cmd_solve(args) -> int:
         timing=args.timing,
     )
     payload = json.dumps(result_to_json_dict(instance, result), sort_keys=True, indent=2)
-    print(payload)
     if args.out:
         write_text(args.out, payload + "\n")
+    print(payload)
     return EXIT_CODES[result.status]
 
 
@@ -148,15 +148,18 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"{args.result} is not valid JSON: {exc}") from exc
     instance = _load_instance(args)
     reference = solve(instance, "brute", oracle_mode=args.oracle_mode)
+    # an oracle out of budget decides nothing, but a claimed witness is still checked
+    undecided = reference.status is Status.RESOURCE_LIMIT
+    claims_optimal = claimed.get("status") == Status.OPTIMAL.value
     ok = True
-    if claimed.get("status") != reference.status.value:
+    if not undecided and claimed.get("status") != reference.status.value:
         print(
             f"FAIL status: claimed {claimed.get('status')}, oracle says"
             f" {reference.status.value}"
         )
         ok = False
-    elif reference.status is Status.OPTIMAL:
-        if claimed.get("weight") != reference.weight:
+    elif claims_optimal:
+        if not undecided and claimed.get("weight") != reference.weight:
             print(
                 f"FAIL weight: claimed {claimed.get('weight')}, oracle found"
                 f" {reference.weight}"
@@ -175,10 +178,14 @@ def _cmd_verify(args) -> int:
             except BoundedChainError as exc:
                 print(f"FAIL solution: {exc}")
                 ok = False
-    if ok:
-        print("PASS: result agrees with the brute-force oracle")
-        return 0
-    return 1
+    if not ok:
+        return 1
+    if undecided:
+        unchecked = "optimality" if claims_optimal else "status"
+        print(f"UNDECIDED: the oracle hit its resource limit ({unchecked} unchecked)")
+        return EXIT_UNDECIDED
+    print("PASS: result agrees with the brute-force oracle")
+    return 0
 
 
 def _witness_from_solution(instance, solution):

@@ -3,7 +3,10 @@
 Decompositions are built by eliminating vertices in a heuristic order
 (min-degree or min-fill, ties by smallest vertex id); the bag of an
 eliminated vertex is itself plus its current neighbourhood, which is then
-turned into a clique. Each bag's parent is the bag of the member
+turned into a clique. Scores are kept incrementally in a heap keyed by
+(score, vertex id): an elimination rescores only the vertices whose
+degree or fill it can change, so the order is the one full rescoring
+would give at every step. Each bag's parent is the bag of the member
 eliminated next, so the result is a rooted tree whose root is the last
 bag. The nice form rewrites any rooted decomposition into leaf /
 introduce / forget / join nodes with an empty root bag, never increasing
@@ -12,6 +15,7 @@ the width.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -137,27 +141,37 @@ def greedy_decomposition(graph: Graph, heuristic: str = "min-fill") -> TreeDecom
     if n == 0:
         return TreeDecomposition([frozenset()], [()], 0)
     adj = [set(s) for s in graph.adj]
-    alive = set(range(n))
-    if heuristic == "min-degree":
-        key = lambda v: (len(adj[v]), v)
-    else:
-        key = lambda v: (_fill_count(adj, v), v)
+    min_fill = heuristic == "min-fill"
+    rescore = (lambda v: _fill_count(adj, v)) if min_fill else (lambda v: len(adj[v]))
+    score = [rescore(v) for v in range(n)]
+    heap = sorted(zip(score, range(n)))
 
     bags: list[frozenset] = []
     elim_pos: dict[int, int] = {}
-    while alive:
-        v = min(alive, key=key)
+    while heap:
+        s, v = heapq.heappop(heap)
+        if v in elim_pos or s != score[v]:
+            continue  # stale entry: v is gone or was rescored since
         nbrs = sorted(adj[v])
         bags.append(frozenset([v] + nbrs))
         elim_pos[v] = len(bags) - 1
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
         for a in nbrs:
             adj[a].discard(v)
         adj[v].clear()
-        alive.remove(v)
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                if b in adj[a]:
+                    continue
+                if min_fill:
+                    # a fill edge closes one missing pair around each common neighbour
+                    for w in adj[a] & adj[b]:
+                        score[w] -= 1
+                        heapq.heappush(heap, (score[w], w))
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nbrs:
+            score[a] = rescore(a)
+            heapq.heappush(heap, (score[a], a))
 
     order = sorted(elim_pos, key=elim_pos.get)
     children: list[list[int]] = [[] for _ in bags]

@@ -20,6 +20,8 @@ EXIT_CODES = {
     Status.NOT_FOUND_WITHIN_BOUND: 3,
     Status.RESOURCE_LIMIT: 4,
 }
+# `mbc verify` when the oracle ran out of budget and nothing refutes the claim.
+EXIT_UNDECIDED = 5
 
 
 @dataclass

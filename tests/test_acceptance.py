@@ -249,6 +249,37 @@ def test_acceptance_7_scaling(acceptance):
             )
 
 
+def _strip_solve_time(length, reps=3):
+    best = None
+    for _ in range(reps):
+        instance = instance_from_complex(*triangle_strip(length))
+        t0 = time.perf_counter()
+        result = solve(instance, "treewidth")
+        dt = time.perf_counter() - t0
+        assert result.weight == length
+        best = dt if best is None else min(best, dt)
+    return best
+
+
+def test_strip_scaling_end_to_end():
+    """Whole treewidth solves, decomposition included, grow linearly on strips.
+
+    Acceptance 7 times the DP on a prebuilt decomposition; this times what
+    a user waits for. Quadrupling the length may cost at most 1.5x the
+    linear prediction (best of 3 attempts, timing on shared machines is
+    noisy).
+    """
+    for _ in range(3):
+        t_small = _strip_solve_time(240)
+        t_big = _strip_solve_time(960)
+        if t_big <= 1.5 * 4 * t_small:
+            break
+    else:
+        raise AssertionError(
+            f"superlinear growth: {t_small * 1e3:.1f}ms -> {t_big * 1e3:.1f}ms"
+        )
+
+
 def test_acceptance_8_determinism(acceptance, tmp_path):
     """Same inputs and seeds, byte-identical files, twice, in process and out."""
     with acceptance(8, "byte determinism"):

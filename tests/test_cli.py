@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -134,6 +135,56 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_undecided_when_oracle_runs_out(tmp_path, capsys):
+    """A correct result the oracle cannot re-solve is undecided, not a FAIL."""
+    prefix = str(tmp_path / "r4")
+    run(
+        capsys,
+        "gen", "random", "--top-simplices", "60", "--vertices", "10",
+        "--seed", "4", "--out", prefix,
+    )
+    instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
+    result = tmp_path / "r4.json"
+    code, _, _ = run(
+        capsys, "solve", *instance, "--algorithm", "treewidth", "--out", str(result)
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(result), *instance)
+    assert code == 5
+    assert "UNDECIDED" in out and "FAIL" not in out
+    # the witness is still checked: a wrong weight is a real FAIL
+    tampered = json.loads(result.read_text())
+    tampered["weight"] += 1
+    result.write_text(json.dumps(tampered))
+    code, out, _ = run(capsys, "verify", str(result), *instance)
+    assert code == 1
+    assert "FAIL solution" in out
+
+
+def test_solve_out_file_survives_closed_stdout(tmp_path, capsys, monkeypatch):
+    """`mbc solve --out r.json | head` still writes r.json."""
+    prefix = str(tmp_path / "oct")
+    run(capsys, "gen", "octahedron", "--out", prefix)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    result = tmp_path / "r.json"
+    with pytest.raises(BrokenPipeError):
+        main(
+            [
+                "solve", "--complex", prefix + ".complex",
+                "--algorithm", "dijkstra", "--out", str(result),
+            ]
+        )
+    assert json.loads(result.read_text())["status"] == "optimal"
 
 
 def test_decompose_formats(tmp_path, capsys):

@@ -13,6 +13,9 @@ from boundedchain import (
     validate_decomposition,
     validate_nice,
 )
+from boundedchain.complexes import boundary_matrix, hasse_graph
+from boundedchain.generators import cylinder, random_slice, triangle_strip
+from helpers import reference_greedy_decomposition
 
 
 def path_graph(n):
@@ -191,3 +194,30 @@ def test_parents_inverse_of_children():
     for t, kids in enumerate(td.children):
         for c in kids:
             assert par[c] == t
+
+
+def _hasse(cslice):
+    h = hasse_graph(boundary_matrix(cslice))
+    return Graph(h.n_vertices, h.edges())
+
+
+def test_incremental_elimination_matches_reference():
+    """The heap-driven heuristics pick the same order as full rescoring."""
+    rng = random.Random(2)
+    graphs = []
+    for _ in range(1000):
+        n = rng.randint(1, 40)
+        m = min(n * (n - 1) // 2, rng.randint(0, rng.choice((1, 3, 6)) * n))
+        graphs.append(random_graph(rng, n, m))
+    for seed in range(10):
+        graphs.append(_hasse(random_slice(35, 8, dim=2, seed=seed)))
+        graphs.append(_hasse(random_slice(35, 8, dim=3, seed=seed)))
+    graphs += [_hasse(triangle_strip(length)[0]) for length in (60, 480)]
+    graphs += [_hasse(cylinder(8, 4)[0]), _hasse(cylinder(12, 12)[0])]
+    for i, g in enumerate(graphs):
+        for heuristic in ("min-fill", "min-degree"):
+            got = greedy_decomposition(g, heuristic)
+            want = reference_greedy_decomposition(g, heuristic)
+            assert (got.bags, got.children, got.root) == (
+                want.bags, want.children, want.root
+            ), (i, heuristic)

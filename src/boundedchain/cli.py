@@ -256,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--algorithm", required=True, choices=("mbc1", "dijkstra", "treewidth", "brute")
     )
-    s.add_argument("--k", type=int, default=None, help="solution size bound")
+    s.add_argument(
+        "--k", type=int, default=None, help="solution size bound (dijkstra only)"
+    )
     s.add_argument(
         "--pivot", choices=("min-index", "min-coface", "max-index"), default="min-coface"
     )
@@ -296,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--suite", required=True, help="directory of .complex/.boundary/.mld files")
     b.add_argument("--algos", required=True, help="comma-separated algorithm list")
     b.add_argument("--reps", type=int, default=1)
-    b.add_argument("--k", type=int, default=None)
+    b.add_argument(
+        "--k", type=int, default=None,
+        help="solution size bound; engines other than dijkstra record an error row",
+    )
     b.add_argument("--no-timing", action="store_true", help="byte-reproducible CSV")
     b.add_argument("--out", help="CSV output path (default stdout)")
     b.set_defaults(func=_cmd_bench)

@@ -6,18 +6,33 @@ chain by symmetric-differencing in that simplex's boundary, at the cost of
 its weight. Restricting moves to cofaces of a single pivot keeps the
 branching factor at the pivot's coface degree without losing optimality:
 any bounding chain must cover each boundary face an odd number of times,
-so it contains a coface of whatever pivot is current. With non-negative
-weights, settling states in cost order yields the exact optimum.
+so it contains a coface of whatever pivot is current.
+
+States are settled in A* order (Hart, Nilsson and Raphael 1968): by
+L*g + h, where g is the cost so far and h a lower bound on the cost still
+to pay, both scaled by L, the lcm of the nonempty column sizes, so that
+every value is an exact integer. Each face f of a state has to be cleared
+by some column c containing it, and c clears at most |c| faces for w_c, so
+hf[f] = min over c containing f of w_c*L/|c|, and h is the sum of hf over
+the faces of the state. A move by c changes h by at least -L*w_c, so h is
+consistent: with non-negative weights the first settled empty chain is an
+exact optimum, and settled priorities never decrease. A move changes h only
+on the rows of its column, so h is updated in O(|c|) and travels in the
+heap entry. Ties go to the deeper state, then to the smaller mask.
 
 An optional bound k restricts attention to solutions using at most k top
 simplices. With uniform weights a chain never profits from being reached
 in more steps, so states stay keyed by chain; with general weights the
 key becomes (chain, steps), which is the layered view of the same graph.
+One column flips at most cmax faces, the largest column size, so a state
+with n faces after s steps is dropped when s + ceil(n / cmax) > k: no
+solution within the bound passes through it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from typing import Iterable, Sequence
 
@@ -75,15 +90,37 @@ def _pivot_from_mask(mask: int, strategy: str, cofdeg: Sequence[int]) -> int:
 
 
 def _default_max_states(max_states: int | None) -> int:
-    if max_states is not None:
-        return max_states
-    env = os.environ.get(MAX_STATES_ENV)
-    if env:
+    source = "max_states"
+    if max_states is None:
+        env = os.environ.get(MAX_STATES_ENV)
+        if not env:
+            return DEFAULT_MAX_STATES
+        source = MAX_STATES_ENV
         try:
-            return int(env)
+            max_states = int(env)
         except ValueError:
             raise UsageError(f"{MAX_STATES_ENV} must be an integer, got {env!r}")
-    return DEFAULT_MAX_STATES
+    if max_states < 1:
+        raise UsageError(f"{source} must be >= 1, got {max_states}")
+    return max_states
+
+
+def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int]]:
+    """The scale L and the per-face terms hf of the search's lower bound.
+
+    L is the lcm of the nonempty column sizes and hf[f] the least
+    w_c*L/|c| over the columns c containing f (0 for a face in no column;
+    a state holding one is a dead end anyway). The bound of a state is the
+    sum of hf over its faces, in units of 1/L.
+    """
+    col_rows = matrix.col_rows
+    weights = matrix.col_weights
+    scale = math.lcm(*(len(rs) for rs in col_rows if rs))
+    hf = [
+        min((weights[c] * scale // len(col_rows[c]) for c in cols), default=0)
+        for cols in matrix.row_cols
+    ]
+    return scale, hf
 
 
 def solve_mld_dijkstra(
@@ -132,10 +169,13 @@ def solve_mld_dijkstra(
         return SolveResult(Status.OPTIMAL, 0, frozenset(), stats)
 
     col_masks = matrix.col_masks
+    col_rows = matrix.col_rows
     row_cols = matrix.row_cols
     weights = matrix.col_weights
     cofdeg = [len(cs) for cs in row_cols]
     chain_keyed = k is None or matrix.has_uniform_weights
+    scale, hf = face_bounds(matrix)
+    cmax = max(map(len, col_rows), default=1)
 
     def key_of(mask: int, steps: int):
         return mask if chain_keyed else (mask, steps)
@@ -143,22 +183,24 @@ def solve_mld_dijkstra(
     start_key = key_of(start, 0)
     dist = {start_key: 0}
     parents: dict = {start_key: None}
-    heap = [(0, 0, indices_from_mask(start), start)]
+    # entries (f, -g, steps, mask) with f = L*g + h
+    heap = [(sum(hf[r] for r in indices_from_mask(start)), 0, 0, start)]
     stats["pushes"] = 1
     stats["frontier_peak"] = 1
     settled = set()
-    prev_cost = 0
+    prev_f = 0
 
     while heap:
-        cost, steps, _, mask = heapq.heappop(heap)
+        f, neg_cost, steps, mask = heapq.heappop(heap)
         key = key_of(mask, steps)
         if key in settled:
             continue
         settled.add(key)
         stats["states_expanded"] += 1
-        if cost < prev_cost:
+        if f < prev_f:
             stats["monotone_frontier"] = False
-        prev_cost = cost
+        prev_f = f
+        cost = -neg_cost
 
         if mask == 0:
             cols: list[int] = []
@@ -180,14 +222,18 @@ def solve_mld_dijkstra(
 
         if k is not None and steps >= k:
             continue
+        h = f - scale * cost
+        nsteps = steps + 1
         p = _pivot_from_mask(mask, pivot, cofdeg)
         for col in row_cols[p]:
             nmask = mask ^ col_masks[col]
-            ncost = cost + weights[col]
-            nsteps = steps + 1
+            # the remaining k - nsteps columns must clear every face left
+            if k is not None and nmask.bit_count() > (k - nsteps) * cmax:
+                continue
             nkey = key_of(nmask, nsteps)
             if nkey in settled:
                 continue
+            ncost = cost + weights[col]
             old = dist.get(nkey)
             if old is not None and old <= ncost:
                 continue
@@ -196,7 +242,10 @@ def solve_mld_dijkstra(
                 return SolveResult(Status.RESOURCE_LIMIT, stats=stats)
             dist[nkey] = ncost
             parents[nkey] = (key, col)
-            heapq.heappush(heap, (ncost, nsteps, indices_from_mask(nmask), nmask))
+            nh = h
+            for r in col_rows[col]:
+                nh += -hf[r] if mask >> r & 1 else hf[r]
+            heapq.heappush(heap, (scale * ncost + nh, -ncost, nsteps, nmask))
             stats["pushes"] += 1
         if len(heap) > stats["frontier_peak"]:
             stats["frontier_peak"] = len(heap)

@@ -101,6 +101,8 @@ def solve(
     """
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
+    if k is not None and algorithm != "dijkstra":
+        raise UsageError(f"the size bound k applies to dijkstra only, not {algorithm}")
     start = time.perf_counter()
     if algorithm == "mbc1":
         if instance.cslice is None:

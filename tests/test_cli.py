@@ -254,6 +254,33 @@ def test_bench_csv(tmp_path, capsys):
     assert "wall_time_s" in out.splitlines()[0]
 
 
+def test_size_bound_outside_dijkstra_is_a_usage_error(tmp_path, capsys):
+    prefix = str(tmp_path / "strip")
+    run(capsys, "gen", "strip", "--length", "10", "--out", prefix)
+    instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
+    code, out, err = run(
+        capsys, "solve", *instance, "--algorithm", "treewidth", "--k", "3"
+    )
+    assert code == 1
+    assert out == "" and "error:" in err and "dijkstra" in err
+    code, out, err = run(
+        capsys, "solve", *instance, "--algorithm", "dijkstra", "--max-states", "0"
+    )
+    assert code == 1
+    assert "error:" in err
+    code, out, _ = run(
+        capsys, "bench", "--suite", str(tmp_path),
+        "--algos", "dijkstra,treewidth,brute", "--k", "3", "--no-timing",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[1], r[3], r[4]) for r in rows] == [
+        ("dijkstra", "not_found_within_bound", ""),
+        ("treewidth", "error", "UsageError"),
+        ("brute", "error", "UsageError"),
+    ]
+
+
 def test_errors_exit_one(tmp_path, capsys):
     code, _, err = run(
         capsys, "solve", "--complex", str(tmp_path / "nope.complex"),

@@ -17,6 +17,9 @@ from boundedchain import (
     solve_mld_dijkstra,
 )
 from boundedchain.complexes import Gf2Matrix
+from boundedchain.dijkstra import face_bounds
+from boundedchain.generators import random_boundary, random_slice
+from boundedchain.gf2 import mask_from_indices
 from helpers import punctured_octahedron, random_problem
 
 
@@ -85,25 +88,27 @@ def test_pivot_strategies_agree_with_oracle():
                 assert r.weight == ref.weight, (seed, pivot)
 
 
+def _best_by_size(mat, target):
+    """Least weight of a solution with exactly s columns, for every s."""
+    want = mask_from_indices(target)
+    best = {}
+    for size in range(mat.ncols + 1):
+        for combo in combinations(range(mat.ncols), size):
+            if mat.product_mask(combo) == want:
+                w = mat.weight_of(combo)
+                best[size] = min(best.get(size, w), w)
+    return best
+
+
 def test_bounded_search_matches_restricted_enumeration():
     """For every k, the search equals the best solution of size <= k."""
     rng = random.Random(41)
     for trial in range(25):
         cs, boundary = random_problem(trial, max_top=8, max_vertices=8)
         mat = boundary_matrix(cs)
-        tmask = 0
-        for i in boundary.indices:
-            tmask |= 1 << i
-        solutions = []
-        for size in range(mat.ncols + 1):
-            for combo in combinations(range(mat.ncols), size):
-                acc = 0
-                for j in combo:
-                    acc ^= mat.col_masks[j]
-                if acc == tmask:
-                    solutions.append((size, sum(mat.col_weights[j] for j in combo)))
+        best = _best_by_size(mat, boundary.indices)
         for k in range(mat.ncols + 1):
-            fits = [w for s, w in solutions if s <= k]
+            fits = [w for s, w in best.items() if s <= k]
             r = solve_mld_dijkstra(mat, boundary.indices, k=k)
             if fits:
                 assert r.status is Status.OPTIMAL, (trial, k)
@@ -148,14 +153,88 @@ def test_max_states_env(monkeypatch):
     monkeypatch.setenv(MAX_STATES_ENV, "lots")
     with pytest.raises(UsageError):
         solve_dijkstra(cs, boundary)
+    # a cap below one state would end every search before it starts
+    for bad in ("0", "-3"):
+        monkeypatch.setenv(MAX_STATES_ENV, bad)
+        with pytest.raises(UsageError):
+            solve_dijkstra(cs, boundary)
+    monkeypatch.delenv(MAX_STATES_ENV)
+    for bad in (0, -1):
+        with pytest.raises(UsageError):
+            solve_dijkstra(cs, boundary, max_states=bad)
 
 
 def test_frontier_is_monotone():
-    """Settled costs never decrease: the search is a true cost-order sweep."""
+    """Settled priorities never decrease: the bound is consistent."""
     for seed in range(40):
         cs, boundary = random_problem(seed)
         r = solve_dijkstra(cs, boundary)
         assert r.stats["monotone_frontier"], seed
+
+
+def _bound(hf, mask):
+    return sum(hf[r] for r in range(len(hf)) if mask >> r & 1)
+
+
+def test_lower_bound_is_consistent():
+    """No move lowers the scaled bound by more than L times its weight."""
+    rng = random.Random(43)
+    for seed in range(40):
+        cs, _ = random_problem(seed, max_top=14, dim=2 + seed % 2, weights="random")
+        mat = boundary_matrix(cs)
+        scale, hf = face_bounds(mat)
+        assert _bound(hf, 0) == 0
+        for c, rows in enumerate(mat.col_rows):
+            assert scale % len(rows) == 0
+            for r in rows:
+                assert hf[r] * len(rows) <= mat.col_weights[c] * scale
+        for _ in range(200):
+            m = rng.getrandbits(mat.nrows)
+            c = rng.randrange(mat.ncols)
+            step = _bound(hf, m ^ mat.col_masks[c]) - _bound(hf, m)
+            assert scale * mat.col_weights[c] + step >= 0, (seed, m, c)
+
+
+def test_exact_bound_walks_straight_to_the_goal():
+    """Pairs of rows cost 2 together or 3 each alone: the bound is exact,
+    so only the states on one optimal path are settled."""
+    m = 8
+    pairs = [(2 * i, 2 * i + 1) for i in range(m)]
+    singles = [(r,) for r in range(2 * m)]
+    mat = Gf2Matrix(2 * m, 3 * m, pairs + singles, [2] * m + [3] * (2 * m))
+    r = solve_mld_dijkstra(mat, range(2 * m))
+    assert r.weight == 2 * m
+    assert r.witness == frozenset(range(m))
+    assert r.stats["states_expanded"] == m + 1
+
+
+def test_random_weight_oracle_sweep():
+    """Unbounded and every k, with weights from 0 to 9, against the oracle."""
+    rng = random.Random(44)
+    for seed in range(40):
+        dim = 2 + seed % 2
+        cs = random_slice(rng.randint(6, 12), rng.randint(dim + 4, 8), dim=dim, seed=seed)
+        boundary = random_boundary(cs, seed=seed, require_nonempty=True)
+        base = boundary_matrix(cs)
+        weights = [rng.randint(0, 9) for _ in range(base.ncols)]
+        mat = Gf2Matrix(base.nrows, base.ncols, base.col_rows, weights)
+        ref = brute_force_mld(mat, boundary.indices, mode="exhaustive")
+        r = solve_mld_dijkstra(mat, boundary.indices)
+        assert r.status is ref.status, seed
+        assert r.weight == ref.weight, seed
+        best = _best_by_size(mat, boundary.indices)
+        if ref.is_optimal:
+            assert min(best.values()) == ref.weight, seed
+        for k in range(mat.ncols + 1):
+            fits = [w for s, w in best.items() if s <= k]
+            r = solve_mld_dijkstra(mat, boundary.indices, k=k)
+            if fits:
+                assert r.status is Status.OPTIMAL, (seed, k)
+                assert r.weight == min(fits), (seed, k)
+                assert len(r.witness) <= k, (seed, k)
+                assert mat.weight_of(r.witness) == r.weight, (seed, k)
+            else:
+                assert r.status is Status.NOT_FOUND_WITHIN_BOUND, (seed, k)
 
 
 def test_witness_weight_matches_cost():

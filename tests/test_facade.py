@@ -17,6 +17,7 @@ from boundedchain import (
     verify_witness,
 )
 from boundedchain.complexes import Gf2Matrix, boundary_matrix
+from boundedchain.generators import triangle_strip
 from helpers import punctured_octahedron, random_problem
 
 
@@ -138,3 +139,20 @@ def test_solver_specific_options_pass_through():
         assert a.status is b.status is c.status
         if a.is_optimal:
             assert a.weight == b.weight == c.weight
+
+
+def test_size_bound_is_refused_outside_dijkstra():
+    """k is a dijkstra option; the other engines would silently ignore it."""
+    inst = instance_from_complex(*triangle_strip(10))
+    for algorithm in ("treewidth", "brute"):
+        assert solve(inst, algorithm).weight == 10
+        with pytest.raises(UsageError):
+            solve(inst, algorithm, k=3)
+    assert solve(inst, "dijkstra", k=3).status is Status.NOT_FOUND_WITHIN_BOUND
+    assert solve(inst, "dijkstra", k=10).weight == 10
+    edges = build_slice([Simplex((0, 1)), Simplex((1, 2))])
+    path = instance_from_complex(
+        edges, edges.chain_from_faces([Simplex((0,)), Simplex((2,))])
+    )
+    with pytest.raises(UsageError):
+        solve(path, "mbc1", k=3)

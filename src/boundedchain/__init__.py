@@ -14,7 +14,6 @@ from .chains import Chain, Simplex, boundary_chain, boundary_simplex, chain_add,
 from .complexes import (
     ComplexSlice,
     Gf2Matrix,
-    HasseGraph,
     boundary_matrix,
     build_slice,
     feasibility_check,
@@ -29,7 +28,7 @@ from .decomposition import (
     validate_decomposition,
     validate_nice,
 )
-from .dijkstra import expand_state, pivot_select, solve_dijkstra, solve_mld_dijkstra
+from .dijkstra import solve_mld_dijkstra
 from .errors import (
     BoundedChainError,
     ConsistencyError,
@@ -65,7 +64,6 @@ __all__ = [
     "Gf2Matrix",
     "Gf2System",
     "Graph",
-    "HasseGraph",
     "InputError",
     "Instance",
     "NiceTreeDecomposition",
@@ -84,7 +82,6 @@ __all__ = [
     "chain_add",
     "chain_weight",
     "distance_closure",
-    "expand_state",
     "feasibility_check",
     "greedy_decomposition",
     "hasse_graph",
@@ -93,10 +90,8 @@ __all__ = [
     "make_nice",
     "mbc_to_mld",
     "min_weight_perfect_matching",
-    "pivot_select",
     "result_to_json_dict",
     "solve",
-    "solve_dijkstra",
     "solve_mbc1",
     "solve_mld_dijkstra",
     "solve_mld_treewidth",

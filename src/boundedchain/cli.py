@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import generators
 from .bench import rows_to_csv, run_suite
 from .complexes import boundary_matrix, hasse_graph
-from .decomposition import Graph, greedy_decomposition, make_nice
+from .decomposition import HEURISTICS, greedy_decomposition, make_nice
+from .dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV, PIVOT_MIN_COFACE, PIVOT_STRATEGIES
 from .errors import BoundedChainError, UsageError
 from .facade import (
+    ALGORITHMS,
     instance_from_complex,
     instance_from_matrix,
     result_to_json_dict,
@@ -32,6 +33,7 @@ from .fileio import (
     write_decomposition_text,
     write_text,
 )
+from .oracle import ORACLE_MODES
 from .results import EXIT_CODES, EXIT_UNDECIDED, SolveResult, Status
 
 
@@ -122,14 +124,12 @@ def _cmd_decompose(args) -> int:
     elif fmt == "complex":
         from .fileio import parse_complex_text
 
-        h = hasse_graph(boundary_matrix(parse_complex_text(text)))
-        graph = Graph(h.n_vertices, h.edges())
+        graph = hasse_graph(boundary_matrix(parse_complex_text(text)))
     elif fmt == "mld":
         from .fileio import parse_matrix_text
 
         matrix, _target = parse_matrix_text(text)
-        h = hasse_graph(matrix)
-        graph = Graph(h.n_vertices, h.edges())
+        graph = hasse_graph(matrix)
     else:
         raise UsageError("decompose expects a graph, complex, or mld file")
     td = greedy_decomposition(graph, args.heuristic)
@@ -253,45 +253,38 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--complex", help="complex file")
     s.add_argument("--boundary", help="boundary file (with --complex)")
     s.add_argument("--matrix", help="mld matrix file")
-    s.add_argument(
-        "--algorithm", required=True, choices=("mbc1", "dijkstra", "treewidth", "brute")
-    )
+    s.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     s.add_argument(
         "--k", type=int, default=None, help="solution size bound (dijkstra only)"
     )
-    s.add_argument(
-        "--pivot", choices=("min-index", "min-coface", "max-index"), default="min-coface"
-    )
+    s.add_argument("--pivot", choices=PIVOT_STRATEGIES, default=PIVOT_MIN_COFACE)
     s.add_argument("--td", help="tree decomposition file for --algorithm treewidth")
-    s.add_argument(
-        "--td-heuristic", choices=("min-fill", "min-degree"), default="min-fill"
-    )
+    s.add_argument("--td-heuristic", choices=HEURISTICS, default="min-fill")
     s.add_argument("--no-feasibility-check", action="store_true")
     s.add_argument(
         "--max-states",
         type=int,
         default=None,
-        help=f"search state cap (default {os.environ.get('MBC_MAX_STATES', '2000000')})",
+        help=f"search state cap (default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set)",
     )
-    s.add_argument("--oracle-mode", choices=("auto", "exhaustive", "kernel"), default="auto")
+    s.add_argument("--oracle-mode", choices=ORACLE_MODES, default="auto")
     s.add_argument("--timing", action="store_true", help="include wall time in stats")
     s.add_argument("--out", help="also write the JSON result here")
     s.set_defaults(func=_cmd_solve)
 
     d = sub.add_parser("decompose", help="tree-decompose a graph, complex, or matrix")
     d.add_argument("--input", required=True)
-    d.add_argument("--heuristic", choices=("min-fill", "min-degree"), default="min-fill")
+    d.add_argument("--heuristic", choices=HEURISTICS, default="min-fill")
     d.add_argument("--nice", action="store_true", help="emit the nice form")
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_decompose)
 
     v = sub.add_parser("verify", help="check a result JSON against the oracle")
     v.add_argument("result", help="result JSON produced by solve")
-    v.add_argument("--against", choices=("brute",), default="brute")
     v.add_argument("--complex")
     v.add_argument("--boundary")
     v.add_argument("--matrix")
-    v.add_argument("--oracle-mode", choices=("auto", "exhaustive", "kernel"), default="auto")
+    v.add_argument("--oracle-mode", choices=ORACLE_MODES, default="auto")
     v.set_defaults(func=_cmd_verify)
 
     b = sub.add_parser("bench", help="run algorithms over a directory of instances")

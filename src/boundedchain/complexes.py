@@ -5,6 +5,10 @@ d-simplices, every (d-1)-simplex that occurs as a face (plus any extra
 declared ones), and the incidence between the two levels. Both tables are
 sorted lexicographically by vertex tuple; all index-based tie-breaking in
 the solvers relies on that order.
+
+Input checks live here once: ``ComplexSlice.check_boundary`` for a
+boundary chain and ``Gf2Matrix.target_mask`` for target rows. The
+incidence graph is a plain ``decomposition.Graph`` with rows first.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .chains import Chain, Simplex, boundary_chain, boundary_simplex
+from .decomposition import Graph
 from .errors import InputError, UsageError
 from .gf2 import Gf2System, indices_from_mask, mask_from_indices
 
@@ -71,6 +76,15 @@ class ComplexSlice:
 
     def chain_from_tops(self, simplices: Iterable[Simplex]) -> Chain:
         return Chain.from_indices(self.dim, (self.top_index(s) for s in simplices))
+
+    def check_boundary(self, boundary: Chain) -> None:
+        """A boundary is a chain of faces: dimension d-1, indices in the face table."""
+        if boundary.dim != self.dim - 1:
+            raise UsageError(
+                f"boundary dimension {boundary.dim} does not match a {self.dim}-slice"
+            )
+        if boundary.indices and boundary.indices[-1] >= self.n_faces:
+            raise UsageError(f"boundary face index {boundary.indices[-1]} out of range")
 
     def boundary_of(self, chain: Chain) -> Chain:
         if chain.dim != self.dim:
@@ -192,6 +206,15 @@ class Gf2Matrix:
             acc ^= masks[c]
         return acc
 
+    def target_mask(self, rows: Iterable[int]) -> int:
+        """Row mask of a target given by row indices; every row must exist."""
+        mask = 0
+        for r in rows:
+            if not (0 <= r < self.nrows):
+                raise UsageError(f"target row {r} out of range")
+            mask |= 1 << r
+        return mask
+
     def weight_of(self, cols: Iterable[int]) -> int:
         return sum(self.col_weights[c] for c in cols)
 
@@ -211,42 +234,14 @@ def boundary_matrix(cslice: ComplexSlice) -> Gf2Matrix:
     )
 
 
-class HasseGraph:
+def hasse_graph(matrix: Gf2Matrix) -> Graph:
     """Bipartite incidence graph of a matrix: one vertex per row and column.
 
-    Vertex ids are stable: rows come first (0..nrows-1), then columns
-    (nrows..nrows+ncols-1).
+    Rows come first (0..nrows-1), then columns (nrows..nrows+ncols-1), so
+    column c is vertex nrows + c.
     """
-
-    def __init__(self, nrows: int, ncols: int, edges: Iterable[tuple[int, int]]):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.n_vertices = nrows + ncols
-        self.adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for r, c in edges:
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise InputError(f"incidence ({r}, {c}) out of range")
-            cv = nrows + c
-            self.adj[r].add(cv)
-            self.adj[cv].add(r)
-
-    def is_column_vertex(self, v: int) -> bool:
-        return v >= self.nrows
-
-    def column_of(self, v: int) -> int:
-        if v < self.nrows:
-            raise UsageError(f"vertex {v} is a row vertex")
-        return v - self.nrows
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(r, cv) for r in range(self.nrows) for cv in sorted(self.adj[r])]
-
-
-def hasse_graph(matrix: Gf2Matrix) -> HasseGraph:
-    return HasseGraph(matrix.nrows, matrix.ncols, matrix.entries())
+    nrows = matrix.nrows
+    return Graph(nrows + matrix.ncols, ((r, nrows + c) for r, c in matrix.entries()))
 
 
 def feasibility_check(
@@ -257,12 +252,8 @@ def feasibility_check(
     The witness is any solution, with no optimality promise; it is meant
     for feasibility screening and as a starting point for enumeration.
     """
-    rows = list(target_rows)
-    for r in rows:
-        if not (0 <= r < matrix.nrows):
-            raise InputError(f"target row {r} out of range")
-    system = Gf2System(matrix.col_masks)
-    combo = system.solve(mask_from_indices(rows))
+    target = matrix.target_mask(target_rows)
+    combo = Gf2System(matrix.col_masks).solve(target)
     if combo is None:
         return (False, None)
     return (True, frozenset(indices_from_mask(combo)))

@@ -10,7 +10,8 @@ would give at every step. Each bag's parent is the bag of the member
 eliminated next, so the result is a rooted tree whose root is the last
 bag. The nice form rewrites any rooted decomposition into leaf /
 introduce / forget / join nodes with an empty root bag, never increasing
-the width.
+the width; it is a TreeDecomposition whose nodes also carry a kind and,
+for introduce and forget nodes, a vertex.
 """
 
 from __future__ import annotations
@@ -84,34 +85,22 @@ class TreeDecomposition:
         return par
 
 
-class NiceTreeDecomposition:
+class NiceTreeDecomposition(TreeDecomposition):
     """A nice decomposition: leaf/introduce/forget/join nodes, empty root bag.
 
-    Nodes are stored children-first (every child id is smaller than its
-    parent's), so iterating ids in order is a valid bottom-up schedule.
+    ``kinds[t]`` is one of LEAF, INTRODUCE, FORGET, JOIN and
+    ``vertices[t]`` the vertex an introduce or forget node adds or drops
+    (None otherwise). Nodes are stored children-first (every child id is
+    smaller than its parent's), so iterating ids in order is a valid
+    bottom-up schedule.
     """
 
     def __init__(self, bags, kinds, vertices, children, root):
-        self.bags = tuple(frozenset(b) for b in bags)
+        super().__init__(bags, children, root)
         self.kinds = tuple(kinds)
         self.vertices = tuple(vertices)
-        self.children = tuple(tuple(c) for c in children)
-        self.root = root
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.bags)
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
-
-    def parents(self) -> list:
-        par: list = [None] * self.n_nodes
-        for t, kids in enumerate(self.children):
-            for c in kids:
-                par[c] = t
-        return par
+        if len(self.kinds) != len(self.bags) or len(self.vertices) != len(self.bags):
+            raise InputError("kind and vertex lists must match bag list")
 
 
 @dataclass
@@ -182,7 +171,7 @@ def greedy_decomposition(graph: Graph, heuristic: str = "min-fill") -> TreeDecom
     return TreeDecomposition(bags, children, len(bags) - 1)
 
 
-def _tree_ok(td) -> Violation | None:
+def _tree_ok(td: TreeDecomposition) -> Violation | None:
     n = td.n_nodes
     par = [None] * n
     for t, kids in enumerate(td.children):
@@ -209,12 +198,8 @@ def _tree_ok(td) -> Violation | None:
     return None
 
 
-def validate_decomposition(td, graph: Graph) -> Violation | None:
-    """Check the three decomposition properties; None means valid.
-
-    Works for plain and nice decompositions (anything with bags,
-    children and root).
-    """
+def validate_decomposition(td: TreeDecomposition, graph: Graph) -> Violation | None:
+    """Check the three decomposition properties; None means valid."""
     bad = _tree_ok(td)
     if bad:
         return bad

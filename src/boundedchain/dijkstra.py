@@ -8,6 +8,10 @@ branching factor at the pivot's coface degree without losing optimality:
 any bounding chain must cover each boundary face an odd number of times,
 so it contains a coface of whatever pivot is current.
 
+The search runs on the decoding view only: a state is the bitmask of its
+faces (rows) and a move is a column. A chain question reaches it through
+``facade.solve(instance_from_complex(...), "dijkstra")``.
+
 States are settled in A* order (Hart, Nilsson and Raphael 1968): by
 L*g + h, where g is the cost so far and h a lower bound on the cost still
 to pay, both scaled by L, the lcm of the nonempty column sizes, so that
@@ -36,10 +40,9 @@ import math
 import os
 from typing import Iterable, Sequence
 
-from .chains import Chain
-from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix, feasibility_check
+from .complexes import Gf2Matrix, feasibility_check
 from .errors import ConsistencyError, UsageError
-from .gf2 import indices_from_mask, mask_from_indices
+from .gf2 import indices_from_mask
 from .results import SolveResult, Status
 
 PIVOT_MIN_INDEX = "min-index"
@@ -49,27 +52,6 @@ PIVOT_STRATEGIES = (PIVOT_MIN_INDEX, PIVOT_MIN_COFACE, PIVOT_MAX_INDEX)
 
 DEFAULT_MAX_STATES = 2_000_000
 MAX_STATES_ENV = "MBC_MAX_STATES"
-
-
-def pivot_select(
-    chain: Chain, strategy: str, coface_degrees: Sequence[int] | None = None
-) -> int:
-    """Pick the pivot face index of a nonempty chain under a strategy.
-
-    min-coface needs the per-face coface degrees and breaks ties by
-    smallest index.
-    """
-    if strategy not in PIVOT_STRATEGIES:
-        raise UsageError(f"unknown pivot strategy {strategy!r}")
-    if not chain.indices:
-        raise UsageError("cannot pick a pivot in an empty chain")
-    if strategy == PIVOT_MIN_INDEX:
-        return chain.indices[0]
-    if strategy == PIVOT_MAX_INDEX:
-        return chain.indices[-1]
-    if coface_degrees is None:
-        raise UsageError("min-coface strategy needs coface degrees")
-    return min(chain.indices, key=lambda i: (coface_degrees[i], i))
 
 
 def _pivot_from_mask(mask: int, strategy: str, cofdeg: Sequence[int]) -> int:
@@ -142,10 +124,7 @@ def solve_mld_dijkstra(
     max_states = _default_max_states(max_states)
 
     rows = tuple(target_rows)
-    for r in rows:
-        if not (0 <= r < matrix.nrows):
-            raise UsageError(f"target row {r} out of range")
-    start = mask_from_indices(rows)
+    start = matrix.target_mask(rows)
 
     stats: dict = {
         "algorithm": "dijkstra",
@@ -254,51 +233,3 @@ def solve_mld_dijkstra(
     if k is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
     return SolveResult(Status.NOT_FOUND_WITHIN_BOUND, stats=stats)
-
-
-def solve_dijkstra(
-    cslice: ComplexSlice,
-    boundary: Chain,
-    *,
-    k: int | None = None,
-    pivot: str = PIVOT_MIN_COFACE,
-    check_feasibility: bool = True,
-    max_states: int | None = None,
-) -> SolveResult:
-    """Chain-view wrapper: minimum-weight d-chain with the given boundary."""
-    if boundary.dim != cslice.dim - 1:
-        raise UsageError(
-            f"boundary dimension {boundary.dim} does not match slice faces"
-        )
-    if boundary.indices and boundary.indices[-1] >= cslice.n_faces:
-        raise UsageError("boundary face index out of range")
-    return solve_mld_dijkstra(
-        boundary_matrix(cslice),
-        boundary.indices,
-        k=k,
-        pivot=pivot,
-        check_feasibility=check_feasibility,
-        max_states=max_states,
-    )
-
-
-def expand_state(
-    cslice: ComplexSlice, chain: Chain, strategy: str = PIVOT_MIN_COFACE
-) -> list[tuple[Chain, int, int]]:
-    """Successor states of a (d-1)-chain: (next chain, top index, weight).
-
-    Exposed for inspection and tests; the solver inlines the same logic
-    on bitmasks.
-    """
-    if chain.dim != cslice.dim - 1:
-        raise UsageError("state must be a chain of the face dimension")
-    if not chain.indices:
-        return []
-    cofdeg = [len(c) for c in cslice.cofaces]
-    p = pivot_select(chain, strategy, cofdeg)
-    cur = chain.as_set()
-    out = []
-    for j in cslice.cofaces[p]:
-        nxt = Chain(chain.dim, tuple(sorted(cur ^ set(cslice.faces_of[j]))))
-        out.append((nxt, j, cslice.weights[j]))
-    return out

@@ -17,7 +17,7 @@ from typing import Iterable
 from .chains import Chain
 from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix
 from .dijkstra import PIVOT_MIN_COFACE, solve_mld_dijkstra
-from .errors import ConsistencyError, InputError, ResourceLimitError, UsageError
+from .errors import ConsistencyError, ResourceLimitError, UsageError
 from .gf2 import mask_from_indices
 from .mbc1 import solve_mbc1
 from .oracle import brute_force_mld
@@ -45,14 +45,8 @@ def mbc_to_mld(
     cslice: ComplexSlice, boundary: Chain
 ) -> tuple[Gf2Matrix, Chain, tuple[int, ...]]:
     """Express a bounded-chain question as decoding: matrix, target, weights."""
-    if boundary.dim != cslice.dim - 1:
-        raise InputError(
-            f"boundary dimension {boundary.dim} does not match a {cslice.dim}-slice"
-        )
-    if boundary.indices and boundary.indices[-1] >= cslice.n_faces:
-        raise InputError("boundary references an unknown face")
-    matrix = boundary_matrix(cslice)
-    return matrix, boundary, cslice.weights
+    cslice.check_boundary(boundary)
+    return boundary_matrix(cslice), boundary, cslice.weights
 
 
 def instance_from_complex(cslice: ComplexSlice, boundary: Chain) -> Instance:
@@ -62,9 +56,7 @@ def instance_from_complex(cslice: ComplexSlice, boundary: Chain) -> Instance:
 
 def instance_from_matrix(matrix: Gf2Matrix, target: Iterable[int]) -> Instance:
     rows = frozenset(target)
-    for r in rows:
-        if not (0 <= r < matrix.nrows):
-            raise InputError(f"target row {r} out of range")
+    matrix.target_mask(rows)
     return Instance(matrix, rows)
 
 

@@ -18,9 +18,7 @@ from .complexes import ComplexSlice, Gf2Matrix, build_slice
 from .decomposition import (
     FORGET,
     INTRODUCE,
-    JOIN,
     KINDS,
-    LEAF,
     Graph,
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -352,6 +350,8 @@ def parse_decomposition_text(text: str):
             if len(rest) not in (2, 3):
                 raise InputError(f"line {no}: kind lines are 'kind <node> <kind> [v]'")
             t = _int(rest[0], no, "node id")
+            if not (0 <= t < n_nodes):
+                raise InputError(f"line {no}: node id {t} out of range")
             kname = rest[1]
             if kname not in KINDS:
                 raise InputError(f"line {no}: unknown kind {kname!r}")

@@ -153,11 +153,8 @@ def assemble_chain(
 def solve_mbc1(cslice: ComplexSlice, boundary: Chain) -> SolveResult:
     """Minimum-weight 1-chain with the given 0-chain as boundary."""
     _check_slice(cslice)
-    if boundary.dim != 0:
-        raise UsageError(f"boundary must be a 0-chain, got dimension {boundary.dim}")
+    cslice.check_boundary(boundary)
     n = cslice.n_faces
-    if boundary.indices and boundary.indices[-1] >= n:
-        raise UsageError("boundary vertex index out of range")
     u = set(boundary.indices)
 
     adj = _adjacency(cslice)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable
 
 from .chains import Chain
 from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix
@@ -22,17 +21,7 @@ from .results import SolveResult, Status
 EXHAUSTIVE_LIMIT = 20
 KERNEL_LIMIT = 20
 DEFAULT_ENUM_BUDGET = 5_000_000
-
-
-def _target_mask(matrix: Gf2Matrix, target_rows) -> int:
-    if isinstance(target_rows, Chain):
-        rows = target_rows.indices
-    else:
-        rows = tuple(target_rows)
-    for r in rows:
-        if not (0 <= r < matrix.nrows):
-            raise UsageError(f"target row {r} out of range")
-    return mask_from_indices(rows)
+ORACLE_MODES = ("auto", "exhaustive", "kernel")
 
 
 def _exhaustive(matrix: Gf2Matrix, target: int) -> SolveResult:
@@ -110,8 +99,8 @@ def brute_force_mld(
     which picks exhaustive for small n and falls back to kernel mode.
     Raises ResourceLimitError when the chosen mode is over its limit.
     """
-    target = _target_mask(matrix, target_rows)
-    if mode not in ("auto", "exhaustive", "kernel"):
+    target = matrix.target_mask(target_rows)
+    if mode not in ORACLE_MODES:
         raise UsageError(f"unknown oracle mode {mode!r}")
     if mode == "exhaustive":
         if matrix.ncols > exhaustive_limit:
@@ -141,12 +130,9 @@ def bounded_enumeration(
     """
     if k < 0:
         raise UsageError("k must be >= 0")
-    if boundary.dim != cslice.dim - 1:
-        raise UsageError(
-            f"boundary dimension {boundary.dim} does not match slice faces"
-        )
+    cslice.check_boundary(boundary)
     matrix = boundary_matrix(cslice)
-    target = _target_mask(matrix, boundary)
+    target = mask_from_indices(boundary.indices)
     m = matrix.ncols
     k = min(k, m)
     total = sum(math.comb(m, size) for size in range(k + 1))

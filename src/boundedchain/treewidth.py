@@ -12,7 +12,9 @@ forgotten selected columns; bag columns are charged only when forgotten.
 Missing keys mean "no feasible completion", which doubles as infinity, so
 negative weights need no special casing.
 
-Per node kind:
+Per node kind (the decomposition's LEAF, INTRODUCE, FORGET and JOIN; an
+introduce or forget node's context also says whether its vertex is a row
+or a column):
 - leaf: table {(empty, empty): 0}.
 - introduce column: each child entry splits two ways; selecting the new
   column flips the parity bits of its neighbours inside the bag.
@@ -33,6 +35,7 @@ decision at every forget-column node.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,7 +45,6 @@ from .decomposition import (
     INTRODUCE,
     JOIN,
     LEAF,
-    Graph,
     NiceTreeDecomposition,
     TreeDecomposition,
     greedy_decomposition,
@@ -74,12 +76,17 @@ def _q_boundary(q: int, col_nbrs: Sequence[int]) -> int:
 
 @dataclass
 class BagContext:
-    """Everything process_bag needs about one decomposition node."""
+    """Everything process_bag needs about one decomposition node.
+
+    ``kind`` is a decomposition node kind; ``is_col`` says whether the
+    vertex an introduce or forget node adds or drops is a column.
+    """
 
     kind: str
     children: tuple[int, ...]
     bag_rows: tuple[int, ...]
     bag_cols: tuple[int, ...]
+    is_col: bool = False
     pos: int = -1
     nbr_mask: int = 0
     adj_cols_mask: int = 0
@@ -91,16 +98,19 @@ class BagContext:
 
 
 def _contexts(
-    ntd: NiceTreeDecomposition, matrix: Gf2Matrix, target: frozenset[int]
+    ntd: NiceTreeDecomposition, matrix: Gf2Matrix, target: int
 ) -> list[BagContext]:
+    """Per-node contexts; ``target`` is the row mask of u."""
     nrows = matrix.nrows
     col_row_sets = [set(rs) for rs in matrix.col_rows]
     row_col_sets = [set(cs) for cs in matrix.row_cols]
     rows_of = []
     cols_of = []
     for bag in ntd.bags:
-        rows_of.append(tuple(sorted(v for v in bag if v < nrows)))
-        cols_of.append(tuple(sorted(v - nrows for v in bag if v >= nrows)))
+        vs = sorted(bag)  # rows first, then columns
+        split = bisect_left(vs, nrows)
+        rows_of.append(tuple(vs[:split]))
+        cols_of.append(tuple([v - nrows for v in vs[split:]]))
 
     ctxs: list[BagContext] = []
     for t in range(ntd.n_nodes):
@@ -109,7 +119,7 @@ def _contexts(
         rows = rows_of[t]
         cols = cols_of[t]
         if kind == LEAF:
-            ctxs.append(BagContext("leaf", kids, rows, cols))
+            ctxs.append(BagContext(LEAF, kids, rows, cols))
         elif kind == INTRODUCE:
             v = ntd.vertices[t]
             if v >= nrows:
@@ -120,7 +130,13 @@ def _contexts(
                         nbr |= 1 << i
                 ctxs.append(
                     BagContext(
-                        "intro_col", kids, rows, cols, pos=cols.index(c), nbr_mask=nbr
+                        INTRODUCE,
+                        kids,
+                        rows,
+                        cols,
+                        is_col=True,
+                        pos=cols.index(c),
+                        nbr_mask=nbr,
                     )
                 )
             else:
@@ -130,13 +146,13 @@ def _contexts(
                         adj |= 1 << i
                 ctxs.append(
                     BagContext(
-                        "intro_row",
+                        INTRODUCE,
                         kids,
                         rows,
                         cols,
                         pos=rows.index(v),
                         adj_cols_mask=adj,
-                        in_target=v in target,
+                        in_target=bool(target >> v & 1),
                     )
                 )
         elif kind == FORGET:
@@ -146,10 +162,11 @@ def _contexts(
                 c = v - nrows
                 ctxs.append(
                     BagContext(
-                        "forget_col",
+                        FORGET,
                         kids,
                         rows,
                         cols,
+                        is_col=True,
                         pos=cols_of[child].index(c),
                         col=c,
                         weight=matrix.col_weights[c],
@@ -157,9 +174,7 @@ def _contexts(
                 )
             else:
                 ctxs.append(
-                    BagContext(
-                        "forget_row", kids, rows, cols, pos=rows_of[child].index(v)
-                    )
+                    BagContext(FORGET, kids, rows, cols, pos=rows_of[child].index(v))
                 )
         elif kind == JOIN:
             col_nbrs = []
@@ -171,11 +186,11 @@ def _contexts(
                 col_nbrs.append(m)
             tmask = 0
             for i, r in enumerate(rows):
-                if r in target:
+                if target >> r & 1:
                     tmask |= 1 << i
             ctxs.append(
                 BagContext(
-                    "join",
+                    JOIN,
                     kids,
                     rows,
                     cols,
@@ -191,44 +206,39 @@ def _contexts(
 def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, dict, int]:
     """One node's table from its children's. Returns (table, backpointers, join pairs)."""
     kind = ctx.kind
-    if kind == "leaf":
+    if kind == LEAF:
         return {(0, 0): 0}, {}, 0
 
-    if kind == "intro_col":
+    if kind == INTRODUCE:
         src = child_tables[0]
-        p, nbr = ctx.pos, ctx.nbr_mask
+        p = ctx.pos
         out: dict = {}
-        for (q, pm), val in src.items():
-            q0 = _insert_bit(q, p, 0)
-            out[(q0, pm)] = val
-            out[(q0 | (1 << p), pm ^ nbr)] = val
+        if ctx.is_col:
+            nbr = ctx.nbr_mask
+            for (q, pm), val in src.items():
+                q0 = _insert_bit(q, p, 0)
+                out[(q0, pm)] = val
+                out[(q0 | (1 << p), pm ^ nbr)] = val
+        else:
+            adj = ctx.adj_cols_mask
+            u = 1 if ctx.in_target else 0
+            for (q, pm), val in src.items():
+                bit = ((q & adj).bit_count() & 1) ^ u
+                out[(q, _insert_bit(pm, p, bit))] = val
         return out, {}, 0
 
-    if kind == "intro_row":
+    if kind == FORGET:
         src = child_tables[0]
-        p, adj = ctx.pos, ctx.adj_cols_mask
-        u = 1 if ctx.in_target else 0
-        out = {}
-        for (q, pm), val in src.items():
-            bit = ((q & adj).bit_count() & 1) ^ u
-            out[(q, _insert_bit(pm, p, bit))] = val
-        return out, {}, 0
-
-    if kind == "forget_row":
-        src = child_tables[0]
-        pbit = 1 << ctx.pos
-        out = {}
-        for (q, pm), val in src.items():
-            if pm & pbit:
-                continue
-            out[(q, _drop_bit(pm, ctx.pos))] = val
-        return out, {}, 0
-
-    if kind == "forget_col":
-        src = child_tables[0]
-        p, w = ctx.pos, ctx.weight
+        p = ctx.pos
         pbit = 1 << p
         out = {}
+        if not ctx.is_col:
+            for (q, pm), val in src.items():
+                if pm & pbit:
+                    continue
+                out[(q, _drop_bit(pm, p))] = val
+            return out, {}, 0
+        w = ctx.weight
         bp: dict = {}
         for (q, pm), val in src.items():
             taken = bool(q & pbit)
@@ -281,24 +291,26 @@ def backtrack(
         t, (q, pm) = stack.pop()
         ctx = ctxs[t]
         kind = ctx.kind
-        if kind == "leaf":
+        if kind == LEAF:
             continue
-        if kind == "intro_col":
-            p = ctx.pos
-            bit = (q >> p) & 1
-            cq = _drop_bit(q, p)
-            stack.append((ctx.children[0], (cq, pm ^ ctx.nbr_mask if bit else pm)))
-        elif kind == "intro_row":
-            stack.append((ctx.children[0], (q, _drop_bit(pm, ctx.pos))))
-        elif kind == "forget_row":
-            stack.append((ctx.children[0], (q, _insert_bit(pm, ctx.pos, 0))))
-        elif kind == "forget_col":
-            taken = bps[t][(q, pm)]
-            if taken:
-                chosen.add(ctx.col)
-            stack.append(
-                (ctx.children[0], (_insert_bit(q, ctx.pos, 1 if taken else 0), pm))
-            )
+        if kind == INTRODUCE:
+            if ctx.is_col:
+                p = ctx.pos
+                bit = (q >> p) & 1
+                cq = _drop_bit(q, p)
+                stack.append((ctx.children[0], (cq, pm ^ ctx.nbr_mask if bit else pm)))
+            else:
+                stack.append((ctx.children[0], (q, _drop_bit(pm, ctx.pos))))
+        elif kind == FORGET:
+            if ctx.is_col:
+                taken = bps[t][(q, pm)]
+                if taken:
+                    chosen.add(ctx.col)
+                stack.append(
+                    (ctx.children[0], (_insert_bit(q, ctx.pos, 1 if taken else 0), pm))
+                )
+            else:
+                stack.append((ctx.children[0], (q, _insert_bit(pm, ctx.pos, 0))))
         else:  # join
             pl = bps[t][(q, pm)]
             pr = pm ^ pl ^ _q_boundary(q, ctx.col_nbrs) ^ ctx.target_mask
@@ -321,14 +333,9 @@ def solve_mld_treewidth(
     supplied (plain ones are made nice first, after validation against
     the incidence graph); otherwise one is computed greedily.
     """
-    rows = tuple(target_rows)
-    for r in rows:
-        if not (0 <= r < matrix.nrows):
-            raise UsageError(f"target row {r} out of range")
-    target = frozenset(rows)
+    target = matrix.target_mask(target_rows)
 
-    h = hasse_graph(matrix)
-    g = Graph(h.n_vertices, ((r, cv) for r, cv in h.edges()))
+    g = hasse_graph(matrix)
     ntd_source = "computed"
     if ntd is None:
         ntd = make_nice(greedy_decomposition(g, heuristic))
@@ -357,7 +364,7 @@ def solve_mld_treewidth(
         tables[t] = table
         bps[t] = bp
         table_entries += len(table)
-        if ctx.kind == "join":
+        if ctx.kind == JOIN:
             join_pairs += pairs
             if detailed_stats:
                 cap = (1 << len(ctx.bag_cols)) * (1 << (2 * len(ctx.bag_rows)))

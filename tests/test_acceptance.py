@@ -190,8 +190,7 @@ def test_acceptance_6_decomposition_validity(acceptance):
 def _strip_dp_time(length, reps=5):
     cs, boundary = triangle_strip(length)
     mat = boundary_matrix(cs)
-    h = hasse_graph(mat)
-    g = Graph(h.n_vertices, h.edges())
+    g = hasse_graph(mat)
     ntd = make_nice(greedy_decomposition(g, "min-fill"), g)
     best = None
     result = None

@@ -297,3 +297,25 @@ def test_errors_exit_one(tmp_path, capsys):
         capsys, "bench", "--suite", str(tmp_path), "--algos", " , "
     )
     assert code == 1
+
+
+def test_choice_lists_come_from_the_package(capsys, monkeypatch):
+    from boundedchain.decomposition import HEURISTICS
+    from boundedchain.dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV, PIVOT_STRATEGIES
+    from boundedchain.facade import ALGORITHMS
+    from boundedchain.oracle import ORACLE_MODES
+
+    def help_text(*argv):
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    # the help text is the same whatever the environment holds
+    monkeypatch.setenv(MAX_STATES_ENV, "17")
+    solve_help = help_text("solve")
+    for choices in (ALGORITHMS, PIVOT_STRATEGIES, HEURISTICS, ORACLE_MODES):
+        assert "{" + ",".join(choices) + "}" in solve_help
+    assert f"default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set" in solve_help
+    assert "17" not in solve_help
+    assert "{" + ",".join(HEURISTICS) + "}" in help_text("decompose")
+    assert "--against" not in help_text("verify")

@@ -93,12 +93,13 @@ def test_matrix_validation():
 
 
 def test_hasse_graph_shape():
-    h = hasse_graph(boundary_matrix(octahedron_slice()))
-    assert h.n_vertices == 20
+    mat = boundary_matrix(octahedron_slice())
+    h = hasse_graph(mat)
+    assert h.n == 20
     assert len(h.edges()) == 24
-    assert not h.is_column_vertex(11)
-    assert h.is_column_vertex(12)
-    assert h.column_of(12) == 0
+    # rows first: vertices 0..11 are the 12 edges, 12..19 the 8 triangles
+    assert all(v >= 12 for v in h.adj[11])
+    assert h.adj[12] == set(mat.col_rows[0])
     # every column vertex of a triangle has degree 3
     assert all(h.degree(12 + j) == 3 for j in range(8))
 

@@ -197,8 +197,7 @@ def test_parents_inverse_of_children():
 
 
 def _hasse(cslice):
-    h = hasse_graph(boundary_matrix(cslice))
-    return Graph(h.n_vertices, h.edges())
+    return hasse_graph(boundary_matrix(cslice))
 
 
 def test_incremental_elimination_matches_reference():

@@ -11,13 +11,12 @@ from boundedchain import (
     boundary_matrix,
     brute_force_mld,
     build_slice,
-    expand_state,
-    pivot_select,
-    solve_dijkstra,
+    instance_from_complex,
+    solve,
     solve_mld_dijkstra,
 )
 from boundedchain.complexes import Gf2Matrix
-from boundedchain.dijkstra import face_bounds
+from boundedchain.dijkstra import _pivot_from_mask, face_bounds
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
 from helpers import punctured_octahedron, random_problem
@@ -26,46 +25,51 @@ from helpers import punctured_octahedron, random_problem
 PIVOTS = ("min-index", "min-coface", "max-index")
 
 
+def search(cs, boundary, **options):
+    return solve(instance_from_complex(cs, boundary), "dijkstra", **options)
+
+
 def test_punctured_octahedron_needs_seven_triangles():
     cs, boundary = punctured_octahedron()
     for pivot in PIVOTS:
-        r = solve_dijkstra(cs, boundary, pivot=pivot)
+        r = search(cs, boundary, pivot=pivot)
         assert r.status is Status.OPTIMAL
         assert r.weight == 7
         assert r.witness == frozenset(range(7))
-    short = solve_dijkstra(cs, boundary, k=6)
+    short = search(cs, boundary, k=6)
     assert short.status is Status.NOT_FOUND_WITHIN_BOUND
-    exact = solve_dijkstra(cs, boundary, k=7)
+    exact = search(cs, boundary, k=7)
     assert exact.status is Status.OPTIMAL and exact.weight == 7
 
 
 def test_pivot_select():
-    chain = Chain(1, (2, 5, 7))
-    assert pivot_select(chain, "min-index") == 2
-    assert pivot_select(chain, "max-index") == 7
+    mask = mask_from_indices((2, 5, 7))
     cofdeg = [0, 0, 3, 0, 0, 1, 0, 1]
-    assert pivot_select(chain, "min-coface", cofdeg) == 5
+    assert _pivot_from_mask(mask, "min-index", cofdeg) == 2
+    assert _pivot_from_mask(mask, "max-index", cofdeg) == 7
+    # faces 5 and 7 tie on coface degree 1: the smaller index wins
+    assert _pivot_from_mask(mask, "min-coface", cofdeg) == 5
+    cs, boundary = punctured_octahedron()
     with pytest.raises(UsageError):
-        pivot_select(chain, "min-coface")
-    with pytest.raises(UsageError):
-        pivot_select(Chain(1, ()), "min-index")
-    with pytest.raises(UsageError):
-        pivot_select(chain, "best")
+        search(cs, boundary, pivot="best")
 
 
 def test_expand_state_two_triangle_fan():
+    """A state's successors are the cofaces of its pivot face."""
     cs = build_slice([Simplex((1, 2, 3)), Simplex((2, 3, 4))])
-    # faces sorted: (1,2) (1,3) (2,3) (2,4) (3,4)
-    lone = cs.chain_from_faces([Simplex((1, 2))])
-    for strategy in PIVOTS:
-        out = expand_state(cs, lone, strategy)
-        assert [(c.indices, j, w) for c, j, w in out] == [((1, 2), 0, 1)]
-    shared = cs.chain_from_faces([Simplex((2, 3))])
-    out = expand_state(cs, shared, "min-coface")
-    assert [(c.indices, j, w) for c, j, w in out] == [((0, 1), 0, 1), ((3, 4), 1, 1)]
-    assert expand_state(cs, Chain(1, ()), "min-index") == []
+    # faces sorted: (1,2) (1,3) (2,3) (2,4) (3,4); triangle 0 is the first three
+    rim = cs.boundary_of(Chain(2, (0,)))
+    assert rim.indices == (0, 1, 2)
+    for pivot, pushes in (("min-index", 2), ("min-coface", 2), ("max-index", 3)):
+        # a lone pivot (1,2) has one successor, the shared pivot (2,3) has two
+        r = search(cs, rim, pivot=pivot)
+        assert r.witness == frozenset((0,)) and r.weight == 1, pivot
+        assert r.stats["states_expanded"] == 2, pivot
+        assert r.stats["pushes"] == pushes, pivot
+    empty = search(cs, Chain(1, ()))
+    assert empty.stats["states_expanded"] == 0 and empty.witness == frozenset()
     with pytest.raises(UsageError):
-        expand_state(cs, Chain(2, (0,)), "min-index")
+        search(cs, Chain(2, (0,)))
 
 
 def test_branching_is_bounded_by_coface_degree():
@@ -73,8 +77,9 @@ def test_branching_is_bounded_by_coface_degree():
         cs, boundary = random_problem(seed)
         if boundary.is_empty:
             continue
-        out = expand_state(cs, boundary, "min-coface")
-        assert 1 <= len(out) <= cs.coface_degree
+        r = search(cs, boundary)
+        assert r.stats["pushes"] >= 2, seed
+        assert r.stats["pushes"] - 1 <= cs.coface_degree * r.stats["states_expanded"], seed
 
 
 def test_pivot_strategies_agree_with_oracle():
@@ -82,7 +87,7 @@ def test_pivot_strategies_agree_with_oracle():
         cs, boundary = random_problem(seed, max_top=10)
         ref = brute_force_mld(boundary_matrix(cs), boundary)
         for pivot in PIVOTS:
-            r = solve_dijkstra(cs, boundary, pivot=pivot)
+            r = search(cs, boundary, pivot=pivot)
             assert r.status is ref.status, (seed, pivot)
             if ref.is_optimal:
                 assert r.weight == ref.weight, (seed, pivot)
@@ -121,10 +126,10 @@ def test_bounded_search_matches_restricted_enumeration():
 def test_infeasible_via_precheck_and_via_exhaustion():
     cs, _ = punctured_octahedron()
     lonely_edge = cs.chain_from_faces([Simplex((0, 1))])
-    pre = solve_dijkstra(cs, lonely_edge)
+    pre = search(cs, lonely_edge)
     assert pre.status is Status.INFEASIBLE
     assert pre.stats["states_expanded"] == 0
-    post = solve_dijkstra(cs, lonely_edge, check_feasibility=False)
+    post = search(cs, lonely_edge, check_feasibility=False)
     assert post.status is Status.INFEASIBLE
     assert post.stats["states_expanded"] > 0
     assert not post.stats["feasibility_checked"]
@@ -132,14 +137,14 @@ def test_infeasible_via_precheck_and_via_exhaustion():
 
 def test_empty_target_is_trivial():
     cs, _ = punctured_octahedron()
-    r = solve_dijkstra(cs, Chain(1, ()))
+    r = search(cs, Chain(1, ()))
     assert r.status is Status.OPTIMAL
     assert r.weight == 0 and r.witness == frozenset()
 
 
 def test_resource_limit_status():
     cs, boundary = punctured_octahedron()
-    r = solve_dijkstra(cs, boundary, max_states=2)
+    r = search(cs, boundary, max_states=2)
     assert r.status is Status.RESOURCE_LIMIT
     assert r.stats["visited"] <= 2
 
@@ -149,26 +154,26 @@ def test_max_states_env(monkeypatch):
 
     cs, boundary = punctured_octahedron()
     monkeypatch.setenv(MAX_STATES_ENV, "2")
-    assert solve_dijkstra(cs, boundary).status is Status.RESOURCE_LIMIT
+    assert search(cs, boundary).status is Status.RESOURCE_LIMIT
     monkeypatch.setenv(MAX_STATES_ENV, "lots")
     with pytest.raises(UsageError):
-        solve_dijkstra(cs, boundary)
+        search(cs, boundary)
     # a cap below one state would end every search before it starts
     for bad in ("0", "-3"):
         monkeypatch.setenv(MAX_STATES_ENV, bad)
         with pytest.raises(UsageError):
-            solve_dijkstra(cs, boundary)
+            search(cs, boundary)
     monkeypatch.delenv(MAX_STATES_ENV)
     for bad in (0, -1):
         with pytest.raises(UsageError):
-            solve_dijkstra(cs, boundary, max_states=bad)
+            search(cs, boundary, max_states=bad)
 
 
 def test_frontier_is_monotone():
     """Settled priorities never decrease: the bound is consistent."""
     for seed in range(40):
         cs, boundary = random_problem(seed)
-        r = solve_dijkstra(cs, boundary)
+        r = search(cs, boundary)
         assert r.stats["monotone_frontier"], seed
 
 
@@ -266,6 +271,6 @@ def test_usage_errors():
         solve_mld_dijkstra(ok, (0,), pivot="best")
     cs, _ = punctured_octahedron()
     with pytest.raises(UsageError):
-        solve_dijkstra(cs, Chain(0, (0,)))
+        search(cs, Chain(0, (0,)))
     with pytest.raises(UsageError):
-        solve_dijkstra(cs, Chain(1, (99,)))
+        search(cs, Chain(1, (99,)))

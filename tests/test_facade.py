@@ -3,7 +3,6 @@ import pytest
 from boundedchain import (
     Chain,
     ConsistencyError,
-    InputError,
     Simplex,
     SolveResult,
     Status,
@@ -53,7 +52,7 @@ def test_mbc_to_mld_translation():
     assert matrix.nrows == 12 and matrix.ncols == 7
     assert sorted(target) == [0, 1, 4]
     assert weights == cs.weights
-    with pytest.raises(InputError):
+    with pytest.raises(UsageError):
         mbc_to_mld(cs, Chain(0, (0,)))
 
 
@@ -125,7 +124,7 @@ def test_scale_travels_through():
 
 def test_instance_from_matrix_validates_rows():
     mat = Gf2Matrix(2, 1, [(0,)], [1])
-    with pytest.raises(InputError):
+    with pytest.raises(UsageError):
         instance_from_matrix(mat, (4,))
 
 

@@ -212,3 +212,6 @@ def test_decomposition_errors():
         parse_decomposition_text("td 2 0\nb 0\nb 1 4\ne 0 1\nkind 0 forget 4\n")
     with pytest.raises(InputError):
         parse_decomposition_text("td 1 0\nb 0\nkind 0 leaf 3\n")
+    with pytest.raises(InputError, match="line 4"):
+        # a kind line for a node the header does not have
+        parse_decomposition_text("td 1 -1\nb 0\nkind 0 leaf\nkind 7 join\n")

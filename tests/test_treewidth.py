@@ -4,6 +4,7 @@ import pytest
 
 from boundedchain import (
     Graph,
+    InputError,
     Status,
     UsageError,
     boundary_matrix,
@@ -15,7 +16,7 @@ from boundedchain import (
     solve_mld_treewidth,
 )
 from boundedchain.complexes import Gf2Matrix
-from boundedchain.decomposition import NiceTreeDecomposition
+from boundedchain.decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition
 from boundedchain.treewidth import BagContext, process_bag
 from helpers import octahedron_slice, punctured_octahedron, random_problem
 
@@ -85,8 +86,7 @@ def test_oracle_sweep_and_heuristic_invariance():
 def test_supplied_decompositions():
     cs, boundary = punctured_octahedron()
     mat = boundary_matrix(cs)
-    h = hasse_graph(mat)
-    g = Graph(h.n_vertices, h.edges())
+    g = hasse_graph(mat)
     td = greedy_decomposition(g, "min-degree")
     plain = solve_mld_treewidth(mat, boundary.indices, ntd=td)
     assert plain.weight == 7
@@ -106,6 +106,19 @@ def test_rejects_unusable_decompositions():
         solve_mld_treewidth(mat, boundary.indices, ntd="min-fill")
     with pytest.raises(UsageError):
         solve_mld_treewidth(mat, (99,))
+
+
+def test_malformed_nice_decomposition_is_an_input_error():
+    """A nice decomposition gets the plain class's root and children checks."""
+    mat = Gf2Matrix(1, 1, [(0,)], [1])
+    with pytest.raises(InputError, match="root"):
+        solve_mld_treewidth(
+            mat, [0], ntd=NiceTreeDecomposition([frozenset()], [LEAF], [None], [()], 5)
+        )
+    with pytest.raises(InputError, match="children"):
+        NiceTreeDecomposition([frozenset()], [LEAF], [None], [(), ()], 0)
+    with pytest.raises(InputError, match="kind"):
+        NiceTreeDecomposition([frozenset()], [LEAF, LEAF], [None], [()], 0)
 
 
 def test_infeasible_target():
@@ -129,7 +142,7 @@ def test_join_table_size_is_bounded():
 
 def test_process_bag_join_by_hand():
     """One shared row and column; parities must cancel the double count."""
-    ctx = BagContext("join", (0, 1), (0,), (0,), col_nbrs=(0b1,), target_mask=0b1)
+    ctx = BagContext(JOIN, (0, 1), (0,), (0,), col_nbrs=(0b1,), target_mask=0b1)
     left = {(0, 0): 0, (1, 1): 2}
     right = {(0, 0): 0, (1, 1): 5}
     table, bp, pairs = process_bag(ctx, [left, right])
@@ -139,10 +152,10 @@ def test_process_bag_join_by_hand():
 
 
 def test_process_bag_leaf_and_forget():
-    leaf, _, _ = process_bag(BagContext("leaf", (), (), ()), [])
+    leaf, _, _ = process_bag(BagContext(LEAF, (), (), ()), [])
     assert leaf == {(0, 0): 0}
     # forgetting a column: keep vs drop, weight charged on keep
-    ctx = BagContext("forget_col", (0,), (), (), pos=0, col=4, weight=9)
+    ctx = BagContext(FORGET, (0,), (), (), is_col=True, pos=0, col=4, weight=9)
     table, bp, _ = process_bag(ctx, [{(0, 0): 3, (1, 0): 1}])
     assert table == {(0, 0): 3}  # kept would cost 1 + 9 = 10
     assert bp == {(0, 0): False}

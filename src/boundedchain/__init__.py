@@ -4,10 +4,11 @@ The package works with two equivalent views of the same problem. The
 combinatorial view asks for a lightest d-chain whose boundary equals a
 given (d-1)-chain in a simplicial complex. The algebraic view asks for a
 lightest column subset of a GF(2) matrix whose sum hits a target vector.
-`facade.solve` accepts either and dispatches to one of four engines: the
-polynomial matching solver for dimension one, a best-first search over
-partial boundaries, a dynamic program over a tree decomposition of the
-incidence graph, and a brute-force oracle used for cross-checking.
+`facade.solve` accepts either and dispatches to one of four engines, all
+on the algebraic view: the polynomial matching solver for graph matrices
+(dimension one), a best-first search over partial boundaries, a dynamic
+program over a tree decomposition of the incidence graph, and a
+brute-force oracle used for cross-checking.
 """
 
 from .chains import Chain, Simplex, boundary_chain, boundary_simplex, chain_add, chain_weight
@@ -41,14 +42,13 @@ from .facade import (
     Instance,
     instance_from_complex,
     instance_from_matrix,
-    mbc_to_mld,
     result_to_json_dict,
     solve,
     verify_witness,
 )
 from .gf2 import Gf2System
 from .mbc1 import distance_closure, min_weight_perfect_matching, solve_mbc1
-from .oracle import bounded_enumeration, brute_force_mld
+from .oracle import brute_force_mld
 from .results import EXIT_CODES, SolveResult, Status
 from .treewidth import solve_mld_treewidth
 
@@ -73,7 +73,6 @@ __all__ = [
     "Status",
     "TreeDecomposition",
     "UsageError",
-    "bounded_enumeration",
     "boundary_chain",
     "boundary_matrix",
     "boundary_simplex",
@@ -88,7 +87,6 @@ __all__ = [
     "instance_from_complex",
     "instance_from_matrix",
     "make_nice",
-    "mbc_to_mld",
     "min_weight_perfect_matching",
     "result_to_json_dict",
     "solve",

@@ -200,8 +200,12 @@ def _witness_from_solution(instance, solution):
             ).as_set()
         except (BoundedChainError, TypeError):
             return None
-    if all(isinstance(c, int) for c in solution):
-        return frozenset(solution)
+    # distinct column indices; bool is an int subclass and is refused
+    ncols = instance.matrix.ncols
+    if all(type(c) is int and 0 <= c < ncols for c in solution):
+        cols = frozenset(solution)
+        if len(cols) == len(solution):
+            return cols
     return None
 
 

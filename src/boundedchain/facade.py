@@ -1,11 +1,11 @@
 """One entry point over all solvers, with mandatory post-solve verification.
 
 Every instance is carried in its decoding form (a GF(2) matrix plus
-target rows); chain instances additionally keep their slice so results
-can be reported in simplex vocabulary and the dimension-1 solver can run
-on the graph view. Any optimal result is re-checked against the instance
-before being returned; a failure there is a bug and raises, never a
-silently wrong answer.
+target rows), and every engine solves that form; chain instances also
+keep their slice and boundary so results can be reported in simplex
+vocabulary. Any optimal result is re-checked against the instance before
+being returned; a failure there is a bug and raises, never a silently
+wrong answer.
 """
 
 from __future__ import annotations
@@ -41,17 +41,10 @@ class Instance:
         return self.matrix.scale
 
 
-def mbc_to_mld(
-    cslice: ComplexSlice, boundary: Chain
-) -> tuple[Gf2Matrix, Chain, tuple[int, ...]]:
-    """Express a bounded-chain question as decoding: matrix, target, weights."""
-    cslice.check_boundary(boundary)
-    return boundary_matrix(cslice), boundary, cslice.weights
-
-
 def instance_from_complex(cslice: ComplexSlice, boundary: Chain) -> Instance:
-    matrix, target, _w = mbc_to_mld(cslice, boundary)
-    return Instance(matrix, target.as_set(), cslice, boundary)
+    """Phrase a bounded-chain question as decoding: boundary matrix, faces as target."""
+    cslice.check_boundary(boundary)
+    return Instance(boundary_matrix(cslice), boundary.as_set(), cslice, boundary)
 
 
 def instance_from_matrix(matrix: Gf2Matrix, target: Iterable[int]) -> Instance:
@@ -97,13 +90,7 @@ def solve(
         raise UsageError(f"the size bound k applies to dijkstra only, not {algorithm}")
     start = time.perf_counter()
     if algorithm == "mbc1":
-        if instance.cslice is None:
-            raise UsageError("mbc1 needs a complex-backed instance")
-        if instance.cslice.dim != 1:
-            raise UsageError(
-                f"mbc1 handles dimension 1 only, instance has dimension {instance.cslice.dim}"
-            )
-        result = solve_mbc1(instance.cslice, instance.boundary)
+        result = solve_mbc1(instance.matrix, instance.target)
     elif algorithm == "dijkstra":
         result = solve_mld_dijkstra(
             instance.matrix,

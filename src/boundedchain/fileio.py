@@ -382,7 +382,10 @@ def parse_decomposition_text(text: str):
     roots = [t for t in range(n_nodes) if not has_parent[t]]
     if len(roots) != 1:
         raise InputError(f"expected one root, found {len(roots)}")
-    bag_list = [bags.get(t, frozenset()) for t in range(n_nodes)]
+    missing = [t for t in range(n_nodes) if t not in bags]
+    if missing:
+        raise InputError(f"node {missing[0]} is missing its bag line")
+    bag_list = [bags[t] for t in range(n_nodes)]
     child_list = [sorted(c) for c in children]
     if kinds:
         missing = [t for t in range(n_nodes) if t not in kinds]

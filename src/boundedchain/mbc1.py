@@ -1,59 +1,51 @@
 """Exact minimum bounded chain solver in dimension one.
 
-Works on the graph view of a 1-dimensional slice: vertices are the
-0-simplices, edges the 1-simplices. An optimal solution is a disjoint
-union of shortest paths between a pairing of the boundary vertices, so
-the solver computes single-source shortest paths from each boundary
-vertex, a minimum-weight perfect matching on those distances per
-connected component, and assembles the paired paths by symmetric
-difference. Feasible iff every component contains an even number of
-boundary vertices.
+Works on graph matrices: one row per vertex, one column per edge, two
+rows per column, as in the boundary matrix of a 1-dimensional slice or a
+graph given as .mld (parallel columns allowed). This is the T-join
+problem: an optimal solution is a disjoint union of shortest paths
+between a pairing of the target vertices, so the solver computes
+single-source shortest paths from each target vertex, a minimum-weight
+perfect matching on those distances per connected component, and
+assembles the paired paths by symmetric difference. Feasible iff every
+component contains an even number of target vertices.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
-from .chains import Chain, chain_weight
-from .complexes import ComplexSlice
-from .errors import UsageError
+from .complexes import Gf2Matrix
+from .errors import ConsistencyError, UsageError
+from .gf2 import indices_from_mask
 from .results import SolveResult, Status
 
 INF = float("inf")
 
 
-def _check_slice(cslice: ComplexSlice) -> None:
-    if cslice.dim != 1:
-        raise UsageError(f"this solver handles dimension 1 only, got {cslice.dim}")
-    if any(w < 0 for w in cslice.weights):
+def _check_graph(matrix: Gf2Matrix) -> None:
+    """Every column is an edge (two rows) and no weight is negative."""
+    if any(len(rs) != 2 for rs in matrix.col_rows):
+        raise UsageError("mbc1 handles dimension 1 only: each column needs 2 rows")
+    if any(w < 0 for w in matrix.col_weights):
         raise UsageError("negative edge weights are not supported here")
-
-
-def _adjacency(cslice: ComplexSlice) -> list[list[tuple[int, int, int]]]:
-    """Per vertex (face index): sorted list of (neighbour, edge index, weight)."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(cslice.n_faces)]
-    for j, (a, b) in enumerate(cslice.faces_of):
-        w = cslice.weights[j]
-        adj[a].append((b, j, w))
-        adj[b].append((a, j, w))
-    for lst in adj:
-        lst.sort()
-    return adj
 
 
 @dataclass
 class DistanceClosure:
-    """Shortest-path distances and predecessor trees from each source.
+    """Shortest-path distances and predecessor edges from each source.
 
     dist[s][v] is the exact distance from s to v (INF when unreachable);
-    pred[s][v] is the predecessor of v on a shortest path from s. Among
-    predecessors settled before v, the smallest vertex id achieving the
-    distance is kept, which keeps ties deterministic and predecessor
-    links acyclic even across zero-weight edges.
+    pred[s][v] is the last edge (column) of a shortest path from s to v.
+    Among edges into v from vertices settled before v, the one from the
+    smallest vertex id achieving the distance is kept, then the smallest
+    edge index, which keeps ties deterministic, picks the lightest of
+    parallel edges and keeps predecessor links acyclic even across
+    zero-weight edges.
     """
 
     sources: tuple[int, ...]
@@ -61,16 +53,22 @@ class DistanceClosure:
     pred: dict[int, list]
 
 
-def distance_closure(cslice: ComplexSlice, sources: Sequence[int]) -> DistanceClosure:
-    """Dijkstra from every source over the slice's graph view."""
-    _check_slice(cslice)
-    n = cslice.n_faces
-    adj = _adjacency(cslice)
+def distance_closure(matrix: Gf2Matrix, sources: Sequence[int]) -> DistanceClosure:
+    """Dijkstra from every source over the graph whose edges are the columns."""
+    _check_graph(matrix)
+    matrix.target_mask(sources)
+    return _closure(matrix, sources)
+
+
+def _closure(matrix: Gf2Matrix, sources: Sequence[int]) -> DistanceClosure:
+    """distance_closure on input already checked, so a solve checks it once."""
+    n = matrix.nrows
+    col_rows = matrix.col_rows
+    weights = matrix.col_weights
+    row_cols = matrix.row_cols
     all_dist: dict[int, list] = {}
     all_pred: dict[int, list] = {}
     for s in sources:
-        if not (0 <= s < n):
-            raise UsageError(f"source vertex {s} out of range")
         dist: list = [INF] * n
         pred: list = [None] * n
         settled = [False] * n
@@ -81,16 +79,18 @@ def distance_closure(cslice: ComplexSlice, sources: Sequence[int]) -> DistanceCl
             if settled[v]:
                 continue
             settled[v] = True
-            for u, _e, w in adj[v]:
+            for e in row_cols[v]:
+                a, b = col_rows[e]
+                u = a + b - v
                 if settled[u]:
                     continue
-                nd = d + w
+                nd = d + weights[e]
                 if nd < dist[u]:
                     dist[u] = nd
-                    pred[u] = v
+                    pred[u] = e
                     heapq.heappush(heap, (nd, u))
-                elif nd == dist[u] and v < pred[u]:
-                    pred[u] = v
+                elif nd == dist[u] and v < sum(col_rows[pred[u]]) - u:
+                    pred[u] = e  # row_cols is sorted: same v keeps the smaller edge
         all_dist[s] = dist
         all_pred[s] = pred
     return DistanceClosure(tuple(sources), all_dist, all_pred)
@@ -128,36 +128,37 @@ def min_weight_perfect_matching(
 
 
 def assemble_chain(
-    pairing: Sequence[tuple[int, int]], closure: DistanceClosure, cslice: ComplexSlice
-) -> Chain:
-    """Symmetric difference of one shortest path per matched pair.
+    pairing: Sequence[tuple[int, int]], closure: DistanceClosure, matrix: Gf2Matrix
+) -> frozenset[int]:
+    """Symmetric difference of one shortest path per matched pair, as columns.
 
     Shared edges between paths cancel; with non-negative weights the
     result still has the paired vertices as boundary and never weighs
     more than the sum of path distances.
     """
-    edge_at = {fs: j for j, fs in enumerate(cslice.faces_of)}
+    col_rows = matrix.col_rows
     edges: set[int] = set()
     for s, t in pairing:
         pred = closure.pred[s]
         cur = t
         while cur != s:
-            p = pred[cur]
-            if p is None:
+            e = pred[cur]
+            if e is None:
                 raise UsageError(f"vertex {t} is unreachable from {s}")
-            edges ^= {edge_at[(min(p, cur), max(p, cur))]}
-            cur = p
-    return Chain(1, tuple(sorted(edges)))
+            edges ^= {e}
+            a, b = col_rows[e]
+            cur = a + b - cur
+    return frozenset(edges)
 
 
-def solve_mbc1(cslice: ComplexSlice, boundary: Chain) -> SolveResult:
-    """Minimum-weight 1-chain with the given 0-chain as boundary."""
-    _check_slice(cslice)
-    cslice.check_boundary(boundary)
-    n = cslice.n_faces
-    u = set(boundary.indices)
+def solve_mbc1(matrix: Gf2Matrix, target_rows: Iterable[int]) -> SolveResult:
+    """Minimum-weight column set of a graph matrix with the target rows as boundary."""
+    _check_graph(matrix)
+    u = indices_from_mask(matrix.target_mask(target_rows))
+    n = matrix.nrows
+    col_rows = matrix.col_rows
+    row_cols = matrix.row_cols
 
-    adj = _adjacency(cslice)
     comp = [-1] * n
     n_comp = 0
     for start in range(n):
@@ -167,14 +168,15 @@ def solve_mbc1(cslice: ComplexSlice, boundary: Chain) -> SolveResult:
         comp[start] = n_comp
         while stack:
             v = stack.pop()
-            for nb, _e, _w in adj[v]:
-                if comp[nb] == -1:
-                    comp[nb] = n_comp
-                    stack.append(nb)
+            for e in row_cols[v]:
+                for nb in col_rows[e]:
+                    if comp[nb] == -1:
+                        comp[nb] = n_comp
+                        stack.append(nb)
         n_comp += 1
 
     by_comp: dict[int, list[int]] = {}
-    for v in sorted(u):
+    for v in u:
         by_comp.setdefault(comp[v], []).append(v)
     for c, members in sorted(by_comp.items()):
         if len(members) % 2 != 0:
@@ -187,7 +189,7 @@ def solve_mbc1(cslice: ComplexSlice, boundary: Chain) -> SolveResult:
                 },
             )
 
-    closure = distance_closure(cslice, tuple(sorted(u)))
+    closure = _closure(matrix, u)
 
     def dist_of(a: int, b: int):
         return closure.dist[a][b]
@@ -197,15 +199,13 @@ def solve_mbc1(cslice: ComplexSlice, boundary: Chain) -> SolveResult:
     for c, members in sorted(by_comp.items()):
         pairs = min_weight_perfect_matching(members, dist_of)
         if pairs is None:
-            return SolveResult(
-                Status.INFEASIBLE,
-                stats={"algorithm": "mbc1", "reason": "no finite matching"},
-            )
+            # a component is connected, so an even member set always pairs up
+            raise ConsistencyError("no finite matching inside a connected component")
         pairing.extend(pairs)
         matching_value += sum(dist_of(a, b) for a, b in pairs)
 
-    witness = assemble_chain(pairing, closure, cslice)
-    weight = chain_weight(witness, cslice.weights)
+    witness = assemble_chain(pairing, closure, matrix)
+    weight = matrix.weight_of(witness)
     stats = {
         "algorithm": "mbc1",
         "matching_value": matching_value,
@@ -213,4 +213,4 @@ def solve_mbc1(cslice: ComplexSlice, boundary: Chain) -> SolveResult:
         "boundary_vertices": len(u),
         "pairs": len(pairing),
     }
-    return SolveResult(Status.OPTIMAL, weight, witness.as_set(), stats)
+    return SolveResult(Status.OPTIMAL, weight, witness, stats)

@@ -4,23 +4,18 @@ These exist to pin down expected values for the real solvers, so they
 favour obvious correctness over speed. Exhaustive mode walks all 2^n
 column subsets in Gray-code order; kernel mode enumerates one solution
 plus the span of the kernel, which is exact for any weights because every
-solution is visited.
+solution is visited. Like every engine, both take a matrix and target rows.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
-
-from .chains import Chain
-from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix
+from .complexes import Gf2Matrix
 from .errors import ResourceLimitError, UsageError
-from .gf2 import Gf2System, indices_from_mask, mask_from_indices
+from .gf2 import Gf2System, indices_from_mask
 from .results import SolveResult, Status
 
 EXHAUSTIVE_LIMIT = 20
 KERNEL_LIMIT = 20
-DEFAULT_ENUM_BUDGET = 5_000_000
 ORACLE_MODES = ("auto", "exhaustive", "kernel")
 
 
@@ -114,38 +109,3 @@ def brute_force_mld(
         return _exhaustive(matrix, target)
     return _kernel(matrix, target, kernel_limit)
 
-
-def bounded_enumeration(
-    cslice: ComplexSlice,
-    boundary: Chain,
-    k: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Chain | None:
-    """Smallest-cardinality d-chain W with del W = boundary and |W| <= k.
-
-    Returns None when no such chain exists. Subsets are tried in size
-    order, lexicographically within a size, so the returned chain is
-    deterministic. Raises ResourceLimitError if more than ``budget``
-    subsets would have to be visited.
-    """
-    if k < 0:
-        raise UsageError("k must be >= 0")
-    cslice.check_boundary(boundary)
-    matrix = boundary_matrix(cslice)
-    target = mask_from_indices(boundary.indices)
-    m = matrix.ncols
-    k = min(k, m)
-    total = sum(math.comb(m, size) for size in range(k + 1))
-    if total > budget:
-        raise ResourceLimitError(
-            f"bounded enumeration needs {total} subsets, budget is {budget}"
-        )
-    masks = matrix.col_masks
-    for size in range(k + 1):
-        for combo in combinations(range(m), size):
-            acc = 0
-            for j in combo:
-                acc ^= masks[j]
-            if acc == target:
-                return Chain(cslice.dim, combo)
-    return None

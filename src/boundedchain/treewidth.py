@@ -98,12 +98,11 @@ class BagContext:
 
 
 def _contexts(
-    ntd: NiceTreeDecomposition, matrix: Gf2Matrix, target: int
+    ntd: NiceTreeDecomposition, matrix: Gf2Matrix, target: int, adj: Sequence[set[int]]
 ) -> list[BagContext]:
-    """Per-node contexts; ``target`` is the row mask of u."""
+    """Per-node contexts; ``target`` is the row mask of u and ``adj`` the
+    incidence graph's adjacency (rows first, column c is vertex nrows + c)."""
     nrows = matrix.nrows
-    col_row_sets = [set(rs) for rs in matrix.col_rows]
-    row_col_sets = [set(cs) for cs in matrix.row_cols]
     rows_of = []
     cols_of = []
     for bag in ntd.bags:
@@ -126,7 +125,7 @@ def _contexts(
                 c = v - nrows
                 nbr = 0
                 for i, r in enumerate(rows):
-                    if r in col_row_sets[c]:
+                    if r in adj[v]:
                         nbr |= 1 << i
                 ctxs.append(
                     BagContext(
@@ -140,10 +139,10 @@ def _contexts(
                     )
                 )
             else:
-                adj = 0
+                adj_cols = 0
                 for i, c in enumerate(cols):
-                    if c in row_col_sets[v]:
-                        adj |= 1 << i
+                    if nrows + c in adj[v]:
+                        adj_cols |= 1 << i
                 ctxs.append(
                     BagContext(
                         INTRODUCE,
@@ -151,7 +150,7 @@ def _contexts(
                         rows,
                         cols,
                         pos=rows.index(v),
-                        adj_cols_mask=adj,
+                        adj_cols_mask=adj_cols,
                         in_target=bool(target >> v & 1),
                     )
                 )
@@ -181,7 +180,7 @@ def _contexts(
             for c in cols:
                 m = 0
                 for i, r in enumerate(rows):
-                    if r in col_row_sets[c]:
+                    if r in adj[nrows + c]:
                         m |= 1 << i
                 col_nbrs.append(m)
             tmask = 0
@@ -351,7 +350,7 @@ def solve_mld_treewidth(
     else:
         raise UsageError("ntd must be a (nice) tree decomposition or None")
 
-    ctxs = _contexts(ntd, matrix, target)
+    ctxs = _contexts(ntd, matrix, target, g.adj)
     n = ntd.n_nodes
     tables: list = [None] * n
     bps: list = [None] * n

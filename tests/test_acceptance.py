@@ -11,7 +11,6 @@ from boundedchain import (
     Chain,
     Status,
     boundary_matrix,
-    bounded_enumeration,
     brute_force_mld,
     build_slice,
     hasse_graph,
@@ -76,7 +75,7 @@ def test_acceptance_2_dimension_one_correctness(acceptance):
             cs = build_slice(list(base.top), weights)
             boundary = random_boundary(cs, seed=seed)
             ref = brute_force_mld(boundary_matrix(cs), boundary, mode="exhaustive")
-            got = solve_mbc1(cs, boundary)
+            got = solve_mbc1(boundary_matrix(cs), boundary.indices)
             assert got.status is ref.status, seed
             if ref.is_optimal:
                 assert got.weight == ref.weight, seed
@@ -99,14 +98,14 @@ def test_acceptance_2_dimension_one_correctness(acceptance):
             s, t = rng.sample(range(cs.n_faces), 2)
             if not nx.has_path(g, s, t):
                 continue
-            r = solve_mbc1(cs, Chain(0, tuple(sorted((s, t)))))
+            r = solve_mbc1(boundary_matrix(cs), (s, t))
             assert r.status is Status.OPTIMAL, seed
             assert r.weight == nx.dijkstra_path_length(g, s, t), (seed, s, t)
             checked += 1
 
 
 def test_acceptance_3_octahedron_family(acceptance):
-    """Removing one face forces the other seven; size-bounded enumeration
+    """Removing one face forces the other seven; the size-bounded search
     pins the threshold."""
     with acceptance(3, "octahedron family"):
         cs, boundary = punctured_octahedron()
@@ -124,8 +123,10 @@ def test_acceptance_3_octahedron_family(acceptance):
             assert r.status is Status.OPTIMAL
             assert r.weight == 7
             assert r.witness == frozenset(range(7))
-        assert bounded_enumeration(cs, boundary, 6) is None
-        assert bounded_enumeration(cs, boundary, 7) == Chain(2, tuple(range(7)))
+        assert solve(inst, "dijkstra", k=6).status is Status.NOT_FOUND_WITHIN_BOUND
+        bounded = solve(inst, "dijkstra", k=7)
+        assert bounded.weight == 7
+        assert bounded.witness == frozenset(range(7))
 
 
 def test_acceptance_4_negative_weights(acceptance):

@@ -163,6 +163,27 @@ def test_verify_undecided_when_oracle_runs_out(tmp_path, capsys):
     assert "FAIL solution" in out
 
 
+def test_verify_refuses_malformed_matrix_solutions(tmp_path, capsys):
+    """Column lists must be distinct in-range ints: no wrap-around, no bools."""
+    mld = tmp_path / "ones.mld"
+    mld.write_text("mld 2 2\ne 0 0\ne 1 0\ne 0 1\ne 1 1\nw 5 2\nu 0 1\n")
+    result = tmp_path / "r.json"
+    code, _, _ = run(
+        capsys, "solve", "--matrix", str(mld), "--algorithm", "brute", "--out", str(result)
+    )
+    assert code == 0
+    claimed = json.loads(result.read_text())
+    assert claimed["solution"] == [1]
+    code, out, _ = run(capsys, "verify", str(result), "--matrix", str(mld))
+    assert code == 0 and "PASS" in out
+    for bad in ([-1], [True], [1, 1], [7]):
+        claimed["solution"] = bad
+        result.write_text(json.dumps(claimed))
+        code, out, _ = run(capsys, "verify", str(result), "--matrix", str(mld))
+        assert code == 1, bad
+        assert "FAIL solution: missing or malformed" in out, bad
+
+
 def test_solve_out_file_survives_closed_stdout(tmp_path, capsys, monkeypatch):
     """`mbc solve --out r.json | head` still writes r.json."""
     prefix = str(tmp_path / "oct")

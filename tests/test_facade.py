@@ -10,7 +10,6 @@ from boundedchain import (
     build_slice,
     instance_from_complex,
     instance_from_matrix,
-    mbc_to_mld,
     result_to_json_dict,
     solve,
     verify_witness,
@@ -39,21 +38,24 @@ def test_mbc1_dispatch_needs_dimension_one():
     cs2, boundary2 = punctured_octahedron()
     with pytest.raises(UsageError):
         solve(instance_from_complex(cs2, boundary2), "mbc1")
+    # a graph given as a matrix is solved too
     mat = boundary_matrix(cs)
-    with pytest.raises(UsageError):
-        solve(instance_from_matrix(mat, ()), "mbc1")
+    r = solve(instance_from_matrix(mat, ()), "mbc1")
+    assert r.status is Status.OPTIMAL and r.weight == 0
+    assert solve(instance_from_matrix(mat, (0, 2)), "mbc1").weight == 2
     with pytest.raises(UsageError):
         solve(inst, "magic")
 
 
 def test_mbc_to_mld_translation():
+    """instance_from_complex phrases the bounded-chain question as decoding."""
     cs, boundary = punctured_octahedron()
-    matrix, target, weights = mbc_to_mld(cs, boundary)
-    assert matrix.nrows == 12 and matrix.ncols == 7
-    assert sorted(target) == [0, 1, 4]
-    assert weights == cs.weights
+    inst = instance_from_complex(cs, boundary)
+    assert inst.matrix.nrows == 12 and inst.matrix.ncols == 7
+    assert sorted(inst.target) == [0, 1, 4]
+    assert inst.matrix.col_weights == cs.weights
     with pytest.raises(UsageError):
-        mbc_to_mld(cs, Chain(0, (0,)))
+        instance_from_complex(cs, Chain(0, (0,)))
 
 
 def test_brute_resource_limit_becomes_a_status():

@@ -215,3 +215,7 @@ def test_decomposition_errors():
     with pytest.raises(InputError, match="line 4"):
         # a kind line for a node the header does not have
         parse_decomposition_text("td 1 -1\nb 0\nkind 0 leaf\nkind 7 join\n")
+    with pytest.raises(InputError, match="node 1"):
+        # node 1 has no bag line; an empty bag is written 'b 1'
+        parse_decomposition_text("td 2 0\nb 0 1\ne 0 1\n")
+    assert parse_decomposition_text("td 2 0\nb 0 1\nb 1\ne 0 1\n").bags[1] == frozenset()

@@ -9,20 +9,29 @@ from boundedchain import (
     Simplex,
     Status,
     UsageError,
+    boundary_matrix,
+    brute_force_mld,
     build_slice,
-    chain_weight,
     distance_closure,
+    instance_from_complex,
+    instance_from_matrix,
     min_weight_perfect_matching,
     solve,
     solve_mbc1,
 )
-from boundedchain.facade import instance_from_complex
+from boundedchain.complexes import Gf2Matrix
 from boundedchain.generators import random_boundary, random_graph_slice
 from boundedchain.mbc1 import INF, assemble_chain
 
 
 def _edge(a, b):
     return Simplex((min(a, b), max(a, b)))
+
+
+def mbc1(cs, boundary):
+    """solve_mbc1 on the decoding view of a slice and its boundary chain."""
+    inst = instance_from_complex(cs, boundary)
+    return solve_mbc1(inst.matrix, inst.target)
 
 
 def four_cycle():
@@ -32,7 +41,7 @@ def four_cycle():
 def test_four_cycle_all_vertices():
     cs = four_cycle()
     boundary = cs.chain_from_faces(Simplex((v,)) for v in range(4))
-    r = solve_mbc1(cs, boundary)
+    r = mbc1(cs, boundary)
     assert r.status is Status.OPTIMAL
     assert r.weight == 2
     # two opposite edges; edge table is sorted, so (0,1) and (2,3)
@@ -47,7 +56,7 @@ def test_shared_zero_edge_cancels():
     weights = [1, 0, 1, 1, 1]
     cs = build_slice(edges, weights)
     boundary = cs.chain_from_faces(Simplex((v,)) for v in (0, 1, 2, 5))
-    r = solve_mbc1(cs, boundary)
+    r = mbc1(cs, boundary)
     assert r.status is Status.OPTIMAL
     assert r.weight == 4
     assert r.weight == r.stats["matching_value"]
@@ -69,7 +78,7 @@ def test_single_pair_equals_graph_distance():
                 g.add_edge(a, b, weight=w)
         s, t = rng.sample(range(cs.n_faces), 2)
         boundary = Chain(0, tuple(sorted((s, t))))
-        r = solve_mbc1(cs, boundary)
+        r = mbc1(cs, boundary)
         if nx.has_path(g, s, t):
             want = nx.dijkstra_path_length(g, s, t)
             assert r.status is Status.OPTIMAL
@@ -146,24 +155,24 @@ def test_against_brute_force_sweep():
 
 def test_odd_parity_is_infeasible():
     cs = four_cycle()
-    r = solve_mbc1(cs, Chain(0, (0,)))
+    r = mbc1(cs, Chain(0, (0,)))
     assert r.status is Status.INFEASIBLE
     assert r.stats["component_witness"] == 0
 
 
 def test_cross_component_pairs_are_infeasible():
     cs = build_slice([_edge(0, 1), _edge(2, 3)])
-    r = solve_mbc1(cs, Chain(0, (0, 2)))
+    r = mbc1(cs, Chain(0, (0, 2)))
     assert r.status is Status.INFEASIBLE
     # but two pairs inside their own components are fine
-    r2 = solve_mbc1(cs, Chain(0, (0, 1, 2, 3)))
+    r2 = mbc1(cs, Chain(0, (0, 1, 2, 3)))
     assert r2.status is Status.OPTIMAL
     assert r2.weight == 2
 
 
 def test_zero_weight_graph():
     cs = build_slice([_edge(0, 1), _edge(1, 2), _edge(0, 2)], [0, 0, 0])
-    r = solve_mbc1(cs, Chain(0, (0, 1)))
+    r = mbc1(cs, Chain(0, (0, 1)))
     assert r.status is Status.OPTIMAL
     assert r.weight == 0
     assembled = Chain(1, tuple(sorted(r.witness)))
@@ -171,7 +180,7 @@ def test_zero_weight_graph():
 
 
 def test_empty_boundary_gives_empty_chain():
-    r = solve_mbc1(four_cycle(), Chain(0, ()))
+    r = mbc1(four_cycle(), Chain(0, ()))
     assert r.status is Status.OPTIMAL
     assert r.weight == 0
     assert r.witness == frozenset()
@@ -180,14 +189,45 @@ def test_empty_boundary_gives_empty_chain():
 def test_usage_errors():
     cs = four_cycle()
     with pytest.raises(UsageError):
-        solve_mbc1(cs, Chain(1, (0,)))
+        mbc1(cs, Chain(1, (0,)))
     with pytest.raises(UsageError):
-        solve_mbc1(cs, Chain(0, (99,)))
+        mbc1(cs, Chain(0, (99,)))
     with pytest.raises(UsageError):
-        solve_mbc1(build_slice([_edge(0, 1)], [-2]), Chain(0, ()))
+        mbc1(build_slice([_edge(0, 1)], [-2]), Chain(0, ()))
     tri = build_slice([Simplex((0, 1, 2))])
+    with pytest.raises(UsageError, match="dimension 1"):
+        mbc1(tri, Chain(1, ()))
     with pytest.raises(UsageError):
-        solve_mbc1(tri, Chain(1, ()))
+        distance_closure(boundary_matrix(cs), (99,))
+
+
+def test_multigraph_matrices_against_exhaustive_oracle():
+    """Graphs given as matrices, parallel columns and zero weights allowed."""
+    rng = random.Random(43)
+    with_parallel = 0
+    for trial in range(240):
+        n_v = rng.randint(2, 7)
+        n_e = rng.randint(0, 14)
+        col_rows = [tuple(sorted(rng.sample(range(n_v), 2))) for _ in range(n_e)]
+        with_parallel += len(set(col_rows)) < n_e
+        mat = Gf2Matrix(n_v, n_e, col_rows, [rng.randint(0, 9) for _ in range(n_e)])
+        target = [r for r in range(n_v) if rng.random() < 0.5]
+        ref = brute_force_mld(mat, target, mode="exhaustive")
+        got = solve(instance_from_matrix(mat, target), "mbc1")
+        assert got.status is ref.status, trial
+        if ref.is_optimal:
+            assert got.weight == ref.weight, trial
+    assert with_parallel >= 100
+
+
+def test_parallel_columns_take_the_lightest():
+    """Of two columns on the same two rows, the path uses the lighter one."""
+    for weights, want in (([2, 5, 1], (0, 2)), ([5, 2, 1], (1, 2)), ([2, 2, 1], (0, 2))):
+        mat = Gf2Matrix(3, 3, [(0, 1), (0, 1), (1, 2)], weights)
+        r = solve_mbc1(mat, {0, 2})
+        assert r.status is Status.OPTIMAL
+        assert r.weight == 3
+        assert r.witness == frozenset(want), weights
 
 
 def test_distance_closure_predecessors_are_usable():
@@ -201,10 +241,11 @@ def test_distance_closure_predecessors_are_usable():
         weights = [rng.choice((0, 1)) for _ in range(cs.n_top)]
         cs = build_slice(list(cs.top), weights)
         sources = tuple(sorted(rng.sample(range(cs.n_faces), 2)))
-        closure = distance_closure(cs, sources)
+        mat = boundary_matrix(cs)
+        closure = distance_closure(mat, sources)
         for s in sources:
             for t in range(cs.n_faces):
                 if closure.dist[s][t] == INF:
                     continue
-                chain = assemble_chain([(s, t)], closure, cs)
-                assert chain_weight(chain, cs.weights) == closure.dist[s][t]
+                cols = assemble_chain([(s, t)], closure, mat)
+                assert mat.weight_of(cols) == closure.dist[s][t]

@@ -1,16 +1,14 @@
 import pytest
 
 from boundedchain import (
-    Chain,
     ResourceLimitError,
     Status,
     UsageError,
     boundary_matrix,
-    bounded_enumeration,
     brute_force_mld,
 )
 from boundedchain.complexes import Gf2Matrix
-from helpers import octahedron_slice, punctured_octahedron, random_problem
+from helpers import octahedron_slice, random_problem
 
 
 def test_modes_agree_on_octahedron():
@@ -78,24 +76,3 @@ def test_auto_mode_switches_to_kernel():
     assert r.stats["mode"] == "kernel"
     assert r.weight == 1
 
-
-def test_bounded_enumeration_size_semantics():
-    cs, boundary = punctured_octahedron()
-    assert bounded_enumeration(cs, boundary, 6) is None
-    found = bounded_enumeration(cs, boundary, 7)
-    assert found == Chain(2, (0, 1, 2, 3, 4, 5, 6))
-    # also the first hit in size order: k above the optimum changes nothing
-    assert bounded_enumeration(cs, boundary, 7) == bounded_enumeration(cs, boundary, 9)
-
-
-def test_bounded_enumeration_respects_budget():
-    cs, boundary = random_problem(1, max_top=10)
-    with pytest.raises(ResourceLimitError):
-        bounded_enumeration(cs, boundary, cs.n_top, budget=3)
-    with pytest.raises(UsageError):
-        bounded_enumeration(cs, boundary, -1)
-
-
-def test_bounded_enumeration_empty_boundary():
-    cs, _ = random_problem(2)
-    assert bounded_enumeration(cs, Chain(1, ()), 0) == Chain(2, ())

@@ -1,17 +1,18 @@
 """Exact solvers for minimum bounded chains and GF(2) decoding.
 
-The package works with two equivalent views of the same problem. The
-combinatorial view asks for a lightest d-chain whose boundary equals a
-given (d-1)-chain in a simplicial complex. The algebraic view asks for a
-lightest column subset of a GF(2) matrix whose sum hits a target vector.
-`facade.solve` accepts either and dispatches to one of four engines, all
-on the algebraic view: the polynomial matching solver for graph matrices
-(dimension one), a best-first search over partial boundaries, a dynamic
-program over a tree decomposition of the incidence graph, and a
-brute-force oracle used for cross-checking.
+The question is the lightest d-chain whose boundary equals a given
+(d-1)-chain in a simplicial complex. A simplex is a strictly increasing
+tuple of vertex ids, and a chain is a frozenset of indices into a slice's
+sorted simplex table (see `complexes.build_slice`). Every engine solves
+the same question as GF(2) decoding: the lightest column subset of the
+slice's boundary matrix whose sum hits the target rows, which are the
+boundary's face indices. `facade.solve` accepts a chain instance or a
+bare matrix and dispatches to one of four engines: the polynomial
+matching solver for graph matrices (dimension one), a best-first search
+over partial boundaries, a dynamic program over a tree decomposition of
+the incidence graph, and a brute-force oracle used for cross-checking.
 """
 
-from .chains import Chain, Simplex, boundary_chain, boundary_simplex, chain_add, chain_weight
 from .complexes import (
     ComplexSlice,
     Gf2Matrix,
@@ -57,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "BoundedChainError",
-    "Chain",
     "ComplexSlice",
     "ConsistencyError",
     "EXIT_CODES",
@@ -68,18 +68,13 @@ __all__ = [
     "Instance",
     "NiceTreeDecomposition",
     "ResourceLimitError",
-    "Simplex",
     "SolveResult",
     "Status",
     "TreeDecomposition",
     "UsageError",
-    "boundary_chain",
     "boundary_matrix",
-    "boundary_simplex",
     "brute_force_mld",
     "build_slice",
-    "chain_add",
-    "chain_weight",
     "distance_closure",
     "feasibility_check",
     "greedy_decomposition",

@@ -12,7 +12,6 @@ import io
 import time
 from pathlib import Path
 
-from .chains import Chain
 from .errors import BoundedChainError
 from .facade import Instance, instance_from_complex, instance_from_matrix, solve
 from .fileio import parse_boundary, parse_complex, parse_matrix
@@ -40,10 +39,7 @@ def discover_instances(suite_dir) -> list[tuple[str, Instance]]:
     for path in sorted(suite.glob("*.complex")):
         cslice = parse_complex(path)
         bpath = path.with_suffix(".boundary")
-        if bpath.exists():
-            boundary = parse_boundary(bpath, cslice)
-        else:
-            boundary = Chain(cslice.dim - 1, ())
+        boundary = parse_boundary(bpath, cslice) if bpath.exists() else ()
         found.append((path.stem, instance_from_complex(cslice, boundary)))
     for path in sorted(suite.glob("*.mld")):
         matrix, target = parse_matrix(path)

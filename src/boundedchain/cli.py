@@ -46,12 +46,7 @@ def _load_instance(args):
     if not getattr(args, "complex", None):
         raise UsageError("an instance needs --matrix or --complex")
     cslice = parse_complex(args.complex)
-    if getattr(args, "boundary", None):
-        boundary = parse_boundary(args.boundary, cslice)
-    else:
-        from .chains import Chain
-
-        boundary = Chain(cslice.dim - 1, ())
+    boundary = parse_boundary(args.boundary, cslice) if getattr(args, "boundary", None) else ()
     return instance_from_complex(cslice, boundary)
 
 
@@ -159,9 +154,13 @@ def _cmd_verify(args) -> int:
         )
         ok = False
     elif claims_optimal:
-        if not undecided and claimed.get("weight") != reference.weight:
+        weight = claimed.get("weight")
+        if type(weight) is not int:  # bool is an int subclass and is refused
+            print(f"FAIL weight: claimed {weight!r}, not an integer")
+            ok = False
+        elif not undecided and weight != reference.weight:
             print(
-                f"FAIL weight: claimed {claimed.get('weight')}, oracle found"
+                f"FAIL weight: claimed {weight}, oracle found"
                 f" {reference.weight}"
             )
             ok = False
@@ -173,7 +172,7 @@ def _cmd_verify(args) -> int:
             try:
                 verify_witness(
                     instance,
-                    SolveResult(Status.OPTIMAL, claimed.get("weight"), witness),
+                    SolveResult(Status.OPTIMAL, weight, witness),
                 )
             except BoundedChainError as exc:
                 print(f"FAIL solution: {exc}")
@@ -191,16 +190,14 @@ def _cmd_verify(args) -> int:
 def _witness_from_solution(instance, solution):
     if not isinstance(solution, list):
         return None
+    # vertex ids and column indices are ints; bool is an int subclass and is refused
     if instance.cslice is not None:
-        try:
-            from .chains import Simplex
-
-            return instance.cslice.chain_from_tops(
-                Simplex(tuple(sorted(v))) for v in solution
-            ).as_set()
-        except (BoundedChainError, TypeError):
+        if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in solution):
             return None
-    # distinct column indices; bool is an int subclass and is refused
+        try:
+            return instance.cslice.chain_from_tops(tuple(sorted(v)) for v in solution)
+        except BoundedChainError:
+            return None
     ncols = instance.matrix.ncols
     if all(type(c) is int and 0 <= c < ncols for c in solution):
         cols = frozenset(solution)

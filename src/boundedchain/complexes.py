@@ -2,13 +2,15 @@
 
 A "slice" is the d and (d-1) levels of a complex: the weighted top
 d-simplices, every (d-1)-simplex that occurs as a face (plus any extra
-declared ones), and the incidence between the two levels. Both tables are
+declared ones), and the incidence between the two levels. A simplex is
+its strictly increasing tuple of non-negative vertex ids, and a chain is
+a frozenset of indices into one of the two tables. Both tables are
 sorted lexicographically by vertex tuple; all index-based tie-breaking in
 the solvers relies on that order.
 
-Input checks live here once: ``ComplexSlice.check_boundary`` for a
-boundary chain and ``Gf2Matrix.target_mask`` for target rows. The
-incidence graph is a plain ``decomposition.Graph`` with rows first.
+Input checks live here once: ``build_slice`` checks every simplex it is
+given, and ``Gf2Matrix.target_mask`` checks target rows. The incidence
+graph is a plain ``decomposition.Graph`` with rows first.
 """
 
 from __future__ import annotations
@@ -16,10 +18,25 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .chains import Chain, Simplex, boundary_chain, boundary_simplex
 from .decomposition import Graph
 from .errors import InputError, UsageError
 from .gf2 import Gf2System, indices_from_mask, mask_from_indices
+
+
+def check_simplex(vertices: Iterable[int]) -> tuple[int, ...]:
+    """The vertex tuple of a simplex; ids must be non-negative and strictly increasing."""
+    vs = tuple(vertices)
+    if not vs:
+        raise UsageError("a simplex needs at least one vertex")
+    if vs[0] < 0:
+        raise UsageError(f"negative vertex id in {vs!r}")
+    if any(a >= b for a, b in zip(vs, vs[1:])):
+        raise UsageError(f"vertex ids must be strictly increasing: {vs!r}")
+    return vs
+
+
+def simplex_name(vs: tuple[int, ...]) -> str:
+    return "(" + " ".join(str(v) for v in vs) + ")"
 
 
 class ComplexSlice:
@@ -59,69 +76,77 @@ class ComplexSlice:
         """Largest number of top simplices sharing one face."""
         return max((len(c) for c in self.cofaces), default=0)
 
-    def face_index(self, simplex: Simplex) -> int:
+    def _lookup(self, table: dict, dim: int, simplex: tuple[int, ...]) -> int:
         try:
-            return self._face_index[simplex]
+            return table[simplex]
         except KeyError:
-            raise InputError(f"unknown {self.dim - 1}-simplex {simplex}") from None
+            check_simplex(simplex)
+            raise InputError(f"unknown {dim}-simplex {simplex_name(simplex)}") from None
 
-    def top_index(self, simplex: Simplex) -> int:
-        try:
-            return self._top_index[simplex]
-        except KeyError:
-            raise InputError(f"unknown {self.dim}-simplex {simplex}") from None
+    def face_index(self, simplex: tuple[int, ...]) -> int:
+        return self._lookup(self._face_index, self.dim - 1, simplex)
 
-    def chain_from_faces(self, simplices: Iterable[Simplex]) -> Chain:
-        return Chain.from_indices(self.dim - 1, (self.face_index(s) for s in simplices))
+    def top_index(self, simplex: tuple[int, ...]) -> int:
+        return self._lookup(self._top_index, self.dim, simplex)
 
-    def chain_from_tops(self, simplices: Iterable[Simplex]) -> Chain:
-        return Chain.from_indices(self.dim, (self.top_index(s) for s in simplices))
+    @staticmethod
+    def _chain(indices: list[int]) -> frozenset[int]:
+        chain = frozenset(indices)
+        if len(chain) != len(indices):
+            raise UsageError("repeated simplex in a chain (Z2 chains are sets)")
+        return chain
 
-    def check_boundary(self, boundary: Chain) -> None:
-        """A boundary is a chain of faces: dimension d-1, indices in the face table."""
-        if boundary.dim != self.dim - 1:
-            raise UsageError(
-                f"boundary dimension {boundary.dim} does not match a {self.dim}-slice"
-            )
-        if boundary.indices and boundary.indices[-1] >= self.n_faces:
-            raise UsageError(f"boundary face index {boundary.indices[-1]} out of range")
+    def chain_from_faces(self, simplices: Iterable[tuple[int, ...]]) -> frozenset[int]:
+        return self._chain([self.face_index(s) for s in simplices])
 
-    def boundary_of(self, chain: Chain) -> Chain:
-        if chain.dim != self.dim:
-            raise UsageError(f"expected a {self.dim}-chain, got dimension {chain.dim}")
-        return boundary_chain(chain, self.faces_of)
+    def chain_from_tops(self, simplices: Iterable[tuple[int, ...]]) -> frozenset[int]:
+        return self._chain([self.top_index(s) for s in simplices])
+
+    def boundary_of(self, indices: Iterable[int]) -> frozenset[int]:
+        """Face indices lying in an odd number of the given top simplices."""
+        acc: set[int] = set()
+        for j in indices:
+            if not (0 <= j < self.n_top):
+                raise UsageError(f"top simplex index {j} out of range")
+            acc.symmetric_difference_update(self.faces_of[j])
+        return frozenset(acc)
 
 
 def build_slice(
-    top_simplices: Sequence[Simplex],
+    top_simplices: Iterable[Iterable[int]],
     weights: Sequence[int] | None = None,
-    extra_faces: Sequence[Simplex] = (),
+    extra_faces: Iterable[Iterable[int]] = (),
     *,
     dim: int | None = None,
     scale: int = 1,
 ) -> ComplexSlice:
     """Assemble a slice from top simplices, optional weights and extra faces.
 
-    Weights are given in the order of ``top_simplices`` and are reordered
-    together with them when the table is sorted. Extra faces that are a
-    face of nothing are retained on purpose: a boundary that mentions them
-    is then representable and correctly infeasible.
+    Every simplex given is checked here, once; the faces derived from the
+    tops are slices of checked tuples. Weights are given in the order of
+    ``top_simplices`` and are reordered together with them when the table
+    is sorted. Extra faces that are a face of nothing are retained on
+    purpose: a boundary that mentions them is then representable and
+    correctly infeasible.
     """
-    tops = list(top_simplices)
+    tops = [check_simplex(t) for t in top_simplices]
+    extras = [check_simplex(f) for f in extra_faces]
     if scale < 1:
         raise InputError(f"scale must be a positive integer, got {scale}")
     if dim is None:
         if tops:
-            dim = tops[0].dim
-        elif extra_faces:
-            dim = extra_faces[0].dim + 1
+            dim = len(tops[0]) - 1
+        elif extras:
+            dim = len(extras[0])
         else:
             raise UsageError("cannot infer dimension of an empty slice; pass dim=")
     if dim < 1:
         raise UsageError(f"slice dimension must be >= 1, got {dim}")
     for t in tops:
-        if t.dim != dim:
-            raise InputError(f"top simplex {t} has dimension {t.dim}, expected {dim}")
+        if len(t) != dim + 1:
+            raise InputError(
+                f"top simplex {simplex_name(t)} has dimension {len(t) - 1}, expected {dim}"
+            )
     if weights is None:
         weights = [scale] * len(tops)
     if len(weights) != len(tops):
@@ -133,20 +158,21 @@ def build_slice(
     tops = [tops[i] for i in order]
     weights = [int(weights[i]) for i in order]
 
-    face_set = set()
-    for t in tops:
-        face_set.update(boundary_simplex(t))
-    for f in extra_faces:
-        if f.dim != dim - 1:
-            raise InputError(f"extra face {f} has dimension {f.dim}, expected {dim - 1}")
-    extras = list(extra_faces)
-    if len(set(extras)) != len(extras):
+    for f in extras:
+        if len(f) != dim:
+            raise InputError(
+                f"extra face {simplex_name(f)} has dimension {len(f) - 1}, expected {dim - 1}"
+            )
+    face_set = set(extras)
+    if len(face_set) != len(extras):
         raise InputError("duplicate extra face")
-    face_set.update(extras)
+    top_faces = [[t[:i] + t[i + 1:] for i in range(dim + 1)] for t in tops]
+    for fs in top_faces:
+        face_set.update(fs)
     faces = sorted(face_set)
     face_index = {s: i for i, s in enumerate(faces)}
 
-    faces_of = [tuple(sorted(face_index[f] for f in boundary_simplex(t))) for t in tops]
+    faces_of = [sorted(face_index[f] for f in fs) for fs in top_faces]
     cofaces: list[list[int]] = [[] for _ in faces]
     for j, fs in enumerate(faces_of):
         for i in fs:

@@ -1,11 +1,11 @@
 """One entry point over all solvers, with mandatory post-solve verification.
 
 Every instance is carried in its decoding form (a GF(2) matrix plus
-target rows), and every engine solves that form; chain instances also
-keep their slice and boundary so results can be reported in simplex
-vocabulary. Any optimal result is re-checked against the instance before
-being returned; a failure there is a bug and raises, never a silently
-wrong answer.
+target rows), and every engine solves that form. A chain instance also
+keeps its slice, so results can be reported as simplices; its target
+rows are the face indices of the boundary. Any optimal result is
+re-checked against the instance before being returned; a failure there
+is a bug and raises, never a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chains import Chain
 from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix
 from .dijkstra import PIVOT_MIN_COFACE, solve_mld_dijkstra
 from .errors import ConsistencyError, ResourceLimitError, UsageError
@@ -34,17 +33,22 @@ class Instance:
     matrix: Gf2Matrix
     target: frozenset[int]
     cslice: ComplexSlice | None = None
-    boundary: Chain | None = None
 
     @property
     def scale(self) -> int:
         return self.matrix.scale
 
+    @property
+    def boundary(self) -> frozenset[int] | None:
+        """The boundary's face indices, which are the target rows; None without a slice."""
+        return self.target if self.cslice is not None else None
 
-def instance_from_complex(cslice: ComplexSlice, boundary: Chain) -> Instance:
+
+def instance_from_complex(cslice: ComplexSlice, boundary: Iterable[int]) -> Instance:
     """Phrase a bounded-chain question as decoding: boundary matrix, faces as target."""
-    cslice.check_boundary(boundary)
-    return Instance(boundary_matrix(cslice), boundary.as_set(), cslice, boundary)
+    instance = instance_from_matrix(boundary_matrix(cslice), boundary)
+    instance.cslice = cslice
+    return instance
 
 
 def instance_from_matrix(matrix: Gf2Matrix, target: Iterable[int]) -> Instance:
@@ -130,7 +134,7 @@ def result_to_json_dict(instance: Instance, result: SolveResult) -> dict:
     if result.status is Status.OPTIMAL:
         cols = sorted(result.witness)
         if instance.cslice is not None:
-            solution = [list(instance.cslice.top[j].vertices) for j in cols]
+            solution = [list(instance.cslice.top[j]) for j in cols]
         else:
             solution = cols
     return {

@@ -13,8 +13,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .chains import Chain, Simplex
-from .complexes import ComplexSlice, Gf2Matrix, build_slice
+from .complexes import ComplexSlice, Gf2Matrix, build_slice, check_simplex, simplex_name
 from .decomposition import (
     FORGET,
     INTRODUCE,
@@ -99,9 +98,9 @@ def sniff_format(text: str) -> str:
 def parse_complex_text(text: str) -> ComplexSlice:
     dim = None
     scale = 1
-    tops: list[Simplex] = []
+    tops: list[tuple[int, ...]] = []
     weights: list[int] = []
-    extra: list[Simplex] = []
+    extra: list[tuple[int, ...]] = []
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
         if head == "dim":
@@ -131,14 +130,12 @@ def parse_complex_text(text: str) -> ComplexSlice:
                 raise InputError(
                     f"line {no}: a {dim}-simplex needs {dim + 1} vertices"
                 )
-            vs = sorted(_int(v, no, "vertex") for v in verts)
-            tops.append(Simplex(tuple(vs)))
+            tops.append(tuple(sorted(_int(v, no, "vertex") for v in verts)))
             weights.append(scale if wtok is None else _scaled_weight(wtok, scale, no))
         elif head == "f":
             if len(rest) != dim:
                 raise InputError(f"line {no}: an extra face needs {dim} vertices")
-            vs = sorted(_int(v, no, "vertex") for v in rest)
-            extra.append(Simplex(tuple(vs)))
+            extra.append(tuple(sorted(_int(v, no, "vertex") for v in rest)))
         else:
             raise InputError(f"line {no}: unknown directive {head!r}")
     if dim is None:
@@ -153,38 +150,41 @@ def write_complex_text(cslice: ComplexSlice, comments: Sequence[str] = ()) -> st
     if cslice.scale != 1:
         out.append(f"scale {cslice.scale}")
     for j, s in enumerate(cslice.top):
-        verts = " ".join(str(v) for v in s.vertices)
+        verts = " ".join(str(v) for v in s)
         if cslice.weights[j] == cslice.scale:
             out.append(f"s {verts}")
         else:
             out.append(f"s {verts} {format_weight(cslice.weights[j], cslice.scale)}")
     for i, f in enumerate(cslice.faces):
         if i not in declared:
-            out.append("f " + " ".join(str(v) for v in f.vertices))
+            out.append("f " + " ".join(str(v) for v in f))
     return "\n".join(out) + "\n"
 
 
 # -- boundaries --------------------------------------------------------------
 
 
-def parse_boundary_text(text: str, cslice: ComplexSlice) -> Chain:
-    seen: list[Simplex] = []
+def parse_boundary_text(text: str, cslice: ComplexSlice) -> frozenset[int]:
+    """The boundary as a frozenset of face indices."""
+    seen: dict[tuple[int, ...], None] = {}  # a set that keeps the file's order
     for no, toks in _lines(text):
         if len(toks) != cslice.dim:
             raise InputError(
                 f"line {no}: a boundary simplex needs {cslice.dim} vertex ids"
             )
-        s = Simplex(tuple(sorted(_int(v, no, "vertex") for v in toks)))
+        s = check_simplex(sorted(_int(v, no, "vertex") for v in toks))
         if s in seen:
-            raise InputError(f"line {no}: duplicate boundary simplex {s}")
-        seen.append(s)
+            raise InputError(f"line {no}: duplicate boundary simplex {simplex_name(s)}")
+        seen[s] = None
     return cslice.chain_from_faces(seen)
 
 
-def write_boundary_text(cslice: ComplexSlice, chain: Chain, comments: Sequence[str] = ()) -> str:
+def write_boundary_text(
+    cslice: ComplexSlice, chain: Iterable[int], comments: Sequence[str] = ()
+) -> str:
     out = [f"# {c}" for c in comments]
-    for i in chain.indices:
-        out.append(" ".join(str(v) for v in cslice.faces[i].vertices))
+    for i in sorted(chain):
+        out.append(" ".join(str(v) for v in cslice.faces[i]))
     return "\n".join(out) + "\n"
 
 
@@ -446,7 +446,7 @@ def parse_complex(path) -> ComplexSlice:
     return parse_complex_text(read_text(path))
 
 
-def parse_boundary(path, cslice: ComplexSlice) -> Chain:
+def parse_boundary(path, cslice: ComplexSlice) -> frozenset[int]:
     return parse_boundary_text(read_text(path), cslice)
 
 

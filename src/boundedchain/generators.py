@@ -10,27 +10,25 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
 
-from .chains import Chain, Simplex
 from .complexes import ComplexSlice, build_slice
 from .errors import InputError, UsageError
 
 
-def _full_boundary(cslice: ComplexSlice) -> Chain:
-    return cslice.boundary_of(Chain(cslice.dim, tuple(range(cslice.n_top))))
+def _full_boundary(cslice: ComplexSlice) -> frozenset[int]:
+    return cslice.boundary_of(range(cslice.n_top))
 
 
-def triangle_strip(length: int) -> tuple[ComplexSlice, Chain]:
+def triangle_strip(length: int) -> tuple[ComplexSlice, frozenset[int]]:
     """A strip of ``length`` triangles; boundary = the strip's perimeter."""
     if length < 1:
         raise UsageError("strip length must be >= 1")
-    tops = [Simplex((i, i + 1, i + 2)) for i in range(length)]
+    tops = [(i, i + 1, i + 2) for i in range(length)]
     cslice = build_slice(tops)
     return cslice, _full_boundary(cslice)
 
 
-def cylinder(around: int, along: int) -> tuple[ComplexSlice, Chain]:
+def cylinder(around: int, along: int) -> tuple[ComplexSlice, frozenset[int]]:
     """A triangulated open cylinder with 2*around*along triangles.
 
     Vertices sit on along+1 rings of ``around`` vertices. The boundary is
@@ -47,37 +45,24 @@ def cylinder(around: int, along: int) -> tuple[ComplexSlice, Chain]:
     tops = []
     for j in range(along):
         for i in range(around):
-            tops.append(Simplex(tuple(sorted((v(j, i), v(j, i + 1), v(j + 1, i))))))
-            tops.append(
-                Simplex(tuple(sorted((v(j, i + 1), v(j + 1, i), v(j + 1, i + 1)))))
-            )
+            tops.append(tuple(sorted((v(j, i), v(j, i + 1), v(j + 1, i)))))
+            tops.append(tuple(sorted((v(j, i + 1), v(j + 1, i), v(j + 1, i + 1)))))
     cslice = build_slice(tops)
     return cslice, _full_boundary(cslice)
 
 
 def octahedron() -> ComplexSlice:
     """The closed octahedron surface: 6 vertices, 12 edges, 8 triangles."""
-    tops = [
-        Simplex(t)
-        for t in (
-            (0, 1, 2),
-            (0, 1, 4),
-            (0, 2, 3),
-            (0, 3, 4),
-            (1, 2, 5),
-            (1, 4, 5),
-            (2, 3, 5),
-            (3, 4, 5),
-        )
-    ]
-    return build_slice(tops)
+    return build_slice(
+        [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+    )
 
 
 def sphere_subdivision(levels: int) -> ComplexSlice:
     """Octahedron sphere, each level splitting every triangle into four."""
     if levels < 0:
         raise UsageError("subdivision level must be >= 0")
-    faces = [s.vertices for s in octahedron().top]
+    faces = list(octahedron().top)
     next_vertex = 6
     for _ in range(levels):
         midpoint: dict[tuple[int, int], int] = {}
@@ -98,7 +83,7 @@ def sphere_subdivision(levels: int) -> ComplexSlice:
             new_faces.append(tuple(sorted((z, mxz, myz))))
             new_faces.append(tuple(sorted((mxy, mxz, myz))))
         faces = new_faces
-    return build_slice([Simplex(f) for f in faces])
+    return build_slice(faces)
 
 
 def random_slice(
@@ -124,7 +109,7 @@ def random_slice(
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < n_top:
         chosen.add(tuple(sorted(rng.sample(range(n_vertices), dim + 1))))
-    tops = [Simplex(t) for t in sorted(chosen)]
+    tops = sorted(chosen)
     if weights == "unit":
         wts = None
     else:
@@ -134,13 +119,13 @@ def random_slice(
 
 def random_boundary(
     cslice: ComplexSlice, seed: int = 0, require_nonempty: bool = False
-) -> Chain:
+) -> frozenset[int]:
     """Boundary of a random chain of the slice, hence always feasible."""
     rng = random.Random(seed)
     for _attempt in range(1000):
         picked = [j for j in range(cslice.n_top) if rng.getrandbits(1)]
-        boundary = cslice.boundary_of(Chain(cslice.dim, tuple(picked)))
-        if boundary.indices or not require_nonempty:
+        boundary = cslice.boundary_of(picked)
+        if boundary or not require_nonempty:
             return boundary
     raise InputError("could not draw a nonempty boundary; the slice may be too small")
 

@@ -3,24 +3,21 @@
 import math
 import random
 
-from boundedchain import Simplex, build_slice
+from boundedchain import build_slice
 from boundedchain.decomposition import TreeDecomposition
 from boundedchain.generators import random_boundary, random_slice
 
 
 def octahedron_tops():
     return [
-        Simplex(t)
-        for t in (
-            (0, 1, 2),
-            (0, 1, 4),
-            (0, 2, 3),
-            (0, 3, 4),
-            (1, 2, 5),
-            (1, 4, 5),
-            (2, 3, 5),
-            (3, 4, 5),
-        )
+        (0, 1, 2),
+        (0, 1, 4),
+        (0, 2, 3),
+        (0, 3, 4),
+        (1, 2, 5),
+        (1, 4, 5),
+        (2, 3, 5),
+        (3, 4, 5),
     ]
 
 
@@ -30,8 +27,8 @@ def octahedron_slice(weights=None):
 
 def punctured_octahedron():
     """Octahedron with (0,1,2) removed; its rim is kept as extra faces."""
-    tops = [t for t in octahedron_tops() if t.vertices != (0, 1, 2)]
-    rim = [Simplex(v) for v in ((0, 1), (0, 2), (1, 2))]
+    tops = [t for t in octahedron_tops() if t != (0, 1, 2)]
+    rim = [(0, 1), (0, 2), (1, 2)]
     cslice = build_slice(tops, extra_faces=rim)
     return cslice, cslice.chain_from_faces(rim)
 

@@ -1,80 +1,62 @@
+"""The chain view as plain data: simplices are vertex tuples, chains frozensets of indices."""
+
 import random
 
 import pytest
 
-from boundedchain import (
-    Chain,
-    Simplex,
-    UsageError,
-    boundary_chain,
-    boundary_simplex,
-    chain_add,
-    chain_weight,
-)
-from helpers import random_problem
+from boundedchain import InputError, UsageError, build_slice
+from helpers import octahedron_slice, random_problem
 
 
 def test_simplex_requires_increasing_vertices():
-    Simplex((0, 3, 7))
+    build_slice([(0, 3, 7)])
     with pytest.raises(UsageError):
-        Simplex((3, 0, 7))
+        build_slice([(3, 0, 7)])
     with pytest.raises(UsageError):
-        Simplex((0, 0, 1))
+        build_slice([(0, 0, 1)])
     with pytest.raises(UsageError):
-        Simplex((-1, 2))
+        build_slice([(-1, 2)])
     with pytest.raises(UsageError):
-        Simplex(())
+        build_slice([()])
+    # extra faces are checked the same way
+    with pytest.raises(UsageError):
+        build_slice([(0, 1, 2)], extra_faces=[(4, 3)])
+    # a lookup of an unchecked tuple classifies it like build_slice does
+    oc = octahedron_slice()
+    with pytest.raises(UsageError):
+        oc.face_index((1, 0))
+    with pytest.raises(UsageError):
+        oc.chain_from_tops([(-1, 0, 1)])
 
 
 def test_simplex_dim_and_order():
-    assert Simplex((4,)).dim == 0
-    assert Simplex((1, 2, 3)).dim == 2
-    assert Simplex((0, 2)) < Simplex((0, 3)) < Simplex((1, 2))
-    assert str(Simplex((1, 2, 3))) == "(1 2 3)"
+    assert build_slice([(4, 5)]).dim == 1
+    assert build_slice([(1, 2, 3)]).dim == 2
+    assert build_slice([(1, 2), (0, 3), (0, 2)]).top == ((0, 2), (0, 3), (1, 2))
+    with pytest.raises(InputError, match=r"unknown 2-simplex \(1 2 3\)"):
+        octahedron_slice().top_index((1, 2, 3))
 
 
 def test_boundary_simplex_drops_one_vertex_at_a_time():
-    faces = boundary_simplex(Simplex((1, 2, 3)))
-    assert faces == [Simplex((2, 3)), Simplex((1, 3)), Simplex((1, 2))]
-    assert boundary_simplex(Simplex((0, 4))) == [Simplex((4,)), Simplex((0,))]
+    cs = build_slice([(1, 2, 3)])
+    assert cs.faces == ((1, 2), (1, 3), (2, 3))
+    assert cs.faces_of == ((0, 1, 2),)
+    cs = build_slice([(0, 4)])
+    assert cs.faces == ((0,), (4,))
     with pytest.raises(UsageError):
-        boundary_simplex(Simplex((5,)))
+        build_slice([(5,)])
 
 
 def test_chain_from_indices_sorts_and_rejects_duplicates():
-    c = Chain.from_indices(1, (4, 1, 2))
-    assert c.indices == (1, 2, 4)
+    oc = octahedron_slice()
+    c = oc.chain_from_tops([(1, 2, 5), (0, 1, 4), (0, 2, 3)])
+    assert c == frozenset({1, 2, 4})
     assert 2 in c and 3 not in c
     assert len(c) == 3
     with pytest.raises(UsageError):
-        Chain.from_indices(1, (1, 1))
-
-
-def test_chain_add_is_symmetric_difference():
-    a = Chain.from_indices(2, (0, 1, 2))
-    b = Chain.from_indices(2, (2, 3))
-    assert chain_add(a, b).indices == (0, 1, 3)
-    assert chain_add(a, a).is_empty
-    empty = Chain(2, ())
-    assert chain_add(a, empty) == a
-
-
-def test_chain_group_laws_random():
-    rng = random.Random(11)
-    for _ in range(50):
-        universe = range(12)
-        a = Chain.from_indices(1, rng.sample(universe, rng.randint(0, 8)))
-        b = Chain.from_indices(1, rng.sample(universe, rng.randint(0, 8)))
-        c = Chain.from_indices(1, rng.sample(universe, rng.randint(0, 8)))
-        assert chain_add(a, b) == chain_add(b, a)
-        assert chain_add(chain_add(a, b), c) == chain_add(a, chain_add(b, c))
-        assert chain_add(a, a).is_empty
-
-
-def test_chain_weight():
-    weights = (3, 1, 4, 1, 5)
-    assert chain_weight(Chain.from_indices(2, (0, 2, 4)), weights) == 12
-    assert chain_weight(Chain(2, ()), weights) == 0
+        oc.chain_from_tops([(0, 1, 4), (0, 1, 4)])
+    with pytest.raises(UsageError):
+        oc.chain_from_faces([(0, 1), (0, 1)])
 
 
 def test_boundary_of_boundary_is_empty():
@@ -83,12 +65,11 @@ def test_boundary_of_boundary_is_empty():
         for seed in range(25):
             cslice, _ = random_problem(seed, dim=dim, max_vertices=8)
             for j in range(cslice.n_top):
-                top = Chain.from_indices(cslice.dim, (j,))
-                bnd = cslice.boundary_of(top)
-                faces = [cslice.faces[i] for i in bnd.indices]
+                bnd = cslice.boundary_of({j})
                 acc = set()
-                for f in faces:
-                    acc ^= set(boundary_simplex(f))
+                for i in bnd:
+                    f = cslice.faces[i]
+                    acc ^= {f[:k] + f[k + 1:] for k in range(len(f))}
                 assert acc == set()
 
 
@@ -97,13 +78,16 @@ def test_boundary_is_linear():
         cslice, _ = random_problem(seed)
         rng = random.Random(seed)
         idx = range(cslice.n_top)
-        a = Chain.from_indices(2, rng.sample(idx, rng.randint(0, cslice.n_top)))
-        b = Chain.from_indices(2, rng.sample(idx, rng.randint(0, cslice.n_top)))
-        lhs = cslice.boundary_of(chain_add(a, b))
-        rhs = chain_add(cslice.boundary_of(a), cslice.boundary_of(b))
+        a = frozenset(rng.sample(idx, rng.randint(0, cslice.n_top)))
+        b = frozenset(rng.sample(idx, rng.randint(0, cslice.n_top)))
+        lhs = cslice.boundary_of(a ^ b)
+        rhs = cslice.boundary_of(a) ^ cslice.boundary_of(b)
         assert lhs == rhs
 
 
 def test_boundary_chain_of_empty():
     cslice, _ = random_problem(0)
-    assert boundary_chain(Chain(2, ()), cslice.faces_of) == Chain(1, ())
+    assert cslice.boundary_of(()) == frozenset()
+    for bad in (-1, cslice.n_top):
+        with pytest.raises(UsageError):
+            cslice.boundary_of([bad])

@@ -184,6 +184,43 @@ def test_verify_refuses_malformed_matrix_solutions(tmp_path, capsys):
         assert "FAIL solution: missing or malformed" in out, bad
 
 
+def test_verify_refuses_non_integer_weights_and_vertex_ids(tmp_path, capsys):
+    """1.0 and True equal 1 in Python; a claimed weight or vertex id must be an int."""
+    mld = tmp_path / "ones.mld"
+    mld.write_text("mld 2 2\ne 0 0\ne 1 0\ne 0 1\ne 1 1\nw 5 1\nu 0 1\n")
+    result = tmp_path / "r.json"
+    code, _, _ = run(
+        capsys, "solve", "--matrix", str(mld), "--algorithm", "brute", "--out", str(result)
+    )
+    assert code == 0
+    claimed = json.loads(result.read_text())
+    assert claimed["weight"] == 1 and claimed["solution"] == [1]
+    for bad in (True, 1.0):
+        claimed["weight"] = bad
+        result.write_text(json.dumps(claimed))
+        code, out, _ = run(capsys, "verify", str(result), "--matrix", str(mld))
+        assert code == 1, bad
+        assert "FAIL weight" in out, bad
+
+    prefix = str(tmp_path / "strip")
+    run(capsys, "gen", "strip", "--length", "3", "--out", prefix)
+    instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
+    code, _, _ = run(
+        capsys, "solve", *instance, "--algorithm", "treewidth", "--out", str(result)
+    )
+    assert code == 0
+    claimed = json.loads(result.read_text())
+    assert claimed["solution"][0] == [0, 1, 2]
+    code, out, _ = run(capsys, "verify", str(result), *instance)
+    assert code == 0 and "PASS" in out
+    for first in ([0.0, 1.0, 2.0], [0, True, 2]):
+        tampered = dict(claimed, solution=[first] + claimed["solution"][1:])
+        result.write_text(json.dumps(tampered))
+        code, out, _ = run(capsys, "verify", str(result), *instance)
+        assert code == 1, first
+        assert "FAIL solution: missing or malformed" in out, first
+
+
 def test_solve_out_file_survives_closed_stdout(tmp_path, capsys, monkeypatch):
     """`mbc solve --out r.json | head` still writes r.json."""
     prefix = str(tmp_path / "oct")

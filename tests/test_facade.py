@@ -1,9 +1,7 @@
 import pytest
 
 from boundedchain import (
-    Chain,
     ConsistencyError,
-    Simplex,
     SolveResult,
     Status,
     UsageError,
@@ -30,9 +28,9 @@ def test_all_algorithms_agree_on_the_punctured_octahedron():
 
 
 def test_mbc1_dispatch_needs_dimension_one():
-    edges = [Simplex((0, 1)), Simplex((1, 2))]
+    edges = [(0, 1), (1, 2)]
     cs = build_slice(edges)
-    inst = instance_from_complex(cs, cs.chain_from_faces([Simplex((0,)), Simplex((2,))]))
+    inst = instance_from_complex(cs, cs.chain_from_faces([(0,), (2,)]))
     r = solve(inst, "mbc1")
     assert r.weight == 2
     cs2, boundary2 = punctured_octahedron()
@@ -54,8 +52,10 @@ def test_mbc_to_mld_translation():
     assert inst.matrix.nrows == 12 and inst.matrix.ncols == 7
     assert sorted(inst.target) == [0, 1, 4]
     assert inst.matrix.col_weights == cs.weights
+    assert inst.boundary == inst.target
+    assert instance_from_matrix(inst.matrix, inst.target).boundary is None
     with pytest.raises(UsageError):
-        instance_from_complex(cs, Chain(0, (0,)))
+        instance_from_complex(cs, frozenset({cs.n_faces}))
 
 
 def test_brute_resource_limit_becomes_a_status():
@@ -69,7 +69,7 @@ def test_verify_witness_rejects_lies():
     cs, boundary = punctured_octahedron()
     inst = instance_from_complex(cs, boundary)
     with pytest.raises(ConsistencyError):
-        verify_witness(inst, SolveResult(Status.OPTIMAL, 7, frozenset((0,))))
+        verify_witness(inst, SolveResult(Status.OPTIMAL, 7, frozenset({0})))
     with pytest.raises(ConsistencyError):
         verify_witness(inst, SolveResult(Status.OPTIMAL, 6, frozenset(range(7))))
     with pytest.raises(ConsistencyError):
@@ -86,7 +86,7 @@ def test_json_dict_for_complex_instances():
     assert d["status"] == "optimal"
     assert d["weight"] == 7
     assert d["scale"] == 1
-    assert d["solution"] == [list(cs.top[j].vertices) for j in sorted(r.witness)]
+    assert d["solution"] == [list(cs.top[j]) for j in sorted(r.witness)]
     assert d["stats"]["verified"] is True
 
 
@@ -97,7 +97,7 @@ def test_json_dict_for_matrix_instances_and_failures():
     assert d["solution"] == [1]
     assert d["weight"] == 5
     cs, _ = punctured_octahedron()
-    bad = instance_from_complex(cs, cs.chain_from_faces([Simplex((0, 1))]))
+    bad = instance_from_complex(cs, cs.chain_from_faces([(0, 1)]))
     d2 = result_to_json_dict(bad, solve(bad, "treewidth"))
     assert d2["status"] == "infeasible"
     assert d2["weight"] is None and d2["solution"] is None
@@ -113,9 +113,9 @@ def test_timing_is_opt_in():
 
 
 def test_scale_travels_through():
-    tops = [Simplex((0, 1, 2)), Simplex((1, 2, 3))]
+    tops = [(0, 1, 2), (1, 2, 3)]
     cs = build_slice(tops, [5, 15], scale=10)
-    boundary = cs.boundary_of(Chain(2, (0,)))
+    boundary = cs.boundary_of(frozenset({0}))
     inst = instance_from_complex(cs, boundary)
     assert inst.scale == 10
     r = solve(inst, "treewidth")
@@ -151,9 +151,9 @@ def test_size_bound_is_refused_outside_dijkstra():
             solve(inst, algorithm, k=3)
     assert solve(inst, "dijkstra", k=3).status is Status.NOT_FOUND_WITHIN_BOUND
     assert solve(inst, "dijkstra", k=10).weight == 10
-    edges = build_slice([Simplex((0, 1)), Simplex((1, 2))])
+    edges = build_slice([(0, 1), (1, 2)])
     path = instance_from_complex(
-        edges, edges.chain_from_faces([Simplex((0,)), Simplex((2,))])
+        edges, edges.chain_from_faces([(0,), (2,)])
     )
     with pytest.raises(UsageError):
         solve(path, "mbc1", k=3)

@@ -1,6 +1,6 @@
 import pytest
 
-from boundedchain import Chain, InputError, Simplex, build_slice
+from boundedchain import InputError, UsageError, build_slice
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import (
     Graph,
@@ -53,7 +53,7 @@ def test_parse_complex_basic():
     cs = parse_complex_text(text.replace("dim 2", "dim 2\nscale 2"))
     assert cs.scale == 2
     assert cs.weights == (2, 5)
-    assert Simplex((1, 4)) in cs.faces
+    assert (1, 4) in cs.faces
 
 
 def test_complex_round_trip_exact():
@@ -70,7 +70,7 @@ def test_complex_round_trip_exact():
 
 def test_complex_round_trip_with_scale_and_extras():
     # an extra face no top simplex covers must survive as an f line
-    lonely = build_slice([Simplex((0, 1, 2))], extra_faces=[Simplex((3, 4))])
+    lonely = build_slice([(0, 1, 2)], extra_faces=[(3, 4)])
     text = write_complex_text(lonely)
     assert "f 3 4" in text.splitlines()
     assert parse_complex_text(text).faces == lonely.faces
@@ -99,13 +99,24 @@ def test_parse_complex_errors():
         parse_complex_text("dim 2\nscale 0\n")
     with pytest.raises(InputError):
         parse_complex_text("dim 2\nf 0\n")
+    with pytest.raises(InputError):
+        parse_complex_text("dim 2\ns 0 1 2\ns 2 1 0\n")  # same triangle twice
+    with pytest.raises(InputError):
+        parse_complex_text("dim 2\ns 0 1 2\nf 3 4\nf 4 3\n")  # same extra face twice
+    # vertex ids are checked once, when the slice is built
+    with pytest.raises(UsageError):
+        parse_complex_text("dim 2\ns 0 0 1\n")
+    with pytest.raises(UsageError):
+        parse_complex_text("dim 2\ns -1 0 1\n")
+    with pytest.raises(UsageError):
+        parse_complex_text("dim 2\ns 0 1 2\nf -3 4\n")
 
 
 def test_boundary_round_trip():
     cs, boundary = punctured_octahedron()
     text = write_boundary_text(cs, boundary)
     assert parse_boundary_text(text, cs) == boundary
-    assert parse_boundary_text("", cs) == Chain(1, ())
+    assert parse_boundary_text("", cs) == frozenset()
 
 
 def test_boundary_errors():
@@ -116,6 +127,10 @@ def test_boundary_errors():
         parse_boundary_text("0\n", cs)  # wrong arity
     with pytest.raises(InputError):
         parse_boundary_text("98 99\n", cs)  # not a face
+    with pytest.raises(UsageError):
+        parse_boundary_text("0 -1\n", cs)
+    with pytest.raises(UsageError):
+        parse_boundary_text("1 1\n", cs)
 
 
 def test_matrix_round_trip():

@@ -5,8 +5,6 @@ import networkx as nx
 import pytest
 
 from boundedchain import (
-    Chain,
-    Simplex,
     Status,
     UsageError,
     boundary_matrix,
@@ -25,7 +23,7 @@ from boundedchain.mbc1 import INF, assemble_chain
 
 
 def _edge(a, b):
-    return Simplex((min(a, b), max(a, b)))
+    return (min(a, b), max(a, b))
 
 
 def mbc1(cs, boundary):
@@ -40,12 +38,12 @@ def four_cycle():
 
 def test_four_cycle_all_vertices():
     cs = four_cycle()
-    boundary = cs.chain_from_faces(Simplex((v,)) for v in range(4))
+    boundary = cs.chain_from_faces((v,) for v in range(4))
     r = mbc1(cs, boundary)
     assert r.status is Status.OPTIMAL
     assert r.weight == 2
     # two opposite edges; edge table is sorted, so (0,1) and (2,3)
-    assert r.witness == frozenset((0, 3))
+    assert r.witness == frozenset({0, 3})
     assert r.stats["matching_value"] == 2
     assert r.stats["pairs"] == 2
 
@@ -55,13 +53,12 @@ def test_shared_zero_edge_cancels():
     edges = [_edge(0, 3), _edge(3, 4), _edge(1, 4), _edge(2, 3), _edge(4, 5)]
     weights = [1, 0, 1, 1, 1]
     cs = build_slice(edges, weights)
-    boundary = cs.chain_from_faces(Simplex((v,)) for v in (0, 1, 2, 5))
+    boundary = cs.chain_from_faces((v,) for v in (0, 1, 2, 5))
     r = mbc1(cs, boundary)
     assert r.status is Status.OPTIMAL
     assert r.weight == 4
     assert r.weight == r.stats["matching_value"]
-    assembled = Chain(1, tuple(sorted(r.witness)))
-    assert cs.boundary_of(assembled) == boundary
+    assert cs.boundary_of(r.witness) == boundary
 
 
 def test_single_pair_equals_graph_distance():
@@ -77,7 +74,7 @@ def test_single_pair_equals_graph_distance():
             if not g.has_edge(a, b) or g[a][b]["weight"] > w:
                 g.add_edge(a, b, weight=w)
         s, t = rng.sample(range(cs.n_faces), 2)
-        boundary = Chain(0, tuple(sorted((s, t))))
+        boundary = frozenset((s, t))
         r = mbc1(cs, boundary)
         if nx.has_path(g, s, t):
             want = nx.dijkstra_path_length(g, s, t)
@@ -149,38 +146,36 @@ def test_against_brute_force_sweep():
         assert got.status is ref.status, trial
         if ref.is_optimal:
             assert got.weight == ref.weight, trial
-            assembled = Chain(1, tuple(sorted(got.witness)))
-            assert cs.boundary_of(assembled) == boundary
+            assert cs.boundary_of(got.witness) == boundary
 
 
 def test_odd_parity_is_infeasible():
     cs = four_cycle()
-    r = mbc1(cs, Chain(0, (0,)))
+    r = mbc1(cs, frozenset({0}))
     assert r.status is Status.INFEASIBLE
     assert r.stats["component_witness"] == 0
 
 
 def test_cross_component_pairs_are_infeasible():
     cs = build_slice([_edge(0, 1), _edge(2, 3)])
-    r = mbc1(cs, Chain(0, (0, 2)))
+    r = mbc1(cs, frozenset({0, 2}))
     assert r.status is Status.INFEASIBLE
     # but two pairs inside their own components are fine
-    r2 = mbc1(cs, Chain(0, (0, 1, 2, 3)))
+    r2 = mbc1(cs, frozenset({0, 1, 2, 3}))
     assert r2.status is Status.OPTIMAL
     assert r2.weight == 2
 
 
 def test_zero_weight_graph():
     cs = build_slice([_edge(0, 1), _edge(1, 2), _edge(0, 2)], [0, 0, 0])
-    r = mbc1(cs, Chain(0, (0, 1)))
+    r = mbc1(cs, frozenset({0, 1}))
     assert r.status is Status.OPTIMAL
     assert r.weight == 0
-    assembled = Chain(1, tuple(sorted(r.witness)))
-    assert cs.boundary_of(assembled) == Chain(0, (0, 1))
+    assert cs.boundary_of(r.witness) == frozenset({0, 1})
 
 
 def test_empty_boundary_gives_empty_chain():
-    r = mbc1(four_cycle(), Chain(0, ()))
+    r = mbc1(four_cycle(), frozenset())
     assert r.status is Status.OPTIMAL
     assert r.weight == 0
     assert r.witness == frozenset()
@@ -189,14 +184,12 @@ def test_empty_boundary_gives_empty_chain():
 def test_usage_errors():
     cs = four_cycle()
     with pytest.raises(UsageError):
-        mbc1(cs, Chain(1, (0,)))
+        mbc1(cs, frozenset({99}))
     with pytest.raises(UsageError):
-        mbc1(cs, Chain(0, (99,)))
-    with pytest.raises(UsageError):
-        mbc1(build_slice([_edge(0, 1)], [-2]), Chain(0, ()))
-    tri = build_slice([Simplex((0, 1, 2))])
+        mbc1(build_slice([_edge(0, 1)], [-2]), frozenset())
+    tri = build_slice([(0, 1, 2)])
     with pytest.raises(UsageError, match="dimension 1"):
-        mbc1(tri, Chain(1, ()))
+        mbc1(tri, frozenset())
     with pytest.raises(UsageError):
         distance_closure(boundary_matrix(cs), (99,))
 

@@ -32,7 +32,7 @@ def test_modes_agree_on_random_instances():
         assert a.weight == b.weight, seed
         # both witnesses must hit the target, not necessarily be equal
         tmask = 0
-        for i in boundary.indices:
+        for i in boundary:
             tmask |= 1 << i
         for r in (a, b):
             acc = 0

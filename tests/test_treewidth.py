@@ -35,7 +35,7 @@ def test_two_column_diagonal():
 
 def test_punctured_octahedron():
     cs, boundary = punctured_octahedron()
-    r = solve_mld_treewidth(boundary_matrix(cs), boundary.indices)
+    r = solve_mld_treewidth(boundary_matrix(cs), sorted(boundary))
     assert r.status is Status.OPTIMAL
     assert r.weight == 7
     assert r.witness == frozenset(range(7))
@@ -58,15 +58,15 @@ def test_mixed_negative_weights_against_oracle():
         mat = boundary_matrix(cs)
         signed = [w if rng.random() < 0.5 else -w for w in mat.col_weights]
         mat = Gf2Matrix(mat.nrows, mat.ncols, mat.col_rows, signed)
-        ref = brute_force_mld(mat, boundary.indices, mode="exhaustive")
-        got = solve_mld_treewidth(mat, boundary.indices)
+        ref = brute_force_mld(mat, sorted(boundary), mode="exhaustive")
+        got = solve_mld_treewidth(mat, sorted(boundary))
         assert got.status is ref.status, trial
         assert got.weight == ref.weight, trial
         acc = 0
         for j in got.witness:
             acc ^= mat.col_masks[j]
         want = 0
-        for i in boundary.indices:
+        for i in boundary:
             want |= 1 << i
         assert acc == want, trial
 
@@ -75,9 +75,9 @@ def test_oracle_sweep_and_heuristic_invariance():
     for seed in range(80):
         cs, boundary = random_problem(seed, max_top=10)
         mat = boundary_matrix(cs)
-        ref = brute_force_mld(mat, boundary.indices)
+        ref = brute_force_mld(mat, sorted(boundary))
         for heuristic in ("min-fill", "min-degree"):
-            r = solve_mld_treewidth(mat, boundary.indices, heuristic=heuristic)
+            r = solve_mld_treewidth(mat, sorted(boundary), heuristic=heuristic)
             assert r.status is ref.status, (seed, heuristic)
             if ref.is_optimal:
                 assert r.weight == ref.weight, (seed, heuristic)
@@ -88,10 +88,10 @@ def test_supplied_decompositions():
     mat = boundary_matrix(cs)
     g = hasse_graph(mat)
     td = greedy_decomposition(g, "min-degree")
-    plain = solve_mld_treewidth(mat, boundary.indices, ntd=td)
+    plain = solve_mld_treewidth(mat, sorted(boundary), ntd=td)
     assert plain.weight == 7
     assert plain.stats["decomposition"] == "given"
-    nice = solve_mld_treewidth(mat, boundary.indices, ntd=make_nice(td, g))
+    nice = solve_mld_treewidth(mat, sorted(boundary), ntd=make_nice(td, g))
     assert nice.weight == 7
 
 
@@ -101,9 +101,9 @@ def test_rejects_unusable_decompositions():
     # decomposition of a different (too small) graph
     wrong = make_nice(greedy_decomposition(Graph(3, [(0, 1), (1, 2)])))
     with pytest.raises(UsageError):
-        solve_mld_treewidth(mat, boundary.indices, ntd=wrong)
+        solve_mld_treewidth(mat, sorted(boundary), ntd=wrong)
     with pytest.raises(UsageError):
-        solve_mld_treewidth(mat, boundary.indices, ntd="min-fill")
+        solve_mld_treewidth(mat, sorted(boundary), ntd="min-fill")
     with pytest.raises(UsageError):
         solve_mld_treewidth(mat, (99,))
 
@@ -134,7 +134,7 @@ def test_join_table_size_is_bounded():
     for seed in range(30):
         cs, boundary = random_problem(seed)
         r = solve_mld_treewidth(
-            boundary_matrix(cs), boundary.indices, detailed_stats=True
+            boundary_matrix(cs), sorted(boundary), detailed_stats=True
         )
         for pairs, cap in r.stats["join_bags"]:
             assert pairs <= cap
@@ -166,7 +166,7 @@ def test_process_bag_leaf_and_forget():
 
 def test_stats_shape():
     cs, boundary = random_problem(3)
-    r = solve_mld_treewidth(boundary_matrix(cs), boundary.indices)
+    r = solve_mld_treewidth(boundary_matrix(cs), sorted(boundary))
     for key in ("width", "nodes", "table_entries", "join_pairs", "decomposition"):
         assert key in r.stats
     assert "join_bags" not in r.stats

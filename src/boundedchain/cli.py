@@ -9,7 +9,7 @@ import sys
 from . import generators
 from .bench import rows_to_csv, run_suite
 from .complexes import boundary_matrix, hasse_graph
-from .decomposition import HEURISTICS, greedy_decomposition, make_nice
+from .decomposition import HEURISTICS, greedy_decomposition
 from .dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV, PIVOT_MIN_COFACE, PIVOT_STRATEGIES
 from .errors import BoundedChainError, UsageError
 from .facade import (
@@ -23,9 +23,10 @@ from .facade import (
 from .fileio import (
     parse_boundary,
     parse_complex,
+    parse_complex_text,
     parse_decomposition,
-    parse_graph_text,
     parse_matrix,
+    parse_matrix_text,
     read_text,
     sniff_format,
     write_boundary_text,
@@ -101,7 +102,6 @@ def _cmd_solve(args) -> int:
         check_feasibility=not args.no_feasibility_check,
         max_states=args.max_states,
         oracle_mode=args.oracle_mode,
-        detailed_stats=False,
         timing=args.timing,
     )
     payload = json.dumps(result_to_json_dict(instance, result), sort_keys=True, indent=2)
@@ -114,23 +114,14 @@ def _cmd_solve(args) -> int:
 def _cmd_decompose(args) -> int:
     text = read_text(args.input)
     fmt = sniff_format(text)
-    if fmt == "graph":
-        graph = parse_graph_text(text)
-    elif fmt == "complex":
-        from .fileio import parse_complex_text
-
-        graph = hasse_graph(boundary_matrix(parse_complex_text(text)))
+    if fmt == "complex":
+        matrix = boundary_matrix(parse_complex_text(text))
     elif fmt == "mld":
-        from .fileio import parse_matrix_text
-
         matrix, _target = parse_matrix_text(text)
-        graph = hasse_graph(matrix)
     else:
-        raise UsageError("decompose expects a graph, complex, or mld file")
-    td = greedy_decomposition(graph, args.heuristic)
-    if args.nice:
-        td = make_nice(td)
-    comments = [f"decomposition: heuristic={args.heuristic} nice={args.nice}"]
+        raise UsageError("decompose expects a complex or mld file")
+    td = greedy_decomposition(hasse_graph(matrix), args.heuristic)
+    comments = [f"decomposition: heuristic={args.heuristic}"]
     write_text(args.out, write_decomposition_text(td, comments))
     print(f"wrote {args.out} (width {td.width}, {td.n_nodes} nodes)")
     return 0
@@ -141,6 +132,8 @@ def _cmd_verify(args) -> int:
         claimed = json.loads(read_text(args.result))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.result} is not valid JSON: {exc}") from exc
+    if not isinstance(claimed, dict):
+        raise UsageError(f"{args.result} is not a JSON object")
     instance = _load_instance(args)
     reference = solve(instance, "brute", oracle_mode=args.oracle_mode)
     # an oracle out of budget decides nothing, but a claimed witness is still checked
@@ -273,10 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="also write the JSON result here")
     s.set_defaults(func=_cmd_solve)
 
-    d = sub.add_parser("decompose", help="tree-decompose a graph, complex, or matrix")
-    d.add_argument("--input", required=True)
+    d = sub.add_parser(
+        "decompose",
+        help="tree-decompose the incidence graph of a complex or mld file",
+        description="Write a tree decomposition of the instance's row/column"
+        " incidence graph, for solve --td; solve builds the nice form itself.",
+    )
+    d.add_argument("--input", required=True, help="complex or mld file")
     d.add_argument("--heuristic", choices=HEURISTICS, default="min-fill")
-    d.add_argument("--nice", action="store_true", help="emit the nice form")
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_decompose)
 

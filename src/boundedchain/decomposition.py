@@ -11,7 +11,9 @@ eliminated next, so the result is a rooted tree whose root is the last
 bag. The nice form rewrites any rooted decomposition into leaf /
 introduce / forget / join nodes with an empty root bag, never increasing
 the width; it is a TreeDecomposition whose nodes also carry a kind and,
-for introduce and forget nodes, a vertex.
+for introduce and forget nodes, a vertex. The nice form is the treewidth
+DP's schedule only: the DP runs ``make_nice`` on every decomposition it
+gets, and files hold plain decompositions.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ LEAF = "leaf"
 INTRODUCE = "introduce"
 FORGET = "forget"
 JOIN = "join"
-KINDS = (LEAF, INTRODUCE, FORGET, JOIN)
 
 HEURISTICS = ("min-fill", "min-degree")
 

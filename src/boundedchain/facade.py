@@ -81,7 +81,6 @@ def solve(
     check_feasibility: bool = True,
     max_states: int | None = None,
     oracle_mode: str = "auto",
-    detailed_stats: bool = False,
     timing: bool = False,
 ) -> SolveResult:
     """Dispatch to one solver and verify whatever it claims.
@@ -92,6 +91,8 @@ def solve(
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
     if k is not None and algorithm != "dijkstra":
         raise UsageError(f"the size bound k applies to dijkstra only, not {algorithm}")
+    if ntd is not None and algorithm != "treewidth":
+        raise UsageError(f"a tree decomposition applies to treewidth only, not {algorithm}")
     start = time.perf_counter()
     if algorithm == "mbc1":
         result = solve_mbc1(instance.matrix, instance.target)
@@ -110,7 +111,6 @@ def solve(
             sorted(instance.target),
             ntd=ntd,
             heuristic=td_heuristic,
-            detailed_stats=detailed_stats,
         )
     else:
         try:

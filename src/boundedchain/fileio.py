@@ -1,8 +1,8 @@
-"""Text formats for complexes, boundaries, matrices, graphs and decompositions.
+"""Text formats for complexes, boundaries, matrices and tree decompositions.
 
 All formats share the same conventions: UTF-8, `#` starts a comment,
 blank lines are ignored, and the first meaningful token names the format
-(dim / mld / graph / td). Weights are decimals; with a `scale <denom>`
+(dim / mld / td). Weights are decimals; with a `scale <denom>`
 header they are multiplied by the denominator and must land on integers,
 so arithmetic stays exact downstream.
 """
@@ -14,15 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .complexes import ComplexSlice, Gf2Matrix, build_slice, check_simplex, simplex_name
-from .decomposition import (
-    FORGET,
-    INTRODUCE,
-    KINDS,
-    Graph,
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    _tree_ok,
-)
+from .decomposition import TreeDecomposition, _tree_ok
 from .errors import InputError
 
 
@@ -86,7 +78,7 @@ def sniff_format(text: str) -> str:
         head = toks[0]
         if head == "dim":
             return "complex"
-        if head in ("mld", "graph", "td"):
+        if head in ("mld", "td"):
             return head
         raise InputError(f"unrecognized leading token {head!r}")
     raise InputError("empty input")
@@ -274,50 +266,14 @@ def write_matrix_text(
     return "\n".join(out) + "\n"
 
 
-# -- graphs ------------------------------------------------------------------
-
-
-def parse_graph_text(text: str) -> Graph:
-    n = None
-    edges: list[tuple[int, int]] = []
-    for no, toks in _lines(text):
-        head, rest = toks[0], toks[1:]
-        if head == "graph":
-            if n is not None:
-                raise InputError(f"line {no}: repeated graph header")
-            if len(rest) != 1:
-                raise InputError(f"line {no}: graph header needs a vertex count")
-            n = _int(rest[0], no, "vertex count")
-        elif head == "e":
-            if n is None:
-                raise InputError(f"line {no}: graph header must come first")
-            if len(rest) != 2:
-                raise InputError(f"line {no}: edge lines are 'e u v'")
-            edges.append((_int(rest[0], no, "vertex"), _int(rest[1], no, "vertex")))
-        else:
-            raise InputError(f"line {no}: unknown directive {head!r}")
-    if n is None:
-        raise InputError("missing graph header")
-    return Graph(n, edges)
-
-
-def write_graph_text(graph: Graph, comments: Sequence[str] = ()) -> str:
-    out = [f"# {c}" for c in comments]
-    out.append(f"graph {graph.n}")
-    for u, v in graph.edges():
-        out.append(f"e {u} {v}")
-    return "\n".join(out) + "\n"
-
-
 # -- tree decompositions -----------------------------------------------------
 
 
-def parse_decomposition_text(text: str):
-    """Parse a decomposition; returns the nice variant iff kind lines appear."""
+def parse_decomposition_text(text: str) -> TreeDecomposition:
+    """Parse a rooted decomposition: a td header, b (bag) and e (edge) lines."""
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-    kinds: dict[int, tuple[str, int | None]] = {}
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
         if head == "td":
@@ -346,25 +302,6 @@ def parse_decomposition_text(text: str):
             if not (0 <= p < n_nodes and 0 <= c < n_nodes):
                 raise InputError(f"line {no}: edge ({p}, {c}) out of range")
             edges.append((p, c))
-        elif head == "kind":
-            if len(rest) not in (2, 3):
-                raise InputError(f"line {no}: kind lines are 'kind <node> <kind> [v]'")
-            t = _int(rest[0], no, "node id")
-            if not (0 <= t < n_nodes):
-                raise InputError(f"line {no}: node id {t} out of range")
-            kname = rest[1]
-            if kname not in KINDS:
-                raise InputError(f"line {no}: unknown kind {kname!r}")
-            v = None
-            if kname in (INTRODUCE, FORGET):
-                if len(rest) != 3:
-                    raise InputError(f"line {no}: {kname} kind needs a vertex")
-                v = _int(rest[2], no, "vertex")
-            elif len(rest) != 2:
-                raise InputError(f"line {no}: {kname} kind takes no vertex")
-            if t in kinds:
-                raise InputError(f"line {no}: repeated kind for node {t}")
-            kinds[t] = (kname, v)
         else:
             raise InputError(f"line {no}: unknown directive {head!r}")
     if header is None:
@@ -385,21 +322,9 @@ def parse_decomposition_text(text: str):
     missing = [t for t in range(n_nodes) if t not in bags]
     if missing:
         raise InputError(f"node {missing[0]} is missing its bag line")
-    bag_list = [bags[t] for t in range(n_nodes)]
-    child_list = [sorted(c) for c in children]
-    if kinds:
-        missing = [t for t in range(n_nodes) if t not in kinds]
-        if missing:
-            raise InputError(f"node {missing[0]} is missing its kind line")
-        td = NiceTreeDecomposition(
-            bag_list,
-            [kinds[t][0] for t in range(n_nodes)],
-            [kinds[t][1] for t in range(n_nodes)],
-            child_list,
-            roots[0],
-        )
-    else:
-        td = TreeDecomposition(bag_list, child_list, roots[0])
+    td = TreeDecomposition(
+        [bags[t] for t in range(n_nodes)], [sorted(c) for c in children], roots[0]
+    )
     bad = _tree_ok(td)
     if bad:
         raise InputError(str(bad))
@@ -408,7 +333,7 @@ def parse_decomposition_text(text: str):
     return td
 
 
-def write_decomposition_text(td, comments: Sequence[str] = ()) -> str:
+def write_decomposition_text(td: TreeDecomposition, comments: Sequence[str] = ()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(f"td {td.n_nodes} {td.width}")
     for t, bag in enumerate(td.bags):
@@ -416,13 +341,6 @@ def write_decomposition_text(td, comments: Sequence[str] = ()) -> str:
     for t, kids in enumerate(td.children):
         for c in kids:
             out.append(f"e {t} {c}")
-    if isinstance(td, NiceTreeDecomposition):
-        for t in range(td.n_nodes):
-            kind = td.kinds[t]
-            if kind in (INTRODUCE, FORGET):
-                out.append(f"kind {t} {kind} {td.vertices[t]}")
-            else:
-                out.append(f"kind {t} {kind}")
     return "\n".join(out) + "\n"
 
 
@@ -454,9 +372,5 @@ def parse_matrix(path) -> tuple[Gf2Matrix, frozenset[int]]:
     return parse_matrix_text(read_text(path))
 
 
-def parse_graph(path) -> Graph:
-    return parse_graph_text(read_text(path))
-
-
-def parse_decomposition(path):
+def parse_decomposition(path) -> TreeDecomposition:
     return parse_decomposition_text(read_text(path))

@@ -3,6 +3,8 @@
 Solves min weight(x) subject to A x = u over Z2 by dynamic programming on
 a nice tree decomposition of the row/column incidence graph, so the work
 is exponential only in the decomposition width, linear in the instance.
+Every decomposition, computed or supplied, reaches the DP through
+``make_nice``, whose children-first node ids are the DP's schedule.
 
 Table semantics at a node t with bag X: keys are mask pairs (Q, P). Q
 fixes which bag columns are selected; P marks the bag rows whose current
@@ -49,8 +51,6 @@ from .decomposition import (
     TreeDecomposition,
     greedy_decomposition,
     make_nice,
-    validate_decomposition,
-    validate_nice,
 )
 from .errors import ConsistencyError, UsageError
 from .results import SolveResult, Status
@@ -175,7 +175,7 @@ def _contexts(
                 ctxs.append(
                     BagContext(FORGET, kids, rows, cols, pos=rows_of[child].index(v))
                 )
-        elif kind == JOIN:
+        else:  # join; make_nice emits no other kind
             col_nbrs = []
             for c in cols:
                 m = 0
@@ -197,8 +197,6 @@ def _contexts(
                     target_mask=tmask,
                 )
             )
-        else:
-            raise UsageError(f"unknown node kind {kind!r}")
     return ctxs
 
 
@@ -322,33 +320,28 @@ def solve_mld_treewidth(
     matrix: Gf2Matrix,
     target_rows: Iterable[int],
     *,
-    ntd: NiceTreeDecomposition | TreeDecomposition | None = None,
+    ntd: TreeDecomposition | None = None,
     heuristic: str = "min-fill",
     detailed_stats: bool = False,
 ) -> SolveResult:
     """Minimum-weight solution of A x = u via decomposition DP.
 
-    Accepts any weights, including negative. A decomposition may be
-    supplied (plain ones are made nice first, after validation against
-    the incidence graph); otherwise one is computed greedily.
+    Accepts any weights, including negative. A decomposition of the
+    incidence graph may be supplied, nice or not; it is validated and
+    rebuilt in nice form by ``make_nice`` like a computed one. Otherwise
+    one is computed greedily.
     """
     target = matrix.target_mask(target_rows)
 
     g = hasse_graph(matrix)
-    ntd_source = "computed"
     if ntd is None:
         ntd = make_nice(greedy_decomposition(g, heuristic))
         ntd_source = heuristic
-    elif isinstance(ntd, NiceTreeDecomposition):
-        bad = validate_decomposition(ntd, g) or validate_nice(ntd)
-        if bad:
-            raise UsageError(f"supplied decomposition is unusable ({bad})")
-        ntd_source = "given"
     elif isinstance(ntd, TreeDecomposition):
         ntd = make_nice(ntd, g)
         ntd_source = "given"
     else:
-        raise UsageError("ntd must be a (nice) tree decomposition or None")
+        raise UsageError("ntd must be a tree decomposition or None")
 
     ctxs = _contexts(ntd, matrix, target, g.adj)
     n = ntd.n_nodes
@@ -362,6 +355,8 @@ def solve_mld_treewidth(
         table, bp, pairs = process_bag(ctx, [tables[c] for c in ctx.children])
         tables[t] = table
         bps[t] = bp
+        for c in ctx.children:
+            tables[c] = None  # backtracking reads only bps and the root table
         table_entries += len(table)
         if ctx.kind == JOIN:
             join_pairs += pairs

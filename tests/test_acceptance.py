@@ -335,7 +335,7 @@ def test_acceptance_8_determinism(acceptance, tmp_path):
                 "--algorithm", "treewidth", "--out", str(d / "result.json"),
             )
             run(
-                "decompose", "--input", prefix + ".complex", "--nice",
+                "decompose", "--input", prefix + ".complex",
                 "--out", str(d / "rnd.td"),
             )
             run(

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from boundedchain.cli import main
+from boundedchain.fileio import parse_decomposition
 
 
 def run(capsys, *argv):
@@ -137,6 +138,19 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_refuses_a_result_that_is_not_an_object(tmp_path, capsys):
+    prefix = str(tmp_path / "oct")
+    run(capsys, "gen", "octahedron", "--out", prefix)
+    result = tmp_path / "r.json"
+    for text in ("[1, 2]", "7", "null", '"optimal"'):
+        result.write_text(text)
+        code, out, err = run(
+            capsys, "verify", str(result), "--complex", prefix + ".complex"
+        )
+        assert code == 1, text
+        assert out == "" and err.startswith("error:") and "JSON object" in err, text
+
+
 def test_verify_undecided_when_oracle_runs_out(tmp_path, capsys):
     """A correct result the oracle cannot re-solve is undecided, not a FAIL."""
     prefix = str(tmp_path / "r4")
@@ -246,24 +260,17 @@ def test_solve_out_file_survives_closed_stdout(tmp_path, capsys, monkeypatch):
 
 
 def test_decompose_formats(tmp_path, capsys):
-    graph = tmp_path / "g.graph"
-    graph.write_text("graph 4\ne 0 1\ne 1 2\ne 2 3\n")
-    out_td = tmp_path / "g.td"
-    code, out, _ = run(
-        capsys, "decompose", "--input", str(graph), "--out", str(out_td)
-    )
-    assert code == 0
-    assert "width 1" in out
+    """decompose reads what solve reads and writes the plain form solve --td takes."""
     prefix = str(tmp_path / "oct")
     run(capsys, "gen", "octahedron", "--out", prefix)
     oct_td = tmp_path / "oct.td"
-    code, _, _ = run(
-        capsys,
-        "decompose", "--input", prefix + ".complex",
-        "--nice", "--out", str(oct_td),
+    code, out, _ = run(
+        capsys, "decompose", "--input", prefix + ".complex", "--out", str(oct_td)
     )
     assert code == 0
-    assert "kind" in oct_td.read_text()
+    td = parse_decomposition(oct_td)
+    assert f"(width {td.width}, {td.n_nodes} nodes)" in out
+    assert "kind" not in oct_td.read_text()
     # the emitted decomposition is accepted back by solve
     code, out, _ = run(
         capsys,
@@ -274,6 +281,28 @@ def test_decompose_formats(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["stats"]["decomposition"] == "given"
+    # ... and by no other engine
+    code, out, err = run(
+        capsys,
+        "solve",
+        "--complex", prefix + ".complex",
+        "--algorithm", "dijkstra",
+        "--td", str(oct_td),
+    )
+    assert code == 1
+    assert out == "" and "error:" in err and "treewidth" in err
+    # graph files and decompositions are not decompose inputs
+    graph = tmp_path / "g.graph"
+    graph.write_text("graph 4\ne 0 1\ne 1 2\ne 2 3\n")
+    for bad in (graph, oct_td):
+        code, _, err = run(
+            capsys, "decompose", "--input", str(bad), "--out", str(tmp_path / "x.td")
+        )
+        assert code == 1, bad
+        assert "error:" in err, bad
+    with pytest.raises(SystemExit):
+        main(["decompose", "--help"])
+    assert "--nice" not in capsys.readouterr().out
 
 
 def test_decompose_mld_and_reruns(tmp_path, capsys):

@@ -6,6 +6,8 @@ from boundedchain import (
     Status,
     UsageError,
     build_slice,
+    greedy_decomposition,
+    hasse_graph,
     instance_from_complex,
     instance_from_matrix,
     result_to_json_dict,
@@ -157,3 +159,18 @@ def test_size_bound_is_refused_outside_dijkstra():
     )
     with pytest.raises(UsageError):
         solve(path, "mbc1", k=3)
+
+
+def test_decomposition_is_refused_outside_treewidth():
+    """ntd is a treewidth option; the other engines would silently ignore it."""
+    inst = instance_from_complex(*triangle_strip(10))
+    td = greedy_decomposition(hasse_graph(inst.matrix))
+    given = solve(inst, "treewidth", ntd=td)
+    assert given.weight == 10 and given.stats["decomposition"] == "given"
+    for algorithm in ("dijkstra", "brute"):
+        with pytest.raises(UsageError, match="treewidth"):
+            solve(inst, algorithm, ntd=td)
+    edges = build_slice([(0, 1), (1, 2)])
+    path = instance_from_complex(edges, edges.chain_from_faces([(0,), (2,)]))
+    with pytest.raises(UsageError, match="treewidth"):
+        solve(path, "mbc1", ntd=greedy_decomposition(hasse_graph(path.matrix)))

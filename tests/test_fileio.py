@@ -4,7 +4,7 @@ from boundedchain import InputError, UsageError, build_slice
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import (
     Graph,
-    NiceTreeDecomposition,
+    TreeDecomposition,
     greedy_decomposition,
     make_nice,
 )
@@ -13,13 +13,11 @@ from boundedchain.fileio import (
     parse_boundary_text,
     parse_complex_text,
     parse_decomposition_text,
-    parse_graph_text,
     parse_matrix_text,
     sniff_format,
     write_boundary_text,
     write_complex_text,
     write_decomposition_text,
-    write_graph_text,
     write_matrix_text,
 )
 from helpers import punctured_octahedron, random_problem
@@ -38,10 +36,11 @@ def test_format_weight_exact_decimals():
 def test_sniff_format():
     assert sniff_format("# hi\ndim 2\n") == "complex"
     assert sniff_format("mld 2 2\n") == "mld"
-    assert sniff_format("graph 4\n") == "graph"
     assert sniff_format("td 1 0\n") == "td"
     with pytest.raises(InputError):
         sniff_format("what 1\n")
+    with pytest.raises(InputError, match="graph"):
+        sniff_format("graph 4\n")  # there is no graph format
     with pytest.raises(InputError):
         sniff_format("# only comments\n")
 
@@ -177,24 +176,12 @@ def test_matrix_defaults():
     assert target == frozenset()
 
 
-def test_graph_round_trip():
-    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    text = write_graph_text(g, ["tiny"])
-    back = parse_graph_text(text)
-    assert back.n == 5
-    assert back.edges() == g.edges()
-    with pytest.raises(InputError):
-        parse_graph_text("graph 2\ne 0 5\n")
-    with pytest.raises(InputError):
-        parse_graph_text("e 0 1\n")
-
-
 def test_decomposition_round_trip_plain():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     td = greedy_decomposition(g, "min-fill")
     text = write_decomposition_text(td)
     back = parse_decomposition_text(text)
-    assert not isinstance(back, NiceTreeDecomposition)
+    assert type(back) is TreeDecomposition
     assert back.bags == td.bags
     assert back.children == td.children
     assert back.root == td.root
@@ -202,15 +189,21 @@ def test_decomposition_round_trip_plain():
 
 
 def test_decomposition_round_trip_nice():
+    """A nice decomposition is written and read in plain form; make_nice restores it."""
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     ntd = make_nice(greedy_decomposition(g, "min-degree"), g)
     text = write_decomposition_text(ntd, ["nice form"])
+    assert "kind" not in text
     back = parse_decomposition_text(text)
-    assert isinstance(back, NiceTreeDecomposition)
+    assert type(back) is TreeDecomposition
     assert back.bags == ntd.bags
-    assert back.kinds == ntd.kinds
-    assert back.vertices == ntd.vertices
     assert back.children == ntd.children
+    assert back.root == ntd.root
+    again = make_nice(back, g)
+    assert again.bags == ntd.bags
+    assert again.kinds == ntd.kinds
+    assert again.vertices == ntd.vertices
+    assert again.children == ntd.children
 
 
 def test_decomposition_errors():
@@ -222,14 +215,14 @@ def test_decomposition_errors():
         parse_decomposition_text("td 1 5\nb 0 1\n")  # width mismatch
     with pytest.raises(InputError):
         parse_decomposition_text("td 2 0\nb 0 3\nb 1 3\ne 0 1\ne 1 0\n")
-    with pytest.raises(InputError):
-        # one kind line present, the rest missing
+    # files hold plain decompositions: a kind line is an unknown directive
+    with pytest.raises(InputError, match="line 5: unknown directive 'kind'"):
         parse_decomposition_text("td 2 0\nb 0\nb 1 4\ne 0 1\nkind 0 forget 4\n")
-    with pytest.raises(InputError):
-        parse_decomposition_text("td 1 0\nb 0\nkind 0 leaf 3\n")
-    with pytest.raises(InputError, match="line 4"):
-        # a kind line for a node the header does not have
+    with pytest.raises(InputError, match="line 3: unknown directive 'kind'"):
         parse_decomposition_text("td 1 -1\nb 0\nkind 0 leaf\nkind 7 join\n")
+    with pytest.raises(InputError, match="line 2: edge \\(0, 7\\) out of range"):
+        # a node the header does not have
+        parse_decomposition_text("td 1 -1\ne 0 7\nb 0\n")
     with pytest.raises(InputError, match="node 1"):
         # node 1 has no bag line; an empty bag is written 'b 1'
         parse_decomposition_text("td 2 0\nb 0 1\ne 0 1\n")

@@ -16,7 +16,16 @@ from boundedchain import (
     solve_mld_treewidth,
 )
 from boundedchain.complexes import Gf2Matrix
-from boundedchain.decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition
+from boundedchain.decomposition import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    LEAF,
+    NiceTreeDecomposition,
+    validate_decomposition,
+    validate_nice,
+)
+from boundedchain.fileio import parse_decomposition_text
 from boundedchain.treewidth import BagContext, process_bag
 from helpers import octahedron_slice, punctured_octahedron, random_problem
 
@@ -93,6 +102,50 @@ def test_supplied_decompositions():
     assert plain.stats["decomposition"] == "given"
     nice = solve_mld_treewidth(mat, sorted(boundary), ntd=make_nice(td, g))
     assert nice.weight == 7
+    # make_nice rebuilds a nice decomposition node for node, so every count agrees
+    for seed in range(20):
+        cs, boundary = random_problem(seed)
+        mat = boundary_matrix(cs)
+        g = hasse_graph(mat)
+        for heuristic in ("min-fill", "min-degree"):
+            computed = solve_mld_treewidth(mat, sorted(boundary), heuristic=heuristic)
+            for ntd in (
+                greedy_decomposition(g, heuristic),
+                make_nice(greedy_decomposition(g, heuristic), g),
+            ):
+                given = solve_mld_treewidth(mat, sorted(boundary), ntd=ntd)
+                assert (given.status, given.weight, given.witness) == (
+                    computed.status, computed.weight, computed.witness
+                ), (seed, heuristic)
+                for key in ("width", "nodes", "table_entries", "join_pairs"):
+                    assert given.stats[key] == computed.stats[key], (seed, heuristic, key)
+
+
+def test_nice_decomposition_with_parents_before_children():
+    """A valid nice decomposition whose ids run root-first is re-made children-first."""
+    mat = Gf2Matrix(1, 1, [(0,)], [1])
+    g = hasse_graph(mat)  # row 0 is vertex 0, column 0 is vertex 1
+    root_first = NiceTreeDecomposition(
+        [frozenset(), {0}, {0, 1}, {1}, frozenset()],
+        [FORGET, FORGET, INTRODUCE, INTRODUCE, LEAF],
+        [0, 1, 0, 1, None],
+        [(1,), (2,), (3,), (4,), ()],
+        0,
+    )
+    assert validate_decomposition(root_first, g) is None
+    assert validate_nice(root_first) is None
+    plain = parse_decomposition_text(
+        "td 5 1\nb 0\nb 1 0\nb 2 0 1\nb 3 1\nb 4\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
+    )
+    for target in ([0], []):
+        computed = solve_mld_treewidth(mat, target)
+        for ntd in (root_first, plain):
+            given = solve_mld_treewidth(mat, target, ntd=ntd)
+            assert given.stats["decomposition"] == "given"
+            assert (given.status, given.weight, given.witness) == (
+                computed.status, computed.weight, computed.witness
+            )
+            assert given.stats["nodes"] == computed.stats["nodes"]
 
 
 def test_rejects_unusable_decompositions():
@@ -109,7 +162,8 @@ def test_rejects_unusable_decompositions():
 
 
 def test_malformed_nice_decomposition_is_an_input_error():
-    """A nice decomposition gets the plain class's root and children checks."""
+    """A nice decomposition gets the plain class's root and children checks;
+    its kinds are not trusted, since the DP rebuilds the nice form from the bags."""
     mat = Gf2Matrix(1, 1, [(0,)], [1])
     with pytest.raises(InputError, match="root"):
         solve_mld_treewidth(
@@ -119,6 +173,13 @@ def test_malformed_nice_decomposition_is_an_input_error():
         NiceTreeDecomposition([frozenset()], [LEAF], [None], [(), ()], 0)
     with pytest.raises(InputError, match="kind"):
         NiceTreeDecomposition([frozenset()], [LEAF, LEAF], [None], [()], 0)
+    mislabelled = NiceTreeDecomposition(
+        [frozenset(), {0, 1}, frozenset()], [JOIN, LEAF, FORGET], [None, None, 0],
+        [(1,), (2,), ()], 0,
+    )
+    assert validate_nice(mislabelled) is not None
+    r = solve_mld_treewidth(mat, [0], ntd=mislabelled)
+    assert (r.weight, r.witness) == (1, frozenset((0,)))
 
 
 def test_infeasible_target():

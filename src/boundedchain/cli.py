@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import generators
@@ -304,10 +305,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
     except BoundedChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader left early (`mbc solve | head`): exit quietly, with stdout
+        # on devnull so the interpreter's final flush does not raise again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # an in-process stand-in for stdout
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

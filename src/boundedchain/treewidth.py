@@ -6,18 +6,23 @@ is exponential only in the decomposition width, linear in the instance.
 Every decomposition, computed or supplied, reaches the DP through
 ``make_nice``, whose children-first node ids are the DP's schedule.
 
-Table semantics at a node t with bag X: keys are mask pairs (Q, P). Q
-fixes which bag columns are selected; P marks the bag rows whose current
-cover parity (from selected columns already out of scope plus Q) still
-disagrees with the target u. The value is the minimum total weight of
-forgotten selected columns; bag columns are charged only when forgotten.
-Missing keys mean "no feasible completion", which doubles as infinity, so
-negative weights need no special casing.
+Table semantics at a node t with bag X: each key packs two masks into one
+int, ``Q | P << s``. Q fixes which bag columns are selected; P marks the
+bag rows whose current cover parity (from selected columns already out of
+scope plus Q) still disagrees with the target u. The shift s is one value
+for the whole solve, one more than the widest bag's column count, so Q
+never reaches P's bits. The value is the minimum total weight of forgotten
+selected columns; bag columns are charged only when forgotten. Missing
+keys mean "no feasible completion", which doubles as infinity, so
+negative weights need no special casing. A node moves a key between bags
+with int arithmetic: with ``above`` the bits of one field at or above
+position i, ``key + (key & above)`` inserts a 0 bit at i and, when bit i
+is clear, ``key - ((key & above) >> 1)`` drops it.
 
 Per node kind (the decomposition's LEAF, INTRODUCE, FORGET and JOIN; an
 introduce or forget node's context also says whether its vertex is a row
 or a column):
-- leaf: table {(empty, empty): 0}.
+- leaf: table {0: 0}, the key of (empty, empty).
 - introduce column: each child entry splits two ways; selecting the new
   column flips the parity bits of its neighbours inside the bag.
 - introduce row: the new row's parity bit is forced by Q and u, so each
@@ -28,11 +33,15 @@ or a column):
   weight when kept; the choice is recorded for backtracking.
 - join: combine child entries sharing Q; parities add over Z2, so
   P = P_left xor P_right xor (rows covered oddly by Q) xor (u inside the
-  bag), undoing the double count of Q and u.
+  bag), undoing the double count of Q and u. The smaller child is indexed
+  by Q once and the larger one streamed against the index, with no sort.
+  Among pairs reaching one key at one value, the smallest P_left wins, by
+  an explicit comparison, so the witness does not depend on which side is
+  indexed or on table order.
 
-The root bag is empty, so the optimum sits at key (empty, empty) there;
-backtracking replays child keys top-down and reads the kept/dropped
-decision at every forget-column node.
+The root bag is empty, so the optimum sits at key 0 there; backtracking
+replays child keys top-down and reads the kept/dropped decision at every
+forget-column node and P_left at every join.
 """
 
 from __future__ import annotations
@@ -56,14 +65,6 @@ from .errors import ConsistencyError, UsageError
 from .results import SolveResult, Status
 
 
-def _drop_bit(mask: int, p: int) -> int:
-    return ((mask >> (p + 1)) << p) | (mask & ((1 << p) - 1))
-
-
-def _insert_bit(mask: int, p: int, bit: int) -> int:
-    return ((mask >> p) << (p + 1)) | (bit << p) | (mask & ((1 << p) - 1))
-
-
 def _q_boundary(q: int, col_nbrs: Sequence[int]) -> int:
     """Bag rows covered an odd number of times by the columns in mask q."""
     acc = 0
@@ -80,12 +81,14 @@ class BagContext:
 
     ``kind`` is a decomposition node kind; ``is_col`` says whether the
     vertex an introduce or forget node adds or drops is a column.
+    ``shift`` is the solve's key shift: a key is ``Q | P << shift``.
     """
 
     kind: str
     children: tuple[int, ...]
     bag_rows: tuple[int, ...]
     bag_cols: tuple[int, ...]
+    shift: int
     is_col: bool = False
     pos: int = -1
     nbr_mask: int = 0
@@ -95,6 +98,16 @@ class BagContext:
     weight: int = 0
     col_nbrs: tuple[int, ...] = ()
     target_mask: int = 0
+
+
+def _above(ctx: BagContext) -> int:
+    """Mask of the bits at or above ``ctx.pos`` in the field (Q or P) the
+    node's vertex lives in. With bit ``pos`` clear, ``key + (key & above)``
+    inserts a 0 bit there and ``key - ((key & above) >> 1)`` drops it."""
+    s = ctx.shift
+    if ctx.is_col:
+        return (1 << s) - (1 << ctx.pos)
+    return -(1 << (s + ctx.pos))
 
 
 def _contexts(
@@ -110,6 +123,8 @@ def _contexts(
         split = bisect_left(vs, nrows)
         rows_of.append(tuple(vs[:split]))
         cols_of.append(tuple([v - nrows for v in vs[split:]]))
+    # one shift for the whole solve, so Q never spills into P
+    s = 1 + max(map(len, cols_of))
 
     ctxs: list[BagContext] = []
     for t in range(ntd.n_nodes):
@@ -118,7 +133,7 @@ def _contexts(
         rows = rows_of[t]
         cols = cols_of[t]
         if kind == LEAF:
-            ctxs.append(BagContext(LEAF, kids, rows, cols))
+            ctxs.append(BagContext(LEAF, kids, rows, cols, s))
         elif kind == INTRODUCE:
             v = ntd.vertices[t]
             if v >= nrows:
@@ -133,6 +148,7 @@ def _contexts(
                         kids,
                         rows,
                         cols,
+                        s,
                         is_col=True,
                         pos=cols.index(c),
                         nbr_mask=nbr,
@@ -149,6 +165,7 @@ def _contexts(
                         kids,
                         rows,
                         cols,
+                        s,
                         pos=rows.index(v),
                         adj_cols_mask=adj_cols,
                         in_target=bool(target >> v & 1),
@@ -165,6 +182,7 @@ def _contexts(
                         kids,
                         rows,
                         cols,
+                        s,
                         is_col=True,
                         pos=cols_of[child].index(c),
                         col=c,
@@ -173,7 +191,7 @@ def _contexts(
                 )
             else:
                 ctxs.append(
-                    BagContext(FORGET, kids, rows, cols, pos=rows_of[child].index(v))
+                    BagContext(FORGET, kids, rows, cols, s, pos=rows_of[child].index(v))
                 )
         else:  # join; make_nice emits no other kind
             col_nbrs = []
@@ -193,6 +211,7 @@ def _contexts(
                     kids,
                     rows,
                     cols,
+                    s,
                     col_nbrs=tuple(col_nbrs),
                     target_mask=tmask,
                 )
@@ -204,77 +223,94 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, di
     """One node's table from its children's. Returns (table, backpointers, join pairs)."""
     kind = ctx.kind
     if kind == LEAF:
-        return {(0, 0): 0}, {}, 0
+        return {0: 0}, {}, 0
 
+    s = ctx.shift
     if kind == INTRODUCE:
         src = child_tables[0]
-        p = ctx.pos
+        above = _above(ctx)
         out: dict = {}
         if ctx.is_col:
-            nbr = ctx.nbr_mask
-            for (q, pm), val in src.items():
-                q0 = _insert_bit(q, p, 0)
-                out[(q0, pm)] = val
-                out[(q0 | (1 << p), pm ^ nbr)] = val
+            flip = (1 << ctx.pos) | (ctx.nbr_mask << s)
+            for key, val in src.items():
+                key += key & above
+                out[key] = val
+                out[key ^ flip] = val
         else:
-            adj = ctx.adj_cols_mask
+            adj = ctx.adj_cols_mask  # a Q-field mask, so it applies to the key
             u = 1 if ctx.in_target else 0
-            for (q, pm), val in src.items():
-                bit = ((q & adj).bit_count() & 1) ^ u
-                out[(q, _insert_bit(pm, p, bit))] = val
+            ps = s + ctx.pos
+            for key, val in src.items():
+                key += key & above
+                out[key | (((key & adj).bit_count() ^ u) & 1) << ps] = val
         return out, {}, 0
 
     if kind == FORGET:
         src = child_tables[0]
-        p = ctx.pos
-        pbit = 1 << p
+        above = _above(ctx)
         out = {}
         if not ctx.is_col:
-            for (q, pm), val in src.items():
-                if pm & pbit:
-                    continue
-                out[(q, _drop_bit(pm, p))] = val
+            pbit = 1 << (s + ctx.pos)
+            for key, val in src.items():
+                if not key & pbit:
+                    out[key - ((key & above) >> 1)] = val
             return out, {}, 0
+        qbit = 1 << ctx.pos
         w = ctx.weight
         bp: dict = {}
-        for (q, pm), val in src.items():
-            taken = bool(q & pbit)
-            key = (_drop_bit(q, p), pm)
-            cand = val + w if taken else val
+        for key, val in src.items():
+            taken = bool(key & qbit)
+            if taken:
+                key ^= qbit
+                val += w
+            key -= (key & above) >> 1
             cur = out.get(key)
             # ties prefer dropping the column, for determinism
-            if cur is None or cand < cur or (cand == cur and bp[key] and not taken):
-                out[key] = cand
+            if cur is None or val < cur or (val == cur and bp[key] and not taken):
+                out[key] = val
                 bp[key] = taken
         return out, bp, 0
 
-    # join
+    # join: index the smaller child by Q, stream the larger one against it
     left, right = child_tables
-    groups_l: dict[int, list] = {}
-    for (q, pm), val in left.items():
-        groups_l.setdefault(q, []).append((pm, val))
-    groups_r: dict[int, list] = {}
-    for (q, pm), val in right.items():
-        groups_r.setdefault(q, []).append((pm, val))
+    left_small = len(left) <= len(right)
+    small, large = (left, right) if left_small else (right, left)
+    qmask = (1 << s) - 1
+    col_nbrs = ctx.col_nbrs
+    tmask = ctx.target_mask
+    # columns with no bag row flip no parity; skipping them makes a
+    # row-free bag's adjustment free
+    touch = sum(1 << j for j, nbrs in enumerate(col_nbrs) if nbrs)
+    groups: dict[int, tuple[int, list]] = {}
+    for key, val in small.items():
+        q = key & qmask
+        group = groups.get(q)
+        if group is None:
+            # Q and the parity adjustment of every pair at this Q
+            adjust = _q_boundary(q & touch, col_nbrs) ^ tmask
+            group = groups[q] = (q | adjust << s, [])
+        group[1].append((key, val))
     out = {}
     bp = {}
     pairs = 0
-    for q in sorted(groups_l):
-        lst_r = groups_r.get(q)
-        if not lst_r:
+    for key, val in large.items():
+        group = groups.get(key & qmask)
+        if group is None:
             continue
-        lst_l = sorted(groups_l[q])
-        lst_r = sorted(lst_r)
-        adjust = _q_boundary(q, ctx.col_nbrs) ^ ctx.target_mask
-        pairs += len(lst_l) * len(lst_r)
-        for pl, vl in lst_l:
-            for pr, vr in lst_r:
-                key = (q, pl ^ pr ^ adjust)
-                cand = vl + vr
-                cur = out.get(key)
-                if cur is None or cand < cur:
-                    out[key] = cand
-                    bp[key] = pl
+        fixed, members = group
+        pairs += len(members)
+        # (P_large ^ adjust) << s; xor with a small key adds Q and P_small
+        base = key ^ fixed
+        p_large = key >> s
+        for skey, sval in members:
+            out_key = base ^ skey
+            cand = val + sval
+            pl = skey >> s if left_small else p_large
+            cur = out.get(out_key)
+            # among equal values the smallest P_left wins, for determinism
+            if cur is None or cand < cur or (cand == cur and pl < bp[out_key]):
+                out[out_key] = cand
+                bp[out_key] = pl
     return out, bp, pairs
 
 
@@ -283,36 +319,33 @@ def backtrack(
 ) -> frozenset[int]:
     """Replay the winning entries top-down and collect kept columns."""
     chosen: set[int] = set()
-    stack: list[tuple[int, tuple[int, int]]] = [(root, (0, 0))]
+    stack: list[tuple[int, int]] = [(root, 0)]
     while stack:
-        t, (q, pm) = stack.pop()
+        t, key = stack.pop()
         ctx = ctxs[t]
         kind = ctx.kind
         if kind == LEAF:
             continue
+        s = ctx.shift
         if kind == INTRODUCE:
             if ctx.is_col:
-                p = ctx.pos
-                bit = (q >> p) & 1
-                cq = _drop_bit(q, p)
-                stack.append((ctx.children[0], (cq, pm ^ ctx.nbr_mask if bit else pm)))
+                if key >> ctx.pos & 1:
+                    key ^= (1 << ctx.pos) | (ctx.nbr_mask << s)
             else:
-                stack.append((ctx.children[0], (q, _drop_bit(pm, ctx.pos))))
+                key &= ~(1 << (s + ctx.pos))
+            stack.append((ctx.children[0], key - ((key & _above(ctx)) >> 1)))
         elif kind == FORGET:
-            if ctx.is_col:
-                taken = bps[t][(q, pm)]
-                if taken:
-                    chosen.add(ctx.col)
-                stack.append(
-                    (ctx.children[0], (_insert_bit(q, ctx.pos, 1 if taken else 0), pm))
-                )
-            else:
-                stack.append((ctx.children[0], (q, _insert_bit(pm, ctx.pos, 0))))
+            child_key = key + (key & _above(ctx))
+            if ctx.is_col and bps[t][key]:
+                chosen.add(ctx.col)
+                child_key |= 1 << ctx.pos
+            stack.append((ctx.children[0], child_key))
         else:  # join
-            pl = bps[t][(q, pm)]
-            pr = pm ^ pl ^ _q_boundary(q, ctx.col_nbrs) ^ ctx.target_mask
-            stack.append((ctx.children[0], (q, pl)))
-            stack.append((ctx.children[1], (q, pr)))
+            q = key & ((1 << s) - 1)
+            pl = bps[t][key]
+            pr = (key >> s) ^ pl ^ _q_boundary(q, ctx.col_nbrs) ^ ctx.target_mask
+            stack.append((ctx.children[0], q | pl << s))
+            stack.append((ctx.children[1], q | pr << s))
     return frozenset(chosen)
 
 
@@ -378,7 +411,7 @@ def solve_mld_treewidth(
     root_table = tables[ntd.root]
     if len(root_table) > 1:
         raise ConsistencyError("root table has entries beyond (empty, empty)")
-    val = root_table.get((0, 0))
+    val = root_table.get(0)
     if val is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
     witness = backtrack(ctxs, bps, ntd.root)

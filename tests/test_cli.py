@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import pytest
@@ -249,13 +250,39 @@ def test_solve_out_file_survives_closed_stdout(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     result = tmp_path / "r.json"
-    with pytest.raises(BrokenPipeError):
-        main(
-            [
-                "solve", "--complex", prefix + ".complex",
-                "--algorithm", "dijkstra", "--out", str(result),
-            ]
-        )
+    code = main(
+        [
+            "solve", "--complex", prefix + ".complex",
+            "--algorithm", "dijkstra", "--out", str(result),
+        ]
+    )
+    assert code == 1
+    assert json.loads(result.read_text())["status"] == "optimal"
+
+
+def test_solve_into_a_pipe_closed_after_one_line(tmp_path, capsys):
+    """`mbc solve | head -1` exits 1 with nothing on stderr; --out is still written.
+
+    The strip's JSON is larger than a pipe holds, so the solve is still
+    writing when the reader closes its end."""
+    prefix = str(tmp_path / "strip")
+    run(capsys, "gen", "strip", "--length", "2500", "--out", prefix)
+    result = tmp_path / "r.json"
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "boundedchain.cli", "solve",
+            "--complex", prefix + ".complex", "--boundary", prefix + ".boundary",
+            "--algorithm", "treewidth", "--out", str(result),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert first == b"{\n"
+    assert (code, err) == (1, "")
     assert json.loads(result.read_text())["status"] == "optimal"
 
 

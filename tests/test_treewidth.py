@@ -26,6 +26,7 @@ from boundedchain.decomposition import (
     validate_nice,
 )
 from boundedchain.fileio import parse_decomposition_text
+from boundedchain.generators import random_boundary, random_slice
 from boundedchain.treewidth import BagContext, process_bag
 from helpers import octahedron_slice, punctured_octahedron, random_problem
 
@@ -201,28 +202,83 @@ def test_join_table_size_is_bounded():
             assert pairs <= cap
 
 
+def pack(q, p, shift=2):
+    """A table key: bag-column mask q, bag-row parity mask p."""
+    return q | p << shift
+
+
 def test_process_bag_join_by_hand():
     """One shared row and column; parities must cancel the double count."""
-    ctx = BagContext(JOIN, (0, 1), (0,), (0,), col_nbrs=(0b1,), target_mask=0b1)
-    left = {(0, 0): 0, (1, 1): 2}
-    right = {(0, 0): 0, (1, 1): 5}
+    ctx = BagContext(JOIN, (0, 1), (0,), (0,), shift=2, col_nbrs=(0b1,), target_mask=0b1)
+    left = {pack(0, 0): 0, pack(1, 1): 2}
+    right = {pack(0, 0): 0, pack(1, 1): 5}
     table, bp, pairs = process_bag(ctx, [left, right])
-    assert table == {(0, 1): 0, (1, 0): 7}
-    assert bp == {(0, 1): 0, (1, 0): 1}
+    assert table == {pack(0, 1): 0, pack(1, 0): 7}
+    assert bp == {pack(0, 1): 0, pack(1, 0): 1}
     assert pairs == 2
 
 
+@pytest.mark.parametrize("larger", ["left", "right"])
+def test_join_ties_keep_the_smallest_left_parity(larger):
+    """Two (P_left, P_right) pairs reach one key at one value: the smaller P_left
+    is recorded, whichever child the join indexes and whichever it streams."""
+    ctx = BagContext(JOIN, (0, 1), (0, 1), (0,), shift=2, col_nbrs=(0b11,))
+    # the larger P_left comes first, so a first-seen rule would keep it
+    left = {pack(0, 0b10): 1, pack(0, 0b01): 1}
+    right = {pack(0, 0b11): 4, pack(0, 0b00): 4}
+    unmatched = {pack(1, 0b00): 0, pack(1, 0b01): 0, pack(1, 0b11): 0}
+    if larger == "left":
+        left.update(unmatched)
+    else:
+        right.update(unmatched)
+    table, bp, pairs = process_bag(ctx, [left, right])
+    assert table == {pack(0, 0b01): 5, pack(0, 0b10): 5}
+    assert bp == {pack(0, 0b01): 0b01, pack(0, 0b10): 0b01}
+    assert pairs == 4
+
+
 def test_process_bag_leaf_and_forget():
-    leaf, _, _ = process_bag(BagContext(LEAF, (), (), ()), [])
-    assert leaf == {(0, 0): 0}
+    leaf, _, _ = process_bag(BagContext(LEAF, (), (), (), shift=2), [])
+    assert leaf == {pack(0, 0): 0}
     # forgetting a column: keep vs drop, weight charged on keep
-    ctx = BagContext(FORGET, (0,), (), (), is_col=True, pos=0, col=4, weight=9)
-    table, bp, _ = process_bag(ctx, [{(0, 0): 3, (1, 0): 1}])
-    assert table == {(0, 0): 3}  # kept would cost 1 + 9 = 10
-    assert bp == {(0, 0): False}
-    cheap, bp2, _ = process_bag(ctx, [{(0, 0): 12, (1, 0): 1}])
-    assert cheap == {(0, 0): 10}
-    assert bp2 == {(0, 0): True}
+    ctx = BagContext(FORGET, (0,), (), (), shift=2, is_col=True, pos=0, col=4, weight=9)
+    table, bp, _ = process_bag(ctx, [{pack(0, 0): 3, pack(1, 0): 1}])
+    assert table == {pack(0, 0): 3}  # kept would cost 1 + 9 = 10
+    assert bp == {pack(0, 0): False}
+    cheap, bp2, _ = process_bag(ctx, [{pack(0, 0): 12, pack(1, 0): 1}])
+    assert cheap == {pack(0, 0): 10}
+    assert bp2 == {pack(0, 0): True}
+
+
+# (generator seed, weights, weight, witness, table_entries, join_pairs) of
+# 30-tetrahedron slices on 8 vertices; "binary" redraws the weights from
+# {0, 1}, so many optima tie and the DP's tie rules pick the witness.
+PINNED_DIM3 = [
+    (0, "random", 45, [0, 2, 3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19, 20, 22, 28, 29], 32967, 1751),
+    (1, "random", 68, [1, 2, 3, 4, 9, 12, 14, 19, 20, 23, 24, 25, 27], 4984, 380),
+    (2, "random", 74, [0, 1, 2, 3, 8, 10, 11, 12, 13, 16, 18, 20, 21, 23, 25, 27, 28, 29], 8392, 607),
+    (3, "binary", 8, [1, 2, 5, 6, 8, 9, 11, 13, 14, 17, 20, 21, 23, 24, 25, 28, 29], 11324, 382),
+    (4, "binary", 5, [3, 11, 12, 14, 15, 16, 19, 20, 23, 25, 29], 15253, 771),
+    (5, "binary", 5, [1, 2, 4, 5, 6, 7, 8, 9, 11, 13, 16, 18, 20, 22, 25, 28], 4327, 249),
+]
+
+
+@pytest.mark.parametrize("seed, weights, weight, witness, entries, pairs", PINNED_DIM3)
+def test_pinned_dim3_answers(seed, weights, weight, witness, entries, pairs):
+    """Fixed witnesses and counts: a change of table layout or iteration order
+    must not move a tied witness or the work done."""
+    cs = random_slice(30, 8, dim=3, seed=seed, weights="random")
+    mat = boundary_matrix(cs)
+    if weights == "binary":
+        rng = random.Random(seed)
+        mat = Gf2Matrix(
+            mat.nrows, mat.ncols, mat.col_rows, [rng.randint(0, 1) for _ in range(mat.ncols)]
+        )
+    boundary = random_boundary(cs, seed=seed)
+    r = solve_mld_treewidth(mat, sorted(boundary))
+    assert r.status is Status.OPTIMAL
+    assert (r.weight, sorted(r.witness)) == (weight, witness)
+    assert (r.stats["table_entries"], r.stats["join_pairs"]) == (entries, pairs)
 
 
 def test_stats_shape():

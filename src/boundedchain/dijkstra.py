@@ -8,6 +8,12 @@ branching factor at the pivot's coface degree without losing optimality:
 any bounding chain must cover each boundary face an odd number of times,
 so it contains a coface of whatever pivot is current.
 
+The default pivot is a face of least coface degree, ties to the smaller
+index. It is found without walking the state: the rows are grouped into
+one mask per distinct coface degree, built once per solve, and the pivot
+is the lowest set bit of the state ANDed with the first of those masks, in
+ascending degree, that meets it.
+
 The search runs on the decoding view only: a state is the bitmask of its
 faces (rows) and a move is a column. A chain question reaches it through
 ``facade.solve(instance_from_complex(...), "dijkstra")``.
@@ -54,21 +60,24 @@ DEFAULT_MAX_STATES = 2_000_000
 MAX_STATES_ENV = "MBC_MAX_STATES"
 
 
-def _pivot_from_mask(mask: int, strategy: str, cofdeg: Sequence[int]) -> int:
+def degree_masks(cofdeg: Sequence[int]) -> list[int]:
+    """One row mask per distinct coface degree, in ascending degree."""
+    by_degree: dict[int, int] = {}
+    for r, d in enumerate(cofdeg):
+        by_degree[d] = by_degree.get(d, 0) | 1 << r
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
+def _pivot_from_mask(mask: int, strategy: str, deg_masks: Sequence[int]) -> int:
+    """The pivot row of a nonempty state; deg_masks come from degree_masks."""
     if strategy == PIVOT_MIN_INDEX:
         return (mask & -mask).bit_length() - 1
     if strategy == PIVOT_MAX_INDEX:
         return mask.bit_length() - 1
-    best = None
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        key = (cofdeg[i], i)
-        if best is None or key < best:
-            best = key
-        m ^= low
-    return best[1]
+    for dm in deg_masks:
+        m = mask & dm
+        if m:
+            return (m & -m).bit_length() - 1
 
 
 def _default_max_states(max_states: int | None) -> int:
@@ -151,17 +160,14 @@ def solve_mld_dijkstra(
     col_rows = matrix.col_rows
     row_cols = matrix.row_cols
     weights = matrix.col_weights
-    cofdeg = [len(cs) for cs in row_cols]
+    deg_masks = degree_masks([len(cs) for cs in row_cols])
     chain_keyed = k is None or matrix.has_uniform_weights
     scale, hf = face_bounds(matrix)
     cmax = max(map(len, col_rows), default=1)
 
-    def key_of(mask: int, steps: int):
-        return mask if chain_keyed else (mask, steps)
-
-    start_key = key_of(start, 0)
-    dist = {start_key: 0}
-    parents: dict = {start_key: None}
+    # key -> (cost, parent key, column); a key is the mask, or (mask, steps)
+    start_key = start if chain_keyed else (start, 0)
+    best: dict = {start_key: (0, None, None)}
     # entries (f, -g, steps, mask) with f = L*g + h
     heap = [(sum(hf[r] for r in indices_from_mask(start)), 0, 0, start)]
     stats["pushes"] = 1
@@ -171,7 +177,7 @@ def solve_mld_dijkstra(
 
     while heap:
         f, neg_cost, steps, mask = heapq.heappop(heap)
-        key = key_of(mask, steps)
+        key = mask if chain_keyed else (mask, steps)
         if key in settled:
             continue
         settled.add(key)
@@ -182,45 +188,41 @@ def solve_mld_dijkstra(
         cost = -neg_cost
 
         if mask == 0:
-            cols: list[int] = []
-            cur = key
-            while parents[cur] is not None:
-                cur, col = parents[cur]
-                cols.append(col)
             used = 0
-            for c in cols:
-                used ^= 1 << c
+            _, parent, col = best[key]
+            while parent is not None:
+                used ^= 1 << col
+                _, parent, col = best[parent]
             witness = frozenset(indices_from_mask(used))
             weight = matrix.weight_of(witness)
             if weight != cost:
                 raise ConsistencyError(
                     f"path cost {cost} disagrees with witness weight {weight}"
                 )
-            stats["visited"] = len(dist)
+            stats["visited"] = len(best)
             return SolveResult(Status.OPTIMAL, cost, witness, stats)
 
         if k is not None and steps >= k:
             continue
         h = f - scale * cost
         nsteps = steps + 1
-        p = _pivot_from_mask(mask, pivot, cofdeg)
+        p = _pivot_from_mask(mask, pivot, deg_masks)
         for col in row_cols[p]:
             nmask = mask ^ col_masks[col]
             # the remaining k - nsteps columns must clear every face left
             if k is not None and nmask.bit_count() > (k - nsteps) * cmax:
                 continue
-            nkey = key_of(nmask, nsteps)
+            nkey = nmask if chain_keyed else (nmask, nsteps)
             if nkey in settled:
                 continue
             ncost = cost + weights[col]
-            old = dist.get(nkey)
-            if old is not None and old <= ncost:
+            old = best.get(nkey)
+            if old is not None and old[0] <= ncost:
                 continue
-            if old is None and len(dist) >= max_states:
-                stats["visited"] = len(dist)
+            if old is None and len(best) >= max_states:
+                stats["visited"] = len(best)
                 return SolveResult(Status.RESOURCE_LIMIT, stats=stats)
-            dist[nkey] = ncost
-            parents[nkey] = (key, col)
+            best[nkey] = (ncost, key, col)
             nh = h
             for r in col_rows[col]:
                 nh += -hf[r] if mask >> r & 1 else hf[r]
@@ -229,7 +231,7 @@ def solve_mld_dijkstra(
         if len(heap) > stats["frontier_peak"]:
             stats["frontier_peak"] = len(heap)
 
-    stats["visited"] = len(dist)
+    stats["visited"] = len(best)
     if k is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
     return SolveResult(Status.NOT_FOUND_WITHIN_BOUND, stats=stats)

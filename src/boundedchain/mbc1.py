@@ -39,18 +39,23 @@ def _check_graph(matrix: Gf2Matrix) -> None:
 class DistanceClosure:
     """Shortest-path distances and predecessor edges from each source.
 
-    dist[s][v] is the exact distance from s to v (INF when unreachable);
-    pred[s][v] is the last edge (column) of a shortest path from s to v.
-    Among edges into v from vertices settled before v, the one from the
-    smallest vertex id achieving the distance is kept, then the smallest
-    edge index, which keeps ties deterministic, picks the lightest of
-    parallel edges and keeps predecessor links acyclic even across
-    zero-weight edges.
+    dist[s] maps each vertex reached from s to its exact distance, and
+    pred[s] maps it to the last edge (column) of a shortest path from s;
+    a vertex that s does not reach is in neither, so a closure takes
+    memory in the sources' components only. Among edges into v from
+    vertices settled before v, the one from the smallest vertex id
+    achieving the distance is kept, then the smallest edge index, which
+    keeps ties deterministic, picks the lightest of parallel edges and
+    keeps predecessor links acyclic even across zero-weight edges.
     """
 
     sources: tuple[int, ...]
-    dist: dict[int, list]
-    pred: dict[int, list]
+    dist: dict[int, dict[int, int]]
+    pred: dict[int, dict[int, int]]
+
+    def distance(self, s: int, v: int):
+        """The distance from source s to v, INF when s does not reach v."""
+        return self.dist[s].get(v, INF)
 
 
 def distance_closure(matrix: Gf2Matrix, sources: Sequence[int]) -> DistanceClosure:
@@ -62,34 +67,33 @@ def distance_closure(matrix: Gf2Matrix, sources: Sequence[int]) -> DistanceClosu
 
 def _closure(matrix: Gf2Matrix, sources: Sequence[int]) -> DistanceClosure:
     """distance_closure on input already checked, so a solve checks it once."""
-    n = matrix.nrows
     col_rows = matrix.col_rows
     weights = matrix.col_weights
     row_cols = matrix.row_cols
-    all_dist: dict[int, list] = {}
-    all_pred: dict[int, list] = {}
+    all_dist: dict[int, dict[int, int]] = {}
+    all_pred: dict[int, dict[int, int]] = {}
     for s in sources:
-        dist: list = [INF] * n
-        pred: list = [None] * n
-        settled = [False] * n
-        dist[s] = 0
+        dist = {s: 0}
+        pred: dict[int, int] = {}
+        settled: set[int] = set()
         heap: list[tuple[int, int]] = [(0, s)]
         while heap:
             d, v = heapq.heappop(heap)
-            if settled[v]:
+            if v in settled:
                 continue
-            settled[v] = True
+            settled.add(v)
             for e in row_cols[v]:
                 a, b = col_rows[e]
                 u = a + b - v
-                if settled[u]:
+                if u in settled:
                     continue
                 nd = d + weights[e]
-                if nd < dist[u]:
+                old = dist.get(u, INF)
+                if nd < old:
                     dist[u] = nd
                     pred[u] = e
                     heapq.heappush(heap, (nd, u))
-                elif nd == dist[u] and v < sum(col_rows[pred[u]]) - u:
+                elif nd == old and v < sum(col_rows[pred[u]]) - u:
                     pred[u] = e  # row_cols is sorted: same v keeps the smaller edge
         all_dist[s] = dist
         all_pred[s] = pred
@@ -139,12 +143,12 @@ def assemble_chain(
     col_rows = matrix.col_rows
     edges: set[int] = set()
     for s, t in pairing:
+        if closure.distance(s, t) == INF:
+            raise UsageError(f"vertex {t} is unreachable from {s}")
         pred = closure.pred[s]
         cur = t
         while cur != s:
             e = pred[cur]
-            if e is None:
-                raise UsageError(f"vertex {t} is unreachable from {s}")
             edges ^= {e}
             a, b = col_rows[e]
             cur = a + b - cur
@@ -190,9 +194,7 @@ def solve_mbc1(matrix: Gf2Matrix, target_rows: Iterable[int]) -> SolveResult:
             )
 
     closure = _closure(matrix, u)
-
-    def dist_of(a: int, b: int):
-        return closure.dist[a][b]
+    dist_of = closure.distance
 
     pairing: list[tuple[int, int]] = []
     matching_value = 0

@@ -47,6 +47,21 @@ def random_problem(seed, max_top=10, dim=2, weights=None, max_vertices=9):
     return cslice, boundary
 
 
+def reference_min_coface_pivot(mask, cofdeg):
+    """The least (coface degree, index) over the faces of a nonempty state,
+    found by walking every face: the reference for the degree-mask pivot."""
+    best = None
+    m = mask
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        key = (cofdeg[i], i)
+        if best is None or key < best:
+            best = key
+        m ^= low
+    return best[1]
+
+
 def reference_greedy_decomposition(graph, heuristic):
     """Rescore-everything elimination, the reference for greedy_decomposition.
 

@@ -14,10 +14,10 @@ from boundedchain import (
     solve_mld_dijkstra,
 )
 from boundedchain.complexes import Gf2Matrix
-from boundedchain.dijkstra import _pivot_from_mask, face_bounds
+from boundedchain.dijkstra import _pivot_from_mask, degree_masks, face_bounds
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
-from helpers import punctured_octahedron, random_problem
+from helpers import punctured_octahedron, random_problem, reference_min_coface_pivot
 
 
 PIVOTS = ("min-index", "min-coface", "max-index")
@@ -42,14 +42,42 @@ def test_punctured_octahedron_needs_seven_triangles():
 
 def test_pivot_select():
     mask = mask_from_indices((2, 5, 7))
-    cofdeg = [0, 0, 3, 0, 0, 1, 0, 1]
-    assert _pivot_from_mask(mask, "min-index", cofdeg) == 2
-    assert _pivot_from_mask(mask, "max-index", cofdeg) == 7
+    deg_masks = degree_masks([0, 0, 3, 0, 0, 1, 0, 1])
+    assert _pivot_from_mask(mask, "min-index", deg_masks) == 2
+    assert _pivot_from_mask(mask, "max-index", deg_masks) == 7
     # faces 5 and 7 tie on coface degree 1: the smaller index wins
-    assert _pivot_from_mask(mask, "min-coface", cofdeg) == 5
+    assert _pivot_from_mask(mask, "min-coface", deg_masks) == 5
     cs, boundary = punctured_octahedron()
     with pytest.raises(UsageError):
         search(cs, boundary, pivot="best")
+
+
+def test_degree_mask_pivot_matches_face_walk():
+    """The min-coface pivot is the least (coface degree, index) of the state."""
+    rng = random.Random(45)
+    for trial in range(200):
+        n = rng.randint(1, 90)
+        cofdeg = [rng.choice((0, 1, 1, 2, 3, 5)) for _ in range(n)]
+        deg_masks = degree_masks(cofdeg)
+        for _ in range(20):
+            mask = rng.getrandbits(n) or 1 << rng.randrange(n)
+            want = reference_min_coface_pivot(mask, cofdeg)
+            assert _pivot_from_mask(mask, "min-coface", deg_masks) == want, (trial, mask)
+    for seed in range(30):
+        dim = 2 + seed % 2
+        cs, _ = random_problem(seed, max_top=14, dim=dim)
+        base = boundary_matrix(cs)
+        # three rows in no column: faces of coface degree 0
+        mat = Gf2Matrix(base.nrows + 3, base.ncols, base.col_rows, base.col_weights)
+        cofdeg = [len(cs) for cs in mat.row_cols]
+        assert cofdeg[-3:] == [0, 0, 0]
+        deg_masks = degree_masks(cofdeg)
+        masks = [1 << r for r in range(mat.nrows)]
+        masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
+        masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
+        for mask in masks:
+            want = reference_min_coface_pivot(mask, cofdeg)
+            assert _pivot_from_mask(mask, "min-coface", deg_masks) == want, (seed, mask)
 
 
 def test_expand_state_two_triangle_fan():
@@ -268,3 +296,98 @@ def test_usage_errors():
     cs, _ = punctured_octahedron()
     with pytest.raises(UsageError):
         search(cs, frozenset({99}))
+
+
+# (seed, weights, pivot, k) -> (status, weight, witness, states_expanded,
+# pushes, frontier_peak, visited), recorded before the search's pivot took
+# degree masks and its two dicts became one; k is the unit-weight optimum's
+# size on even seeds and one less on odd seeds.
+PINNED = {
+    (0, 'unit', 'min-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 59, 15, 59),
+    (0, 'unit', 'min-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 50, 15, 50),
+    (0, 'unit', 'min-coface', None): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 33, 10, 33),
+    (0, 'unit', 'min-coface', 11): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 26, 8, 26),
+    (0, 'unit', 'max-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 726, 1477, 752, 1477),
+    (0, 'unit', 'max-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 726, 1074, 518, 1074),
+    (0, 'random', 'min-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 77, 110, 36, 107),
+    (0, 'random', 'min-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 85, 88, 29, 85),
+    (0, 'random', 'min-coface', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 58, 83, 26, 83),
+    (0, 'random', 'min-coface', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 31, 31, 11, 31),
+    (0, 'random', 'max-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 5173, 10988, 5640, 10547),
+    (0, 'random', 'max-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 1398, 1520, 474, 1440),
+    (1, 'unit', 'min-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 49, 99, 51, 99),
+    (1, 'unit', 'min-index', 7): ('not_found_within_bound', None, None, 24, 24, 9, 24),
+    (1, 'unit', 'min-coface', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 16, 31, 16, 31),
+    (1, 'unit', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
+    (1, 'unit', 'max-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 45, 118, 74, 118),
+    (1, 'unit', 'max-index', 7): ('not_found_within_bound', None, None, 21, 21, 8, 21),
+    (1, 'random', 'min-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 202, 342, 141, 341),
+    (1, 'random', 'min-index', 7): ('not_found_within_bound', None, None, 26, 26, 10, 26),
+    (1, 'random', 'min-coface', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 55, 85, 31, 82),
+    (1, 'random', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
+    (1, 'random', 'max-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 212, 499, 287, 491),
+    (1, 'random', 'max-index', 7): ('not_found_within_bound', None, None, 22, 22, 9, 22),
+    (2, 'unit', 'min-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 11, 19, 9, 19),
+    (2, 'unit', 'min-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 11, 13, 5, 13),
+    (2, 'unit', 'min-coface', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 19, 8, 19),
+    (2, 'unit', 'min-coface', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 12, 3, 12),
+    (2, 'unit', 'max-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 210, 446, 238, 446),
+    (2, 'unit', 'max-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 210, 322, 167, 322),
+    (2, 'random', 'min-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 23, 44, 22, 44),
+    (2, 'random', 'min-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 16, 18, 4, 17),
+    (2, 'random', 'min-coface', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 25, 46, 22, 45),
+    (2, 'random', 'min-coface', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 15, 15, 4, 15),
+    (2, 'random', 'max-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 17, 18, 19, 20, 23), 1335, 2223, 812, 2042),
+    (2, 'random', 'max-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 378, 425, 112, 392),
+    (3, 'unit', 'min-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 16, 27, 12, 27),
+    (3, 'unit', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
+    (3, 'unit', 'min-coface', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 16, 23, 8, 23),
+    (3, 'unit', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
+    (3, 'unit', 'max-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 20, 61, 42, 61),
+    (3, 'unit', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
+    (3, 'random', 'min-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 9, 20, 12, 20),
+    (3, 'random', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
+    (3, 'random', 'min-coface', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 9, 16, 8, 16),
+    (3, 'random', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
+    (3, 'random', 'max-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 33, 84, 52, 84),
+    (3, 'random', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
+    (4, 'unit', 'min-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 73, 43, 73),
+    (4, 'unit', 'min-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 52, 24, 52),
+    (4, 'unit', 'min-coface', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 20, 9, 20),
+    (4, 'unit', 'min-coface', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
+    (4, 'unit', 'max-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 16, 30, 15, 30),
+    (4, 'unit', 'max-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 16, 20, 6, 20),
+    (4, 'random', 'min-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 264, 487, 223, 486),
+    (4, 'random', 'min-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 59, 62, 18, 61),
+    (4, 'random', 'min-coface', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 21, 39, 20, 39),
+    (4, 'random', 'min-coface', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
+    (4, 'random', 'max-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 47, 84, 39, 83),
+    (4, 'random', 'max-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 28, 28, 8, 28),
+    (5, 'unit', 'min-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 175, 314, 140, 314),
+    (5, 'unit', 'min-index', 8): ('not_found_within_bound', None, None, 117, 117, 48, 117),
+    (5, 'unit', 'min-coface', None): ('optimal', 9, (0, 1, 4, 9, 11, 12, 15, 17, 19), 26, 42, 17, 42),
+    (5, 'unit', 'min-coface', 8): ('not_found_within_bound', None, None, 15, 15, 4, 15),
+    (5, 'unit', 'max-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 117, 175, 66, 175),
+    (5, 'unit', 'max-index', 8): ('not_found_within_bound', None, None, 91, 91, 47, 91),
+    (5, 'random', 'min-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 182, 336, 155, 334),
+    (5, 'random', 'min-index', 8): ('not_found_within_bound', None, None, 156, 160, 52, 156),
+    (5, 'random', 'min-coface', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 25, 39, 15, 38),
+    (5, 'random', 'min-coface', 8): ('not_found_within_bound', None, None, 19, 19, 6, 19),
+    (5, 'random', 'max-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 129, 178, 49, 172),
+    (5, 'random', 'max-index', 8): ('not_found_within_bound', None, None, 112, 112, 31, 112),
+}
+
+
+def test_pinned_search_counts():
+    """The search settles the same states in the same order as recorded."""
+    slices = {}
+    for (seed, weights, pivot, k), want in PINNED.items():
+        if (seed, weights) not in slices:
+            cs = random_slice(24, 8, dim=2, seed=seed, weights=weights)
+            slices[seed, weights] = (cs, random_boundary(cs, seed=seed, require_nonempty=True))
+        r = search(*slices[seed, weights], pivot=pivot, k=k)
+        s = r.stats
+        witness = tuple(sorted(r.witness)) if r.witness is not None else None
+        got = (r.status.value, r.weight, witness, s["states_expanded"], s["pushes"],
+               s["frontier_peak"], s["visited"])
+        assert got == want, (seed, weights, pivot, k)

@@ -1,5 +1,10 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -18,6 +23,7 @@ from boundedchain import (
     solve_mbc1,
 )
 from boundedchain.complexes import Gf2Matrix
+from boundedchain.fileio import write_matrix_text
 from boundedchain.generators import random_boundary, random_graph_slice
 from boundedchain.mbc1 import INF, assemble_chain
 
@@ -238,7 +244,37 @@ def test_distance_closure_predecessors_are_usable():
         closure = distance_closure(mat, sources)
         for s in sources:
             for t in range(cs.n_faces):
-                if closure.dist[s][t] == INF:
+                if closure.distance(s, t) == INF:
                     continue
                 cols = assemble_chain([(s, t)], closure, mat)
-                assert mat.weight_of(cols) == closure.dist[s][t]
+                assert mat.weight_of(cols) == closure.distance(s, t)
+
+
+CLOSURE_CHILD = """
+import json, resource, sys
+from boundedchain.cli import main
+code = main(["solve", "--matrix", sys.argv[1], "--algorithm", "mbc1", "--out", sys.argv[2]])
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([code, rss // (1 << 20) if sys.platform == "darwin" else rss // 1024]))
+"""
+
+
+def test_perfect_matching_closure_stays_small(tmp_path):
+    """Each source's closure covers its own component only: a 3000-edge
+    perfect matching with every row in the target solves in a small child
+    process. A closure sized by all rows per source takes about 0.6 GB."""
+    m = 3000
+    mat = Gf2Matrix(2 * m, m, [(2 * i, 2 * i + 1) for i in range(m)], [1] * m)
+    src = tmp_path / "matching.mld"
+    src.write_text(write_matrix_text(mat, range(2 * m)))
+    out = tmp_path / "matching.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOSURE_CHILD, str(src), str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, rss_mb = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert json.loads(out.read_text())["weight"] == m
+    assert rss_mb < 150, rss_mb

@@ -12,7 +12,7 @@ import io
 import time
 from pathlib import Path
 
-from .errors import BoundedChainError
+from .errors import BoundedChainError, InputError, UsageError
 from .facade import Instance, instance_from_complex, instance_from_matrix, solve
 from .fileio import parse_boundary, parse_complex, parse_matrix
 from .results import Status
@@ -35,6 +35,8 @@ CSV_COLUMNS = [
 def discover_instances(suite_dir) -> list[tuple[str, Instance]]:
     """Load ``*.complex`` (paired with ``*.boundary``) and ``*.mld`` files."""
     suite = Path(suite_dir)
+    if not suite.is_dir():
+        raise InputError(f"suite {suite_dir} is not a directory")
     found: list[tuple[str, Instance]] = []
     for path in sorted(suite.glob("*.complex")):
         cslice = parse_complex(path)
@@ -56,6 +58,8 @@ def run_suite(
     timing: bool = True,
 ) -> list[dict]:
     """Run every algorithm on every instance; one result dict per run."""
+    if reps < 1:
+        raise UsageError(f"reps must be >= 1, got {reps}")
     rows: list[dict] = []
     for name, instance in discover_instances(suite_dir):
         for algo in algorithms:

@@ -9,8 +9,10 @@ sorted lexicographically by vertex tuple; all index-based tie-breaking in
 the solvers relies on that order.
 
 Input checks live here once: ``build_slice`` checks every simplex it is
-given, and ``Gf2Matrix.target_mask`` checks target rows. The incidence
-graph is a plain ``decomposition.Graph`` with rows first.
+given, ``build_slice`` and ``Gf2Matrix`` refuse any weight, scale or
+matrix size that is not an int (a truncated float weight would make a
+false optimum), and ``Gf2Matrix.target_mask`` checks target rows. The
+incidence graph is a plain ``decomposition.Graph`` with rows first.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ def check_simplex(vertices: Iterable[int]) -> tuple[int, ...]:
     if any(a >= b for a, b in zip(vs, vs[1:])):
         raise UsageError(f"vertex ids must be strictly increasing: {vs!r}")
     return vs
+
+
+def _check_int(value, what: str) -> int:
+    """An int weight, scale or matrix size; anything else, bool included,
+    is refused, never truncated."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def simplex_name(vs: tuple[int, ...]) -> str:
@@ -131,7 +141,7 @@ def build_slice(
     """
     tops = [check_simplex(t) for t in top_simplices]
     extras = [check_simplex(f) for f in extra_faces]
-    if scale < 1:
+    if _check_int(scale, "scale") < 1:
         raise InputError(f"scale must be a positive integer, got {scale}")
     if dim is None:
         if tops:
@@ -156,7 +166,7 @@ def build_slice(
 
     order = sorted(range(len(tops)), key=lambda i: tops[i])
     tops = [tops[i] for i in order]
-    weights = [int(weights[i]) for i in order]
+    weights = [_check_int(weights[i], "weight") for i in order]
 
     for f in extras:
         if len(f) != dim:
@@ -188,11 +198,11 @@ class Gf2Matrix:
     """
 
     def __init__(self, nrows, ncols, col_rows, col_weights, scale=1):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
+        self.nrows = _check_int(nrows, "row count")
+        self.ncols = _check_int(ncols, "column count")
         self.col_rows = tuple(tuple(rs) for rs in col_rows)
-        self.col_weights = tuple(int(w) for w in col_weights)
-        self.scale = int(scale)
+        self.col_weights = tuple(_check_int(w, "column weight") for w in col_weights)
+        self.scale = _check_int(scale, "scale")
         if self.nrows < 0 or self.ncols < 0:
             raise InputError("matrix dimensions must be non-negative")
         if len(self.col_rows) != self.ncols:

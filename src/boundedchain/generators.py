@@ -105,6 +105,8 @@ def random_slice(
         )
     if weights not in ("unit", "random"):
         raise UsageError("weights must be 'unit' or 'random'")
+    if weight_max < 1:
+        raise UsageError(f"weight_max must be >= 1, got {weight_max}")
     rng = random.Random(seed)
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < n_top:

@@ -11,13 +11,22 @@ int, ``Q | P << s``. Q fixes which bag columns are selected; P marks the
 bag rows whose current cover parity (from selected columns already out of
 scope plus Q) still disagrees with the target u. The shift s is one value
 for the whole solve, one more than the widest bag's column count, so Q
-never reaches P's bits. The value is the minimum total weight of forgotten
-selected columns; bag columns are charged only when forgotten. Missing
-keys mean "no feasible completion", which doubles as infinity, so
-negative weights need no special casing. A node moves a key between bags
-with int arithmetic: with ``above`` the bits of one field at or above
-position i, ``key + (key & above)`` inserts a 0 bit at i and, when bit i
-is clear, ``key - ((key & above) >> 1)`` drops it.
+never reaches P's bits. A node moves a key between bags with int
+arithmetic: with ``above`` the bits of one field at or above position i,
+``key + (key & above)`` inserts a 0 bit at i and, when bit i is clear,
+``key - ((key & above) >> 1)`` drops it. Missing keys mean "no feasible
+completion", which doubles as infinity.
+
+Each value is one int that carries the partial witness with its weight:
+``weight << ncols | mask``, where weight is the total weight of the
+forgotten selected columns (bag columns are charged only when forgotten)
+and mask is the set of those columns. Since ``0 <= mask < 2^ncols``, int
+order is (weight, mask) order, negative weights included, so every min
+is a plain ``<`` and the DP minimises the perturbed column weights
+``w_c * 2^ncols + 2^c``. There are no ties to break and no backpointers:
+the root value decodes to the optimum weight and the canonical witness,
+the optimal column set with the smallest mask, whatever the
+decomposition or the order tables are visited in.
 
 Per node kind (the decomposition's LEAF, INTRODUCE, FORGET and JOIN; an
 introduce or forget node's context also says whether its vertex is a row
@@ -29,19 +38,16 @@ or a column):
   child entry extends uniquely.
 - forget row: a row leaving scope must disagree nowhere, so only entries
   with its P bit clear survive.
-- forget column: min over dropping or keeping the column, charging its
-  weight when kept; the choice is recorded for backtracking.
-- join: combine child entries sharing Q; parities add over Z2, so
-  P = P_left xor P_right xor (rows covered oddly by Q) xor (u inside the
-  bag), undoing the double count of Q and u. The smaller child is indexed
-  by Q once and the larger one streamed against the index, with no sort.
-  Among pairs reaching one key at one value, the smallest P_left wins, by
-  an explicit comparison, so the witness does not depend on which side is
-  indexed or on table order.
+- forget column: min over dropping or keeping the column; keeping it adds
+  ``(w_c << ncols) + (1 << c)`` to the value.
+- join: combine child entries sharing Q and add their values; the two
+  subtrees forget disjoint columns, so the sum adds the weights and joins
+  the masks. Parities add over Z2, so P = P_left xor P_right xor (rows
+  covered oddly by Q) xor (u inside the bag), undoing the double count of
+  Q and u. The smaller child is indexed by Q once and the larger one
+  streamed against the index, with no sort.
 
-The root bag is empty, so the optimum sits at key 0 there; backtracking
-replays child keys top-down and reads the kept/dropped decision at every
-forget-column node and P_left at every join.
+The root bag is empty, so the optimum sits at key 0 there.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .decomposition import (
     make_nice,
 )
 from .errors import ConsistencyError, UsageError
+from .gf2 import indices_from_mask
 from .results import SolveResult, Status
 
 
@@ -82,6 +89,7 @@ class BagContext:
     ``kind`` is a decomposition node kind; ``is_col`` says whether the
     vertex an introduce or forget node adds or drops is a column.
     ``shift`` is the solve's key shift: a key is ``Q | P << shift``.
+    ``charge`` is what keeping a forgotten column adds to a value.
     """
 
     kind: str
@@ -94,8 +102,7 @@ class BagContext:
     nbr_mask: int = 0
     adj_cols_mask: int = 0
     in_target: bool = False
-    col: int = -1
-    weight: int = 0
+    charge: int = 0
     col_nbrs: tuple[int, ...] = ()
     target_mask: int = 0
 
@@ -185,8 +192,7 @@ def _contexts(
                         s,
                         is_col=True,
                         pos=cols_of[child].index(c),
-                        col=c,
-                        weight=matrix.col_weights[c],
+                        charge=(matrix.col_weights[c] << matrix.ncols) + (1 << c),
                     )
                 )
             else:
@@ -219,11 +225,15 @@ def _contexts(
     return ctxs
 
 
-def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, dict, int]:
-    """One node's table from its children's. Returns (table, backpointers, join pairs)."""
+def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, int]:
+    """One node's table from its children's. Returns (table, join pairs).
+
+    Values are packed ``weight << ncols | mask`` ints, so each min is one
+    ``<`` and the table does not depend on which join child is indexed.
+    """
     kind = ctx.kind
     if kind == LEAF:
-        return {0: 0}, {}, 0
+        return {0: 0}, 0
 
     s = ctx.shift
     if kind == INTRODUCE:
@@ -243,7 +253,7 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, di
             for key, val in src.items():
                 key += key & above
                 out[key | (((key & adj).bit_count() ^ u) & 1) << ps] = val
-        return out, {}, 0
+        return out, 0
 
     if kind == FORGET:
         src = child_tables[0]
@@ -254,27 +264,22 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, di
             for key, val in src.items():
                 if not key & pbit:
                     out[key - ((key & above) >> 1)] = val
-            return out, {}, 0
+            return out, 0
         qbit = 1 << ctx.pos
-        w = ctx.weight
-        bp: dict = {}
+        charge = ctx.charge
         for key, val in src.items():
-            taken = bool(key & qbit)
-            if taken:
+            if key & qbit:
                 key ^= qbit
-                val += w
+                val += charge
             key -= (key & above) >> 1
             cur = out.get(key)
-            # ties prefer dropping the column, for determinism
-            if cur is None or val < cur or (val == cur and bp[key] and not taken):
+            if cur is None or val < cur:
                 out[key] = val
-                bp[key] = taken
-        return out, bp, 0
+        return out, 0
 
     # join: index the smaller child by Q, stream the larger one against it
     left, right = child_tables
-    left_small = len(left) <= len(right)
-    small, large = (left, right) if left_small else (right, left)
+    small, large = (left, right) if len(left) <= len(right) else (right, left)
     qmask = (1 << s) - 1
     col_nbrs = ctx.col_nbrs
     tmask = ctx.target_mask
@@ -291,7 +296,6 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, di
             group = groups[q] = (q | adjust << s, [])
         group[1].append((key, val))
     out = {}
-    bp = {}
     pairs = 0
     for key, val in large.items():
         group = groups.get(key & qmask)
@@ -301,52 +305,18 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, di
         pairs += len(members)
         # (P_large ^ adjust) << s; xor with a small key adds Q and P_small
         base = key ^ fixed
-        p_large = key >> s
         for skey, sval in members:
             out_key = base ^ skey
             cand = val + sval
-            pl = skey >> s if left_small else p_large
             cur = out.get(out_key)
-            # among equal values the smallest P_left wins, for determinism
-            if cur is None or cand < cur or (cand == cur and pl < bp[out_key]):
+            if cur is None or cand < cur:
                 out[out_key] = cand
-                bp[out_key] = pl
-    return out, bp, pairs
+    return out, pairs
 
 
-def backtrack(
-    ctxs: Sequence[BagContext], bps: Sequence[dict], root: int
-) -> frozenset[int]:
-    """Replay the winning entries top-down and collect kept columns."""
-    chosen: set[int] = set()
-    stack: list[tuple[int, int]] = [(root, 0)]
-    while stack:
-        t, key = stack.pop()
-        ctx = ctxs[t]
-        kind = ctx.kind
-        if kind == LEAF:
-            continue
-        s = ctx.shift
-        if kind == INTRODUCE:
-            if ctx.is_col:
-                if key >> ctx.pos & 1:
-                    key ^= (1 << ctx.pos) | (ctx.nbr_mask << s)
-            else:
-                key &= ~(1 << (s + ctx.pos))
-            stack.append((ctx.children[0], key - ((key & _above(ctx)) >> 1)))
-        elif kind == FORGET:
-            child_key = key + (key & _above(ctx))
-            if ctx.is_col and bps[t][key]:
-                chosen.add(ctx.col)
-                child_key |= 1 << ctx.pos
-            stack.append((ctx.children[0], child_key))
-        else:  # join
-            q = key & ((1 << s) - 1)
-            pl = bps[t][key]
-            pr = (key >> s) ^ pl ^ _q_boundary(q, ctx.col_nbrs) ^ ctx.target_mask
-            stack.append((ctx.children[0], q | pl << s))
-            stack.append((ctx.children[1], q | pr << s))
-    return frozenset(chosen)
+def backtrack(value: int, ncols: int) -> tuple[int, frozenset[int]]:
+    """Split a packed root value into (weight, witness column set)."""
+    return value >> ncols, frozenset(indices_from_mask(value & ((1 << ncols) - 1)))
 
 
 def solve_mld_treewidth(
@@ -379,17 +349,15 @@ def solve_mld_treewidth(
     ctxs = _contexts(ntd, matrix, target, g.adj)
     n = ntd.n_nodes
     tables: list = [None] * n
-    bps: list = [None] * n
     table_entries = 0
     join_pairs = 0
     join_bags: list[tuple[int, int]] = []
     for t in range(n):
         ctx = ctxs[t]
-        table, bp, pairs = process_bag(ctx, [tables[c] for c in ctx.children])
+        table, pairs = process_bag(ctx, [tables[c] for c in ctx.children])
         tables[t] = table
-        bps[t] = bp
         for c in ctx.children:
-            tables[c] = None  # backtracking reads only bps and the root table
+            tables[c] = None  # only the root table is read after the DP
         table_entries += len(table)
         if ctx.kind == JOIN:
             join_pairs += pairs
@@ -414,10 +382,10 @@ def solve_mld_treewidth(
     val = root_table.get(0)
     if val is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
-    witness = backtrack(ctxs, bps, ntd.root)
-    weight = matrix.weight_of(witness)
-    if weight != val:
+    weight, witness = backtrack(val, matrix.ncols)
+    witness_weight = matrix.weight_of(witness)
+    if witness_weight != weight:
         raise ConsistencyError(
-            f"table optimum {val} disagrees with witness weight {weight}"
+            f"table optimum {weight} disagrees with witness weight {witness_weight}"
         )
-    return SolveResult(Status.OPTIMAL, val, witness, stats)
+    return SolveResult(Status.OPTIMAL, weight, witness, stats)

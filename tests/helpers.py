@@ -2,10 +2,12 @@
 
 import math
 import random
+from collections import deque
 
 from boundedchain import build_slice
 from boundedchain.decomposition import TreeDecomposition
 from boundedchain.generators import random_boundary, random_slice
+from boundedchain.gf2 import Gf2System, indices_from_mask
 
 
 def octahedron_tops():
@@ -105,3 +107,43 @@ def reference_greedy_decomposition(graph, heuristic):
         parent = min(rest) if rest else j + 1
         children[parent].append(j)
     return TreeDecomposition(bags, children, len(bags) - 1)
+
+
+def canonical_optimum(matrix, target_rows):
+    """The least (weight, column mask) over every solution of A x = u, as
+    (weight, column set), or None when there is none. Enumerates one solution
+    plus the kernel span, so it is exact for any weights: the reference for
+    the treewidth DP's witness."""
+    system = Gf2System(matrix.col_masks)
+    x0 = system.solve(matrix.target_mask(target_rows))
+    if x0 is None:
+        return None
+    best = None
+    for pick in range(1 << len(system.kernel)):
+        x = x0
+        for i, vec in enumerate(system.kernel):
+            if pick >> i & 1:
+                x ^= vec
+        cand = (matrix.weight_of(indices_from_mask(x)), x)
+        if best is None or cand < best:
+            best = cand
+    return best[0], frozenset(indices_from_mask(best[1]))
+
+
+def rerooted(td, root):
+    """The same tree decomposition hung from another node."""
+    nbrs = [set() for _ in range(td.n_nodes)]
+    for t, kids in enumerate(td.children):
+        for c in kids:
+            nbrs[t].add(c)
+            nbrs[c].add(t)
+    children = [[] for _ in range(td.n_nodes)]
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        t = queue.popleft()
+        for c in sorted(nbrs[t] - seen):
+            seen.add(c)
+            children[t].append(c)
+            queue.append(c)
+    return TreeDecomposition(td.bags, children, root)

@@ -368,6 +368,22 @@ def test_bench_csv(tmp_path, capsys):
     assert "wall_time_s" in out.splitlines()[0]
 
 
+def test_bench_refuses_no_reps_and_a_missing_suite(tmp_path, capsys):
+    """A header-only CSV with exit 0 would report success on nothing."""
+    run(capsys, "gen", "strip", "--length", "2", "--out", str(tmp_path / "strip"))
+    for reps in ("0", "-2"):
+        code, out, err = run(
+            capsys, "bench", "--suite", str(tmp_path), "--algos", "dijkstra", "--reps", reps
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "reps" in err
+    code, out, err = run(
+        capsys, "bench", "--suite", str(tmp_path / "nope"), "--algos", "dijkstra"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "nope" in err
+
+
 def test_size_bound_outside_dijkstra_is_a_usage_error(tmp_path, capsys):
     prefix = str(tmp_path / "strip")
     run(capsys, "gen", "strip", "--length", "10", "--out", prefix)

@@ -90,6 +90,26 @@ def test_matrix_validation():
         Gf2Matrix(2, 2, [(0,)], [1, 1])
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.7, "3", True, None])
+def test_non_int_weights_and_scales_are_refused(bad):
+    """A truncated weight would be a false verdict: with weights [1.5, 1.2]
+    and target row 0, int() made column 0 the optimum at weight 1."""
+    with pytest.raises(InputError, match="integer"):
+        Gf2Matrix(1, 2, [(0,), (0,)], [bad, 1])
+    with pytest.raises(InputError, match="integer"):
+        Gf2Matrix(1, 1, [(0,)], [1], scale=bad)
+    with pytest.raises(InputError, match="integer"):
+        Gf2Matrix(bad, 1, [()], [1])
+    with pytest.raises(InputError, match="integer"):
+        Gf2Matrix(1, bad, [(0,)], [1])
+    with pytest.raises(InputError, match="integer"):
+        build_slice([(0, 1, 2)], [bad])
+    with pytest.raises(InputError, match="integer"):
+        build_slice([(0, 1, 2)], scale=bad)
+    with pytest.raises(InputError, match="integer"):
+        build_slice([(0, 1, 2)], [1], scale=bad)
+
+
 def test_hasse_graph_shape():
     mat = boundary_matrix(octahedron_slice())
     h = hasse_graph(mat)

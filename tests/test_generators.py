@@ -86,6 +86,13 @@ def test_random_slice_validation():
         random_slice(1, 5, weights="heavy")
 
 
+def test_random_slice_refuses_a_weight_max_below_one():
+    """random.randint(1, 0) would end in a ValueError traceback."""
+    for weight_max in (0, -3):
+        with pytest.raises(UsageError, match="weight_max"):
+            random_slice(1, 5, weights="random", weight_max=weight_max)
+
+
 def test_random_boundaries_are_feasible():
     for seed in range(40):
         cs = random_slice(seed % 9 + 1, 8, seed=seed)

@@ -1,0 +1,36 @@
+"""The benchmark's tracer wraps package functions by name: a rename must fail here,
+in the tier-1 suite, and not only when the benchmark itself runs."""
+
+import importlib.util
+from pathlib import Path
+
+from boundedchain import facade, generators, treewidth
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_patch_points_exist_and_record_treewidth_spans():
+    spans = load_spans()
+    for module, attr in spans.PATCH_POINTS:
+        assert hasattr(module, attr), (module.__name__, attr)
+    original = treewidth.process_bag
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.solve_id = 0
+        cslice, boundary = generators.triangle_strip(12)
+        result = facade.solve(facade.instance_from_complex(cslice, boundary), "treewidth")
+    finally:
+        tracer.remove()
+    assert treewidth.process_bag is original
+    assert result.is_optimal
+    names = {span[0] for span in tracer.spans}
+    assert {"treewidth.dp", "treewidth.backtrack"} <= names
+    assert tracer.counts[0]["treewidth.peak_table"] > 0

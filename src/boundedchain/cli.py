@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"search state cap (default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set)",
     )
     s.add_argument("--oracle-mode", choices=ORACLE_MODES, default="auto")
-    s.add_argument("--timing", action="store_true", help="include wall time in stats")
+    s.add_argument(
+        "--timing", action="store_true", help="include wall and per-phase times in stats"
+    )
     s.add_argument("--out", help="also write the JSON result here")
     s.set_defaults(func=_cmd_solve)
 
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose",
         help="tree-decompose the incidence graph of a complex or mld file",
         description="Write a tree decomposition of the instance's row/column"
-        " incidence graph, for solve --td; solve builds the nice form itself.",
+        " incidence graph, for solve --td.",
     )
     d.add_argument("--input", required=True, help="complex or mld file")
     d.add_argument("--heuristic", choices=HEURISTICS, default="min-fill")

@@ -11,9 +11,9 @@ eliminated next, so the result is a rooted tree whose root is the last
 bag. The nice form rewrites any rooted decomposition into leaf /
 introduce / forget / join nodes with an empty root bag, never increasing
 the width; it is a TreeDecomposition whose nodes also carry a kind and,
-for introduce and forget nodes, a vertex. The nice form is the treewidth
-DP's schedule only: the DP runs ``make_nice`` on every decomposition it
-gets, and files hold plain decompositions.
+for introduce and forget nodes, a vertex. It is a library utility: the
+treewidth DP runs on the rooted decomposition it is given, in any shape,
+and files hold plain decompositions.
 """
 
 from __future__ import annotations

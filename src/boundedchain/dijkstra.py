@@ -44,6 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import time
 from typing import Iterable, Sequence
 
 from .complexes import Gf2Matrix, feasibility_check
@@ -122,8 +123,13 @@ def solve_mld_dijkstra(
     pivot: str = PIVOT_MIN_COFACE,
     check_feasibility: bool = True,
     max_states: int | None = None,
+    timing: bool = False,
 ) -> SolveResult:
-    """Run the search on the decoding view: rows are faces, columns moves."""
+    """Run the search on the decoding view: rows are faces, columns moves.
+
+    ``timing`` adds the wall seconds of the ``feasibility`` and ``search``
+    phases to the stats.
+    """
     if pivot not in PIVOT_STRATEGIES:
         raise UsageError(f"unknown pivot strategy {pivot!r}")
     if any(w < 0 for w in matrix.col_weights):
@@ -147,11 +153,24 @@ def solve_mld_dijkstra(
         "monotone_frontier": True,
     }
 
-    if check_feasibility:
-        feasible, _ = feasibility_check(matrix, rows)
-        if not feasible:
-            return SolveResult(Status.INFEASIBLE, stats=stats)
+    if timing:
+        began = time.perf_counter()
+    feasible = not check_feasibility or feasibility_check(matrix, rows)[0]
+    if timing:
+        checked = time.perf_counter()
+    if feasible:
+        result = _search(matrix, start, k, pivot, max_states, stats)
+    else:
+        result = SolveResult(Status.INFEASIBLE, stats=stats)
+    if timing:
+        stats["phases"] = {"feasibility": checked - began, "search": time.perf_counter() - checked}
+    return result
 
+
+def _search(
+    matrix: Gf2Matrix, start: int, k: int | None, pivot: str, max_states: int, stats: dict
+) -> SolveResult:
+    """The best-first search from the target mask ``start``; fills ``stats``."""
     if start == 0:
         stats["visited"] = 1
         return SolveResult(Status.OPTIMAL, 0, frozenset(), stats)

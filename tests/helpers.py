@@ -147,3 +147,19 @@ def rerooted(td, root):
             children[t].append(c)
             queue.append(c)
     return TreeDecomposition(td.bags, children, root)
+
+
+
+def assert_join_pairs_capped(td, nrows, join_bags):
+    """A node with k children does k - 1 joins in its own bag, and each pairs
+    at most 2^|bag cols| * 4^|bag rows| entries. ``join_bags`` is the (node,
+    pairs) list of a ``detailed_stats`` solve on ``td``; returns its length."""
+    assert sorted(t for t, _ in join_bags) == [
+        t for t in range(td.n_nodes) if len(td.children[t]) > 1
+    ]
+    for t, pairs in join_bags:
+        bag = td.bags[t]
+        ncols = sum(v >= nrows for v in bag)
+        cap = (len(td.children[t]) - 1) * 2**ncols * 4 ** (len(bag) - ncols)
+        assert pairs <= cap, (t, pairs, cap)
+    return len(join_bags)

@@ -101,6 +101,14 @@ def test_solve_matrix_input(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["weight"] == 5
     assert payload["solution"] == [0, 1]
+    assert "phases" not in payload["stats"]
+    code, out, _ = run(
+        capsys, "solve", "--matrix", str(mld), "--algorithm", "treewidth", "--timing"
+    )
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert set(stats["phases"]) == {"decompose", "dp", "verify"}
+    assert stats["peak_table"] > 0
     # mixing input styles is refused
     code, _, err = run(
         capsys,

@@ -105,13 +105,31 @@ def test_json_dict_for_matrix_instances_and_failures():
     assert d2["weight"] is None and d2["solution"] is None
 
 
+PHASES = {
+    "mbc1": {"verify"},
+    "dijkstra": {"feasibility", "search", "verify"},
+    "treewidth": {"decompose", "dp", "verify"},
+    "brute": {"verify"},
+}
+
+
 def test_timing_is_opt_in():
-    cs, boundary = punctured_octahedron()
-    inst = instance_from_complex(cs, boundary)
-    plain = solve(inst, "dijkstra")
-    assert "wall_time_s" not in plain.stats
-    timed = solve(inst, "dijkstra", timing=True)
-    assert timed.stats["wall_time_s"] >= 0
+    """Timing adds the wall time, the per-phase wall times and, for
+    treewidth, the largest table; without it the stats are unchanged."""
+    path = build_slice([(0, 1), (1, 2)])
+    for algorithm, phases in PHASES.items():
+        if algorithm == "mbc1":
+            inst = instance_from_complex(path, path.chain_from_faces([(0,), (2,)]))
+        else:
+            inst = instance_from_complex(*punctured_octahedron())
+        plain = solve(inst, algorithm)
+        timed = solve(inst, algorithm, timing=True)
+        added = {"wall_time_s", "phases"} | ({"peak_table"} if algorithm == "treewidth" else set())
+        assert not added & set(plain.stats), algorithm
+        assert set(timed.stats) == set(plain.stats) | added, algorithm
+        assert set(timed.stats["phases"]) == phases, algorithm
+        assert all(s >= 0 for s in timed.stats["phases"].values())
+        assert sum(timed.stats["phases"].values()) <= timed.stats["wall_time_s"]
 
 
 def test_scale_travels_through():

@@ -4,9 +4,16 @@ Decompositions are built by eliminating vertices in a heuristic order
 (min-degree or min-fill, ties by smallest vertex id); the bag of an
 eliminated vertex is itself plus its current neighbourhood, which is then
 turned into a clique. Scores are kept incrementally in a heap keyed by
-(score, vertex id): an elimination rescores only the vertices whose
-degree or fill it can change, so the order is the one full rescoring
-would give at every step. Each bag's parent is the bag of the member
+(score, vertex id), so the order is the one full rescoring would give at
+every step. Min-degree recounts the eliminated vertex's neighbours.
+Min-fill counts each vertex's missing neighbour pairs once, then updates
+the counts exactly from three terms: each neighbour a of the eliminated
+vertex v loses its pairs (v, x) with x outside v's neighbourhood; each
+fill edge (a, b) closes one pair at every common neighbour of a and b;
+and it opens at a the pairs (b, x) with x a neighbour of a outside v's
+neighbourhood and not adjacent to b, and likewise at b. No neighbour is
+rescored from scratch, and orders and files are the same as with
+rescoring. Each bag's parent is the bag of the member
 eliminated next, so the result is a rooted tree whose root is the last
 bag. The nice form rewrites any rooted decomposition into leaf /
 introduce / forget / join nodes with an empty root bag, never increasing
@@ -123,6 +130,47 @@ def _fill_count(adj: list[set[int]], v: int) -> int:
     return missing // 2
 
 
+def _eliminate_min_fill(adj: list[set[int]], score: list[int], v: int, nbrs: list[int]):
+    """Eliminate v and update every fill count exactly; returns the vertices updated.
+
+    With N = N(v) and out(a) = N(a) minus N and v, counted before any fill
+    edge is added: each a in N loses its |out(a)| missing pairs (v, x); a
+    fill edge (a, b) closes one missing pair at every common neighbour of
+    a and b other than v, and opens the pairs (b, x), x in out(a) minus
+    N(b), at a, and likewise at b. No other vertex's count changes.
+    """
+    nv = adj[v]
+    for a in nbrs:
+        adj[a].discard(v)
+    changed = set(nbrs)
+    fill = []
+    if len(nbrs) > 1:
+        out = [adj[a] - nv for a in nbrs]
+        for i, a in enumerate(nbrs):
+            adj_a, out_a = adj[a], out[i]
+            score[a] -= len(out_a)
+            for j in range(i + 1, len(nbrs)):
+                b = nbrs[j]
+                if b in adj_a:
+                    continue
+                adj_b = adj[b]
+                common = adj_a & adj_b
+                for w in common:
+                    score[w] -= 1
+                changed |= common
+                score[a] += len(out_a - adj_b)
+                score[b] += len(out[j] - adj_a)
+                fill.append((a, b))
+    else:
+        for a in nbrs:
+            score[a] -= len(adj[a])
+    nv.clear()
+    for a, b in fill:
+        adj[a].add(b)
+        adj[b].add(a)
+    return changed
+
+
 def greedy_decomposition(graph: Graph, heuristic: str = "min-fill") -> TreeDecomposition:
     """Elimination-ordering decomposition under min-fill or min-degree."""
     if heuristic not in HEURISTICS:
@@ -132,8 +180,10 @@ def greedy_decomposition(graph: Graph, heuristic: str = "min-fill") -> TreeDecom
         return TreeDecomposition([frozenset()], [()], 0)
     adj = [set(s) for s in graph.adj]
     min_fill = heuristic == "min-fill"
-    rescore = (lambda v: _fill_count(adj, v)) if min_fill else (lambda v: len(adj[v]))
-    score = [rescore(v) for v in range(n)]
+    if min_fill:
+        score = [_fill_count(adj, v) for v in range(n)]
+    else:
+        score = [len(s) for s in adj]
     heap = sorted(zip(score, range(n)))
 
     bags: list[frozenset] = []
@@ -145,23 +195,21 @@ def greedy_decomposition(graph: Graph, heuristic: str = "min-fill") -> TreeDecom
         nbrs = sorted(adj[v])
         bags.append(frozenset([v] + nbrs))
         elim_pos[v] = len(bags) - 1
-        for a in nbrs:
-            adj[a].discard(v)
-        adj[v].clear()
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if b in adj[a]:
-                    continue
-                if min_fill:
-                    # a fill edge closes one missing pair around each common neighbour
-                    for w in adj[a] & adj[b]:
-                        score[w] -= 1
-                        heapq.heappush(heap, (score[w], w))
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nbrs:
-            score[a] = rescore(a)
-            heapq.heappush(heap, (score[a], a))
+        if min_fill:
+            changed = _eliminate_min_fill(adj, score, v, nbrs)
+        else:
+            for a in nbrs:
+                adj[a].discard(v)
+            adj[v].clear()
+            for i, a in enumerate(nbrs):
+                for b in nbrs[i + 1:]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+            for a in nbrs:
+                score[a] = len(adj[a])
+            changed = nbrs
+        for w in changed:
+            heapq.heappush(heap, (score[w], w))
 
     order = sorted(elim_pos, key=elim_pos.get)
     children: list[list[int]] = [[] for _ in bags]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from boundedchain import (
     validate_nice,
 )
 from boundedchain.complexes import boundary_matrix, hasse_graph
+from boundedchain.fileio import write_decomposition_text
 from boundedchain.generators import cylinder, random_slice, triangle_strip
 from helpers import reference_greedy_decomposition
 
@@ -208,9 +210,18 @@ def test_incremental_elimination_matches_reference():
         n = rng.randint(1, 40)
         m = min(n * (n - 1) // 2, rng.randint(0, rng.choice((1, 3, 6)) * n))
         graphs.append(random_graph(rng, n, m))
+    # denser graphs, where fill edges join vertices with common neighbours
+    # both inside and outside the eliminated vertex's neighbourhood
+    for density in (0.05, 0.1, 0.2, 0.35, 0.6):
+        for _ in range(4):
+            n = rng.randint(40, 80)
+            graphs.append(random_graph(rng, n, int(density * n * (n - 1) / 2)))
     for seed in range(10):
         graphs.append(_hasse(random_slice(35, 8, dim=2, seed=seed)))
         graphs.append(_hasse(random_slice(35, 8, dim=3, seed=seed)))
+    for seed in range(4):
+        graphs.append(_hasse(random_slice(60, 9, dim=2, seed=seed)))
+        graphs.append(_hasse(random_slice(40, 8, dim=3, seed=seed)))
     graphs += [_hasse(triangle_strip(length)[0]) for length in (60, 480)]
     graphs += [_hasse(cylinder(8, 4)[0]), _hasse(cylinder(12, 12)[0])]
     for i, g in enumerate(graphs):
@@ -220,3 +231,20 @@ def test_incremental_elimination_matches_reference():
             assert (got.bags, got.children, got.root) == (
                 want.bags, want.children, want.root
             ), (i, heuristic)
+
+
+# sha256 of write_decomposition_text(greedy_decomposition(...)): `mbc decompose`
+# files are byte-stable, so any change to an elimination order shows here.
+GOLDEN_TD_SHA256 = {
+    ("cylinder", "min-fill"): "bfa9de117f846dab4add909990d074176b675e1f6f36adb48059e4309da2dbf6",
+    ("cylinder", "min-degree"): "bfbe5b34947bed49adfe74d301b981293c62282e4d090f14107dc61d7009450e",
+    ("strip", "min-fill"): "d6d44c7566abc681dcbf1e7e88e9a85d54ec6b408d40125428235bf4a0c1996d",
+    ("strip", "min-degree"): "d6d44c7566abc681dcbf1e7e88e9a85d54ec6b408d40125428235bf4a0c1996d",
+}
+
+
+@pytest.mark.parametrize("name,heuristic", sorted(GOLDEN_TD_SHA256))
+def test_decomposition_files_are_pinned(name, heuristic):
+    cslice = cylinder(12, 12)[0] if name == "cylinder" else triangle_strip(480)[0]
+    text = write_decomposition_text(greedy_decomposition(_hasse(cslice), heuristic))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TD_SHA256[name, heuristic]

@@ -7,15 +7,16 @@ The DP runs on the decomposition itself, computed greedily or supplied
 and accepted by ``validate_decomposition``; nodes are scheduled by an
 iterative post-order, so node ids may come in any order.
 
-Table semantics at a node t with bag X: each key packs two masks into one
-int, ``Q | F << s``. Q fixes which bag columns are selected. F holds, for
-each bag row, the parity of the selected columns already forgotten below
-t; every row forgotten below t is already met. The shift s is one value
-for the whole solve, one more than the widest bag's column count, so Q
-never reaches F's bits. With ``above`` the bits of one field at or above
-position i, ``key + (key & above)`` inserts a 0 bit at i and, when bit i
-is clear, ``key - ((key & above) >> 1)`` drops it. Missing keys mean "no
-feasible completion", which doubles as infinity.
+Key layout. One pre-order walk gives every vertex, at its topmost bag, the
+least colour that no other vertex of that bag has. A vertex's bags form a
+connected subtree, so two vertices that share a bag have distinct
+colours, and at most width + 1 colours are used. Vertex v owns key bit
+``1 << colour(v)`` for the whole solve. At a node t, a column's bit says
+whether it is selected; a row's bit holds the parity of the selected
+columns already forgotten below t; every row forgotten below t is already
+met. A key never moves between layouts: forgetting a vertex clears its
+bit, and a vertex introduced above may then reuse it. Missing keys mean
+"no feasible completion", which doubles as infinity.
 
 Each value is one int that carries the partial witness with its weight:
 ``weight << ncols | mask``, where weight is the total weight of the
@@ -28,23 +29,27 @@ the root value decodes to the optimum weight and the canonical witness,
 the optimal column set with the smallest mask, whatever the
 decomposition or the order tables are visited in.
 
-One node step, ``process_bag``:
+The walk that colours the vertices new at a node t, ``bags[t]`` minus its
+parent's bag, also builds t's ``Lift``: those are exactly the vertices
+forgotten when t's table moves into its parent. One node step,
+``process_bag``:
 - lift each child's table into the node's bag. First forget the child's
   columns that leave scope: a selected one adds
-  ``(w_c << ncols) + (1 << c)`` to the value and flips F on its bag rows,
-  then equal keys keep the min. Then forget the rows that leave scope: a
-  row r survives only where ``F_r ^ parity(Q & cols(r)) ^ u_r`` is 0. By
-  the decomposition properties every column of r is then in the bag or
-  already forgotten, so this is the row's whole constraint. The row's F
-  bit is cleared before it is dropped. Last, the key is re-laid into the
-  node's bit layout by inserting 0 bits.
+  ``(w_c << ncols) + (1 << c)`` to the value, clears its bit and flips
+  the bits of its rows in the child's bag; equal keys keep the min. Then
+  forget the rows that leave scope: a row r survives only where the
+  parity of its own bit and its bag columns' bits is u_r. By the
+  decomposition properties every column of r is then in the bag or
+  already forgotten, so this is the row's whole constraint. The row's
+  bit is cleared before a vertex introduced above can reuse it.
 - join the lifted children one after another. Two tables match on the
   columns both hold, and ``kL ^ kR ^ (kL & shared)`` is the union of the
-  Q masks and the xor of the F masks; the values add, since the two
-  subtrees forget disjoint columns. The smaller table is indexed by its
-  shared columns and the larger one streamed against it, with no sort.
-- introduce the bag columns no child holds: each doubles the table. A
-  bag row no child holds has no forgotten column yet, so its F bit is 0.
+  column bits and the xor of the row parities; the values add, since the
+  two subtrees forget disjoint columns. The smaller table is indexed by
+  its shared columns and the larger one streamed against it, with no sort.
+- introduce the bag columns no child holds: each doubles the table on its
+  bit. A bag row no child holds has no forgotten column yet, so its bit
+  is 0.
 
 A leaf starts from the one entry ``{0: 0}``. The root's table is lifted
 once more, into an empty bag, which leaves the optimum at key 0.
@@ -53,7 +58,6 @@ once more, into an empty bag, which leaves the optimum at key 0.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -69,39 +73,35 @@ from .gf2 import indices_from_mask
 from .results import SolveResult, Status
 
 
-@dataclass
+@dataclass(slots=True)
 class Lift:
-    """How one child's table moves into its parent's bag.
+    """What one child's table forgets as it moves into its parent's bag.
 
-    ``cols`` holds ``(Q bit, Q bit | F flips, charge)`` per forgotten
-    column and ``rows`` holds ``(check, u_r, ~F bit)`` per forgotten row,
-    where check is the row's bag columns plus its own F bit, all in the
-    child's layout. ``drops`` are the ``above`` masks of the bits to drop,
-    highest first, and ``inserts`` those of the 0 bits to insert into the
-    parent's layout, lowest first. ``held`` is the parent's Q-field mask of
-    the columns the child holds.
+    ``cols`` holds ``(bit, bit | row flips, charge)`` per forgotten column,
+    the row flips being the bits of its rows in the child's bag, and
+    ``rows`` holds ``(check, u_r, ~bit)`` per forgotten row, check being the
+    row's own bit and the bits of its columns in the child's bag. ``held``
+    is the bits of the columns the child shares with its parent.
     """
 
     cols: list
     rows: list
-    drops: list
-    inserts: list
     held: int
 
 
-@dataclass
+@dataclass(slots=True)
 class BagContext:
     """Everything process_bag needs about one decomposition node: one lift
-    per child, in the order the child tables come, and the number of bag
+    per child, in the order the child tables come, and the bits of the bag
     columns."""
 
     lifts: Sequence[Lift]
-    ncols: int
+    cols: int
 
 
 def _lift(lift: Lift, src: dict) -> dict:
-    """A child's table forgotten down to what the parent holds, in its layout."""
-    cols, rows, drops, inserts = lift.cols, lift.rows, lift.drops, lift.inserts
+    """A child's table forgotten down to what the parent holds."""
+    cols, rows = lift.cols, lift.rows
     out: dict = {}
     for key, val in src.items():
         for bit, toggle, charge in cols:
@@ -113,10 +113,6 @@ def _lift(lift: Lift, src: dict) -> dict:
                 break
             key &= keep
         else:
-            for above in drops:
-                key -= (key & above) >> 1
-            for above in inserts:
-                key += key & above
             cur = out.get(key)
             if cur is None or val < cur:
                 out[key] = val
@@ -124,7 +120,7 @@ def _lift(lift: Lift, src: dict) -> dict:
 
 
 def _join(left: dict, right: dict, shared: int) -> tuple[dict, int]:
-    """Combine two tables of one bag that agree on the ``shared`` Q bits.
+    """Combine two tables of one bag that agree on the ``shared`` column bits.
     Returns (table, pairs combined)."""
     small, large = (left, right) if len(left) <= len(right) else (right, left)
     groups: dict[int, list] = {}
@@ -157,21 +153,23 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, in
     ``<`` and the table does not depend on the order children are joined
     in or on which side of a join is indexed.
     """
-    table = {0: 0}
-    held = 0
-    pairs = 0
-    for i, (lift, src) in enumerate(zip(ctx.lifts, child_tables)):
+    table = None
+    held = pairs = 0
+    for lift, src in zip(ctx.lifts, child_tables):
         lifted = _lift(lift, src)
-        if i:
+        if table is None:
+            table = lifted
+        else:
             table, n = _join(table, lifted, held & lift.held)
             pairs += n
-        else:
-            table = lifted
         held |= lift.held
-    for j in range(ctx.ncols):
-        if not held >> j & 1:
-            bit = 1 << j
-            table.update([(key | bit, val) for key, val in table.items()])
+    if table is None:
+        table = {0: 0}  # a leaf
+    new = ctx.cols & ~held
+    while new:
+        bit = new & -new
+        new ^= bit
+        table.update([(key | bit, val) for key, val in table.items()])
     return table, pairs
 
 
@@ -180,57 +178,62 @@ def backtrack(value: int, ncols: int) -> tuple[int, frozenset[int]]:
     return value >> ncols, frozenset(indices_from_mask(value & ((1 << ncols) - 1)))
 
 
-def _layout(bag: frozenset, nrows: int) -> tuple[list[int], list[int]]:
-    """A bag's row vertices and column vertices, each in bit order."""
-    vs = sorted(bag)
-    split = bisect_left(vs, nrows)
-    return vs[:split], vs[split:]
+def _plan(
+    td: TreeDecomposition, adj: Sequence[set[int]], matrix: Gf2Matrix, target: int
+) -> tuple[list[int], list[Lift], list[int], list[int]]:
+    """Colour every vertex and build every node's lift, in one pre-order walk.
 
-
-def _make_lift(
-    child: frozenset,
-    parent: frozenset,
-    layouts: dict,
-    matrix: Gf2Matrix,
-    target: int,
-    adj: Sequence[set[int]],
-    s: int,
-) -> Lift:
-    """The lift of a child's table, bag ``child``, into bag ``parent``."""
+    Returns the nodes children-first, each node's lift into its parent (the
+    root's into an empty bag), the bits of each bag's columns and each
+    vertex's key bit, ``1 << colour``.
+    """
     nrows, ncols, weights = matrix.nrows, matrix.ncols, matrix.col_weights
-    crows, ccols = layouts[child]
-    prows, pcols = layouts[parent]
-    cols, rows, drops, inserts = [], [], [], []
-    for j, v in enumerate(ccols):
-        if v not in parent:
-            nbrs = adj[v]
-            toggle = 1 << j
-            for i, r in enumerate(crows):
-                if r in nbrs:
-                    toggle |= 1 << (s + i)
-            c = v - nrows
-            cols.append((1 << j, toggle, (weights[c] << ncols) + (1 << c)))
-            drops.append((1 << s) - (1 << j))
-    for i, r in enumerate(crows):
-        if r not in parent:
-            nbrs = adj[r]
-            check = fbit = 1 << (s + i)
-            for j, v in enumerate(ccols):
-                if v in nbrs:
-                    check |= 1 << j
-            rows.append((check, target >> r & 1, ~fbit))
-            drops.append(-fbit)
-    drops.reverse()  # F bits above Q bits, each field highest first
-    held = 0
-    for j, v in enumerate(pcols):
-        if v in child:
-            held |= 1 << j
-        else:
-            inserts.append((1 << s) - (1 << j))
-    for i, r in enumerate(prows):
-        if r not in child:
-            inserts.append(-(1 << (s + i)))
-    return Lift(cols, rows, drops, inserts, held)
+    bags, children = td.bags, td.children
+    bits = [0] * (nrows + ncols)  # 1 << colour, 0 until the vertex is coloured
+    lifts: list = [None] * td.n_nodes
+    bag_cols = [0] * td.n_nodes
+    order = []
+    stack = [td.root]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        stack.extend(children[t])
+        bag = bags[t]
+        # a vertex's bags are connected, so it is new here exactly when no
+        # bag above has coloured it
+        used = held = 0
+        new = []
+        for v in bag:
+            b = bits[v]
+            if b:
+                used |= b
+                if v >= nrows:
+                    held |= b
+            else:
+                new.append(v)
+        for v in new:
+            bits[v] = b = ~used & (used + 1)  # the least colour free in the bag
+            used |= b
+        cols, rows = [], []
+        mask = held
+        for v in new:
+            b = bits[v]
+            if v >= nrows:
+                mask |= b
+                toggle = b
+                for r in adj[v] & bag:
+                    toggle |= bits[r]
+                c = v - nrows
+                cols.append((b, toggle, (weights[c] << ncols) + (1 << c)))
+            else:
+                check = b
+                for u in adj[v] & bag:
+                    check |= bits[u]
+                rows.append((check, target >> v & 1, ~b))
+        lifts[t] = Lift(cols, rows, held)
+        bag_cols[t] = mask
+    order.reverse()
+    return order, lifts, bag_cols, bits
 
 
 def solve_mld_treewidth(
@@ -269,22 +272,7 @@ def solve_mld_treewidth(
         raise UsageError("ntd must be a tree decomposition or None")
     decomposed = time.perf_counter()
 
-    bags = td.bags
-    nrows = matrix.nrows
-    empty = frozenset()
-    layouts = {bag: _layout(bag, nrows) for bag in bags}
-    layouts[empty] = ([], [])
-    # one shift for the whole solve, so Q never spills into F
-    s = 1 + max(len(cols) for _rows, cols in layouts.values())
-
-    # reversed pre-order: every node comes after all of its descendants
-    order = []
-    stack = [td.root]
-    while stack:
-        t = stack.pop()
-        order.append(t)
-        stack.extend(td.children[t])
-    order.reverse()
+    order, lifts, bag_cols, _bits = _plan(td, g.adj, matrix, target)
 
     tables: list = [None] * td.n_nodes
     table_entries = 0
@@ -292,10 +280,8 @@ def solve_mld_treewidth(
     peak_table = 0
     join_bags: list[tuple[int, int]] = []
     for t in order:
-        bag = bags[t]
         kids = td.children[t]
-        lifts = [_make_lift(bags[c], bag, layouts, matrix, target, g.adj, s) for c in kids]
-        ctx = BagContext(lifts, len(layouts[bag][1]))
+        ctx = BagContext([lifts[c] for c in kids], bag_cols[t])
         table, pairs = process_bag(ctx, [tables[c] for c in kids])
         tables[t] = table
         for c in kids:
@@ -306,8 +292,7 @@ def solve_mld_treewidth(
         join_pairs += pairs
         if detailed_stats and len(kids) > 1:
             join_bags.append((t, pairs))
-    root = _make_lift(bags[td.root], empty, layouts, matrix, target, g.adj, s)
-    top = _lift(root, tables[td.root])
+    top = _lift(lifts[td.root], tables[td.root])
     done = time.perf_counter()
 
     stats: dict = {

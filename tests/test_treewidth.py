@@ -33,7 +33,7 @@ from boundedchain.decomposition import (
 )
 from boundedchain.fileio import parse_decomposition_text
 from boundedchain.generators import random_boundary, random_slice
-from boundedchain.treewidth import BagContext, Lift, backtrack, process_bag
+from boundedchain.treewidth import BagContext, Lift, _plan, backtrack, process_bag
 from helpers import (
     assert_join_pairs_capped,
     canonical_optimum,
@@ -244,46 +244,46 @@ def test_join_table_size_is_bounded():
     assert joins
 
 
-def pack(q, f, shift=2):
-    """A table key: bag-column mask q, forgotten-parity mask f of the bag rows."""
-    return q | f << shift
-
-
 def value(weight, mask, ncols=8):
     """A table value: the forgotten selected columns' weight and mask."""
     return (weight << ncols) + mask
 
 
 def same_bag(held):
-    """The lift of a child whose bag is its parent's: nothing moves."""
-    return Lift([], [], [], [], held)
+    """The lift of a child whose bag is its parent's: nothing is forgotten."""
+    return Lift([], [], held)
+
+
+# Key bits of hand-built bags: a column C and rows R0, R1.
+C, R0, R1 = 0b001, 0b010, 0b100
 
 
 def test_process_bag_join_by_hand():
     """Two children holding the node's one row and one column: they match on
     the column, their forgotten parities add over Z2, weights add and the
     two sides' forgotten columns are joined."""
-    ctx = BagContext([same_bag(0b1), same_bag(0b1)], 1)
-    left = {pack(0, 0): value(0, 0), pack(1, 1): value(2, 0b01)}
-    right = {pack(0, 0): value(0, 0), pack(1, 1): value(5, 0b10)}
+    ctx = BagContext([same_bag(C), same_bag(C)], C)
+    left = {0: value(0, 0), C | R0: value(2, 0b01)}
+    right = {0: value(0, 0), C | R0: value(5, 0b10)}
     table, pairs = process_bag(ctx, [left, right])
-    assert table == {pack(0, 0): value(0, 0), pack(1, 0): value(7, 0b11)}
+    assert table == {0: value(0, 0), C: value(7, 0b11)}
     assert pairs == 2
 
 
 @pytest.mark.parametrize("larger", ["left", "right"])
 def test_join_table_does_not_depend_on_the_indexed_side(larger):
-    """Two (F_left, F_right) pairs reach one key at one weight: the smaller
-    mask wins, whichever child the join indexes and whichever it streams."""
-    ctx = BagContext([same_bag(0b1), same_bag(0b1)], 1)
-    left = {pack(0, 0b10): value(1, 0b0001), pack(0, 0b01): value(1, 0b0010)}
-    right = {pack(0, 0b11): value(4, 0b0100), pack(0, 0b00): value(4, 0b1000)}
-    unmatched = {pack(1, 0b00): 0, pack(1, 0b01): 0, pack(1, 0b11): 0}
+    """Two (parity left, parity right) pairs reach one key at one weight: the
+    smaller mask wins, whichever child the join indexes and whichever it
+    streams."""
+    ctx = BagContext([same_bag(C), same_bag(C)], C)
+    left = {R1: value(1, 0b0001), R0: value(1, 0b0010)}
+    right = {R0 | R1: value(4, 0b0100), 0: value(4, 0b1000)}
+    unmatched = {C: 0, C | R0: 0, C | R0 | R1: 0}
     if larger == "left":
         left.update(unmatched)
     else:
         right.update(unmatched)
-    want = {pack(0, 0b01): value(5, 0b0101), pack(0, 0b10): value(5, 0b0110)}
+    want = {R0: value(5, 0b0101), R1: value(5, 0b0110)}
     for children in ([left, right], [right, left]):
         table, pairs = process_bag(ctx, children)
         assert table == want
@@ -292,55 +292,68 @@ def test_join_table_does_not_depend_on_the_indexed_side(larger):
 
 def test_process_bag_leaf_and_forget():
     leaf, pairs = process_bag(BagContext([], 0), [])
-    assert leaf == {pack(0, 0): 0}
+    assert leaf == {0: 0}
     assert pairs == 0
     # a child holding column 4 alone, under an empty bag: keep vs drop,
-    # weight and bit charged on keep
-    forget = Lift([(0b1, 0b1, value(9, 1 << 4))], [], [(1 << 2) - 1], [], 0)
+    # weight and bit charged on keep, and the column's bit cleared
+    forget = Lift([(C, C, value(9, 1 << 4))], [], 0)
     ctx = BagContext([forget], 0)
-    table, _ = process_bag(ctx, [{pack(0, 0): value(3, 0b1), pack(1, 0): value(1, 0)}])
-    assert table == {pack(0, 0): value(3, 0b1)}  # kept would cost 1 + 9 = 10
-    cheap, _ = process_bag(ctx, [{pack(0, 0): value(12, 0b1), pack(1, 0): value(1, 0)}])
-    assert cheap == {pack(0, 0): value(10, 1 << 4)}
+    table, _ = process_bag(ctx, [{0: value(3, 0b1), C: value(1, 0)}])
+    assert table == {0: value(3, 0b1)}  # kept would cost 1 + 9 = 10
+    cheap, _ = process_bag(ctx, [{0: value(12, 0b1), C: value(1, 0)}])
+    assert cheap == {0: value(10, 1 << 4)}
     # one weight either way: the smaller mask, here dropping, wins
-    tie, _ = process_bag(ctx, [{pack(0, 0): value(10, 0b1), pack(1, 0): value(1, 0)}])
-    assert tie == {pack(0, 0): value(10, 0b1)}
+    tie, _ = process_bag(ctx, [{0: value(10, 0b1), C: value(1, 0)}])
+    assert tie == {0: value(10, 0b1)}
     # a negative charge still orders by weight first, and decodes back
-    forget.cols = [(0b1, 0b1, value(-9, 1 << 4))]
-    neg, _ = process_bag(ctx, [{pack(0, 0): value(0, 0), pack(1, 0): value(0, 0b1)}])
-    assert neg == {pack(0, 0): value(-9, 0b10001)}
-    assert backtrack(neg[pack(0, 0)], 8) == (-9, frozenset((0, 4)))
+    forget.cols = [(C, C, value(-9, 1 << 4))]
+    neg, _ = process_bag(ctx, [{0: value(0, 0), C: value(0, 0b1)}])
+    assert neg == {0: value(-9, 0b10001)}
+    assert backtrack(neg[0], 8) == (-9, frozenset((0, 4)))
 
 
 def test_forgotten_row_parity_bit_is_cleared():
-    """One node step by hand, with key shift 3. The child holds column c
-    (Q bit 0) and rows r0, r1 (F bits 0 and 1); r0, on c with u = 0, leaves
-    scope. The node holds c and a new column (Q bits 0, 1) and rows r, r1
-    with r new (F bits 0, 1). An entry survives where F_r0 equals c's bit;
-    where both are 1, r0's F bit must be cleared before it is dropped, or
-    the drop carries it into the Q field."""
-    lift = Lift(
-        cols=[],
-        rows=[(0b1 | 1 << 3, 0, ~(1 << 3))],
-        drops=[-(1 << 3)],
-        inserts=[-(1 << 3)],
-        held=0b01,
-    )
-    ctx = BagContext([lift], 2)
+    """One node step by hand. The child holds column c (bit C) and rows r0,
+    r1 (bits R0, R1); r0, on c with u = 0, leaves scope. The node holds c,
+    r1, a new column x (bit 0b1000) and a new row that takes r0's free
+    colour R0. An entry survives where r0's parity equals c's bit; where
+    both are 1, r0's bit must be cleared, or the new row would start odd."""
+    x = 0b1000
+    lift = Lift(cols=[], rows=[(R0 | C, 0, ~R0)], held=C)
+    ctx = BagContext([lift], C | x)
     child = {
-        pack(1, 0b01, 3): 10,
-        pack(1, 0b11, 3): 11,
-        pack(0, 0b00, 3): 12,
-        pack(0, 0b10, 3): 13,
-        pack(0, 0b01, 3): 14,  # r0 odd: dropped
-        pack(1, 0b10, 3): 15,  # r0 odd: dropped
+        C | R0: 10,
+        C | R0 | R1: 11,
+        0: 12,
+        R1: 13,
+        R0: 14,  # r0 odd: dropped
+        C | R1: 15,  # r0 odd: dropped
     }
     table, pairs = process_bag(ctx, [child])
     want = {}
-    for q, f, val in ((0b01, 0b00, 10), (0b01, 0b10, 11), (0b00, 0b00, 12), (0b00, 0b10, 13)):
-        want[pack(q, f, 3)] = want[pack(q | 0b10, f, 3)] = val
+    for key, val in ((C, 10), (C | R1, 11), (0, 12), (R1, 13)):
+        want[key] = want[key | x] = val
     assert table == want
     assert pairs == 0
+
+
+def test_forgotten_row_colour_is_reused_by_a_column_introduced_above():
+    """Row 0 leaves scope at node 1, and the root introduces column 0 on the
+    row's freed colour. The row's parity bit is 1 wherever column 2,
+    forgotten below, was taken; left set, it would read as column 0 selected
+    in the root's table, and the solution of column 2 alone would be lost."""
+    # vertices: row 0 is 0; columns 0, 1, 2 are 1, 2, 3. Column 0 has no rows.
+    td = TreeDecomposition([{1, 2}, {0, 2}, {0, 3}], [(1,), (2,), ()], 0)
+    for weights in ([-1, 5, 1], [1, 5, 1], [-1, 1, 5], [2, -3, -1], [0, 0, 0]):
+        mat = Gf2Matrix(1, 3, [(), (0,), (0,)], weights)
+        g = hasse_graph(mat)
+        assert validate_decomposition(td, g) is None
+        _order, _lifts, _cols, bits = _plan(td, g.adj, mat, 0b1)
+        assert bits[0] == bits[1]
+        for rows in ([0], []):
+            r = solve_mld_treewidth(mat, rows, ntd=td)
+            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+            assert got == canonical_optimum(mat, rows), (weights, rows)
 
 
 def star(matrix, introduced):
@@ -398,6 +411,45 @@ def test_root_first_ids():
             assert (given.status, given.weight, given.witness) == (
                 computed.status, computed.weight, computed.witness
             ), (seed, root)
+
+
+def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
+    """On the incidence graphs of 200 random matrices, for greedy
+    decompositions under both heuristics, their nice forms, root-first
+    relabellings and star decompositions: every vertex owns one key bit,
+    vertices that share a bag own distinct bits, at most width + 1 colours
+    are used and a bag's column bits are its columns'. A supplied greedy
+    decomposition does the computed one's work, and every decomposition
+    gives the same answer."""
+    for trial in range(200):
+        rng = random.Random(trial)
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+        cols = [sorted(rng.sample(range(nrows), rng.randint(0, min(3, nrows)))) for _ in range(ncols)]
+        mat = Gf2Matrix(nrows, ncols, cols, [rng.randint(-2, 5) for _ in range(ncols)])
+        g = hasse_graph(mat)
+        rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
+        decompositions = [star(mat, rng.randrange(ncols))]
+        for heuristic in ("min-fill", "min-degree"):
+            computed = solve_mld_treewidth(mat, rows, heuristic=heuristic)
+            td = greedy_decomposition(g, heuristic)
+            given = solve_mld_treewidth(mat, rows, ntd=td)
+            for key in ("width", "nodes", "table_entries", "join_pairs"):
+                assert given.stats[key] == computed.stats[key], (trial, heuristic, key)
+            root = rng.randrange(td.n_nodes)
+            decompositions += [td, make_nice(td, g), relabelled(rerooted(td, root))]
+        want = (computed.status, computed.weight, computed.witness)
+        for td in decompositions:
+            _order, _lifts, bag_cols, bits = _plan(td, g.adj, mat, mat.target_mask(rows))
+            assert all(b > 0 and b & (b - 1) == 0 for b in bits), trial
+            for t, bag in enumerate(td.bags):
+                assert len({bits[v] for v in bag}) == len(bag), (trial, t)
+                assert bag_cols[t] == sum(bits[v] for v in bag if v >= nrows), (trial, t)
+            used = 0
+            for b in bits:
+                used |= b
+            assert used.bit_length() <= td.width + 1, trial
+            r = solve_mld_treewidth(mat, rows, ntd=td)
+            assert (r.status, r.weight, r.witness) == want, trial
 
 
 # (generator seed, weights, weight, witness, table_entries, join_pairs) of

@@ -21,14 +21,19 @@ faces (rows) and a move is a column. A chain question reaches it through
 States are settled in A* order (Hart, Nilsson and Raphael 1968): by
 L*g + h, where g is the cost so far and h a lower bound on the cost still
 to pay, both scaled by L, the lcm of the nonempty column sizes, so that
-every value is an exact integer. Each face f of a state has to be cleared
-by some column c containing it, and c clears at most |c| faces for w_c, so
-hf[f] = min over c containing f of w_c*L/|c|, and h is the sum of hf over
-the faces of the state. A move by c changes h by at least -L*w_c, so h is
-consistent: with non-negative weights the first settled empty chain is an
-exact optimum, and settled priorities never decrease. A move changes h only
-on the rows of its column, so h is updated in O(|c|) and travels in the
-heap entry. Ties go to the deeper state, then to the smaller mask.
+every value is an exact integer. h is the sum of per-face terms hf over
+the faces of the state, and the terms pack the column weights: hf >= 0
+and the terms of the rows of any column c sum to at most L*w_c (a
+feasible solution of the dual of the covering LP). A move by c then
+changes h by at least -L*w_c, so h is consistent: with non-negative
+weights the first settled empty chain is an exact optimum, settled
+priorities never decrease, and no settled state is ever reached more
+cheaply, so a heap entry is stale exactly when its cost is no longer the
+best known for its state. ``face_bounds`` starts every face from the even
+split, the least w_c*L/|c| over its columns, and raises it by what its
+columns leave unused. A move changes h only on the rows of its column, so
+h is updated in O(|c|) and travels in the heap entry. Ties go to the
+deeper state, then to the smaller mask.
 
 An optional bound k restricts attention to solutions using at most k top
 simplices. With uniform weights a chain never profits from being reached
@@ -70,7 +75,10 @@ def degree_masks(cofdeg: Sequence[int]) -> list[int]:
 
 
 def _pivot_from_mask(mask: int, strategy: str, deg_masks: Sequence[int]) -> int:
-    """The pivot row of a nonempty state; deg_masks come from degree_masks."""
+    """The pivot row of a nonempty state; deg_masks come from degree_masks.
+
+    ``_search`` inlines the min-coface scan, so a change to it goes there too.
+    """
     if strategy == PIVOT_MIN_INDEX:
         return (mask & -mask).bit_length() - 1
     if strategy == PIVOT_MAX_INDEX:
@@ -100,18 +108,37 @@ def _default_max_states(max_states: int | None) -> int:
 def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int]]:
     """The scale L and the per-face terms hf of the search's lower bound.
 
-    L is the lcm of the nonempty column sizes and hf[f] the least
-    w_c*L/|c| over the columns c containing f (0 for a face in no column;
-    a state holding one is a dead end anyway). The bound of a state is the
-    sum of hf over its faces, in units of 1/L.
+    L is the lcm of the nonempty column sizes. The terms pack the column
+    weights: hf >= 0 and, for every column c, the sum of hf over the rows
+    of c is at most w_c*L. The bound of a state is the sum of hf over its
+    faces, in units of 1/L; a move by c lowers it by at most w_c*L, so it
+    is consistent.
+
+    hf starts from the even split, the least w_c*L/|c| over the columns c
+    containing the face, and one pass over the rows in index order then
+    raises each row by the least slack w_c*L - sum of hf over c among its
+    columns, taking that amount off those columns' slack. Afterwards every
+    row that lies in a column lies in one with no slack left. A face in no
+    column keeps 0; a state holding one is a dead end anyway. With unit
+    weights and equal column sizes every slack is 0, so the pass is
+    skipped and the bound is the even split.
     """
     col_rows = matrix.col_rows
+    row_cols = matrix.row_cols
     weights = matrix.col_weights
     scale = math.lcm(*(len(rs) for rs in col_rows if rs))
-    hf = [
-        min((weights[c] * scale // len(col_rows[c]) for c in cols), default=0)
-        for cols in matrix.row_cols
-    ]
+    split = [w * scale // len(rs) if rs else 0 for w, rs in zip(weights, col_rows)]
+    hf = [min([split[c] for c in cols]) if cols else 0 for cols in row_cols]
+    slack = [w * scale - sum([hf[r] for r in rs]) for w, rs in zip(weights, col_rows)]
+    if not any(slack):
+        return scale, hf
+    for r, cols in enumerate(row_cols):
+        if cols:
+            d = min([slack[c] for c in cols])
+            if d:
+                hf[r] += d
+                for c in cols:
+                    slack[c] -= d
     return scale, hf
 
 
@@ -180,77 +207,95 @@ def _search(
     row_cols = matrix.row_cols
     weights = matrix.col_weights
     deg_masks = degree_masks([len(cs) for cs in row_cols])
-    chain_keyed = k is None or matrix.has_uniform_weights
+    min_coface = pivot == PIVOT_MIN_COFACE
+    bounded = k is not None
+    chain_keyed = not bounded or matrix.has_uniform_weights
     scale, hf = face_bounds(matrix)
     cmax = max(map(len, col_rows), default=1)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
 
     # key -> (cost, parent key, column); a key is the mask, or (mask, steps)
     start_key = start if chain_keyed else (start, 0)
     best: dict = {start_key: (0, None, None)}
     # entries (f, -g, steps, mask) with f = L*g + h
     heap = [(sum(hf[r] for r in indices_from_mask(start)), 0, 0, start)]
-    stats["pushes"] = 1
-    stats["frontier_peak"] = 1
-    settled = set()
     prev_f = 0
+    # the counters live in locals and reach stats on every way out
+    expanded = 0
+    pushes = 1
+    frontier_peak = 1
+    monotone = True
 
-    while heap:
-        f, neg_cost, steps, mask = heapq.heappop(heap)
-        key = mask if chain_keyed else (mask, steps)
-        if key in settled:
-            continue
-        settled.add(key)
-        stats["states_expanded"] += 1
-        if f < prev_f:
-            stats["monotone_frontier"] = False
-        prev_f = f
-        cost = -neg_cost
-
-        if mask == 0:
-            used = 0
-            _, parent, col = best[key]
-            while parent is not None:
-                used ^= 1 << col
-                _, parent, col = best[parent]
-            witness = frozenset(indices_from_mask(used))
-            weight = matrix.weight_of(witness)
-            if weight != cost:
-                raise ConsistencyError(
-                    f"path cost {cost} disagrees with witness weight {weight}"
-                )
-            stats["visited"] = len(best)
-            return SolveResult(Status.OPTIMAL, cost, witness, stats)
-
-        if k is not None and steps >= k:
-            continue
-        h = f - scale * cost
-        nsteps = steps + 1
-        p = _pivot_from_mask(mask, pivot, deg_masks)
-        for col in row_cols[p]:
-            nmask = mask ^ col_masks[col]
-            # the remaining k - nsteps columns must clear every face left
-            if k is not None and nmask.bit_count() > (k - nsteps) * cmax:
+    try:
+        while heap:
+            f, neg_cost, steps, mask = heappop(heap)
+            key = mask if chain_keyed else (mask, steps)
+            cost = -neg_cost
+            # a cheaper entry for this state came first: the bound is
+            # consistent, so a settled state is never improved or reopened
+            if best[key][0] != cost:
                 continue
-            nkey = nmask if chain_keyed else (nmask, nsteps)
-            if nkey in settled:
-                continue
-            ncost = cost + weights[col]
-            old = best.get(nkey)
-            if old is not None and old[0] <= ncost:
-                continue
-            if old is None and len(best) >= max_states:
-                stats["visited"] = len(best)
-                return SolveResult(Status.RESOURCE_LIMIT, stats=stats)
-            best[nkey] = (ncost, key, col)
-            nh = h
-            for r in col_rows[col]:
-                nh += -hf[r] if mask >> r & 1 else hf[r]
-            heapq.heappush(heap, (scale * ncost + nh, -ncost, nsteps, nmask))
-            stats["pushes"] += 1
-        if len(heap) > stats["frontier_peak"]:
-            stats["frontier_peak"] = len(heap)
+            expanded += 1
+            if f < prev_f:
+                monotone = False
+            prev_f = f
 
-    stats["visited"] = len(best)
-    if k is None:
+            if mask == 0:
+                used = 0
+                _, parent, col = best[key]
+                while parent is not None:
+                    used ^= 1 << col
+                    _, parent, col = best[parent]
+                witness = frozenset(indices_from_mask(used))
+                weight = matrix.weight_of(witness)
+                if weight != cost:
+                    raise ConsistencyError(
+                        f"path cost {cost} disagrees with witness weight {weight}"
+                    )
+                return SolveResult(Status.OPTIMAL, cost, witness, stats)
+
+            nsteps = steps + 1
+            if bounded:
+                if steps >= k:
+                    continue
+                # the faces the remaining k - nsteps columns can still clear
+                room = (k - nsteps) * cmax
+            h = f - scale * cost
+            if min_coface:
+                for dm in deg_masks:
+                    m = mask & dm
+                    if m:
+                        break
+                p = (m & -m).bit_length() - 1
+            else:
+                p = _pivot_from_mask(mask, pivot, deg_masks)
+            for col in row_cols[p]:
+                nmask = mask ^ col_masks[col]
+                if bounded and nmask.bit_count() > room:
+                    continue
+                nkey = nmask if chain_keyed else (nmask, nsteps)
+                ncost = cost + weights[col]
+                old = best.get(nkey)
+                if old is not None and old[0] <= ncost:
+                    continue
+                if old is None and len(best) >= max_states:
+                    return SolveResult(Status.RESOURCE_LIMIT, stats=stats)
+                best[nkey] = (ncost, key, col)
+                nh = h
+                for r in col_rows[col]:
+                    nh += -hf[r] if mask >> r & 1 else hf[r]
+                heappush(heap, (scale * ncost + nh, -ncost, nsteps, nmask))
+                pushes += 1
+            if len(heap) > frontier_peak:
+                frontier_peak = len(heap)
+
+        if bounded:
+            return SolveResult(Status.NOT_FOUND_WITHIN_BOUND, stats=stats)
         return SolveResult(Status.INFEASIBLE, stats=stats)
-    return SolveResult(Status.NOT_FOUND_WITHIN_BOUND, stats=stats)
+    finally:
+        stats["states_expanded"] = expanded
+        stats["pushes"] = pushes
+        stats["frontier_peak"] = frontier_peak
+        stats["visited"] = len(best)
+        stats["monotone_frontier"] = monotone

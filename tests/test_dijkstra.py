@@ -10,6 +10,7 @@ from boundedchain import (
     brute_force_mld,
     build_slice,
     instance_from_complex,
+    instance_from_matrix,
     solve,
     solve_mld_dijkstra,
 )
@@ -206,17 +207,25 @@ def _bound(hf, mask):
 
 
 def test_lower_bound_is_consistent():
-    """No move lowers the scaled bound by more than L times its weight."""
+    """The face terms pack every column's weight, which is exactly what makes
+    the bound consistent, and the raise pass leaves no row that could grow."""
     rng = random.Random(43)
     for seed in range(40):
         cs, _ = random_problem(seed, max_top=14, dim=2 + seed % 2, weights="random")
         mat = boundary_matrix(cs)
         scale, hf = face_bounds(mat)
         assert _bound(hf, 0) == 0
+        assert min(hf) >= 0, seed
+        slack = []
         for c, rows in enumerate(mat.col_rows):
             assert scale % len(rows) == 0
-            for r in rows:
-                assert hf[r] * len(rows) <= mat.col_weights[c] * scale
+            slack.append(mat.col_weights[c] * scale - sum(hf[r] for r in rows))
+            assert slack[c] >= 0, (seed, c)
+        for r, cols in enumerate(mat.row_cols):
+            if cols:
+                assert min(slack[c] for c in cols) == 0, (seed, r)
+                even = min(mat.col_weights[c] * scale // len(mat.col_rows[c]) for c in cols)
+                assert hf[r] >= even, (seed, r)
         for _ in range(200):
             m = rng.getrandbits(mat.nrows)
             c = rng.randrange(mat.ncols)
@@ -266,6 +275,30 @@ def test_random_weight_oracle_sweep():
                 assert r.status is Status.NOT_FOUND_WITHIN_BOUND, (seed, k)
 
 
+def test_treewidth_agrees_above_oracle_size():
+    """Unbounded, with weights from 0 to 9, on slices too big for the oracle,
+    where the raise pass lifts many faces above the even split."""
+    rng = random.Random(46)
+    raised = 0
+    for seed in range(40):
+        dim = 2 + seed % 2
+        cs = random_slice(40, 9, dim=dim, seed=seed)
+        boundary = sorted(random_boundary(cs, seed=seed, require_nonempty=True))
+        base = boundary_matrix(cs)
+        weights = [rng.randint(0, 9) for _ in range(base.ncols)]
+        mat = Gf2Matrix(base.nrows, base.ncols, base.col_rows, weights)
+        inst = instance_from_matrix(mat, boundary)
+        ref = solve(inst, "treewidth")
+        r = solve(inst, "dijkstra")
+        assert r.status is ref.status, seed
+        assert r.weight == ref.weight, seed
+        scale, hf = face_bounds(mat)
+        split = [min(weights[c] * scale // len(mat.col_rows[c]) for c in cols)
+                 for cols in mat.row_cols]
+        raised += hf != split
+    assert raised >= 20
+
+
 def test_witness_weight_matches_cost():
     for seed in range(40):
         cs, boundary = random_problem(seed, weights="random")
@@ -299,9 +332,11 @@ def test_usage_errors():
 
 
 # (seed, weights, pivot, k) -> (status, weight, witness, states_expanded,
-# pushes, frontier_peak, visited), recorded before the search's pivot took
-# degree masks and its two dicts became one; k is the unit-weight optimum's
-# size on even seeds and one less on odd seeds.
+# pushes, frontier_peak, visited), recorded after the bound's raise pass
+# (face_bounds) went in: against the even split, every status and weight
+# is the same, no row settles more states, the unit-weight rows did not
+# change at all, and one witness moved to another of the same weight. k is
+# the unit-weight optimum's size on even seeds and one less on odd seeds.
 PINNED = {
     (0, 'unit', 'min-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 59, 15, 59),
     (0, 'unit', 'min-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 50, 15, 50),
@@ -309,47 +344,47 @@ PINNED = {
     (0, 'unit', 'min-coface', 11): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 26, 8, 26),
     (0, 'unit', 'max-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 726, 1477, 752, 1477),
     (0, 'unit', 'max-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 726, 1074, 518, 1074),
-    (0, 'random', 'min-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 77, 110, 36, 107),
-    (0, 'random', 'min-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 85, 88, 29, 85),
-    (0, 'random', 'min-coface', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 58, 83, 26, 83),
+    (0, 'random', 'min-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 65, 103, 39, 101),
+    (0, 'random', 'min-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 79, 87, 31, 85),
+    (0, 'random', 'min-coface', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 53, 78, 29, 78),
     (0, 'random', 'min-coface', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 31, 31, 11, 31),
-    (0, 'random', 'max-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 5173, 10988, 5640, 10547),
-    (0, 'random', 'max-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 1398, 1520, 474, 1440),
+    (0, 'random', 'max-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 1405, 3308, 1868, 3219),
+    (0, 'random', 'max-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 1055, 1422, 493, 1344),
     (1, 'unit', 'min-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 49, 99, 51, 99),
     (1, 'unit', 'min-index', 7): ('not_found_within_bound', None, None, 24, 24, 9, 24),
     (1, 'unit', 'min-coface', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 16, 31, 16, 31),
     (1, 'unit', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
     (1, 'unit', 'max-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 45, 118, 74, 118),
     (1, 'unit', 'max-index', 7): ('not_found_within_bound', None, None, 21, 21, 8, 21),
-    (1, 'random', 'min-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 202, 342, 141, 341),
-    (1, 'random', 'min-index', 7): ('not_found_within_bound', None, None, 26, 26, 10, 26),
-    (1, 'random', 'min-coface', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 55, 85, 31, 82),
+    (1, 'random', 'min-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 122, 200, 79, 199),
+    (1, 'random', 'min-index', 7): ('not_found_within_bound', None, None, 26, 26, 9, 26),
+    (1, 'random', 'min-coface', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 49, 82, 34, 79),
     (1, 'random', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
-    (1, 'random', 'max-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 212, 499, 287, 491),
-    (1, 'random', 'max-index', 7): ('not_found_within_bound', None, None, 22, 22, 9, 22),
+    (1, 'random', 'max-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 119, 288, 170, 285),
+    (1, 'random', 'max-index', 7): ('not_found_within_bound', None, None, 22, 22, 8, 22),
     (2, 'unit', 'min-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 11, 19, 9, 19),
     (2, 'unit', 'min-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 11, 13, 5, 13),
     (2, 'unit', 'min-coface', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 19, 8, 19),
     (2, 'unit', 'min-coface', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 12, 3, 12),
     (2, 'unit', 'max-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 210, 446, 238, 446),
     (2, 'unit', 'max-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 210, 322, 167, 322),
-    (2, 'random', 'min-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 23, 44, 22, 44),
+    (2, 'random', 'min-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 21, 40, 20, 39),
     (2, 'random', 'min-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 16, 18, 4, 17),
-    (2, 'random', 'min-coface', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 25, 46, 22, 45),
+    (2, 'random', 'min-coface', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 24, 45, 22, 44),
     (2, 'random', 'min-coface', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 15, 15, 4, 15),
-    (2, 'random', 'max-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 17, 18, 19, 20, 23), 1335, 2223, 812, 2042),
-    (2, 'random', 'max-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 378, 425, 112, 392),
+    (2, 'random', 'max-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 637, 1198, 528, 1109),
+    (2, 'random', 'max-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 338, 427, 136, 381),
     (3, 'unit', 'min-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 16, 27, 12, 27),
     (3, 'unit', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
     (3, 'unit', 'min-coface', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 16, 23, 8, 23),
     (3, 'unit', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
     (3, 'unit', 'max-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 20, 61, 42, 61),
     (3, 'unit', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
-    (3, 'random', 'min-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 9, 20, 12, 20),
+    (3, 'random', 'min-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 8, 18, 11, 18),
     (3, 'random', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
-    (3, 'random', 'min-coface', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 9, 16, 8, 16),
+    (3, 'random', 'min-coface', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 8, 14, 7, 14),
     (3, 'random', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
-    (3, 'random', 'max-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 33, 84, 52, 84),
+    (3, 'random', 'max-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 13, 41, 29, 41),
     (3, 'random', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
     (4, 'unit', 'min-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 73, 43, 73),
     (4, 'unit', 'min-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 52, 24, 52),
@@ -357,24 +392,24 @@ PINNED = {
     (4, 'unit', 'min-coface', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
     (4, 'unit', 'max-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 16, 30, 15, 30),
     (4, 'unit', 'max-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 16, 20, 6, 20),
-    (4, 'random', 'min-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 264, 487, 223, 486),
-    (4, 'random', 'min-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 59, 62, 18, 61),
-    (4, 'random', 'min-coface', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 21, 39, 20, 39),
-    (4, 'random', 'min-coface', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
-    (4, 'random', 'max-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 47, 84, 39, 83),
-    (4, 'random', 'max-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 28, 28, 8, 28),
+    (4, 'random', 'min-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 112, 224, 112, 222),
+    (4, 'random', 'min-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 52, 61, 17, 60),
+    (4, 'random', 'min-coface', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 16, 30, 15, 30),
+    (4, 'random', 'min-coface', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 11, 13, 4, 13),
+    (4, 'random', 'max-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 25, 49, 25, 49),
+    (4, 'random', 'max-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 24, 27, 10, 26),
     (5, 'unit', 'min-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 175, 314, 140, 314),
     (5, 'unit', 'min-index', 8): ('not_found_within_bound', None, None, 117, 117, 48, 117),
     (5, 'unit', 'min-coface', None): ('optimal', 9, (0, 1, 4, 9, 11, 12, 15, 17, 19), 26, 42, 17, 42),
     (5, 'unit', 'min-coface', 8): ('not_found_within_bound', None, None, 15, 15, 4, 15),
     (5, 'unit', 'max-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 117, 175, 66, 175),
     (5, 'unit', 'max-index', 8): ('not_found_within_bound', None, None, 91, 91, 47, 91),
-    (5, 'random', 'min-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 182, 336, 155, 334),
-    (5, 'random', 'min-index', 8): ('not_found_within_bound', None, None, 156, 160, 52, 156),
-    (5, 'random', 'min-coface', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 25, 39, 15, 38),
+    (5, 'random', 'min-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 139, 267, 130, 265),
+    (5, 'random', 'min-index', 8): ('not_found_within_bound', None, None, 156, 162, 55, 156),
+    (5, 'random', 'min-coface', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 24, 37, 14, 37),
     (5, 'random', 'min-coface', 8): ('not_found_within_bound', None, None, 19, 19, 6, 19),
-    (5, 'random', 'max-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 129, 178, 49, 172),
-    (5, 'random', 'max-index', 8): ('not_found_within_bound', None, None, 112, 112, 31, 112),
+    (5, 'random', 'max-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 114, 162, 53, 159),
+    (5, 'random', 'max-index', 8): ('not_found_within_bound', None, None, 112, 112, 32, 112),
 }
 
 

@@ -7,6 +7,22 @@ The DP runs on the decomposition itself, computed greedily or supplied
 and accepted by ``validate_decomposition``; nodes are scheduled by an
 iterative post-order, so node ids may come in any order.
 
+Kernel. Before any decomposition, ``_propagate`` runs unit propagation
+over GF(2): a row with one live column c fixes x_c = u_r, a selected
+column flips the target bits of its rows, and the column leaves; a row
+left with no column leaves too, unless its target bit is set, which
+proves the target infeasible. The DP then runs on the kernel, the rows
+and columns left, each renumbered in increasing order. Every solution
+holds the fixed columns, and renumbering keeps the column order, so the
+witness, mapped back with the fixed selected columns added, is still the
+canonical one. A supplied decomposition is validated against the whole
+incidence graph and then restricted to the kernel's vertices, with the
+same nodes, children and root: restricted to an induced subgraph, a
+decomposition stays one, and its width can only fall. The stats
+``width``, ``nodes``, ``table_entries`` and ``join_pairs`` describe the DP
+on the kernel; an instance propagation fixes whole leaves the empty graph,
+whose width is -1. Propagation is billed to the ``decompose`` phase.
+
 Key layout. One pre-order walk gives every vertex, at its topmost bag, the
 least colour that no other vertex of that bag has. A vertex's bags form a
 connected subtree, so two vertices that share a bag have distinct
@@ -59,6 +75,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .complexes import Gf2Matrix, hasse_graph
@@ -69,7 +86,7 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import ConsistencyError, UsageError
-from .gf2 import indices_from_mask
+from .gf2 import indices_from_mask, mask_from_indices
 from .results import SolveResult, Status
 
 
@@ -173,6 +190,73 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, in
     return table, pairs
 
 
+def _propagate(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, Sequence[int], list[int]]:
+    """Unit propagation over GF(2): fix every column that some row forces.
+
+    A row with one live column c fixes it: x_c = u_r. A selected column
+    flips the target bit of each of its rows, and the column leaves. A row
+    with no live column leaves too, once its target bit is clear. This
+    repeats until every row left has two or more live columns.
+
+    Returns (kernel matrix, kernel target mask, kept vertices, fixed
+    selected columns). The kernel keeps the live rows and columns, each
+    renumbered in increasing order, and its vertex i is the incidence-graph
+    vertex ``kept[i]``. A live column's rows are all live, since a row
+    leaves only after all its columns. A row left with no column and its
+    target bit set has no solution: the kernel is then that row alone,
+    which the DP finds infeasible.
+    """
+    nrows, ncols = matrix.nrows, matrix.ncols
+    col_rows = matrix.col_rows
+    u = bytearray(nrows)
+    for r in indices_from_mask(target):
+        u[r] = 1
+    # per row, the number and the xor of its live columns: at degree 1 the
+    # xor is the one column left
+    deg = [0] * nrows
+    xor = [0] * nrows
+    for c, rs in enumerate(col_rows):
+        for r in rs:
+            deg[r] += 1
+            xor[r] ^= c
+    live = bytearray(b"\x01") * (nrows + ncols)  # rows first, then columns
+    queue = [r for r in range(nrows) if deg[r] <= 1]
+    fixed = []
+    while queue:
+        r = queue.pop()
+        if not live[r]:
+            continue
+        live[r] = 0
+        if not deg[r]:
+            if u[r]:  # no solution: the kernel is this row alone
+                return Gf2Matrix(1, 0, [], []), 1, [r], []
+            continue
+        c = xor[r]
+        live[nrows + c] = 0
+        selected = u[r]
+        if selected:
+            fixed.append(c)
+        for s in col_rows[c]:
+            u[s] ^= selected
+            xor[s] ^= c
+            deg[s] -= 1
+            if deg[s] == 1:
+                queue.append(s)
+    if all(live):
+        return matrix, target, range(nrows + ncols), fixed
+    rows = list(compress(range(nrows), live))
+    cols = list(compress(range(ncols), live[nrows:]))
+    kept = rows + [nrows + c for c in cols]
+    new_row = {r: i for i, r in enumerate(rows)}
+    kernel = Gf2Matrix(
+        len(rows),
+        len(cols),
+        [[new_row[r] for r in col_rows[c]] for c in cols],
+        [matrix.col_weights[c] for c in cols],
+    )
+    return kernel, mask_from_indices(i for i, r in enumerate(rows) if u[r]), kept, fixed
+
+
 def backtrack(value: int, ncols: int) -> tuple[int, frozenset[int]]:
     """Split a packed root value into (weight, witness column set)."""
     return value >> ncols, frozenset(indices_from_mask(value & ((1 << ncols) - 1)))
@@ -247,10 +331,12 @@ def solve_mld_treewidth(
 ) -> SolveResult:
     """Minimum-weight solution of A x = u via decomposition DP.
 
-    Accepts any weights, including negative. A decomposition of the
-    incidence graph may be supplied, any rooted one (a nice one too); it
-    is validated and the DP runs on it as it is. Otherwise one is computed
-    greedily. ``detailed_stats`` adds ``join_bags``, the (node, join pairs)
+    Accepts any weights, including negative. Unit propagation first fixes
+    the forced columns (see the module docstring). A decomposition of the
+    whole incidence graph may be supplied, any rooted one (a nice one
+    too); it is validated, and the DP runs on it restricted to the kernel,
+    node for node. Otherwise one of the kernel's is computed greedily.
+    ``detailed_stats`` adds ``join_bags``, the (node, join pairs)
     of every node with two or more children. ``timing`` adds the wall
     seconds of the ``decompose`` and ``dp`` phases and the largest node
     table, ``peak_table``.
@@ -258,21 +344,31 @@ def solve_mld_treewidth(
     target = matrix.target_mask(target_rows)
 
     start = time.perf_counter()
-    g = hasse_graph(matrix)
     if ntd is None:
-        td = greedy_decomposition(g, heuristic)
         td_source = heuristic
     elif isinstance(ntd, TreeDecomposition):
+        g = hasse_graph(matrix)
         bad = validate_decomposition(ntd, g)
         if bad:
             raise UsageError(f"input decomposition is invalid ({bad})")
-        td = ntd
         td_source = "given"
     else:
         raise UsageError("ntd must be a tree decomposition or None")
+    kernel, ktarget, kept, fixed = _propagate(matrix, target)
+    if ntd is None:
+        g = hasse_graph(kernel)
+        td = greedy_decomposition(g, heuristic)
+    elif kernel is matrix:
+        td = ntd
+    else:
+        # restricted to an induced subgraph, a decomposition stays one
+        g = hasse_graph(kernel)
+        new_id = {v: i for i, v in enumerate(kept)}
+        bags = [[new_id[v] for v in bag if v in new_id] for bag in ntd.bags]
+        td = TreeDecomposition(bags, ntd.children, ntd.root)
     decomposed = time.perf_counter()
 
-    order, lifts, bag_cols, _bits = _plan(td, g.adj, matrix, target)
+    order, lifts, bag_cols, _bits = _plan(td, g.adj, kernel, ktarget)
 
     tables: list = [None] * td.n_nodes
     table_entries = 0
@@ -314,7 +410,10 @@ def solve_mld_treewidth(
     val = top.get(0)
     if val is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
-    weight, witness = backtrack(val, matrix.ncols)
+    weight, kwitness = backtrack(val, kernel.ncols)
+    weight += matrix.weight_of(fixed)
+    kcols = kept[kernel.nrows:]
+    witness = frozenset([kcols[c] - matrix.nrows for c in kwitness] + fixed)
     witness_weight = matrix.weight_of(witness)
     if witness_weight != weight:
         raise ConsistencyError(

@@ -5,6 +5,7 @@ import random
 from collections import deque
 
 from boundedchain import build_slice
+from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import TreeDecomposition
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import Gf2System, indices_from_mask
@@ -107,6 +108,19 @@ def reference_greedy_decomposition(graph, heuristic):
         parent = min(rest) if rest else j + 1
         children[parent].append(j)
     return TreeDecomposition(bags, children, len(bags) - 1)
+
+
+def doubled(matrix):
+    """The matrix with every column repeated, copy after original. Every row
+    with a column then has two, so unit propagation fixes nothing and the
+    treewidth DP runs on the whole incidence graph."""
+    twice = (0, 1)
+    return Gf2Matrix(
+        matrix.nrows,
+        2 * matrix.ncols,
+        [rows for rows in matrix.col_rows for _ in twice],
+        [w for w in matrix.col_weights for _ in twice],
+    )
 
 
 def canonical_optimum(matrix, target_rows):

@@ -41,7 +41,7 @@ from boundedchain.generators import (
     random_slice,
     triangle_strip,
 )
-from helpers import assert_join_pairs_capped, punctured_octahedron
+from helpers import assert_join_pairs_capped, doubled, punctured_octahedron
 
 
 def test_acceptance_1_oracle_agreement(acceptance):
@@ -194,8 +194,10 @@ def test_acceptance_6_decomposition_validity(acceptance):
 
 
 def _strip_dp_time(length, reps=5):
+    """The DP on a strip whose columns are doubled: unit propagation solves
+    a plain strip outright, and leaves the doubled one whole, at fixed width."""
     cs, boundary = triangle_strip(length)
-    mat = boundary_matrix(cs)
+    mat = doubled(boundary_matrix(cs))
     g = hasse_graph(mat)
     ntd = greedy_decomposition(g, "min-fill")
     best = None
@@ -205,6 +207,7 @@ def _strip_dp_time(length, reps=5):
         result = solve_mld_treewidth(mat, sorted(boundary), ntd=ntd)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
+    assert result.stats["width"] == ntd.width > 1
     return best, result
 
 
@@ -237,9 +240,9 @@ def test_acceptance_7_scaling(acceptance):
             bound = sum(c**i for i in range(k + 1))
             assert r.stats["states_expanded"] <= bound, seed
 
-        # wall time on strips: quadrupling the length at fixed width
-        # may cost at most 1.5x the linear prediction (best of 3 attempts,
-        # timing on shared machines is noisy)
+        # wall time on doubled strips: quadrupling the length at fixed
+        # width may cost at most 1.5x the linear prediction (best of 3
+        # attempts, timing on shared machines is noisy)
         for attempt in range(3):
             t_small, r_small = _strip_dp_time(120)
             t_big, r_big = _strip_dp_time(480)

@@ -17,7 +17,6 @@ from typing import Iterable
 from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix
 from .dijkstra import PIVOT_MIN_COFACE, solve_mld_dijkstra
 from .errors import ConsistencyError, ResourceLimitError, UsageError
-from .gf2 import mask_from_indices
 from .mbc1 import solve_mbc1
 from .oracle import brute_force_mld
 from .results import SolveResult, Status
@@ -63,8 +62,11 @@ def verify_witness(instance: Instance, result: SolveResult) -> None:
         return
     if result.witness is None or result.weight is None:
         raise ConsistencyError("optimal result without witness or weight")
-    product = instance.matrix.product_mask(result.witness)
-    if product != mask_from_indices(instance.target):
+    parity: set[int] = set()  # the rows an odd number of witness columns hit
+    col_rows = instance.matrix.col_rows
+    for c in result.witness:
+        parity.symmetric_difference_update(col_rows[c])
+    if parity != instance.target:
         raise ConsistencyError("witness does not hit the target")
     if instance.matrix.weight_of(result.witness) != result.weight:
         raise ConsistencyError("reported weight disagrees with the witness")

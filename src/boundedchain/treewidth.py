@@ -7,21 +7,38 @@ The DP runs on the decomposition itself, computed greedily or supplied
 and accepted by ``validate_decomposition``; nodes are scheduled by an
 iterative post-order, so node ids may come in any order.
 
-Kernel. Before any decomposition, ``_propagate`` runs unit propagation
-over GF(2): a row with one live column c fixes x_c = u_r, a selected
-column flips the target bits of its rows, and the column leaves; a row
-left with no column leaves too, unless its target bit is set, which
-proves the target infeasible. The DP then runs on the kernel, the rows
-and columns left, each renumbered in increasing order. Every solution
-holds the fixed columns, and renumbering keeps the column order, so the
-witness, mapped back with the fixed selected columns added, is still the
-canonical one. A supplied decomposition is validated against the whole
-incidence graph and then restricted to the kernel's vertices, with the
-same nodes, children and root: restricted to an induced subgraph, a
-decomposition stays one, and its width can only fall. The stats
-``width``, ``nodes``, ``table_entries`` and ``join_pairs`` describe the DP
-on the kernel; an instance propagation fixes whole leaves the empty graph,
-whose width is -1. Propagation is billed to the ``decompose`` phase.
+Kernel. Before any decomposition, two exact passes shrink the instance.
+``_propagate`` runs unit propagation over GF(2), on arrays: a row with one
+live column c fixes x_c = u_r, a selected column flips the target bits of
+its rows, and the column leaves; a row left with no column leaves too,
+unless its target bit is set, which proves the target infeasible. Every
+row it leaves has two columns or more, and its kernel keeps the rows and
+columns left, each renumbered in increasing order. ``_series`` then
+substitutes away every row of degree 2 or less of that kernel: a row r
+over columns a and b says x_b = x_a ⊕ u_r, so b merges into a, whose rows
+become rows(a) Δ rows(b) minus r, and the target flips on rows(b) minus r
+where u_r is set. Degree 1 and 0 are handled as in propagation, and a
+column a merge leaves with no row is fixed at its cheaper side. Each
+column carries two packed charges, ``on`` and ``off``: the sum of
+``(w_c << n) + (1 << c)`` over the unit kernel's columns c that it
+selects when set and when clear, n being that kernel's column count; a
+merge adds b's charges to a's, crosswise where u_r is set. The DP runs on
+what is left, the kernel, with each column weighed at ``on - off``; the
+fixed charges and every ``off`` are added at the root, so the total is
+the packed charge of one solution of the unit kernel, and ``backtrack``
+decodes its weight and mask. Each step is exact: a substitution maps
+solutions one to one, and a column left with no row is free, so its
+cheaper side is the canonical choice. Both renumberings keep the column
+order, so the witness, mapped back with propagation's fixed selected
+columns added, is still the canonical one. A supplied decomposition is validated against the whole incidence
+graph and then contracted onto the kernel, with the same nodes, children
+and root: a merged column and its series row map to the column they
+merged into, and a fixed column or dropped row leaves. The kernel's graph
+is a subgraph of that contraction, a minor of the incidence graph, so the
+result decomposes it, and its width can only fall. The stats ``width``,
+``nodes``, ``table_entries`` and ``join_pairs`` describe the DP on the
+kernel; an instance the passes reduce whole leaves the empty graph, whose
+width is -1. Both passes are billed to the ``decompose`` phase.
 
 Key layout. One pre-order walk gives every vertex, at its topmost bag, the
 least colour that no other vertex of that bag has. A vertex's bags form a
@@ -34,24 +51,24 @@ met. A key never moves between layouts: forgetting a vertex clears its
 bit, and a vertex introduced above may then reuse it. Missing keys mean
 "no feasible completion", which doubles as infinity.
 
-Each value is one int that carries the partial witness with its weight:
-``weight << ncols | mask``, where weight is the total weight of the
-forgotten selected columns (bag columns are charged only when forgotten)
-and mask is the set of those columns. Since ``0 <= mask < 2^ncols``, int
-order is (weight, mask) order, negative weights included, so every min
-is a plain ``<`` and the DP minimises the perturbed column weights
-``w_c * 2^ncols + 2^c``. There are no ties to break and no backpointers:
-the root value decodes to the optimum weight and the canonical witness,
-the optimal column set with the smallest mask, whatever the
-decomposition or the order tables are visited in.
+Each value is one int: the sum of the kernel weights of the forgotten
+selected columns (bag columns are charged only when forgotten). Every
+kernel solution's weight plus the root's constant is ``W << n | mask``,
+with W the weight and mask the column set of the solution it stands for,
+and ``0 <= mask < 2^n``. So int order is (weight, mask) order, negative
+weights included, every min is a plain ``<``, and the DP minimises the
+perturbed column weights ``w_c * 2^n + 2^c``. There are no ties to break
+and no backpointers: the root value decodes to the optimum weight and the
+canonical witness, the optimal column set with the smallest mask,
+whatever the decomposition or the order tables are visited in.
 
 The walk that colours the vertices new at a node t, ``bags[t]`` minus its
 parent's bag, also builds t's ``Lift``: those are exactly the vertices
 forgotten when t's table moves into its parent. One node step,
 ``process_bag``:
 - lift each child's table into the node's bag. First forget the child's
-  columns that leave scope: a selected one adds
-  ``(w_c << ncols) + (1 << c)`` to the value, clears its bit and flips
+  columns that leave scope: a selected one adds its kernel weight to the
+  value, clears its bit and flips
   the bits of its rows in the child's bag; equal keys keep the min. Then
   forget the rows that leave scope: a row r survives only where the
   parity of its own bit and its bag columns' bits is u_r. By the
@@ -166,9 +183,9 @@ def _join(left: dict, right: dict, shared: int) -> tuple[dict, int]:
 def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, int]:
     """One node's table from its children's. Returns (table, join pairs).
 
-    Values are packed ``weight << ncols | mask`` ints, so each min is one
-    ``<`` and the table does not depend on the order children are joined
-    in or on which side of a join is indexed.
+    Values are sums of packed charges, so each min is one ``<`` and the
+    table does not depend on the order children are joined in or on which
+    side of a join is indexed.
     """
     table = None
     held = pairs = 0
@@ -257,6 +274,137 @@ def _propagate(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, Sequence
     return kernel, mask_from_indices(i for i, r in enumerate(rows) if u[r]), kept, fixed
 
 
+def _series(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, int, list[int]]:
+    """Series reduction over GF(2): substitute away every row of degree 2 or less.
+
+    A row r with no column leaves, once its target bit u_r is clear; with
+    one column c it fixes x_c = u_r. With two columns a and b it says
+    x_b = x_a ⊕ u_r, so b merges into a: rows(a) becomes rows(a) Δ rows(b)
+    minus r, and where u_r is set the target flips on rows(b) minus r. Rows
+    only lose columns, and one whose degree falls to 2 or less is queued.
+
+    Each column carries two charges, ``on`` and ``off``: the sum of
+    ``(w_c << n) + (1 << c)`` over the columns c of ``matrix`` that it
+    selects when set and when clear, n being ``matrix.ncols``. A merge adds
+    b's charges to a's, crosswise where u_r is set. A fixed column, and one
+    left with no row at its cheaper side, leaves with its charge in ``base``.
+
+    Returns (kernel, kernel target mask, base, image). The kernel keeps the
+    rows and columns left, each renumbered in increasing order, and weighs
+    each column at ``on - off``; ``base`` also holds every kernel column's
+    ``off``. So a kernel solution's weight plus ``base`` is the packed
+    charge of the solution it stands for, and ``backtrack(total, n)``
+    decodes it. ``image[v]`` is the kernel vertex that vertex v of
+    ``matrix`` contracts to, -1 for one that leaves: a merged column and its
+    series row map to the column they merged into. A row left with no
+    column and its target bit set has no solution: the kernel is then that
+    row alone, which the DP finds infeasible.
+    """
+    nrows, ncols = matrix.nrows, matrix.ncols
+    col_rows = [set(rs) for rs in matrix.col_rows]
+    row_cols: list[set[int]] = [set() for _ in range(nrows)]
+    for c, rs in enumerate(matrix.col_rows):
+        for r in rs:
+            row_cols[r].add(c)
+    u = bytearray(nrows)
+    for r in indices_from_mask(target):
+        u[r] = 1
+    on = [(w << ncols) + (1 << c) for c, w in enumerate(matrix.col_weights)]
+    off = [0] * ncols
+    # where each vertex went: itself while live, the column it merged into,
+    # or -1 once it left
+    to = list(range(nrows + ncols))
+    merged: list[int] = []
+    base = 0
+    queue = [r for r in range(nrows) if len(row_cols[r]) <= 2]
+    while queue:
+        r = queue.pop()
+        if to[r] != r:
+            continue
+        to[r] = -1
+        cs = row_cols[r]
+        if len(cs) == 2:
+            a, b = cs
+            if len(col_rows[a]) < len(col_rows[b]):
+                a, b = b, a
+            to[r] = to[nrows + b] = nrows + a
+            merged += (r, nrows + b)
+            flip = u[r]
+            if flip:
+                on[a], off[a] = on[a] + off[b], off[a] + on[b]
+            else:
+                on[a] += on[b]
+                off[a] += off[b]
+            rows_a = col_rows[a]
+            rows_a.remove(r)
+            for s in col_rows[b]:
+                if s == r:
+                    continue
+                rc = row_cols[s]
+                rc.remove(b)
+                u[s] ^= flip
+                if s in rows_a:
+                    rows_a.remove(s)
+                    rc.remove(a)
+                    if len(rc) <= 2:
+                        queue.append(s)
+                else:
+                    rows_a.add(s)
+                    rc.add(a)
+            if not rows_a:
+                base += min(on[a], off[a])
+                to[nrows + a] = -1
+        elif cs:
+            (c,) = cs
+            flip = u[r]
+            base += on[c] if flip else off[c]
+            to[nrows + c] = -1
+            for s in col_rows[c]:
+                if s != r:
+                    rc = row_cols[s]
+                    rc.remove(c)
+                    u[s] ^= flip
+                    if len(rc) <= 2:
+                        queue.append(s)
+        elif u[r]:  # no solution: the kernel is this row alone
+            image = [-1] * (nrows + ncols)
+            image[r] = 0
+            return Gf2Matrix(1, 0, [], []), 1, 0, image
+    rows = [r for r in range(nrows) if to[r] == r]
+    cols = [c for c in range(ncols) if to[nrows + c] == nrows + c]
+    new_id = [-1] * (nrows + ncols)
+    for i, r in enumerate(rows):
+        new_id[r] = i
+    for i, c in enumerate(cols, len(rows)):
+        new_id[nrows + c] = i
+    for v in reversed(merged):  # what v merged into has its end already
+        to[v] = to[to[v]]
+    image = [new_id[v] if v >= 0 else -1 for v in to]
+    kernel = Gf2Matrix(
+        len(rows),
+        len(cols),
+        [sorted([new_id[s] for s in col_rows[c]]) for c in cols],
+        [on[c] - off[c] for c in cols],
+    )
+    base += sum([off[c] for c in cols])
+    return kernel, mask_from_indices(i for i, r in enumerate(rows) if u[r]), base, image
+
+
+def _contract(td: TreeDecomposition, image: Sequence[int]) -> TreeDecomposition:
+    """The decomposition with each vertex v replaced by ``image[v]`` and the
+    vertices mapped to -1 left out: the same nodes, children and root.
+
+    Where every vertex's preimage is connected, the result decomposes the
+    contracted graph, and so any subgraph of it, and its width can only fall.
+    """
+    bags = []
+    for bag in td.bags:
+        moved = {image[v] for v in bag}
+        moved.discard(-1)
+        bags.append(moved)
+    return TreeDecomposition(bags, td.children, td.root)
+
+
 def backtrack(value: int, ncols: int) -> tuple[int, frozenset[int]]:
     """Split a packed root value into (weight, witness column set)."""
     return value >> ncols, frozenset(indices_from_mask(value & ((1 << ncols) - 1)))
@@ -269,11 +417,12 @@ def _plan(
 
     Returns the nodes children-first, each node's lift into its parent (the
     root's into an empty bag), the bits of each bag's columns and each
-    vertex's key bit, ``1 << colour``.
+    vertex's key bit, ``1 << colour``. A forgotten selected column is
+    charged its weight in ``matrix``: for the kernel, its packed charge.
     """
-    nrows, ncols, weights = matrix.nrows, matrix.ncols, matrix.col_weights
+    nrows, weights = matrix.nrows, matrix.col_weights
     bags, children = td.bags, td.children
-    bits = [0] * (nrows + ncols)  # 1 << colour, 0 until the vertex is coloured
+    bits = [0] * (nrows + matrix.ncols)  # 1 << colour, 0 until the vertex is coloured
     lifts: list = [None] * td.n_nodes
     bag_cols = [0] * td.n_nodes
     order = []
@@ -307,8 +456,7 @@ def _plan(
                 toggle = b
                 for r in adj[v] & bag:
                     toggle |= bits[r]
-                c = v - nrows
-                cols.append((b, toggle, (weights[c] << ncols) + (1 << c)))
+                cols.append((b, toggle, weights[v - nrows]))
             else:
                 check = b
                 for u in adj[v] & bag:
@@ -331,11 +479,12 @@ def solve_mld_treewidth(
 ) -> SolveResult:
     """Minimum-weight solution of A x = u via decomposition DP.
 
-    Accepts any weights, including negative. Unit propagation first fixes
-    the forced columns (see the module docstring). A decomposition of the
-    whole incidence graph may be supplied, any rooted one (a nice one
-    too); it is validated, and the DP runs on it restricted to the kernel,
-    node for node. Otherwise one of the kernel's is computed greedily.
+    Accepts any weights, including negative. Unit propagation and the
+    series rule first reduce the instance to a kernel (see the module
+    docstring). A decomposition of the whole incidence graph may be
+    supplied, any rooted one (a nice one too); it is validated, and the DP
+    runs on it contracted onto the kernel, node for node. Otherwise one of
+    the kernel's is computed greedily.
     ``detailed_stats`` adds ``join_bags``, the (node, join pairs)
     of every node with two or more children. ``timing`` adds the wall
     seconds of the ``decompose`` and ``dp`` phases and the largest node
@@ -354,18 +503,16 @@ def solve_mld_treewidth(
         td_source = "given"
     else:
         raise UsageError("ntd must be a tree decomposition or None")
-    kernel, ktarget, kept, fixed = _propagate(matrix, target)
+    units, utarget, kept, fixed = _propagate(matrix, target)
+    kernel, ktarget, base, image = _series(units, utarget)
+    g = hasse_graph(kernel)
     if ntd is None:
-        g = hasse_graph(kernel)
         td = greedy_decomposition(g, heuristic)
-    elif kernel is matrix:
-        td = ntd
     else:
-        # restricted to an induced subgraph, a decomposition stays one
-        g = hasse_graph(kernel)
-        new_id = {v: i for i, v in enumerate(kept)}
-        bags = [[new_id[v] for v in bag if v in new_id] for bag in ntd.bags]
-        td = TreeDecomposition(bags, ntd.children, ntd.root)
+        moved = [-1] * (matrix.nrows + matrix.ncols)
+        for v, w in zip(kept, image):
+            moved[v] = w
+        td = _contract(ntd, moved)
     decomposed = time.perf_counter()
 
     order, lifts, bag_cols, _bits = _plan(td, g.adj, kernel, ktarget)
@@ -410,9 +557,9 @@ def solve_mld_treewidth(
     val = top.get(0)
     if val is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
-    weight, kwitness = backtrack(val, kernel.ncols)
+    weight, kwitness = backtrack(val + base, units.ncols)
     weight += matrix.weight_of(fixed)
-    kcols = kept[kernel.nrows:]
+    kcols = kept[units.nrows:]
     witness = frozenset([kcols[c] - matrix.nrows for c in kwitness] + fixed)
     witness_weight = matrix.weight_of(witness)
     if witness_weight != weight:

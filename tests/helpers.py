@@ -110,16 +110,17 @@ def reference_greedy_decomposition(graph, heuristic):
     return TreeDecomposition(bags, children, len(bags) - 1)
 
 
-def doubled(matrix):
-    """The matrix with every column repeated, copy after original. Every row
-    with a column then has two, so unit propagation fixes nothing and the
-    treewidth DP runs on the whole incidence graph."""
-    twice = (0, 1)
+def tripled(matrix):
+    """The matrix with every column present three times, the copies right
+    after the original. Every row with a column then has three or more, so the
+    treewidth kernel's reductions, which act on rows of degree 2 or less,
+    leave it whole and the DP runs on the whole incidence graph."""
+    thrice = (0, 1, 2)
     return Gf2Matrix(
         matrix.nrows,
-        2 * matrix.ncols,
-        [rows for rows in matrix.col_rows for _ in twice],
-        [w for w in matrix.col_weights for _ in twice],
+        3 * matrix.ncols,
+        [rows for rows in matrix.col_rows for _ in thrice],
+        [w for w in matrix.col_weights for _ in thrice],
     )
 
 

@@ -41,7 +41,7 @@ from boundedchain.generators import (
     random_slice,
     triangle_strip,
 )
-from helpers import assert_join_pairs_capped, doubled, punctured_octahedron
+from helpers import assert_join_pairs_capped, punctured_octahedron, tripled
 
 
 def test_acceptance_1_oracle_agreement(acceptance):
@@ -194,10 +194,11 @@ def test_acceptance_6_decomposition_validity(acceptance):
 
 
 def _strip_dp_time(length, reps=5):
-    """The DP on a strip whose columns are doubled: unit propagation solves
-    a plain strip outright, and leaves the doubled one whole, at fixed width."""
+    """The DP on a strip whose columns are tripled: the kernel reductions
+    solve a plain strip, and a doubled one, outright, and leave the tripled
+    one whole, at fixed width."""
     cs, boundary = triangle_strip(length)
-    mat = doubled(boundary_matrix(cs))
+    mat = tripled(boundary_matrix(cs))
     g = hasse_graph(mat)
     ntd = greedy_decomposition(g, "min-fill")
     best = None
@@ -240,7 +241,7 @@ def test_acceptance_7_scaling(acceptance):
             bound = sum(c**i for i in range(k + 1))
             assert r.stats["states_expanded"] <= bound, seed
 
-        # wall time on doubled strips: quadrupling the length at fixed
+        # wall time on tripled strips: quadrupling the length at fixed
         # width may cost at most 1.5x the linear prediction (best of 3
         # attempts, timing on shared machines is noisy)
         for attempt in range(3):

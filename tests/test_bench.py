@@ -8,8 +8,10 @@ from boundedchain.generators import triangle_strip
 
 def test_no_solve_starts_with_warm_matrix_caches(tmp_path, monkeypatch):
     """Solves fill the lazy ``col_masks`` and ``row_cols`` caches of their
-    matrix. A matrix shared by the repetitions would hand later ones warm
-    caches, and their wall times would not be comparable with the first."""
+    matrix (the dijkstra and brute ones do; the treewidth solve reads
+    ``col_rows`` alone). A matrix shared by the repetitions would hand later
+    ones warm caches, and their wall times would not be comparable with the
+    first."""
     cs, boundary = triangle_strip(3)
     (tmp_path / "s.complex").write_text(write_complex_text(cs))
     (tmp_path / "s.boundary").write_text(write_boundary_text(cs, boundary))
@@ -19,15 +21,16 @@ def test_no_solve_starts_with_warm_matrix_caches(tmp_path, monkeypatch):
     real_solve = bench.solve
 
     def spy(instance, algorithm, **kwargs):
-        seen.append((instance.matrix, {"col_masks", "row_cols"} & vars(instance.matrix).keys()))
+        cached = {"col_masks", "row_cols"} & vars(instance.matrix).keys()
+        seen.append((instance.matrix, algorithm, cached))
         return real_solve(instance, algorithm, **kwargs)
 
     monkeypatch.setattr(bench, "solve", spy)
     rows = bench.run_suite(tmp_path, ["dijkstra", "treewidth", "brute"], reps=3, timing=False)
     assert len(seen) == len(rows) == 2 * 3 * 3
-    assert [cached for _, cached in seen] == [set()] * len(seen)
-    assert len({id(matrix) for matrix, _ in seen}) == len(seen)
-    assert all("col_masks" in vars(matrix) for matrix, _ in seen)
+    assert [cached for _, _, cached in seen] == [set()] * len(seen)
+    assert len({id(matrix) for matrix, _, _ in seen}) == len(seen)
+    assert all("col_masks" in vars(matrix) for matrix, algo, _ in seen if algo != "treewidth")
     # the repetitions of one (instance, algorithm) give the same untimed row
     for i in range(0, len(rows), 3):
         first = dict(rows[i], rep=None)

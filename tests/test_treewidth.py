@@ -38,15 +38,24 @@ from boundedchain.generators import (
     random_slice,
     triangle_strip,
 )
-from boundedchain.treewidth import BagContext, Lift, _plan, _propagate, backtrack, process_bag
+from boundedchain.treewidth import (
+    BagContext,
+    Lift,
+    _contract,
+    _plan,
+    _propagate,
+    _series,
+    backtrack,
+    process_bag,
+)
 from helpers import (
     assert_join_pairs_capped,
     canonical_optimum,
-    doubled,
     octahedron_slice,
     punctured_octahedron,
     random_problem,
     rerooted,
+    tripled,
 )
 
 
@@ -122,15 +131,16 @@ def test_supplied_decompositions():
     assert plain.stats["decomposition"] == "given"
     nice = solve_mld_treewidth(mat, sorted(boundary), ntd=make_nice(td, g))
     assert nice.weight == 7
-    # the DP runs on a given decomposition restricted to the kernel: the
+    # the DP runs on a given decomposition contracted onto the kernel: the
     # computed one given back gives the same answer, and its nice form, a
-    # bigger tree, too. Where no row has one column or none, propagation
-    # fixes nothing, and the computed one given back does the same work.
+    # bigger tree, too. Where every row has three columns or more, the
+    # kernel is the whole matrix, and the computed one given back does the
+    # same work.
     for seed in range(20):
         cs, boundary = random_problem(seed)
         plain = boundary_matrix(cs)
-        for mat, whole in ((plain, False), (doubled(plain), True)):
-            assert not whole or all(len(cols) >= 2 for cols in mat.row_cols)
+        for mat, whole in ((plain, False), (tripled(plain), True)):
+            assert not whole or all(len(cols) >= 3 for cols in mat.row_cols)
             g = hasse_graph(mat)
             for heuristic in ("min-fill", "min-degree"):
                 computed = solve_mld_treewidth(mat, sorted(boundary), heuristic=heuristic)
@@ -216,18 +226,19 @@ import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from boundedchain import boundary_matrix, solve_mld_treewidth
 from boundedchain.generators import cylinder
-from helpers import doubled
+from helpers import tripled
 cs, boundary = cylinder(20, 20)
-r = solve_mld_treewidth(doubled(boundary_matrix(cs)), sorted(boundary))
+r = solve_mld_treewidth(tripled(boundary_matrix(cs)), sorted(boundary))
 print(json.dumps([r.status.value, r.weight, r.stats["width"]]))
 """
 
 
 def test_wide_cylinder_solves_in_one_gib():
-    """cylinder(20, 20) with every column doubled: no row has a single
-    column, so unit propagation fixes nothing and the DP runs on a width-43
-    decomposition of the whole incidence graph. (The plain cylinder is
-    solved by propagation alone.) Run on the rooted decomposition, its
+    """cylinder(20, 20) with every column tripled: every row has three
+    columns or more, so the kernel reductions leave it whole and the DP runs
+    on a width-43 decomposition of the whole incidence graph. (Propagation
+    alone solves the plain cylinder, and the series rule the doubled one.)
+    Run on the rooted decomposition, its
     tables stay small; padded to nice form, the plain cylinder's width-42
     solve ran out of a 2 GB address space. Solved in a child process under
     a 1 GiB address-space cap, so a regression fails here and not the
@@ -346,6 +357,105 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
                     r = solve_mld_treewidth(m, rows, heuristic=heuristic)
                     assert (r.weight, r.witness) == want, (dim, seed, m is signed, heuristic)
     assert partial >= 20
+
+
+def reduced(mat, rows):
+    """Both kernel passes, as the solve runs them: (unit kernel, kernel,
+    the kernel vertex each vertex of ``mat`` contracts to or -1)."""
+    units, utarget, kept, _fixed = _propagate(mat, mat.target_mask(rows))
+    kernel, _ktarget, _base, image = _series(units, utarget)
+    moved = [-1] * (mat.nrows + mat.ncols)
+    for v, w in zip(kept, image):
+        moved[v] = w
+    return units, kernel, moved
+
+
+def series_problems():
+    """(label, slice, boundary): random problems of dims 1-3, most of which
+    propagation solves outright, and denser dim-2 and dim-3 slices, whose
+    kernels the series rule shrinks but mostly leaves."""
+    for dim in (1, 2, 3):
+        for seed in range(50):
+            yield (dim, seed), *random_problem(seed, max_top=12, dim=dim)
+    for dim, n_top, n_vertices in ((2, 30, 9), (3, 20, 7)):
+        for seed in range(20):
+            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
+            yield (dim, n_top, seed), cs, random_boundary(cs, seed=seed)
+
+
+def test_series_reduction_against_canonical_optimum():
+    """Random problems, plain and with weights redrawn from -3..3, each
+    against its boundary and a random row subset as target (infeasible ones
+    included), under both heuristics and a supplied decomposition hung from
+    a random node: the answer is the least (weight, mask) optimum, and the
+    series rule shrinks many of the kernels."""
+    merged = infeasible = 0
+    for label, cs, boundary in series_problems():
+        plain = boundary_matrix(cs)
+        rng = random.Random(repr(label))
+        signed = Gf2Matrix(
+            plain.nrows, plain.ncols, plain.col_rows,
+            [rng.randint(-3, 3) for _ in range(plain.ncols)],
+        )
+        targets = (sorted(boundary), sorted(rng.sample(range(plain.nrows), rng.randint(0, plain.nrows))))
+        for mat in (plain, signed):
+            td = greedy_decomposition(hasse_graph(mat), "min-degree")
+            given = rerooted(td, rng.randrange(td.n_nodes))
+            for rows in targets:
+                units, kernel, _moved = reduced(mat, rows)
+                merged += kernel.ncols < units.ncols
+                want = canonical_optimum(mat, rows)
+                infeasible += want is None
+                for how in ({"heuristic": "min-fill"}, {"heuristic": "min-degree"}, {"ntd": given}):
+                    r = solve_mld_treewidth(mat, rows, **how)
+                    got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+                    assert got == want, (label, mat is signed, rows, how)
+    assert merged >= 200 and infeasible >= 100, (merged, infeasible)
+
+
+def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
+    """Row 0 has columns 0 and 1 alone, so x_1 = x_0 ⊕ u_0; the series rule
+    merges column 1 into column 0, and rows 1, 2 and 3 keep three columns
+    or more for the DP. With u_0 = 1, column 0's state 'on' leaves column 1
+    out and 'off' takes it: its charges are on(0) + off(1) and off(0) +
+    on(1), and the target flips on row 3, column 1's other row."""
+    cols = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2, 3)]
+    for weights in ([1, 1, 1, 1, 1], [4, -2, 1, 0, 3], [-1, 5, -2, 2, -3], [0, 0, 1, 1, 0]):
+        mat = Gf2Matrix(4, 5, cols, weights)
+        for rest in range(8):
+            rows = [0] + [r for r in (1, 2, 3) if rest >> (r - 1) & 1]
+            kernel, ktarget, base, image = _series(mat, mat.target_mask(rows))
+            assert (kernel.nrows, kernel.ncols) == (3, 4)
+            on, off = (weights[0] << 5) + (1 << 0), (weights[1] << 5) + (1 << 1)
+            assert (kernel.col_weights[0], base) == (on - off, off)
+            assert ktarget == mat.target_mask([r - 1 for r in rows if r]) ^ 0b100
+            assert image[0] == image[4] == image[5] == 3  # row 0, columns 0 and 1
+            r = solve_mld_treewidth(mat, rows)
+            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+            assert got == canonical_optimum(mat, rows), (weights, rows)
+
+
+def test_supplied_decomposition_contracts_onto_the_kernel():
+    """A merged column and its series row map to the column they merged
+    into, and forced columns and dropped rows leave. The supplied
+    decomposition so contracted decomposes the kernel's graph, at no larger
+    width. Dropping the series rows instead breaks it: in a star
+    decomposition the two columns a series row merges sit in separate
+    leaves, which only the row's image in the root bag joins."""
+    broken = 0
+    for label, cs, boundary in series_problems():
+        mat = boundary_matrix(cs)
+        g = hasse_graph(mat)
+        _units, kernel, moved = reduced(mat, sorted(boundary))
+        kg = hasse_graph(kernel)
+        dropped = [-1 if v < mat.nrows and w >= kernel.nrows else w for v, w in enumerate(moved)]
+        decompositions = [greedy_decomposition(g, h) for h in ("min-fill", "min-degree")]
+        for td in decompositions + [star(mat, 0)]:
+            mapped = _contract(td, moved)
+            assert validate_decomposition(mapped, kg) is None, label
+            assert mapped.width <= td.width
+        broken += validate_decomposition(_contract(star(mat, 0), dropped), kg) is not None
+    assert broken >= 20, broken
 
 
 def test_join_table_size_is_bounded():
@@ -536,8 +646,9 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
     relabellings and star decompositions: every vertex owns one key bit,
     vertices that share a bag own distinct bits, at most width + 1 colours
     are used and a bag's column bits are its columns'. Where no row is
-    empty, doubling every column leaves propagation nothing to fix, and
-    there a supplied greedy decomposition does the computed one's work.
+    empty, tripling every column gives every row three columns or more, so
+    the kernel is the whole matrix, and there a supplied greedy
+    decomposition does the computed one's work.
     Every decomposition gives the same answer."""
     checked = 0
     for trial in range(200):
@@ -548,16 +659,16 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
         g = hasse_graph(mat)
         rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
         decompositions = [star(mat, rng.randrange(ncols))]
-        twice = doubled(mat)
-        whole = all(twice.row_cols)  # no row has one column or none
+        thrice = tripled(mat)
+        whole = all(len(cols) >= 3 for cols in thrice.row_cols)
         checked += whole
         for heuristic in ("min-fill", "min-degree"):
             computed = solve_mld_treewidth(mat, rows, heuristic=heuristic)
             td = greedy_decomposition(g, heuristic)
             if whole:
-                own = solve_mld_treewidth(twice, rows, heuristic=heuristic)
+                own = solve_mld_treewidth(thrice, rows, heuristic=heuristic)
                 given = solve_mld_treewidth(
-                    twice, rows, ntd=greedy_decomposition(hasse_graph(twice), heuristic)
+                    thrice, rows, ntd=greedy_decomposition(hasse_graph(thrice), heuristic)
                 )
                 for key in ("width", "nodes", "table_entries", "join_pairs"):
                     assert given.stats[key] == own.stats[key], (trial, heuristic, key)
@@ -582,14 +693,17 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
 # (generator seed, weights, weight, witness, table_entries, join_pairs) of
 # 30-tetrahedron slices on 8 vertices; "binary" redraws the weights from
 # {0, 1}, so many optima tie and the witness is the one with the smallest
-# column mask.
+# column mask. The kernel reductions solve most such slices outright, at
+# counts (1, 0); seed 18's kernel survives them, so its counts pin DP work.
 PINNED_DIM3 = [
-    (0, "random", 45, [0, 2, 3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19, 20, 22, 28, 29], 50, 18),
+    (0, "random", 45, [0, 2, 3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19, 20, 22, 28, 29], 1, 0),
     (1, "random", 68, [1, 2, 3, 4, 9, 12, 14, 19, 20, 23, 24, 25, 27], 1, 0),
     (2, "random", 74, [0, 1, 2, 3, 8, 10, 11, 12, 13, 16, 18, 20, 21, 23, 25, 27, 28, 29], 1, 0),
-    (3, "binary", 8, [1, 2, 5, 6, 8, 9, 11, 13, 14, 17, 20, 21, 23, 24, 26, 27], 50, 18),
-    (4, "binary", 5, [3, 11, 12, 14, 15, 16, 19, 20, 23, 25, 29], 50, 18),
-    (5, "binary", 5, [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 20, 25, 28], 96, 34),
+    (3, "binary", 8, [1, 2, 5, 6, 8, 9, 11, 13, 14, 17, 20, 21, 23, 24, 26, 27], 1, 0),
+    (4, "binary", 5, [3, 11, 12, 14, 15, 16, 19, 20, 23, 25, 29], 1, 0),
+    (5, "binary", 5, [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 20, 25, 28], 1, 0),
+    (18, "random", 44, [2, 7, 9, 16, 17, 18, 23, 24, 25, 26], 42, 12),
+    (18, "binary", 5, [2, 7, 9, 15, 18, 21, 23, 24, 25, 26, 28], 42, 12),
 ]
 
 

@@ -13,29 +13,39 @@ live column c fixes x_c = u_r, a selected column flips the target bits of
 its rows, and the column leaves; a row left with no column leaves too,
 unless its target bit is set, which proves the target infeasible. Every
 row it leaves has two columns or more, and its kernel keeps the rows and
-columns left, each renumbered in increasing order. ``_series`` then
-substitutes away every row of degree 2 or less of that kernel: a row r
-over columns a and b says x_b = x_a ⊕ u_r, so b merges into a, whose rows
-become rows(a) Δ rows(b) minus r, and the target flips on rows(b) minus r
-where u_r is set. Degree 1 and 0 are handled as in propagation, and a
-column a merge leaves with no row is fixed at its cheaper side. Each
-column carries two packed charges, ``on`` and ``off``: the sum of
+columns left, each renumbered in increasing order, and hands it on as
+plain lists. ``_series`` then applies two rules to that kernel until
+neither applies. The series rule substitutes away every row of degree 2
+or less: a row r over columns a and b says x_b = x_a ⊕ u_r, so b merges
+into a, whose rows become rows(a) Δ rows(b) minus r, and the target flips
+on rows(b) minus r where u_r is set. Degree 1 and 0 are handled as in
+propagation, and a column a merge leaves with no row is fixed at its
+cheaper side. The parallel rule merges every two columns a and b with the
+same rows, found by a row-set index: only x_a ⊕ x_b matters, so b leaves,
+and each of their rows loses a column and may take the series rule next.
+Each column carries two packed charges, ``on`` and ``off``: the sum of
 ``(w_c << n) + (1 << c)`` over the unit kernel's columns c that it
-selects when set and when clear, n being that kernel's column count; a
-merge adds b's charges to a's, crosswise where u_r is set. The DP runs on
-what is left, the kernel, with each column weighed at ``on - off``; the
-fixed charges and every ``off`` are added at the root, so the total is
-the packed charge of one solution of the unit kernel, and ``backtrack``
-decodes its weight and mask. Each step is exact: a substitution maps
-solutions one to one, and a column left with no row is free, so its
-cheaper side is the canonical choice. Both renumberings keep the column
-order, so the witness, mapped back with propagation's fixed selected
-columns added, is still the canonical one. A supplied decomposition is validated against the whole incidence
-graph and then contracted onto the kernel, with the same nodes, children
-and root: a merged column and its series row map to the column they
-merged into, and a fixed column or dropped row leaves. The kernel's graph
-is a subgraph of that contraction, a minor of the incidence graph, so the
-result decomposes it, and its width can only fall. The stats ``width``,
+selects when set and when clear, n being that kernel's column count. A
+series merge adds b's charges to a's, crosswise where u_r is set; a
+parallel merge keeps, for each parity of x_a ⊕ x_b, the smaller of its
+two sums. The DP runs on what is left, the kernel, with each column
+weighed at ``on - off``; the fixed charges and every ``off`` are added
+at the root, so the total is the packed charge of one solution of the
+unit kernel, and ``backtrack`` decodes its weight and mask. Each step is
+exact: a substitution maps solutions one to one, a parallel merge keeps
+the least solution of each parity, which the packed order makes the
+canonical one, and a column left with no row is free, so its cheaper side
+is the canonical choice. Both renumberings keep the column order, so the
+witness, mapped back with propagation's fixed selected columns added, is
+still the canonical one. A supplied decomposition is validated against
+the whole incidence graph and then contracted onto the kernel, with the
+same nodes, children and root: a series-merged column and its series row
+map to the column they merged into, and a fixed column, a dropped row and
+a column the parallel rule merges away leave. Twins share no edge, so
+contracting b into a could split a's bags, but a's bags already meet all
+of rows(b), so deleting b loses no edge. The kernel's graph is a subgraph
+of what is left, a minor of the incidence graph, so the result decomposes
+it, and its width can only fall. The stats ``width``,
 ``nodes``, ``table_entries`` and ``join_pairs`` describe the DP on the
 kernel; an instance the passes reduce whole leaves the empty graph, whose
 width is -1. Both passes are billed to the ``decompose`` phase.
@@ -207,7 +217,9 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, in
     return table, pairs
 
 
-def _propagate(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, Sequence[int], list[int]]:
+def _propagate(
+    matrix: Gf2Matrix, target: int
+) -> tuple[int, Sequence[Sequence[int]], Sequence[int], bytearray, Sequence[int], list[int]]:
     """Unit propagation over GF(2): fix every column that some row forces.
 
     A row with one live column c fixes it: x_c = u_r. A selected column
@@ -215,8 +227,9 @@ def _propagate(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, Sequence
     with no live column leaves too, once its target bit is clear. This
     repeats until every row left has two or more live columns.
 
-    Returns (kernel matrix, kernel target mask, kept vertices, fixed
-    selected columns). The kernel keeps the live rows and columns, each
+    Returns the unit kernel as plain lists, (row count, each column's rows,
+    column weights, each row's target bit), then the kept vertices and the
+    fixed selected columns. The kernel keeps the live rows and columns, each
     renumbered in increasing order, and its vertex i is the incidence-graph
     vertex ``kept[i]``. A live column's rows are all live, since a row
     leaves only after all its columns. A row left with no column and its
@@ -246,7 +259,7 @@ def _propagate(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, Sequence
         live[r] = 0
         if not deg[r]:
             if u[r]:  # no solution: the kernel is this row alone
-                return Gf2Matrix(1, 0, [], []), 1, [r], []
+                return 1, [], [], bytearray(b"\x01"), [r], []
             continue
         c = xor[r]
         live[nrows + c] = 0
@@ -260,63 +273,110 @@ def _propagate(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, Sequence
             if deg[s] == 1:
                 queue.append(s)
     if all(live):
-        return matrix, target, range(nrows + ncols), fixed
+        return nrows, col_rows, matrix.col_weights, u, range(nrows + ncols), fixed
     rows = list(compress(range(nrows), live))
     cols = list(compress(range(ncols), live[nrows:]))
-    kept = rows + [nrows + c for c in cols]
-    new_row = {r: i for i, r in enumerate(rows)}
-    kernel = Gf2Matrix(
+    new_row = [0] * nrows
+    for i, r in enumerate(rows):
+        new_row[r] = i
+    weights = matrix.col_weights
+    return (
         len(rows),
-        len(cols),
         [[new_row[r] for r in col_rows[c]] for c in cols],
-        [matrix.col_weights[c] for c in cols],
+        [weights[c] for c in cols],
+        bytearray([u[r] for r in rows]),
+        rows + [nrows + c for c in cols],
+        fixed,
     )
-    return kernel, mask_from_indices(i for i, r in enumerate(rows) if u[r]), kept, fixed
 
 
-def _series(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, int, list[int]]:
-    """Series reduction over GF(2): substitute away every row of degree 2 or less.
+def _series(
+    nrows: int, col_rows: Sequence[Sequence[int]], weights: Sequence[int], target: bytearray
+) -> tuple[Gf2Matrix, int, int, list[int]]:
+    """Series-parallel reduction over GF(2): substitute away every row of
+    degree 2 or less and merge every two columns with the same rows.
 
-    A row r with no column leaves, once its target bit u_r is clear; with
-    one column c it fixes x_c = u_r. With two columns a and b it says
+    The instance is given as plain lists: each column's rows, in increasing
+    order, the column weights and each row's target bit u_r.
+
+    Series rule. A row r with no column leaves, once u_r is clear; with one
+    column c it fixes x_c = u_r. With two columns a and b it says
     x_b = x_a ⊕ u_r, so b merges into a: rows(a) becomes rows(a) Δ rows(b)
     minus r, and where u_r is set the target flips on rows(b) minus r. Rows
     only lose columns, and one whose degree falls to 2 or less is queued.
 
+    Parallel rule. Two columns a and b with the same rows enter every row
+    together, so only x_a ⊕ x_b matters: b leaves, and a stands for the
+    pair. A row set index, refreshed for each column a series merge
+    changes, finds such twins. Each of their rows loses b and is queued
+    once its degree falls to 2 or less.
+
     Each column carries two charges, ``on`` and ``off``: the sum of
-    ``(w_c << n) + (1 << c)`` over the columns c of ``matrix`` that it
-    selects when set and when clear, n being ``matrix.ncols``. A merge adds
-    b's charges to a's, crosswise where u_r is set. A fixed column, and one
-    left with no row at its cheaper side, leaves with its charge in ``base``.
+    ``(w_c << n) + (1 << c)`` over the given columns c that it selects when
+    set and when clear, n being the column count. A series merge adds b's
+    charges to a's, crosswise where u_r is set. A parallel merge takes, for
+    each parity of the pair, the cheaper of its two ways: ``off`` becomes
+    min(off_a + off_b, on_a + on_b) and ``on`` min(on_a + off_b, off_a + on_b).
+    A charge is a packed (weight, mask) value, so the min is the canonical
+    choice for that parity. A fixed column, and one left with no row at its
+    cheaper side, leaves with its charge in ``base``.
 
     Returns (kernel, kernel target mask, base, image). The kernel keeps the
     rows and columns left, each renumbered in increasing order, and weighs
     each column at ``on - off``; ``base`` also holds every kernel column's
     ``off``. So a kernel solution's weight plus ``base`` is the packed
-    charge of the solution it stands for, and ``backtrack(total, n)``
-    decodes it. ``image[v]`` is the kernel vertex that vertex v of
-    ``matrix`` contracts to, -1 for one that leaves: a merged column and its
-    series row map to the column they merged into. A row left with no
-    column and its target bit set has no solution: the kernel is then that
-    row alone, which the DP finds infeasible.
+    charge of the least solution it stands for, and ``backtrack(total, n)``
+    decodes it. ``image[v]`` is the kernel vertex that vertex v contracts
+    to, -1 for one that leaves: a series-merged column and its series row
+    map to the column they merged into, and a column that leaves by the
+    parallel rule is deleted with everything merged into it. A row left
+    with no column and its target bit set has no solution: the kernel is
+    then that row alone, which the DP finds infeasible.
     """
-    nrows, ncols = matrix.nrows, matrix.ncols
-    col_rows = [set(rs) for rs in matrix.col_rows]
+    ncols = len(col_rows)
     row_cols: list[set[int]] = [set() for _ in range(nrows)]
-    for c, rs in enumerate(matrix.col_rows):
+    for c, rs in enumerate(col_rows):
         for r in rs:
             row_cols[r].add(c)
-    u = bytearray(nrows)
-    for r in indices_from_mask(target):
-        u[r] = 1
-    on = [(w << ncols) + (1 << c) for c, w in enumerate(matrix.col_weights)]
+    col_rows = [set(rs) for rs in col_rows]
+    u = bytearray(target)
+    on = [(w << ncols) + (1 << c) for c, w in enumerate(weights)]
     off = [0] * ncols
     # where each vertex went: itself while live, the column it merged into,
     # or -1 once it left
     to = list(range(nrows + ncols))
     merged: list[int] = []
     base = 0
-    queue = [r for r in range(nrows) if len(row_cols[r]) <= 2]
+    queue: list[int] = []
+    # the row-set index: the column filed under each set of rows. An entry
+    # goes stale only where its column's rows change or the column leaves,
+    # and each such step retires one of those rows, so a stale entry holds
+    # a row no live column has and never matches
+    twins: dict[frozenset, int] = {}
+
+    def settle(a: int) -> None:
+        """File column a under its rows, or merge it into the live column
+        filed there already; with no row, fix it at its cheaper side."""
+        nonlocal base
+        rows_a = col_rows[a]
+        if not rows_a:
+            base += min(on[a], off[a])
+            to[nrows + a] = -1
+            return
+        b = twins.setdefault(frozenset(rows_a), a)
+        if b == a:
+            return
+        on[b], off[b] = min(on[b] + off[a], off[b] + on[a]), min(off[b] + off[a], on[b] + on[a])
+        to[nrows + a] = -1
+        for s in rows_a:
+            rc = row_cols[s]
+            rc.remove(a)
+            if len(rc) <= 2:
+                queue.append(s)
+
+    for c in range(ncols):
+        settle(c)
+    queue += [r for r in range(nrows) if len(row_cols[r]) <= 2]
     while queue:
         r = queue.pop()
         if to[r] != r:
@@ -351,9 +411,7 @@ def _series(matrix: Gf2Matrix, target: int) -> tuple[Gf2Matrix, int, int, list[i
                 else:
                     rows_a.add(s)
                     rc.add(a)
-            if not rows_a:
-                base += min(on[a], off[a])
-                to[nrows + a] = -1
+            settle(a)
         elif cs:
             (c,) = cs
             flip = u[r]
@@ -395,7 +453,11 @@ def _contract(td: TreeDecomposition, image: Sequence[int]) -> TreeDecomposition:
     vertices mapped to -1 left out: the same nodes, children and root.
 
     Where every vertex's preimage is connected, the result decomposes the
-    contracted graph, and so any subgraph of it, and its width can only fall.
+    graph with each preimage contracted and the vertices mapped to -1
+    deleted, a minor, and so any subgraph of it, and its width can only
+    fall. ``_series`` maps a series-merged column to its survivor, through
+    the row that joins them, and a column the parallel rule merges away to
+    -1, since nothing joins it to its twin.
     """
     bags = []
     for bag in td.bags:
@@ -480,8 +542,8 @@ def solve_mld_treewidth(
     """Minimum-weight solution of A x = u via decomposition DP.
 
     Accepts any weights, including negative. Unit propagation and the
-    series rule first reduce the instance to a kernel (see the module
-    docstring). A decomposition of the whole incidence graph may be
+    series and parallel rules first reduce the instance to a kernel (see
+    the module docstring). A decomposition of the whole incidence graph may be
     supplied, any rooted one (a nice one too); it is validated, and the DP
     runs on it contracted onto the kernel, node for node. Otherwise one of
     the kernel's is computed greedily.
@@ -503,8 +565,8 @@ def solve_mld_treewidth(
         td_source = "given"
     else:
         raise UsageError("ntd must be a tree decomposition or None")
-    units, utarget, kept, fixed = _propagate(matrix, target)
-    kernel, ktarget, base, image = _series(units, utarget)
+    nrows, col_rows, weights, u, kept, fixed = _propagate(matrix, target)
+    kernel, ktarget, base, image = _series(nrows, col_rows, weights, u)
     g = hasse_graph(kernel)
     if ntd is None:
         td = greedy_decomposition(g, heuristic)
@@ -557,9 +619,9 @@ def solve_mld_treewidth(
     val = top.get(0)
     if val is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
-    weight, kwitness = backtrack(val + base, units.ncols)
+    weight, kwitness = backtrack(val + base, len(col_rows))
     weight += matrix.weight_of(fixed)
-    kcols = kept[units.nrows:]
+    kcols = kept[nrows:]
     witness = frozenset([kcols[c] - matrix.nrows for c in kwitness] + fixed)
     witness_weight = matrix.weight_of(witness)
     if witness_weight != weight:

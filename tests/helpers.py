@@ -110,18 +110,24 @@ def reference_greedy_decomposition(graph, heuristic):
     return TreeDecomposition(bags, children, len(bags) - 1)
 
 
-def tripled(matrix):
-    """The matrix with every column present three times, the copies right
-    after the original. Every row with a column then has three or more, so the
-    treewidth kernel's reductions, which act on rows of degree 2 or less,
-    leave it whole and the DP runs on the whole incidence graph."""
-    thrice = (0, 1, 2)
-    return Gf2Matrix(
-        matrix.nrows,
-        3 * matrix.ncols,
-        [rows for rows in matrix.col_rows for _ in thrice],
-        [w for w in matrix.col_weights for _ in thrice],
-    )
+def irreducible(matrix):
+    """A matrix that neither kernel rule reduces, with three times the
+    optimum. Column c becomes four copies c1..c4 over rows(c), in that order
+    where c was, and three new rows, after the old ones, over {c1, c2, c3},
+    {c1, c2, c4} and {c1, c3, c4}. Those rows force x_c1 = 0 and x_c2 =
+    x_c3 = x_c4, which stands for x_c, so a solution selects c2, c3 and c4
+    for each column c of a solution of ``matrix``, at three times its
+    weight, and the canonical witnesses correspond. Every row with a column
+    then has three or more, and no two columns share their rows, so the
+    treewidth kernel is the whole matrix and the DP runs on the whole
+    incidence graph."""
+    nrows = matrix.nrows
+    col_rows, weights = [], []
+    for c, (rows, w) in enumerate(zip(matrix.col_rows, matrix.col_weights)):
+        g1, g2, g3 = (nrows + 3 * c + i for i in range(3))
+        col_rows += [(*rows, g1, g2, g3), (*rows, g1, g2), (*rows, g1, g3), (*rows, g2, g3)]
+        weights += [w] * 4
+    return Gf2Matrix(nrows + 3 * matrix.ncols, 4 * matrix.ncols, col_rows, weights)
 
 
 def canonical_optimum(matrix, target_rows):

@@ -41,7 +41,7 @@ from boundedchain.generators import (
     random_slice,
     triangle_strip,
 )
-from helpers import assert_join_pairs_capped, punctured_octahedron, tripled
+from helpers import assert_join_pairs_capped, irreducible, punctured_octahedron
 
 
 def test_acceptance_1_oracle_agreement(acceptance):
@@ -194,11 +194,11 @@ def test_acceptance_6_decomposition_validity(acceptance):
 
 
 def _strip_dp_time(length, reps=5):
-    """The DP on a strip whose columns are tripled: the kernel reductions
-    solve a plain strip, and a doubled one, outright, and leave the tripled
-    one whole, at fixed width."""
+    """The DP on a strip made irreducible (``helpers.irreducible``): the
+    kernel reductions solve a plain strip outright, and leave this one
+    whole, at fixed width."""
     cs, boundary = triangle_strip(length)
-    mat = tripled(boundary_matrix(cs))
+    mat = irreducible(boundary_matrix(cs))
     g = hasse_graph(mat)
     ntd = greedy_decomposition(g, "min-fill")
     best = None
@@ -241,14 +241,14 @@ def test_acceptance_7_scaling(acceptance):
             bound = sum(c**i for i in range(k + 1))
             assert r.stats["states_expanded"] <= bound, seed
 
-        # wall time on tripled strips: quadrupling the length at fixed
+        # wall time on irreducible strips: quadrupling the length at fixed
         # width may cost at most 1.5x the linear prediction (best of 3
         # attempts, timing on shared machines is noisy)
         for attempt in range(3):
             t_small, r_small = _strip_dp_time(120)
             t_big, r_big = _strip_dp_time(480)
             assert r_small.stats["width"] == r_big.stats["width"]
-            assert r_small.weight == 120 and r_big.weight == 480
+            assert r_small.weight == 3 * 120 and r_big.weight == 3 * 480
             if t_big <= 1.5 * 4 * t_small:
                 break
         else:

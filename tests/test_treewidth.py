@@ -54,8 +54,8 @@ from helpers import (
     octahedron_slice,
     punctured_octahedron,
     random_problem,
+    irreducible,
     rerooted,
-    tripled,
 )
 
 
@@ -133,14 +133,15 @@ def test_supplied_decompositions():
     assert nice.weight == 7
     # the DP runs on a given decomposition contracted onto the kernel: the
     # computed one given back gives the same answer, and its nice form, a
-    # bigger tree, too. Where every row has three columns or more, the
-    # kernel is the whole matrix, and the computed one given back does the
-    # same work.
+    # bigger tree, too. Where every row has three columns or more and no two
+    # columns share their rows, the kernel is the whole matrix, and the
+    # computed one given back does the same work.
     for seed in range(20):
         cs, boundary = random_problem(seed)
         plain = boundary_matrix(cs)
-        for mat, whole in ((plain, False), (tripled(plain), True)):
+        for mat, whole in ((plain, False), (irreducible(plain), True)):
             assert not whole or all(len(cols) >= 3 for cols in mat.row_cols)
+            assert not whole or len(set(mat.col_rows)) == mat.ncols
             g = hasse_graph(mat)
             for heuristic in ("min-fill", "min-degree"):
                 computed = solve_mld_treewidth(mat, sorted(boundary), heuristic=heuristic)
@@ -226,18 +227,20 @@ import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from boundedchain import boundary_matrix, solve_mld_treewidth
 from boundedchain.generators import cylinder
-from helpers import tripled
+from helpers import irreducible
 cs, boundary = cylinder(20, 20)
-r = solve_mld_treewidth(tripled(boundary_matrix(cs)), sorted(boundary))
+r = solve_mld_treewidth(irreducible(boundary_matrix(cs)), sorted(boundary))
 print(json.dumps([r.status.value, r.weight, r.stats["width"]]))
 """
 
 
 def test_wide_cylinder_solves_in_one_gib():
-    """cylinder(20, 20) with every column tripled: every row has three
-    columns or more, so the kernel reductions leave it whole and the DP runs
-    on a width-43 decomposition of the whole incidence graph. (Propagation
-    alone solves the plain cylinder, and the series rule the doubled one.)
+    """cylinder(20, 20) made irreducible (``helpers.irreducible``): every
+    row has three columns or more and no two columns share their rows, so
+    the kernel reductions leave it whole and the DP runs on a width-43
+    decomposition of the whole incidence graph, for three times the plain
+    optimum. (Propagation alone solves the plain cylinder, the series rule
+    a doubled one and the parallel rule a tripled one.)
     Run on the rooted decomposition, its
     tables stay small; padded to nice form, the plain cylinder's width-42
     solve ran out of a 2 GB address space. Solved in a child process under
@@ -250,7 +253,7 @@ def test_wide_cylinder_solves_in_one_gib():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     status, weight, width = json.loads(proc.stdout.splitlines()[-1])
-    assert (status, weight) == ("optimal", 800)
+    assert (status, weight) == ("optimal", 2400)
     assert width >= 40
 
 
@@ -343,10 +346,10 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             mat = boundary_matrix(cs)
             rows = sorted(random_boundary(cs, seed=seed))
-            kernel, _target, _kept, _fixed = _propagate(mat, mat.target_mask(rows))
-            if kernel.ncols == mat.ncols:
+            _nrows, kcols, _weights, _u, _kept, _fixed = _propagate(mat, mat.target_mask(rows))
+            if len(kcols) == mat.ncols:
                 continue
-            partial += kernel.ncols > 0
+            partial += len(kcols) > 0
             rng = random.Random(seed)
             signed = Gf2Matrix(
                 mat.nrows, mat.ncols, mat.col_rows, [rng.randint(-1, 1) for _ in range(mat.ncols)]
@@ -360,14 +363,23 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
 
 
 def reduced(mat, rows):
-    """Both kernel passes, as the solve runs them: (unit kernel, kernel,
-    the kernel vertex each vertex of ``mat`` contracts to or -1)."""
-    units, utarget, kept, _fixed = _propagate(mat, mat.target_mask(rows))
-    kernel, _ktarget, _base, image = _series(units, utarget)
+    """Both kernel passes, as the solve runs them: (the unit kernel's column
+    count, kernel, the kernel vertex each vertex of ``mat`` contracts to or
+    -1)."""
+    nrows, col_rows, weights, u, kept, _fixed = _propagate(mat, mat.target_mask(rows))
+    kernel, _ktarget, _base, image = _series(nrows, col_rows, weights, u)
     moved = [-1] * (mat.nrows + mat.ncols)
     for v, w in zip(kept, image):
         moved[v] = w
-    return units, kernel, moved
+    return len(col_rows), kernel, moved
+
+
+def target_bits(mat, rows):
+    """Each row's target bit, as ``_series`` takes them."""
+    u = bytearray(mat.nrows)
+    for r in rows:
+        u[r] = 1
+    return u
 
 
 def series_problems():
@@ -381,6 +393,26 @@ def series_problems():
         for seed in range(20):
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             yield (dim, n_top, seed), cs, random_boundary(cs, seed=seed)
+
+
+def with_twins(mat, rng, count):
+    """``mat`` with weights redrawn from -4..9 and ``count`` of its columns
+    given a twin: a copy over the same rows, at a random place."""
+    cols = [(rows, rng.randint(-4, 9)) for rows in mat.col_rows]
+    for c in rng.sample(range(mat.ncols), min(count, mat.ncols)):
+        cols.insert(rng.randrange(len(cols) + 1), (mat.col_rows[c], rng.randint(-4, 9)))
+    return Gf2Matrix(mat.nrows, len(cols), [rows for rows, _ in cols], [w for _, w in cols])
+
+
+def twin_problems():
+    """(label, matrix, targets): the series problems' slices, whose columns
+    have distinct rows, each with one to three columns given a twin, and
+    with its boundary and a random row subset as targets."""
+    for label, cs, boundary in series_problems():
+        rng = random.Random(repr(label))
+        mat = with_twins(boundary_matrix(cs), rng, rng.randint(1, 3))
+        rows = sorted(rng.sample(range(mat.nrows), rng.randint(0, mat.nrows)))
+        yield label, mat, (sorted(boundary), rows)
 
 
 def test_series_reduction_against_canonical_optimum():
@@ -402,8 +434,8 @@ def test_series_reduction_against_canonical_optimum():
             td = greedy_decomposition(hasse_graph(mat), "min-degree")
             given = rerooted(td, rng.randrange(td.n_nodes))
             for rows in targets:
-                units, kernel, _moved = reduced(mat, rows)
-                merged += kernel.ncols < units.ncols
+                ucols, kernel, _moved = reduced(mat, rows)
+                merged += kernel.ncols < ucols
                 want = canonical_optimum(mat, rows)
                 infeasible += want is None
                 for how in ({"heuristic": "min-fill"}, {"heuristic": "min-degree"}, {"ntd": given}):
@@ -416,15 +448,16 @@ def test_series_reduction_against_canonical_optimum():
 def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
     """Row 0 has columns 0 and 1 alone, so x_1 = x_0 ⊕ u_0; the series rule
     merges column 1 into column 0, and rows 1, 2 and 3 keep three columns
-    or more for the DP. With u_0 = 1, column 0's state 'on' leaves column 1
-    out and 'off' takes it: its charges are on(0) + off(1) and off(0) +
-    on(1), and the target flips on row 3, column 1's other row."""
-    cols = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2, 3)]
+    or more for the DP, and the columns keep distinct rows. With u_0 = 1,
+    column 0's state 'on' leaves column 1 out and 'off' takes it: its
+    charges are on(0) + off(1) and off(0) + on(1), and the target flips on
+    row 3, column 1's other row."""
+    cols = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2)]
     for weights in ([1, 1, 1, 1, 1], [4, -2, 1, 0, 3], [-1, 5, -2, 2, -3], [0, 0, 1, 1, 0]):
         mat = Gf2Matrix(4, 5, cols, weights)
         for rest in range(8):
             rows = [0] + [r for r in (1, 2, 3) if rest >> (r - 1) & 1]
-            kernel, ktarget, base, image = _series(mat, mat.target_mask(rows))
+            kernel, ktarget, base, image = _series(4, cols, weights, target_bits(mat, rows))
             assert (kernel.nrows, kernel.ncols) == (3, 4)
             on, off = (weights[0] << 5) + (1 << 0), (weights[1] << 5) + (1 << 1)
             assert (kernel.col_weights[0], base) == (on - off, off)
@@ -437,25 +470,92 @@ def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
 
 def test_supplied_decomposition_contracts_onto_the_kernel():
     """A merged column and its series row map to the column they merged
-    into, and forced columns and dropped rows leave. The supplied
+    into, and forced columns and dropped rows leave. A column the parallel
+    rule merges away leaves too, with whatever merged into it, rather than
+    contracting into its twin, which no edge joins it to. The supplied
     decomposition so contracted decomposes the kernel's graph, at no larger
-    width. Dropping the series rows instead breaks it: in a star
-    decomposition the two columns a series row merges sit in separate
-    leaves, which only the row's image in the root bag joins."""
+    width: greedy and star decompositions of the series problems and of
+    slices with injected twins. Dropping the series rows instead breaks it:
+    in a star decomposition the two columns a series row merges sit in
+    separate leaves, which only the row's image in the root bag joins."""
+    problems = [(label, boundary_matrix(cs), (sorted(b),)) for label, cs, b in series_problems()]
     broken = 0
-    for label, cs, boundary in series_problems():
-        mat = boundary_matrix(cs)
+    for label, mat, targets in problems + list(twin_problems()):
         g = hasse_graph(mat)
-        _units, kernel, moved = reduced(mat, sorted(boundary))
-        kg = hasse_graph(kernel)
-        dropped = [-1 if v < mat.nrows and w >= kernel.nrows else w for v, w in enumerate(moved)]
         decompositions = [greedy_decomposition(g, h) for h in ("min-fill", "min-degree")]
-        for td in decompositions + [star(mat, 0)]:
-            mapped = _contract(td, moved)
-            assert validate_decomposition(mapped, kg) is None, label
-            assert mapped.width <= td.width
-        broken += validate_decomposition(_contract(star(mat, 0), dropped), kg) is not None
+        decompositions.append(star(mat, 0))
+        for rows in targets:
+            _ucols, kernel, moved = reduced(mat, rows)
+            kg = hasse_graph(kernel)
+            for td in decompositions:
+                mapped = _contract(td, moved)
+                assert validate_decomposition(mapped, kg) is None, (label, rows)
+                assert mapped.width <= td.width, (label, rows)
+            dropped = [-1 if v < mat.nrows and w >= kernel.nrows else w for v, w in enumerate(moved)]
+            broken += validate_decomposition(_contract(decompositions[-1], dropped), kg) is not None
     assert broken >= 20, broken
+
+
+def test_parallel_rule_against_canonical_optimum():
+    """Slices with injected twin columns and signed weights, against their
+    boundary and a random row subset, under both heuristics and a supplied
+    decomposition hung from a random node: the answer is the least (weight,
+    mask) optimum. The twins merge first, at their own charges, so the
+    merged ``off`` keeps both clear where their weights sum to 0 or more
+    and both set where less, and the merged ``on`` the lighter one; the
+    weights drawn take every one of those branches many times."""
+    branches = {"off": [0, 0], "on": [0, 0]}
+    infeasible = 0
+    for label, mat, targets in twin_problems():
+        groups: dict = {}
+        for c, rows in enumerate(mat.col_rows):
+            groups.setdefault(rows, []).append(mat.col_weights[c])
+        for pair in groups.values():
+            if len(pair) == 2:
+                w_first, w_second = pair
+                branches["off"][w_first + w_second < 0] += 1
+                branches["on"][w_second < w_first] += 1
+        td = greedy_decomposition(hasse_graph(mat), "min-degree")
+        given = rerooted(td, random.Random(repr(label)).randrange(td.n_nodes))
+        for rows in targets:
+            want = canonical_optimum(mat, rows)
+            infeasible += want is None
+            for how in ({"heuristic": "min-fill"}, {"heuristic": "min-degree"}, {"ntd": given}):
+                r = solve_mld_treewidth(mat, rows, **how)
+                got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+                assert got == want, (label, rows, how)
+    assert min(branches["off"] + branches["on"]) >= 30, branches
+    assert infeasible >= 50, infeasible
+
+
+def test_parallel_rule_merges_a_twin_pair_by_hand():
+    """Columns 0 and 1 both lie on rows 0, 1 and 2, so only x_0 ⊕ x_1
+    matters: column 1 leaves, and column 0 stands for the pair. Its 'off'
+    charge is the cheaper of neither and both, its 'on' the cheaper of
+    column 0 alone and column 1 alone. Columns 2, 3 and 4 keep every row at
+    three columns, so the kernel is the rest of the matrix."""
+    cols = [(0, 1, 2), (0, 1, 2), (0, 1), (1, 2), (0, 2)]
+    seen = set()
+    for w0, w1 in ((3, 5), (5, 3), (-2, -3), (-3, -2), (4, 4), (-1, 1), (-4, 1), (2, -6)):
+        weights = [w0, w1, 2, -1, 3]
+        mat = Gf2Matrix(3, 5, cols, weights)
+        on0, on1 = (w0 << 5) + (1 << 0), (w1 << 5) + (1 << 1)
+        off = min(0, on0 + on1)
+        on = min(on0, on1)
+        seen.add((off == 0, on == on0))
+        for rest in range(8):
+            rows = [r for r in range(3) if rest >> r & 1]
+            kernel, ktarget, base, image = _series(3, cols, weights, target_bits(mat, rows))
+            assert (kernel.nrows, kernel.ncols) == (3, 4)
+            assert kernel.col_rows == ((0, 1, 2), (0, 1), (1, 2), (0, 2))
+            assert (kernel.col_weights[0], base) == (on - off, off)
+            assert kernel.col_weights[1:] == tuple((weights[c] << 5) + (1 << c) for c in (2, 3, 4))
+            assert ktarget == mat.target_mask(rows)
+            assert image == [0, 1, 2, 3, -1, 4, 5, 6]
+            r = solve_mld_treewidth(mat, rows)
+            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+            assert got == canonical_optimum(mat, rows), (weights, rows)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_join_table_size_is_bounded():
@@ -646,9 +746,9 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
     relabellings and star decompositions: every vertex owns one key bit,
     vertices that share a bag own distinct bits, at most width + 1 colours
     are used and a bag's column bits are its columns'. Where no row is
-    empty, tripling every column gives every row three columns or more, so
-    the kernel is the whole matrix, and there a supplied greedy
-    decomposition does the computed one's work.
+    empty, ``helpers.irreducible`` gives every row three columns or more
+    and every column its own rows, so the kernel is the whole matrix, and
+    there a supplied greedy decomposition does the computed one's work.
     Every decomposition gives the same answer."""
     checked = 0
     for trial in range(200):
@@ -659,16 +759,16 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
         g = hasse_graph(mat)
         rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
         decompositions = [star(mat, rng.randrange(ncols))]
-        thrice = tripled(mat)
-        whole = all(len(cols) >= 3 for cols in thrice.row_cols)
+        guard = irreducible(mat)
+        whole = all(len(cols) >= 3 for cols in guard.row_cols)
         checked += whole
         for heuristic in ("min-fill", "min-degree"):
             computed = solve_mld_treewidth(mat, rows, heuristic=heuristic)
             td = greedy_decomposition(g, heuristic)
             if whole:
-                own = solve_mld_treewidth(thrice, rows, heuristic=heuristic)
+                own = solve_mld_treewidth(guard, rows, heuristic=heuristic)
                 given = solve_mld_treewidth(
-                    thrice, rows, ntd=greedy_decomposition(hasse_graph(thrice), heuristic)
+                    guard, rows, ntd=greedy_decomposition(hasse_graph(guard), heuristic)
                 )
                 for key in ("width", "nodes", "table_entries", "join_pairs"):
                     assert given.stats[key] == own.stats[key], (trial, heuristic, key)
@@ -694,7 +794,7 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
 # 30-tetrahedron slices on 8 vertices; "binary" redraws the weights from
 # {0, 1}, so many optima tie and the witness is the one with the smallest
 # column mask. The kernel reductions solve most such slices outright, at
-# counts (1, 0); seed 18's kernel survives them, so its counts pin DP work.
+# counts (1, 0); seed 144's kernel survives them, so its counts pin DP work.
 PINNED_DIM3 = [
     (0, "random", 45, [0, 2, 3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19, 20, 22, 28, 29], 1, 0),
     (1, "random", 68, [1, 2, 3, 4, 9, 12, 14, 19, 20, 23, 24, 25, 27], 1, 0),
@@ -702,8 +802,10 @@ PINNED_DIM3 = [
     (3, "binary", 8, [1, 2, 5, 6, 8, 9, 11, 13, 14, 17, 20, 21, 23, 24, 26, 27], 1, 0),
     (4, "binary", 5, [3, 11, 12, 14, 15, 16, 19, 20, 23, 25, 29], 1, 0),
     (5, "binary", 5, [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 20, 25, 28], 1, 0),
-    (18, "random", 44, [2, 7, 9, 16, 17, 18, 23, 24, 25, 26], 42, 12),
-    (18, "binary", 5, [2, 7, 9, 15, 18, 21, 23, 24, 25, 26, 28], 42, 12),
+    (18, "random", 44, [2, 7, 9, 16, 17, 18, 23, 24, 25, 26], 1, 0),
+    (18, "binary", 5, [2, 7, 9, 15, 18, 21, 23, 24, 25, 26, 28], 1, 0),
+    (144, "random", 32, [7, 8, 10, 15, 20, 24, 27], 106, 36),
+    (144, "binary", 4, [4, 5, 6, 8, 11, 14, 17, 24, 26, 27], 106, 36),
 ]
 
 

@@ -7,48 +7,50 @@ The DP runs on the decomposition itself, computed greedily or supplied
 and accepted by ``validate_decomposition``; nodes are scheduled by an
 iterative post-order, so node ids may come in any order.
 
-Kernel. Before any decomposition, two exact passes shrink the instance.
+Kernel. Before any decomposition, two exact passes shrink the instance,
+both in the incidence graph's vertex ids, rows first, then columns.
 ``_propagate`` runs unit propagation over GF(2), on arrays: a row with one
 live column c fixes x_c = u_r, a selected column flips the target bits of
 its rows, and the column leaves; a row left with no column leaves too,
-unless its target bit is set, which proves the target infeasible. Every
-row it leaves has two columns or more, and its kernel keeps the rows and
-columns left, each renumbered in increasing order, and hands it on as
-plain lists. ``_series`` then applies two rules to that kernel until
-neither applies. The series rule substitutes away every row of degree 2
-or less: a row r over columns a and b says x_b = x_a ⊕ u_r, so b merges
-into a, whose rows become rows(a) Δ rows(b) minus r, and the target flips
-on rows(b) minus r where u_r is set. Degree 1 and 0 are handled as in
-propagation, and a column a merge leaves with no row is fixed at its
-cheaper side. The parallel rule merges every two columns a and b with the
-same rows, found by a row-set index: only x_a ⊕ x_b matters, so b leaves,
-and each of their rows loses a column and may take the series rule next.
-Each column carries two packed charges, ``on`` and ``off``: the sum of
-``(w_c << n) + (1 << c)`` over the unit kernel's columns c that it
-selects when set and when clear, n being that kernel's column count. A
-series merge adds b's charges to a's, crosswise where u_r is set; a
-parallel merge keeps, for each parity of x_a ⊕ x_b, the smaller of its
-two sums. The DP runs on what is left, the kernel, with each column
-weighed at ``on - off``; the fixed charges and every ``off`` are added
-at the root, so the total is the packed charge of one solution of the
-unit kernel, and ``backtrack`` decodes its weight and mask. Each step is
-exact: a substitution maps solutions one to one, a parallel merge keeps
-the least solution of each parity, which the packed order makes the
-canonical one, and a column left with no row is free, so its cheaper side
-is the canonical choice. Both renumberings keep the column order, so the
-witness, mapped back with propagation's fixed selected columns added, is
-still the canonical one. A supplied decomposition is validated against
-the whole incidence graph and then contracted onto the kernel, with the
-same nodes, children and root: a series-merged column and its series row
-map to the column they merged into, and a fixed column, a dropped row and
-a column the parallel rule merges away leave. Twins share no edge, so
-contracting b into a could split a's bags, but a's bags already meet all
-of rows(b), so deleting b loses no edge. The kernel's graph is a subgraph
-of what is left, a minor of the incidence graph, so the result decomposes
-it, and its width can only fall. The stats ``width``,
-``nodes``, ``table_entries`` and ``join_pairs`` describe the DP on the
-kernel; an instance the passes reduce whole leaves the empty graph, whose
-width is -1. Both passes are billed to the ``decompose`` phase.
+unless its target bit is set, which proves the target infeasible. It
+marks the vertices left live. ``_series`` then applies two rules to the
+live vertices until neither applies. The series rule substitutes away
+every row of degree 2 or less: a row r over columns a and b says
+x_b = x_a ⊕ u_r, so b merges into a, whose rows become rows(a) Δ rows(b)
+minus r, and the target flips on rows(b) minus r where u_r is set. Degree
+1 and 0 are handled as in propagation, and a column a merge leaves with no
+row is fixed at its cheaper side. The parallel rule merges every two
+columns a and b with the same rows, found by a row-set index: only
+x_a ⊕ x_b matters, so b leaves, and each of their rows loses a column and
+may take the series rule next. Each column carries two packed charges,
+``on`` and ``off``: the sum of ``(w_c << n) + (1 << i)`` over the live
+columns c that it selects when set and when clear, n being the number of
+live columns and i c's rank among them. A series merge adds b's charges to
+a's, crosswise where u_r is set; a parallel merge keeps, for each parity
+of x_a ⊕ x_b, the smaller of its two sums. What is left, the kernel, is
+the only part renumbered: its rows, then its columns, each in increasing
+id order. The DP runs on it with each column weighed at ``on - off``; the
+fixed charges and every ``off`` are added at the root, so the total is the
+packed charge of one solution on the live columns, and ``backtrack``
+decodes its weight and the ranks of its columns. Each step is exact: a
+substitution maps solutions one to one, a parallel merge keeps the least
+solution of each parity, which the packed order makes the canonical one,
+and a column left with no row is free, so its cheaper side is the
+canonical choice. Ranks keep the column order, so the witness, the ranked
+columns with propagation's fixed selected columns added, is still the
+canonical one. A supplied decomposition is validated against the whole
+incidence graph and then contracted onto the kernel through ``_series``'s
+``image``, with the same nodes, children and root: a series-merged column
+and its series row map to the column they merged into, and a fixed
+column, a dropped row and a column the parallel rule merges away leave.
+Twins share no edge, so contracting b into a could split a's bags, but
+a's bags already meet all of rows(b), so deleting b loses no edge. The
+kernel's graph is a subgraph of what is left, a minor of the incidence
+graph, so the result decomposes it, and its width can only fall. The
+stats ``width``, ``nodes``, ``table_entries`` and ``join_pairs`` describe
+the DP on the kernel; an instance the passes reduce whole leaves the
+empty graph, whose width is -1. Both passes are billed to the
+``decompose`` phase.
 
 Key layout. One pre-order walk gives every vertex, at its topmost bag, the
 least colour that no other vertex of that bag has. A vertex's bags form a
@@ -133,16 +135,6 @@ class Lift:
     held: int
 
 
-@dataclass(slots=True)
-class BagContext:
-    """Everything process_bag needs about one decomposition node: one lift
-    per child, in the order the child tables come, and the bits of the bag
-    columns."""
-
-    lifts: Sequence[Lift]
-    cols: int
-
-
 def _lift(lift: Lift, src: dict) -> dict:
     """A child's table forgotten down to what the parent holds."""
     cols, rows = lift.cols, lift.rows
@@ -190,8 +182,10 @@ def _join(left: dict, right: dict, shared: int) -> tuple[dict, int]:
     return out, pairs
 
 
-def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, int]:
-    """One node's table from its children's. Returns (table, join pairs).
+def process_bag(lifts: Sequence[Lift], cols: int, child_tables: Sequence[dict]) -> tuple[dict, int]:
+    """One node's table from its children's: ``lifts`` holds one lift per
+    child, in the order the child tables come, and ``cols`` the bits of the
+    bag's columns. Returns (table, join pairs).
 
     Values are sums of packed charges, so each min is one ``<`` and the
     table does not depend on the order children are joined in or on which
@@ -199,7 +193,7 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, in
     """
     table = None
     held = pairs = 0
-    for lift, src in zip(ctx.lifts, child_tables):
+    for lift, src in zip(lifts, child_tables):
         lifted = _lift(lift, src)
         if table is None:
             table = lifted
@@ -209,7 +203,7 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, in
         held |= lift.held
     if table is None:
         table = {0: 0}  # a leaf
-    new = ctx.cols & ~held
+    new = cols & ~held
     while new:
         bit = new & -new
         new ^= bit
@@ -217,26 +211,20 @@ def process_bag(ctx: BagContext, child_tables: Sequence[dict]) -> tuple[dict, in
     return table, pairs
 
 
-def _propagate(
-    matrix: Gf2Matrix, target: int
-) -> tuple[int, Sequence[Sequence[int]], Sequence[int], bytearray, Sequence[int], list[int]]:
+def _propagate(matrix: Gf2Matrix, target: int) -> tuple[bytearray, bytearray, list[int]]:
     """Unit propagation over GF(2): fix every column that some row forces.
 
     A row with one live column c fixes it: x_c = u_r. A selected column
     flips the target bit of each of its rows, and the column leaves. A row
-    with no live column leaves too, once its target bit is clear. This
-    repeats until every row left has two or more live columns.
+    with no live column leaves too, once its target bit is clear; with the
+    bit set it has no solution, and it stays live for ``_series`` to
+    report. This repeats until every row left has no column or two or more.
 
-    Returns the unit kernel as plain lists, (row count, each column's rows,
-    column weights, each row's target bit), then the kept vertices and the
-    fixed selected columns. The kernel keeps the live rows and columns, each
-    renumbered in increasing order, and its vertex i is the incidence-graph
-    vertex ``kept[i]``. A live column's rows are all live, since a row
-    leaves only after all its columns. A row left with no column and its
-    target bit set has no solution: the kernel is then that row alone,
-    which the DP finds infeasible.
+    Returns (each row's target bit, one live flag per vertex, the fixed
+    selected columns). A live column's rows are all live, since a row
+    leaves only after all its columns.
     """
-    nrows, ncols = matrix.nrows, matrix.ncols
+    nrows = matrix.nrows
     col_rows = matrix.col_rows
     u = bytearray(nrows)
     for r in indices_from_mask(target):
@@ -249,18 +237,16 @@ def _propagate(
         for r in rs:
             deg[r] += 1
             xor[r] ^= c
-    live = bytearray(b"\x01") * (nrows + ncols)  # rows first, then columns
+    live = bytearray(b"\x01") * (nrows + matrix.ncols)
+    # a row is queued once, when its degree first is 1 or less
     queue = [r for r in range(nrows) if deg[r] <= 1]
     fixed = []
     while queue:
         r = queue.pop()
-        if not live[r]:
+        if not deg[r]:
+            live[r] = u[r]  # with its bit set, no solution: the row stays
             continue
         live[r] = 0
-        if not deg[r]:
-            if u[r]:  # no solution: the kernel is this row alone
-                return 1, [], [], bytearray(b"\x01"), [r], []
-            continue
         c = xor[r]
         live[nrows + c] = 0
         selected = u[r]
@@ -272,38 +258,22 @@ def _propagate(
             deg[s] -= 1
             if deg[s] == 1:
                 queue.append(s)
-    if all(live):
-        return nrows, col_rows, matrix.col_weights, u, range(nrows + ncols), fixed
-    rows = list(compress(range(nrows), live))
-    cols = list(compress(range(ncols), live[nrows:]))
-    new_row = [0] * nrows
-    for i, r in enumerate(rows):
-        new_row[r] = i
-    weights = matrix.col_weights
-    return (
-        len(rows),
-        [[new_row[r] for r in col_rows[c]] for c in cols],
-        [weights[c] for c in cols],
-        bytearray([u[r] for r in rows]),
-        rows + [nrows + c for c in cols],
-        fixed,
-    )
+    return u, live, fixed
 
 
 def _series(
-    nrows: int, col_rows: Sequence[Sequence[int]], weights: Sequence[int], target: bytearray
-) -> tuple[Gf2Matrix, int, int, list[int]]:
-    """Series-parallel reduction over GF(2): substitute away every row of
-    degree 2 or less and merge every two columns with the same rows.
-
-    The instance is given as plain lists: each column's rows, in increasing
-    order, the column weights and each row's target bit u_r.
+    matrix: Gf2Matrix, u: bytearray, live: bytearray
+) -> tuple[Gf2Matrix, int, int, dict[int, int]]:
+    """Series-parallel reduction over GF(2) of the live rows and columns of
+    ``matrix``, with target bits ``u``: substitute away every row of degree
+    2 or less and merge every two columns with the same rows.
 
     Series rule. A row r with no column leaves, once u_r is clear; with one
-    column c it fixes x_c = u_r. With two columns a and b it says
-    x_b = x_a ⊕ u_r, so b merges into a: rows(a) becomes rows(a) Δ rows(b)
-    minus r, and where u_r is set the target flips on rows(b) minus r. Rows
-    only lose columns, and one whose degree falls to 2 or less is queued.
+    column c it fixes x_c = u_r. With two columns a and b, a having more
+    rows or, on a tie, the lower id, it says x_b = x_a ⊕ u_r, so b merges
+    into a: rows(a) becomes rows(a) Δ rows(b) minus r, and where u_r is set
+    the target flips on rows(b) minus r. Rows only lose columns, and one
+    whose degree falls to 2 or less is queued.
 
     Parallel rule. Two columns a and b with the same rows enter every row
     together, so only x_a ⊕ x_b matters: b leaves, and a stands for the
@@ -311,41 +281,39 @@ def _series(
     changes, finds such twins. Each of their rows loses b and is queued
     once its degree falls to 2 or less.
 
-    Each column carries two charges, ``on`` and ``off``: the sum of
-    ``(w_c << n) + (1 << c)`` over the given columns c that it selects when
-    set and when clear, n being the column count. A series merge adds b's
-    charges to a's, crosswise where u_r is set. A parallel merge takes, for
-    each parity of the pair, the cheaper of its two ways: ``off`` becomes
-    min(off_a + off_b, on_a + on_b) and ``on`` min(on_a + off_b, off_a + on_b).
-    A charge is a packed (weight, mask) value, so the min is the canonical
-    choice for that parity. A fixed column, and one left with no row at its
-    cheaper side, leaves with its charge in ``base``.
+    Each column carries two charges, ``on`` and ``off`` (see the module
+    docstring). A series merge adds b's charges to a's, crosswise where u_r
+    is set. A parallel merge takes, for each parity of the pair, the
+    cheaper of its two ways: ``off`` becomes min(off_a + off_b, on_a + on_b)
+    and ``on`` min(on_a + off_b, off_a + on_b). A charge is a packed
+    (weight, mask) value, so the min is the canonical choice for that
+    parity. A fixed column, and one left with no row at its cheaper side,
+    leaves with its charge in ``base``.
 
-    Returns (kernel, kernel target mask, base, image). The kernel keeps the
-    rows and columns left, each renumbered in increasing order, and weighs
-    each column at ``on - off``; ``base`` also holds every kernel column's
-    ``off``. So a kernel solution's weight plus ``base`` is the packed
-    charge of the least solution it stands for, and ``backtrack(total, n)``
-    decodes it. ``image[v]`` is the kernel vertex that vertex v contracts
-    to, -1 for one that leaves: a series-merged column and its series row
-    map to the column they merged into, and a column that leaves by the
-    parallel rule is deleted with everything merged into it. A row left
-    with no column and its target bit set has no solution: the kernel is
-    then that row alone, which the DP finds infeasible.
+    Returns (kernel, kernel target mask, base, image). The kernel weighs
+    each column at ``on - off``, and ``base`` also holds every kernel
+    column's ``off``. ``image`` maps each vertex that contracts into the
+    kernel to its kernel vertex: a series-merged column and its series row
+    map to the column they merged into, and a vertex that leaves has no
+    image. A row left with no column and its target bit set has no
+    solution: the kernel is then that row alone, which the DP finds
+    infeasible.
     """
-    ncols = len(col_rows)
-    row_cols: list[set[int]] = [set() for _ in range(nrows)]
-    for c, rs in enumerate(col_rows):
+    nrows, weights = matrix.nrows, matrix.col_weights
+    cols = list(compress(range(matrix.ncols), live[nrows:]))
+    n = len(cols)
+    row_cols: dict[int, set[int]] = {r: set() for r in compress(range(nrows), live)}
+    col_rows: dict[int, set[int]] = {}
+    on: dict[int, int] = {}
+    for i, c in enumerate(cols):
+        rs = matrix.col_rows[c]
+        col_rows[c] = set(rs)
         for r in rs:
             row_cols[r].add(c)
-    col_rows = [set(rs) for rs in col_rows]
-    u = bytearray(target)
-    on = [(w << ncols) + (1 << c) for c, w in enumerate(weights)]
-    off = [0] * ncols
-    # where each vertex went: itself while live, the column it merged into,
-    # or -1 once it left
-    to = list(range(nrows + ncols))
-    merged: list[int] = []
+        on[c] = (weights[c] << n) + (1 << i)
+    off = dict.fromkeys(cols, 0)
+    u = bytearray(u)
+    into: dict[int, int] = {}  # a series row or merged column: the column it merged into
     base = 0
     queue: list[int] = []
     # the row-set index: the column filed under each set of rows. An entry
@@ -361,34 +329,33 @@ def _series(
         rows_a = col_rows[a]
         if not rows_a:
             base += min(on[a], off[a])
-            to[nrows + a] = -1
+            del col_rows[a]
             return
         b = twins.setdefault(frozenset(rows_a), a)
         if b == a:
             return
         on[b], off[b] = min(on[b] + off[a], off[b] + on[a]), min(off[b] + off[a], on[b] + on[a])
-        to[nrows + a] = -1
+        del col_rows[a]
         for s in rows_a:
             rc = row_cols[s]
             rc.remove(a)
             if len(rc) <= 2:
                 queue.append(s)
 
-    for c in range(ncols):
+    for c in cols:
         settle(c)
-    queue += [r for r in range(nrows) if len(row_cols[r]) <= 2]
+    queue += [r for r, cs in row_cols.items() if len(cs) <= 2]
     while queue:
         r = queue.pop()
-        if to[r] != r:
+        cs = row_cols.pop(r, None)
+        if cs is None:
             continue
-        to[r] = -1
-        cs = row_cols[r]
         if len(cs) == 2:
             a, b = cs
-            if len(col_rows[a]) < len(col_rows[b]):
+            # a survives: the column with more rows, or the lower id on a tie
+            if (len(col_rows[a]), b) < (len(col_rows[b]), a):
                 a, b = b, a
-            to[r] = to[nrows + b] = nrows + a
-            merged += (r, nrows + b)
+            into[r] = into[nrows + b] = nrows + a
             flip = u[r]
             if flip:
                 on[a], off[a] = on[a] + off[b], off[a] + on[b]
@@ -397,7 +364,7 @@ def _series(
                 off[a] += off[b]
             rows_a = col_rows[a]
             rows_a.remove(r)
-            for s in col_rows[b]:
+            for s in col_rows.pop(b):
                 if s == r:
                     continue
                 rc = row_cols[s]
@@ -416,8 +383,7 @@ def _series(
             (c,) = cs
             flip = u[r]
             base += on[c] if flip else off[c]
-            to[nrows + c] = -1
-            for s in col_rows[c]:
+            for s in col_rows.pop(c):
                 if s != r:
                     rc = row_cols[s]
                     rc.remove(c)
@@ -425,46 +391,36 @@ def _series(
                     if len(rc) <= 2:
                         queue.append(s)
         elif u[r]:  # no solution: the kernel is this row alone
-            image = [-1] * (nrows + ncols)
-            image[r] = 0
-            return Gf2Matrix(1, 0, [], []), 1, 0, image
-    rows = [r for r in range(nrows) if to[r] == r]
-    cols = [c for c in range(ncols) if to[nrows + c] == nrows + c]
-    new_id = [-1] * (nrows + ncols)
-    for i, r in enumerate(rows):
-        new_id[r] = i
-    for i, c in enumerate(cols, len(rows)):
-        new_id[nrows + c] = i
-    for v in reversed(merged):  # what v merged into has its end already
-        to[v] = to[to[v]]
-    image = [new_id[v] if v >= 0 else -1 for v in to]
+            return Gf2Matrix(1, 0, [], []), 1, 0, {r: 0}
+    image = {r: i for i, r in enumerate(row_cols)}
+    image.update((nrows + c, i) for i, c in enumerate(col_rows, len(row_cols)))
+    for v, w in reversed(into.items()):  # w merged on later or not at all: its image is final
+        if w in image:
+            image[v] = image[w]
     kernel = Gf2Matrix(
-        len(rows),
-        len(cols),
-        [sorted([new_id[s] for s in col_rows[c]]) for c in cols],
-        [on[c] - off[c] for c in cols],
+        len(row_cols),
+        len(col_rows),
+        [sorted([image[s] for s in rs]) for rs in col_rows.values()],
+        [on[c] - off[c] for c in col_rows],
     )
-    base += sum([off[c] for c in cols])
-    return kernel, mask_from_indices(i for i, r in enumerate(rows) if u[r]), base, image
+    base += sum([off[c] for c in col_rows])
+    return kernel, mask_from_indices(i for i, r in enumerate(row_cols) if u[r]), base, image
 
 
-def _contract(td: TreeDecomposition, image: Sequence[int]) -> TreeDecomposition:
+def _contract(td: TreeDecomposition, image: dict[int, int]) -> TreeDecomposition:
     """The decomposition with each vertex v replaced by ``image[v]`` and the
-    vertices mapped to -1 left out: the same nodes, children and root.
+    vertices with no image left out: the same nodes, children and root.
 
     Where every vertex's preimage is connected, the result decomposes the
-    graph with each preimage contracted and the vertices mapped to -1
+    graph with each preimage contracted and the vertices with no image
     deleted, a minor, and so any subgraph of it, and its width can only
     fall. ``_series`` maps a series-merged column to its survivor, through
-    the row that joins them, and a column the parallel rule merges away to
-    -1, since nothing joins it to its twin.
+    the row that joins them, and gives a column the parallel rule merges
+    away no image, since nothing joins it to its twin.
     """
-    bags = []
-    for bag in td.bags:
-        moved = {image[v] for v in bag}
-        moved.discard(-1)
-        bags.append(moved)
-    return TreeDecomposition(bags, td.children, td.root)
+    return TreeDecomposition(
+        [{image[v] for v in bag if v in image} for bag in td.bags], td.children, td.root
+    )
 
 
 def backtrack(value: int, ncols: int) -> tuple[int, frozenset[int]]:
@@ -565,16 +521,10 @@ def solve_mld_treewidth(
         td_source = "given"
     else:
         raise UsageError("ntd must be a tree decomposition or None")
-    nrows, col_rows, weights, u, kept, fixed = _propagate(matrix, target)
-    kernel, ktarget, base, image = _series(nrows, col_rows, weights, u)
+    u, live, fixed = _propagate(matrix, target)
+    kernel, ktarget, base, image = _series(matrix, u, live)
     g = hasse_graph(kernel)
-    if ntd is None:
-        td = greedy_decomposition(g, heuristic)
-    else:
-        moved = [-1] * (matrix.nrows + matrix.ncols)
-        for v, w in zip(kept, image):
-            moved[v] = w
-        td = _contract(ntd, moved)
+    td = greedy_decomposition(g, heuristic) if ntd is None else _contract(ntd, image)
     decomposed = time.perf_counter()
 
     order, lifts, bag_cols, _bits = _plan(td, g.adj, kernel, ktarget)
@@ -586,8 +536,7 @@ def solve_mld_treewidth(
     join_bags: list[tuple[int, int]] = []
     for t in order:
         kids = td.children[t]
-        ctx = BagContext([lifts[c] for c in kids], bag_cols[t])
-        table, pairs = process_bag(ctx, [tables[c] for c in kids])
+        table, pairs = process_bag([lifts[c] for c in kids], bag_cols[t], [tables[c] for c in kids])
         tables[t] = table
         for c in kids:
             tables[c] = None  # only the root table is read after the DP
@@ -619,10 +568,10 @@ def solve_mld_treewidth(
     val = top.get(0)
     if val is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
-    weight, kwitness = backtrack(val + base, len(col_rows))
+    cols = list(compress(range(matrix.ncols), live[matrix.nrows:]))
+    weight, ranks = backtrack(val + base, len(cols))
     weight += matrix.weight_of(fixed)
-    kcols = kept[nrows:]
-    witness = frozenset([kcols[c] - matrix.nrows for c in kwitness] + fixed)
+    witness = frozenset([cols[i] for i in ranks] + fixed)
     witness_weight = matrix.weight_of(witness)
     if witness_weight != weight:
         raise ConsistencyError(

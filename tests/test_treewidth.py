@@ -39,7 +39,6 @@ from boundedchain.generators import (
     triangle_strip,
 )
 from boundedchain.treewidth import (
-    BagContext,
     Lift,
     _contract,
     _plan,
@@ -288,6 +287,29 @@ def test_target_row_with_no_column_is_infeasible():
     assert (r.weight, r.witness) == (1, frozenset((0,)))
 
 
+def test_row_left_empty_with_its_bit_set_stays_live():
+    """Rows 0 and 1 both have column 0 alone, and with row 0 alone in the
+    target they ask for different values of it. Row 1, queued last, fixes
+    x_0 = 0, which leaves row 0 with no column and its bit set. Propagation
+    keeps row 0 live, and the series pass reports it as the one-row kernel,
+    which the DP finds infeasible at the same counts as a propagation that
+    stops at that row."""
+    mat = Gf2Matrix(5, 4, [(0, 1), (2, 3, 4), (2, 3), (3, 4)], [1, 2, 3, 4])
+    u, live, fixed = _propagate(mat, mat.target_mask([0]))
+    assert (list(u[:2]), list(live[:2]), live[5], fixed) == ([1, 0], [1, 0], 0, [])
+    kernel, ktarget, base, image = _series(mat, u, live)
+    assert (kernel.nrows, kernel.ncols, ktarget, base, image) == (1, 0, 1, 0, {0: 0})
+    g = hasse_graph(mat)
+    td = greedy_decomposition(g)
+    # (nodes, table_entries, join_pairs) computed, and on three supplied forms
+    for ntd, counts in ((None, (1, 1, 0)), (td, (9, 3, 0)), (make_nice(td, g), (26, 12, 0)),
+                        (rerooted(td, 0), (9, 9, 2))):
+        r = solve_mld_treewidth(mat, [0], ntd=ntd)
+        assert (r.status, r.weight, r.witness) == (Status.INFEASIBLE, None, None)
+        assert r.stats["width"] == 0
+        assert (r.stats["nodes"], r.stats["table_entries"], r.stats["join_pairs"]) == counts
+
+
 def test_forced_columns_ignore_their_weight():
     """Column 0 is row 0's only column, so x_0 = u_0: at weight -5 it is
     selected exactly when row 0 is in the target, though leaving it out
@@ -346,10 +368,11 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             mat = boundary_matrix(cs)
             rows = sorted(random_boundary(cs, seed=seed))
-            _nrows, kcols, _weights, _u, _kept, _fixed = _propagate(mat, mat.target_mask(rows))
-            if len(kcols) == mat.ncols:
+            _u, live, _fixed = _propagate(mat, mat.target_mask(rows))
+            left = sum(live[mat.nrows:])
+            if left == mat.ncols:
                 continue
-            partial += len(kcols) > 0
+            partial += left > 0
             rng = random.Random(seed)
             signed = Gf2Matrix(
                 mat.nrows, mat.ncols, mat.col_rows, [rng.randint(-1, 1) for _ in range(mat.ncols)]
@@ -363,23 +386,21 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
 
 
 def reduced(mat, rows):
-    """Both kernel passes, as the solve runs them: (the unit kernel's column
-    count, kernel, the kernel vertex each vertex of ``mat`` contracts to or
-    -1)."""
-    nrows, col_rows, weights, u, kept, _fixed = _propagate(mat, mat.target_mask(rows))
-    kernel, _ktarget, _base, image = _series(nrows, col_rows, weights, u)
-    moved = [-1] * (mat.nrows + mat.ncols)
-    for v, w in zip(kept, image):
-        moved[v] = w
-    return len(col_rows), kernel, moved
+    """Both kernel passes, as the solve runs them: (the number of columns
+    propagation leaves, kernel, the kernel vertex each vertex of ``mat``
+    contracts to, if any)."""
+    u, live, _fixed = _propagate(mat, mat.target_mask(rows))
+    kernel, _ktarget, _base, image = _series(mat, u, live)
+    return sum(live[mat.nrows:]), kernel, image
 
 
-def target_bits(mat, rows):
-    """Each row's target bit, as ``_series`` takes them."""
-    u = bytearray(mat.nrows)
-    for r in rows:
-        u[r] = 1
-    return u
+def unpropagated(mat, rows):
+    """``_series``'s input where propagation fixes nothing: each row's
+    target bit, and every vertex live."""
+    u, live, fixed = _propagate(mat, mat.target_mask(rows))
+    assert all(live) and not fixed
+    assert list(u) == [r in rows for r in range(mat.nrows)]
+    return u, live
 
 
 def series_problems():
@@ -434,8 +455,8 @@ def test_series_reduction_against_canonical_optimum():
             td = greedy_decomposition(hasse_graph(mat), "min-degree")
             given = rerooted(td, rng.randrange(td.n_nodes))
             for rows in targets:
-                ucols, kernel, _moved = reduced(mat, rows)
-                merged += kernel.ncols < ucols
+                left, kernel, _image = reduced(mat, rows)
+                merged += kernel.ncols < left
                 want = canonical_optimum(mat, rows)
                 infeasible += want is None
                 for how in ({"heuristic": "min-fill"}, {"heuristic": "min-degree"}, {"ntd": given}):
@@ -457,7 +478,7 @@ def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
         mat = Gf2Matrix(4, 5, cols, weights)
         for rest in range(8):
             rows = [0] + [r for r in (1, 2, 3) if rest >> (r - 1) & 1]
-            kernel, ktarget, base, image = _series(4, cols, weights, target_bits(mat, rows))
+            kernel, ktarget, base, image = _series(mat, *unpropagated(mat, rows))
             assert (kernel.nrows, kernel.ncols) == (3, 4)
             on, off = (weights[0] << 5) + (1 << 0), (weights[1] << 5) + (1 << 1)
             assert (kernel.col_weights[0], base) == (on - off, off)
@@ -466,6 +487,26 @@ def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
             r = solve_mld_treewidth(mat, rows)
             got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
             assert got == canonical_optimum(mat, rows), (weights, rows)
+
+
+def test_series_survivor_on_a_row_count_tie_is_the_lower_id():
+    """Row 0 has columns 1 and 8 alone, with four rows each, and every other
+    row three columns or more. Column 1 survives, whichever of the two row
+    sets it has, though a set of {1, 8} iterates 8 first: row 0 and column
+    8 map to column 1's kernel vertex, which takes rows 2 and 5, the
+    symmetric difference minus row 0."""
+    nrows = 6
+    for c1, c8 in (((0, 2, 3, 4), (0, 3, 4, 5)), ((0, 3, 4, 5), (0, 2, 3, 4))):
+        cols = [(1, 4, 5), c1, (2, 3, 4), (2, 3, 5), (1, 2, 3), (1, 3, 4), (2, 4, 5), (1, 3, 5), c8]
+        mat = Gf2Matrix(nrows, 9, cols, [3, 1, 4, 1, 5, 9, 2, 6, 5])
+        for rows in ([], [0], [2, 5], [0, 1, 3]):
+            kernel, _ktarget, _base, image = _series(mat, *unpropagated(mat, rows))
+            assert (kernel.nrows, kernel.ncols) == (5, 8)
+            assert image[0] == image[nrows + 8] == image[nrows + 1] == 5 + 1
+            assert kernel.col_rows[1] == (1, 4)  # rows 2 and 5
+            r = solve_mld_treewidth(mat, rows)
+            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+            assert got == canonical_optimum(mat, rows), (c1, rows)
 
 
 def test_supplied_decomposition_contracts_onto_the_kernel():
@@ -485,13 +526,13 @@ def test_supplied_decomposition_contracts_onto_the_kernel():
         decompositions = [greedy_decomposition(g, h) for h in ("min-fill", "min-degree")]
         decompositions.append(star(mat, 0))
         for rows in targets:
-            _ucols, kernel, moved = reduced(mat, rows)
+            _left, kernel, image = reduced(mat, rows)
             kg = hasse_graph(kernel)
             for td in decompositions:
-                mapped = _contract(td, moved)
+                mapped = _contract(td, image)
                 assert validate_decomposition(mapped, kg) is None, (label, rows)
                 assert mapped.width <= td.width, (label, rows)
-            dropped = [-1 if v < mat.nrows and w >= kernel.nrows else w for v, w in enumerate(moved)]
+            dropped = {v: w for v, w in image.items() if v >= mat.nrows or w < kernel.nrows}
             broken += validate_decomposition(_contract(decompositions[-1], dropped), kg) is not None
     assert broken >= 20, broken
 
@@ -545,13 +586,13 @@ def test_parallel_rule_merges_a_twin_pair_by_hand():
         seen.add((off == 0, on == on0))
         for rest in range(8):
             rows = [r for r in range(3) if rest >> r & 1]
-            kernel, ktarget, base, image = _series(3, cols, weights, target_bits(mat, rows))
+            kernel, ktarget, base, image = _series(mat, *unpropagated(mat, rows))
             assert (kernel.nrows, kernel.ncols) == (3, 4)
             assert kernel.col_rows == ((0, 1, 2), (0, 1), (1, 2), (0, 2))
             assert (kernel.col_weights[0], base) == (on - off, off)
             assert kernel.col_weights[1:] == tuple((weights[c] << 5) + (1 << c) for c in (2, 3, 4))
             assert ktarget == mat.target_mask(rows)
-            assert image == [0, 1, 2, 3, -1, 4, 5, 6]
+            assert image == {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 6: 5, 7: 6}  # column 1 has none
             r = solve_mld_treewidth(mat, rows)
             got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
             assert got == canonical_optimum(mat, rows), (weights, rows)
@@ -589,10 +630,9 @@ def test_process_bag_join_by_hand():
     """Two children holding the node's one row and one column: they match on
     the column, their forgotten parities add over Z2, weights add and the
     two sides' forgotten columns are joined."""
-    ctx = BagContext([same_bag(C), same_bag(C)], C)
     left = {0: value(0, 0), C | R0: value(2, 0b01)}
     right = {0: value(0, 0), C | R0: value(5, 0b10)}
-    table, pairs = process_bag(ctx, [left, right])
+    table, pairs = process_bag([same_bag(C), same_bag(C)], C, [left, right])
     assert table == {0: value(0, 0), C: value(7, 0b11)}
     assert pairs == 2
 
@@ -602,7 +642,6 @@ def test_join_table_does_not_depend_on_the_indexed_side(larger):
     """Two (parity left, parity right) pairs reach one key at one weight: the
     smaller mask wins, whichever child the join indexes and whichever it
     streams."""
-    ctx = BagContext([same_bag(C), same_bag(C)], C)
     left = {R1: value(1, 0b0001), R0: value(1, 0b0010)}
     right = {R0 | R1: value(4, 0b0100), 0: value(4, 0b1000)}
     unmatched = {C: 0, C | R0: 0, C | R0 | R1: 0}
@@ -612,29 +651,28 @@ def test_join_table_does_not_depend_on_the_indexed_side(larger):
         right.update(unmatched)
     want = {R0: value(5, 0b0101), R1: value(5, 0b0110)}
     for children in ([left, right], [right, left]):
-        table, pairs = process_bag(ctx, children)
+        table, pairs = process_bag([same_bag(C), same_bag(C)], C, children)
         assert table == want
         assert pairs == 4
 
 
 def test_process_bag_leaf_and_forget():
-    leaf, pairs = process_bag(BagContext([], 0), [])
+    leaf, pairs = process_bag([], 0, [])
     assert leaf == {0: 0}
     assert pairs == 0
     # a child holding column 4 alone, under an empty bag: keep vs drop,
     # weight and bit charged on keep, and the column's bit cleared
     forget = Lift([(C, C, value(9, 1 << 4))], [], 0)
-    ctx = BagContext([forget], 0)
-    table, _ = process_bag(ctx, [{0: value(3, 0b1), C: value(1, 0)}])
+    table, _ = process_bag([forget], 0, [{0: value(3, 0b1), C: value(1, 0)}])
     assert table == {0: value(3, 0b1)}  # kept would cost 1 + 9 = 10
-    cheap, _ = process_bag(ctx, [{0: value(12, 0b1), C: value(1, 0)}])
+    cheap, _ = process_bag([forget], 0, [{0: value(12, 0b1), C: value(1, 0)}])
     assert cheap == {0: value(10, 1 << 4)}
     # one weight either way: the smaller mask, here dropping, wins
-    tie, _ = process_bag(ctx, [{0: value(10, 0b1), C: value(1, 0)}])
+    tie, _ = process_bag([forget], 0, [{0: value(10, 0b1), C: value(1, 0)}])
     assert tie == {0: value(10, 0b1)}
     # a negative charge still orders by weight first, and decodes back
     forget.cols = [(C, C, value(-9, 1 << 4))]
-    neg, _ = process_bag(ctx, [{0: value(0, 0), C: value(0, 0b1)}])
+    neg, _ = process_bag([forget], 0, [{0: value(0, 0), C: value(0, 0b1)}])
     assert neg == {0: value(-9, 0b10001)}
     assert backtrack(neg[0], 8) == (-9, frozenset((0, 4)))
 
@@ -647,7 +685,6 @@ def test_forgotten_row_parity_bit_is_cleared():
     both are 1, r0's bit must be cleared, or the new row would start odd."""
     x = 0b1000
     lift = Lift(cols=[], rows=[(R0 | C, 0, ~R0)], held=C)
-    ctx = BagContext([lift], C | x)
     child = {
         C | R0: 10,
         C | R0 | R1: 11,
@@ -656,7 +693,7 @@ def test_forgotten_row_parity_bit_is_cleared():
         R0: 14,  # r0 odd: dropped
         C | R1: 15,  # r0 odd: dropped
     }
-    table, pairs = process_bag(ctx, [child])
+    table, pairs = process_bag([lift], C | x, [child])
     want = {}
     for key, val in ((C, 10), (C | R1, 11), (0, 12), (R1, 13)):
         want[key] = want[key | x] = val

@@ -18,6 +18,7 @@ incidence graph is a plain ``decomposition.Graph`` with rows first.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .decomposition import Graph
@@ -212,7 +213,7 @@ class Gf2Matrix:
         if self.scale < 1:
             raise InputError(f"scale must be a positive integer, got {self.scale}")
         for c, rs in enumerate(self.col_rows):
-            if any(a >= b for a, b in zip(rs, rs[1:])):
+            if any(map(ge, rs, rs[1:])):
                 raise InputError(f"column {c} rows must be strictly increasing")
             if rs and (rs[0] < 0 or rs[-1] >= self.nrows):
                 raise InputError(f"column {c} has a row index out of range")

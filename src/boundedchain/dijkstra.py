@@ -18,6 +18,20 @@ The search runs on the decoding view only: a state is the bitmask of its
 faces (rows) and a move is a column. A chain question reaches it through
 ``facade.solve(instance_from_complex(...), "dijkstra")``.
 
+Without a bound, the search runs on the instance's GF(2) kernel (see
+``kernel``): unit propagation and the series and parallel rules fix and
+merge columns first, which takes them out of the exponent. A kernel
+column costs its packed (weight, mask) charge, which the kernel keeps
+positive: a column whose charge would be negative (a series merge over a
+target row can leave one) is complemented, x ↦ 1 ⊕ x, which flips the
+kernel target on its rows. Packed costs never tie, so the first empty chain settled is the least
+(weight, mask) optimum, and ``backtrack`` decodes it, plus the kernel's
+constant, into the weight and the canonical witness, the one the
+treewidth DP returns. The feasibility check, the search and its stats
+then run on the kernel; an instance the passes solve whole settles at
+once. A bounded search runs on the whole matrix: a kernel column can
+stand for several simplices, and k counts simplices.
+
 States are settled in A* order (Hart, Nilsson and Raphael 1968): by
 L*g + h, where g is the cost so far and h a lower bound on the cost still
 to pay, both scaled by L, the lcm of the nonempty column sizes, so that
@@ -50,11 +64,13 @@ import heapq
 import math
 import os
 import time
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .complexes import Gf2Matrix, feasibility_check
 from .errors import ConsistencyError, UsageError
 from .gf2 import indices_from_mask
+from .kernel import _propagate, _series, backtrack
 from .results import SolveResult, Status
 
 PIVOT_MIN_INDEX = "min-index"
@@ -154,8 +170,11 @@ def solve_mld_dijkstra(
 ) -> SolveResult:
     """Run the search on the decoding view: rows are faces, columns moves.
 
-    ``timing`` adds the wall seconds of the ``feasibility`` and ``search``
-    phases to the stats.
+    Without ``k``, the search runs on the instance's kernel and decodes the
+    canonical witness; with ``k``, on the whole matrix (see the module
+    docstring). ``timing`` adds
+    the wall seconds of the ``kernel`` (unbounded searches only),
+    ``feasibility`` and ``search`` phases to the stats.
     """
     if pivot not in PIVOT_STRATEGIES:
         raise UsageError(f"unknown pivot strategy {pivot!r}")
@@ -180,17 +199,35 @@ def solve_mld_dijkstra(
         "monotone_frontier": True,
     }
 
-    if timing:
-        began = time.perf_counter()
-    feasible = not check_feasibility or feasibility_check(matrix, rows)[0]
-    if timing:
-        checked = time.perf_counter()
+    began = time.perf_counter()
+    space = matrix
+    if k is None:
+        u, live, fixed = _propagate(matrix, start)
+        space, start, base, _image = _series(matrix, u, live)
+        rows = indices_from_mask(start)
+    reduced = time.perf_counter()
+    feasible = not check_feasibility or feasibility_check(space, rows)[0]
+    checked = time.perf_counter()
     if feasible:
-        result = _search(matrix, start, k, pivot, max_states, stats)
+        result = _search(space, start, k, pivot, max_states, stats)
     else:
         result = SolveResult(Status.INFEASIBLE, stats=stats)
+    if k is None and result.is_optimal:
+        cols = list(compress(range(matrix.ncols), live[matrix.nrows:]))
+        weight, ranks = backtrack(base + result.weight, len(cols))
+        weight += matrix.weight_of(fixed)
+        witness = frozenset([cols[i] for i in ranks] + fixed)
+        witness_weight = matrix.weight_of(witness)
+        if witness_weight != weight:
+            raise ConsistencyError(
+                f"kernel optimum {weight} disagrees with witness weight {witness_weight}"
+            )
+        result = SolveResult(Status.OPTIMAL, weight, witness, stats)
     if timing:
-        stats["phases"] = {"feasibility": checked - began, "search": time.perf_counter() - checked}
+        phases = {"kernel": reduced - began} if k is None else {}
+        phases["feasibility"] = checked - reduced
+        phases["search"] = time.perf_counter() - checked
+        stats["phases"] = phases
     return result
 
 

@@ -91,7 +91,7 @@ def solve(
     adds ``wall_time_s`` and ``phases``, the wall seconds of each phase:
     ``verify`` for every engine, ``decompose`` and ``dp`` for treewidth
     (which also reports ``peak_table``), ``feasibility`` and ``search``
-    for dijkstra.
+    for dijkstra, and ``kernel`` for an unbounded search.
     """
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")

@@ -1,0 +1,265 @@
+"""The exact GF(2) kernel that the treewidth DP and the unbounded search solve.
+
+Two exact passes shrink an instance A x = u before either engine runs,
+both in the incidence graph's vertex ids, rows first, then columns.
+``_propagate`` runs unit propagation over GF(2), on arrays: a row with one
+live column c fixes x_c = u_r, a selected column flips the target bits of
+its rows, and the column leaves; a row left with no column leaves too,
+unless its target bit is set, which proves the target infeasible. It
+marks the vertices left live. ``_series`` then applies two rules to the
+live vertices until neither applies. The series rule substitutes away
+every row of degree 2 or less: a row r over columns a and b says
+x_b = x_a ⊕ u_r, so b merges into a, whose rows become rows(a) Δ rows(b)
+minus r, and the target flips on rows(b) minus r where u_r is set. Degree
+1 and 0 are handled as in propagation, and a column a merge leaves with no
+row is fixed at its cheaper side. The parallel rule merges every two
+columns a and b with the same rows, found by a row-set index: only
+x_a ⊕ x_b matters, so b leaves, and each of their rows loses a column and
+may take the series rule next. These are the problem-level analogue of
+the safe reduction rules for treewidth (Bodlaender and Koster).
+
+Each column carries two packed charges, ``on`` and ``off``: the sum of
+``(w_c << n) + (1 << i)`` over the live columns c that it selects when set
+and when clear, n being the number of live columns and i c's rank among
+them. A series merge adds b's charges to a's, crosswise where u_r is set;
+a parallel merge keeps, for each parity of x_a ⊕ x_b, the smaller of its
+two sums. What is left, the kernel, is the only part renumbered: its rows,
+then its columns, each in increasing id order. It weighs each column at
+``on - off``, and the fixed charges and every ``off`` make up a constant
+``base``, so the kernel weight of a kernel solution plus ``base`` is the
+packed charge of one solution on the live columns, and ``backtrack``
+decodes its weight and the ranks of its columns. Each step is exact: a
+substitution maps solutions one to one, a parallel merge keeps the least
+solution of each parity, which the packed order makes the canonical one,
+and a column left with no row is free, so its cheaper side is the
+canonical choice. Ranks keep the column order, so the witness, the ranked
+columns with propagation's fixed selected columns added, is still the
+canonical one, whichever exact engine finds the kernel's optimum. A
+column's ``on`` and ``off`` never tie, since they select different
+columns, so no kernel weight is 0.
+
+Complementing a kernel column c, x_c ↦ 1 ⊕ x_c, swaps its ``on`` and
+``off`` and flips the kernel target on its rows: solutions map one to one
+at the same packed charge. ``_series`` complements every column whose
+``on`` is below its ``off``, so every kernel weight is positive, as the
+search needs. The treewidth DP takes any weight and does the same work
+either way: at each node, complementing c flips one fixed set of key bits
+(c's own, or its rows' parity bits once c is forgotten), so every table
+keeps its size.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+
+from .complexes import Gf2Matrix
+from .gf2 import indices_from_mask, mask_from_indices
+
+
+def _propagate(matrix: Gf2Matrix, target: int) -> tuple[bytearray, bytearray, list[int]]:
+    """Unit propagation over GF(2): fix every column that some row forces.
+
+    A row with one live column c fixes it: x_c = u_r. A selected column
+    flips the target bit of each of its rows, and the column leaves. A row
+    with no live column leaves too, once its target bit is clear; with the
+    bit set it has no solution, and it stays live for ``_series`` to
+    report. This repeats until every row left has no column or two or more.
+
+    Returns (each row's target bit, one live flag per vertex, the fixed
+    selected columns). A live column's rows are all live, since a row
+    leaves only after all its columns.
+    """
+    nrows = matrix.nrows
+    col_rows = matrix.col_rows
+    u = bytearray(nrows)
+    for r in indices_from_mask(target):
+        u[r] = 1
+    # per row, the number and the xor of its live columns: at degree 1 the
+    # xor is the one column left
+    deg = [0] * nrows
+    xor = [0] * nrows
+    for c, rs in enumerate(col_rows):
+        for r in rs:
+            deg[r] += 1
+            xor[r] ^= c
+    live = bytearray(b"\x01") * (nrows + matrix.ncols)
+    # a row is queued once, when its degree first is 1 or less
+    queue = [r for r in range(nrows) if deg[r] <= 1]
+    fixed = []
+    while queue:
+        r = queue.pop()
+        if not deg[r]:
+            live[r] = u[r]  # with its bit set, no solution: the row stays
+            continue
+        live[r] = 0
+        c = xor[r]
+        live[nrows + c] = 0
+        selected = u[r]
+        if selected:
+            fixed.append(c)
+        for s in col_rows[c]:
+            u[s] ^= selected
+            xor[s] ^= c
+            deg[s] -= 1
+            if deg[s] == 1:
+                queue.append(s)
+    return u, live, fixed
+
+
+def _series(
+    matrix: Gf2Matrix, u: bytearray, live: bytearray
+) -> tuple[Gf2Matrix, int, int, dict[int, int]]:
+    """Series-parallel reduction over GF(2) of the live rows and columns of
+    ``matrix``, with target bits ``u``: substitute away every row of degree
+    2 or less and merge every two columns with the same rows.
+
+    Series rule. A row r with no column leaves, once u_r is clear; with one
+    column c it fixes x_c = u_r. With two columns a and b, a having more
+    rows or, on a tie, the lower id, it says x_b = x_a ⊕ u_r, so b merges
+    into a: rows(a) becomes rows(a) Δ rows(b) minus r, and where u_r is set
+    the target flips on rows(b) minus r. Rows only lose columns, and one
+    whose degree falls to 2 or less is queued.
+
+    Parallel rule. Two columns a and b with the same rows enter every row
+    together, so only x_a ⊕ x_b matters: b leaves, and a stands for the
+    pair. A row set index, refreshed for each column a series merge
+    changes, finds such twins. Each of their rows loses b and is queued
+    once its degree falls to 2 or less.
+
+    Each column carries two charges, ``on`` and ``off`` (see the module
+    docstring). A series merge adds b's charges to a's, crosswise where u_r
+    is set. A parallel merge takes, for each parity of the pair, the
+    cheaper of its two ways: ``off`` becomes min(off_a + off_b, on_a + on_b)
+    and ``on`` min(on_a + off_b, off_a + on_b). A charge is a packed
+    (weight, mask) value, so the min is the canonical choice for that
+    parity. A fixed column, and one left with no row at its cheaper side,
+    leaves with its charge in ``base``. A kernel column whose ``on`` is
+    below its ``off`` is complemented: the two swap, and the target flips
+    on its rows.
+
+    Returns (kernel, kernel target mask, base, image). The kernel weighs
+    each column at ``on - off``, which is positive, and ``base`` also holds
+    every kernel column's ``off``. ``image`` maps each vertex that contracts into the
+    kernel to its kernel vertex: a series-merged column and its series row
+    map to the column they merged into, and a vertex that leaves has no
+    image. A row left with no column and its target bit set has no
+    solution: the kernel is then that row alone, which either engine finds
+    infeasible.
+    """
+    nrows, weights = matrix.nrows, matrix.col_weights
+    cols = list(compress(range(matrix.ncols), live[nrows:]))
+    n = len(cols)
+    row_cols: dict[int, set[int]] = {r: set() for r in compress(range(nrows), live)}
+    col_rows: dict[int, set[int]] = {}
+    on: dict[int, int] = {}
+    for i, c in enumerate(cols):
+        rs = matrix.col_rows[c]
+        col_rows[c] = set(rs)
+        for r in rs:
+            row_cols[r].add(c)
+        on[c] = (weights[c] << n) + (1 << i)
+    off = dict.fromkeys(cols, 0)
+    u = bytearray(u)
+    into: dict[int, int] = {}  # a series row or merged column: the column it merged into
+    base = 0
+    queue: list[int] = []
+    # the row-set index: the column filed under each set of rows. An entry
+    # goes stale only where its column's rows change or the column leaves,
+    # and each such step retires one of those rows, so a stale entry holds
+    # a row no live column has and never matches
+    twins: dict[frozenset, int] = {}
+
+    def settle(a: int) -> None:
+        """File column a under its rows, or merge it into the live column
+        filed there already; with no row, fix it at its cheaper side."""
+        nonlocal base
+        rows_a = col_rows[a]
+        if not rows_a:
+            base += min(on[a], off[a])
+            del col_rows[a]
+            return
+        b = twins.setdefault(frozenset(rows_a), a)
+        if b == a:
+            return
+        on[b], off[b] = min(on[b] + off[a], off[b] + on[a]), min(off[b] + off[a], on[b] + on[a])
+        del col_rows[a]
+        for s in rows_a:
+            rc = row_cols[s]
+            rc.remove(a)
+            if len(rc) <= 2:
+                queue.append(s)
+
+    for c in cols:
+        settle(c)
+    queue += [r for r, cs in row_cols.items() if len(cs) <= 2]
+    while queue:
+        r = queue.pop()
+        cs = row_cols.pop(r, None)
+        if cs is None:
+            continue
+        if len(cs) == 2:
+            a, b = cs
+            # a survives: the column with more rows, or the lower id on a tie
+            if (len(col_rows[a]), b) < (len(col_rows[b]), a):
+                a, b = b, a
+            into[r] = into[nrows + b] = nrows + a
+            flip = u[r]
+            if flip:
+                on[a], off[a] = on[a] + off[b], off[a] + on[b]
+            else:
+                on[a] += on[b]
+                off[a] += off[b]
+            rows_a = col_rows[a]
+            rows_a.remove(r)
+            for s in col_rows.pop(b):
+                if s == r:
+                    continue
+                rc = row_cols[s]
+                rc.remove(b)
+                u[s] ^= flip
+                if s in rows_a:
+                    rows_a.remove(s)
+                    rc.remove(a)
+                    if len(rc) <= 2:
+                        queue.append(s)
+                else:
+                    rows_a.add(s)
+                    rc.add(a)
+            settle(a)
+        elif cs:
+            (c,) = cs
+            flip = u[r]
+            base += on[c] if flip else off[c]
+            for s in col_rows.pop(c):
+                if s != r:
+                    rc = row_cols[s]
+                    rc.remove(c)
+                    u[s] ^= flip
+                    if len(rc) <= 2:
+                        queue.append(s)
+        elif u[r]:  # no solution: the kernel is this row alone
+            return Gf2Matrix(1, 0, [], []), 1, 0, {r: 0}
+    image = {r: i for i, r in enumerate(row_cols)}
+    image.update((nrows + c, i) for i, c in enumerate(col_rows, len(row_cols)))
+    for v, w in reversed(into.items()):  # w merged on later or not at all: its image is final
+        if w in image:
+            image[v] = image[w]
+    for c, rs in col_rows.items():  # complement x_c where on - off < 0
+        if on[c] < off[c]:
+            on[c], off[c] = off[c], on[c]
+            for s in rs:
+                u[s] ^= 1
+    kernel = Gf2Matrix(
+        len(row_cols),
+        len(col_rows),
+        [sorted([image[s] for s in rs]) for rs in col_rows.values()],
+        [on[c] - off[c] for c in col_rows],
+    )
+    base += sum([off[c] for c in col_rows])
+    return kernel, mask_from_indices(i for i, r in enumerate(row_cols) if u[r]), base, image
+
+
+def backtrack(value: int, ncols: int) -> tuple[int, frozenset[int]]:
+    """Split a packed charge over ``ncols`` live columns into (weight, the
+    ranks of its selected columns)."""
+    return value >> ncols, frozenset(indices_from_mask(value & ((1 << ncols) - 1)))

@@ -13,12 +13,26 @@ from boundedchain import (
     instance_from_matrix,
     solve,
     solve_mld_dijkstra,
+    solve_mld_treewidth,
 )
+from boundedchain import dijkstra
 from boundedchain.complexes import Gf2Matrix
-from boundedchain.dijkstra import _pivot_from_mask, degree_masks, face_bounds
+from boundedchain.dijkstra import (
+    DEFAULT_MAX_STATES,
+    _pivot_from_mask,
+    _search,
+    degree_masks,
+    face_bounds,
+)
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
-from helpers import punctured_octahedron, random_problem, reference_min_coface_pivot
+from helpers import (
+    canonical_optimum,
+    irreducible,
+    punctured_octahedron,
+    random_problem,
+    reference_min_coface_pivot,
+)
 
 
 PIVOTS = ("min-index", "min-coface", "max-index")
@@ -26,6 +40,19 @@ PIVOTS = ("min-index", "min-coface", "max-index")
 
 def search(cs, boundary, **options):
     return solve(instance_from_complex(cs, boundary), "dijkstra", **options)
+
+
+def search_whole(matrix, rows, pivot="min-coface"):
+    """The unbounded search run on ``matrix`` itself, with no kernel: the
+    solve would reduce these instances first, some of them whole."""
+    return _search(matrix, matrix.target_mask(rows), None, pivot, DEFAULT_MAX_STATES, {})
+
+
+def search_irreducible(cs, boundary, **options):
+    """The solve on ``helpers.irreducible`` of the slice's matrix, whose
+    kernel is the whole matrix: the search runs on every column."""
+    matrix = irreducible(boundary_matrix(cs))
+    return solve(instance_from_matrix(matrix, boundary), "dijkstra", **options)
 
 
 def test_punctured_octahedron_needs_seven_triangles():
@@ -87,9 +114,10 @@ def test_expand_state_two_triangle_fan():
     # faces sorted: (1,2) (1,3) (2,3) (2,4) (3,4); triangle 0 is the first three
     rim = cs.boundary_of(frozenset({0}))
     assert rim == frozenset({0, 1, 2})
+    mat = boundary_matrix(cs)
     for pivot, pushes in (("min-index", 2), ("min-coface", 2), ("max-index", 3)):
         # a lone pivot (1,2) has one successor, the shared pivot (2,3) has two
-        r = search(cs, rim, pivot=pivot)
+        r = search_whole(mat, rim, pivot=pivot)
         assert r.witness == frozenset({0}) and r.weight == 1, pivot
         assert r.stats["states_expanded"] == 2, pivot
         assert r.stats["pushes"] == pushes, pivot
@@ -102,7 +130,7 @@ def test_branching_is_bounded_by_coface_degree():
         cs, boundary = random_problem(seed)
         if not boundary:
             continue
-        r = search(cs, boundary)
+        r = search_whole(boundary_matrix(cs), boundary)
         assert r.stats["pushes"] >= 2, seed
         assert r.stats["pushes"] - 1 <= cs.coface_degree * r.stats["states_expanded"], seed
 
@@ -169,9 +197,11 @@ def test_empty_target_is_trivial():
 
 def test_resource_limit_status():
     cs, boundary = punctured_octahedron()
-    r = search(cs, boundary, max_states=2)
+    r = search_irreducible(cs, boundary, max_states=2)
     assert r.status is Status.RESOURCE_LIMIT
     assert r.stats["visited"] <= 2
+    # with room to finish, the same solve is optimal, at three times 7
+    assert search_irreducible(cs, boundary).weight == 21
 
 
 def test_max_states_env(monkeypatch):
@@ -179,7 +209,7 @@ def test_max_states_env(monkeypatch):
 
     cs, boundary = punctured_octahedron()
     monkeypatch.setenv(MAX_STATES_ENV, "2")
-    assert search(cs, boundary).status is Status.RESOURCE_LIMIT
+    assert search_irreducible(cs, boundary).status is Status.RESOURCE_LIMIT
     monkeypatch.setenv(MAX_STATES_ENV, "lots")
     with pytest.raises(UsageError):
         search(cs, boundary)
@@ -235,12 +265,14 @@ def test_lower_bound_is_consistent():
 
 def test_exact_bound_walks_straight_to_the_goal():
     """Pairs of rows cost 2 together or 3 each alone: the bound is exact,
-    so only the states on one optimal path are settled."""
+    so only the states on one optimal path are settled. Every row has two
+    columns, so the solve's series rule reduces this whole; the search runs
+    on the matrix itself."""
     m = 8
     pairs = [(2 * i, 2 * i + 1) for i in range(m)]
     singles = [(r,) for r in range(2 * m)]
     mat = Gf2Matrix(2 * m, 3 * m, pairs + singles, [2] * m + [3] * (2 * m))
-    r = solve_mld_dijkstra(mat, range(2 * m))
+    r = search_whole(mat, range(2 * m))
     assert r.weight == 2 * m
     assert r.witness == frozenset(range(m))
     assert r.stats["states_expanded"] == m + 1
@@ -315,6 +347,84 @@ def test_witness_weight_matches_cost():
             assert acc == want
 
 
+def test_unbounded_witness_is_the_canonical_one():
+    """On random slices of dims 1-3, dense enough that many kernels are left
+    to search, with unit and random weights, against their boundary and a
+    random row subset: the unbounded search's answer is treewidth's and the
+    least (weight, mask) optimum, under every pivot."""
+    searched = infeasible = 0
+    for dim, n_top, n_vertices in ((1, 14, 8), (2, 30, 9), (3, 35, 8)):
+        for seed in range(100):
+            weights = ("unit", "random")[seed % 2]
+            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights=weights)
+            mat = boundary_matrix(cs)
+            rng = random.Random(seed)
+            boundary = sorted(random_boundary(cs, seed=seed))
+            for rows in (boundary, sorted(rng.sample(range(mat.nrows), rng.randint(0, mat.nrows)))):
+                want = canonical_optimum(mat, rows)
+                infeasible += want is None
+                tw = solve_mld_treewidth(mat, rows)
+                assert (None if tw.status is Status.INFEASIBLE else (tw.weight, tw.witness)) == want
+                for pivot in PIVOTS:
+                    r = solve_mld_dijkstra(mat, rows, pivot=pivot)
+                    got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+                    assert got == want, (dim, seed, rows, pivot)
+                    searched += r.stats["states_expanded"] > 1
+    assert searched >= 300 and infeasible >= 100, (searched, infeasible)
+
+
+def test_negative_kernel_columns_are_complemented(monkeypatch):
+    """Row 0 has columns 0 and 1 alone, so the series rule merges column 1,
+    at weight 5, into column 0, at weight 1, which has more rows. With row 0
+    in the target, x_1 = 1 ⊕ x_0: the merged column's charges are 'on'
+    (0 alone) and 'off' (1 alone), and it would weigh on - off < 0. The
+    search sees it complemented: it weighs off - on, the kernel target
+    flips on its rows, every kernel weight is non-negative, and the answer
+    is still the oracle's and the canonical one."""
+    cols = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2)]
+    mat = Gf2Matrix(4, 5, cols, [1, 5, 1, 1, 1])
+    on, off = (1 << 5) + (1 << 0), (5 << 5) + (1 << 1)
+    assert on < off
+    seen = []
+    real_search = dijkstra._search
+
+    def spy(space, start, *args):
+        # a negative cost would make a cycle the search never leaves
+        assert min(space.col_weights) >= 0, space.col_weights
+        seen.append((space, start))
+        return real_search(space, start, *args)
+
+    monkeypatch.setattr(dijkstra, "_search", spy)
+    for rest in range(8):
+        rows = [0] + [r for r in (1, 2, 3) if rest >> (r - 1) & 1]
+        got = solve_mld_dijkstra(mat, rows)
+        space, start = seen.pop()
+        # original rows 1, 2 and 3 are kernel rows 0, 1 and 2
+        assert space.col_rows == ((0, 1, 2), (0, 2), (1, 2), (0, 1))
+        assert space.col_weights == (off - on, *((1 << 5) + (1 << c) for c in (2, 3, 4)))
+        # the merge flips row 3, column 1's other row; complementing flips rows 1-3
+        assert start == mat.target_mask([r - 1 for r in rows if r]) ^ 0b100 ^ 0b111
+        ref = brute_force_mld(mat, rows)
+        assert (got.status, got.weight) == (ref.status, ref.weight), rows
+        assert (got.weight, got.witness) == canonical_optimum(mat, rows), rows
+
+
+def test_infeasible_kernel_with_and_without_the_precheck():
+    """Rows 0 and 1 both have column 0 alone, and with row 0 alone in the
+    target they ask for different values of it: the kernel is row 0 alone,
+    with its bit set and no column. The precheck on the kernel finds it
+    infeasible before any state is expanded; without it the search expands
+    the start state, which has no move."""
+    mat = Gf2Matrix(5, 4, [(0, 1), (2, 3, 4), (2, 3), (3, 4)], [1, 2, 3, 4])
+    checked = solve_mld_dijkstra(mat, [0])
+    assert checked.status is Status.INFEASIBLE
+    assert (checked.stats["states_expanded"], checked.stats["visited"]) == (0, 0)
+    exhausted = solve_mld_dijkstra(mat, [0], check_feasibility=False)
+    assert exhausted.status is Status.INFEASIBLE
+    assert (exhausted.stats["states_expanded"], exhausted.stats["pushes"]) == (1, 1)
+    assert exhausted.stats["visited"] == 1
+
+
 def test_usage_errors():
     mat = Gf2Matrix(2, 1, [(0,)], [-1])
     with pytest.raises(UsageError):
@@ -332,83 +442,88 @@ def test_usage_errors():
 
 
 # (seed, weights, pivot, k) -> (status, weight, witness, states_expanded,
-# pushes, frontier_peak, visited), recorded after the bound's raise pass
-# (face_bounds) went in: against the even split, every status and weight
-# is the same, no row settles more states, the unit-weight rows did not
-# change at all, and one witness moved to another of the same weight. k is
-# the unit-weight optimum's size on even seeds and one less on odd seeds.
+# pushes, frontier_peak, visited). The bounded rows were recorded after the
+# bound's raise pass (face_bounds) went in: against the even split, every
+# status and weight is the same, no row settles more states, the
+# unit-weight rows did not change at all, and one witness moved to another
+# of the same weight. The unbounded rows were recorded when the unbounded
+# search moved onto the kernel: every status and weight is the same, the
+# witness is the canonical one whatever the pivot, and the counts describe
+# the kernel search, which is empty where the kernel passes solve the
+# instance whole. k is the unit-weight optimum's size on even seeds and one
+# less on odd seeds.
 PINNED = {
-    (0, 'unit', 'min-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 59, 15, 59),
+    (0, 'unit', 'min-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 3, 5, 3, 5),
     (0, 'unit', 'min-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 50, 15, 50),
-    (0, 'unit', 'min-coface', None): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 33, 10, 33),
+    (0, 'unit', 'min-coface', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 3, 5, 3, 5),
     (0, 'unit', 'min-coface', 11): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 26, 8, 26),
-    (0, 'unit', 'max-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 726, 1477, 752, 1477),
+    (0, 'unit', 'max-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 6, 5, 6),
     (0, 'unit', 'max-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 726, 1074, 518, 1074),
-    (0, 'random', 'min-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 65, 103, 39, 101),
+    (0, 'random', 'min-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 5, 12, 8, 10),
     (0, 'random', 'min-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 79, 87, 31, 85),
-    (0, 'random', 'min-coface', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 53, 78, 29, 78),
+    (0, 'random', 'min-coface', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 5, 12, 8, 10),
     (0, 'random', 'min-coface', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 31, 31, 11, 31),
-    (0, 'random', 'max-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 1405, 3308, 1868, 3219),
+    (0, 'random', 'max-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 7, 13, 7, 9),
     (0, 'random', 'max-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 1055, 1422, 493, 1344),
-    (1, 'unit', 'min-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 49, 99, 51, 99),
+    (1, 'unit', 'min-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 3, 6, 4, 6),
     (1, 'unit', 'min-index', 7): ('not_found_within_bound', None, None, 24, 24, 9, 24),
-    (1, 'unit', 'min-coface', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 16, 31, 16, 31),
+    (1, 'unit', 'min-coface', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 3, 6, 4, 6),
     (1, 'unit', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
-    (1, 'unit', 'max-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 45, 118, 74, 118),
+    (1, 'unit', 'max-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 3, 7, 5, 7),
     (1, 'unit', 'max-index', 7): ('not_found_within_bound', None, None, 21, 21, 8, 21),
-    (1, 'random', 'min-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 122, 200, 79, 199),
+    (1, 'random', 'min-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 4, 8, 5, 8),
     (1, 'random', 'min-index', 7): ('not_found_within_bound', None, None, 26, 26, 9, 26),
-    (1, 'random', 'min-coface', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 49, 82, 34, 79),
+    (1, 'random', 'min-coface', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 4, 8, 5, 8),
     (1, 'random', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
-    (1, 'random', 'max-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 119, 288, 170, 285),
+    (1, 'random', 'max-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 6, 14, 9, 12),
     (1, 'random', 'max-index', 7): ('not_found_within_bound', None, None, 22, 22, 8, 22),
-    (2, 'unit', 'min-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 11, 19, 9, 19),
+    (2, 'unit', 'min-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 5, 11, 7, 11),
     (2, 'unit', 'min-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 11, 13, 5, 13),
-    (2, 'unit', 'min-coface', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 19, 8, 19),
+    (2, 'unit', 'min-coface', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 4, 9, 6, 9),
     (2, 'unit', 'min-coface', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 12, 3, 12),
-    (2, 'unit', 'max-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 210, 446, 238, 446),
+    (2, 'unit', 'max-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 4, 9, 6, 9),
     (2, 'unit', 'max-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 210, 322, 167, 322),
-    (2, 'random', 'min-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 21, 40, 20, 39),
+    (2, 'random', 'min-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 8, 18, 11, 18),
     (2, 'random', 'min-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 16, 18, 4, 17),
-    (2, 'random', 'min-coface', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 24, 45, 22, 44),
+    (2, 'random', 'min-coface', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 7, 15, 9, 15),
     (2, 'random', 'min-coface', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 15, 15, 4, 15),
-    (2, 'random', 'max-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 637, 1198, 528, 1109),
+    (2, 'random', 'max-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 11, 22, 11, 20),
     (2, 'random', 'max-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 338, 427, 136, 381),
-    (3, 'unit', 'min-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 16, 27, 12, 27),
+    (3, 'unit', 'min-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 2, 4, 3, 4),
     (3, 'unit', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
-    (3, 'unit', 'min-coface', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 16, 23, 8, 23),
+    (3, 'unit', 'min-coface', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 2, 4, 3, 4),
     (3, 'unit', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
-    (3, 'unit', 'max-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 20, 61, 42, 61),
+    (3, 'unit', 'max-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 3, 6, 4, 6),
     (3, 'unit', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
-    (3, 'random', 'min-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 8, 18, 11, 18),
+    (3, 'random', 'min-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'random', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
-    (3, 'random', 'min-coface', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 8, 14, 7, 14),
+    (3, 'random', 'min-coface', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'random', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
-    (3, 'random', 'max-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 13, 41, 29, 41),
+    (3, 'random', 'max-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'random', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
-    (4, 'unit', 'min-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 73, 43, 73),
+    (4, 'unit', 'min-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'unit', 'min-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 52, 24, 52),
-    (4, 'unit', 'min-coface', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 20, 9, 20),
+    (4, 'unit', 'min-coface', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'unit', 'min-coface', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
-    (4, 'unit', 'max-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 16, 30, 15, 30),
+    (4, 'unit', 'max-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'unit', 'max-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 16, 20, 6, 20),
-    (4, 'random', 'min-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 112, 224, 112, 222),
+    (4, 'random', 'min-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'random', 'min-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 52, 61, 17, 60),
-    (4, 'random', 'min-coface', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 16, 30, 15, 30),
+    (4, 'random', 'min-coface', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'random', 'min-coface', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 11, 13, 4, 13),
-    (4, 'random', 'max-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 25, 49, 25, 49),
+    (4, 'random', 'max-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'random', 'max-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 24, 27, 10, 26),
-    (5, 'unit', 'min-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 175, 314, 140, 314),
+    (5, 'unit', 'min-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 5, 9, 5, 8),
     (5, 'unit', 'min-index', 8): ('not_found_within_bound', None, None, 117, 117, 48, 117),
-    (5, 'unit', 'min-coface', None): ('optimal', 9, (0, 1, 4, 9, 11, 12, 15, 17, 19), 26, 42, 17, 42),
+    (5, 'unit', 'min-coface', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 5, 9, 5, 8),
     (5, 'unit', 'min-coface', 8): ('not_found_within_bound', None, None, 15, 15, 4, 15),
-    (5, 'unit', 'max-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 117, 175, 66, 175),
+    (5, 'unit', 'max-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 7, 14, 8, 10),
     (5, 'unit', 'max-index', 8): ('not_found_within_bound', None, None, 91, 91, 47, 91),
-    (5, 'random', 'min-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 139, 267, 130, 265),
+    (5, 'random', 'min-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 4, 11, 8, 10),
     (5, 'random', 'min-index', 8): ('not_found_within_bound', None, None, 156, 162, 55, 156),
-    (5, 'random', 'min-coface', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 24, 37, 14, 37),
+    (5, 'random', 'min-coface', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 3, 8, 6, 7),
     (5, 'random', 'min-coface', 8): ('not_found_within_bound', None, None, 19, 19, 6, 19),
-    (5, 'random', 'max-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 114, 162, 53, 159),
+    (5, 'random', 'max-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 3, 7, 5, 5),
     (5, 'random', 'max-index', 8): ('not_found_within_bound', None, None, 112, 112, 32, 112),
 }
 

@@ -107,7 +107,7 @@ def test_json_dict_for_matrix_instances_and_failures():
 
 PHASES = {
     "mbc1": {"verify"},
-    "dijkstra": {"feasibility", "search", "verify"},
+    "dijkstra": {"kernel", "feasibility", "search", "verify"},
     "treewidth": {"decompose", "dp", "verify"},
     "brute": {"verify"},
 }
@@ -115,7 +115,8 @@ PHASES = {
 
 def test_timing_is_opt_in():
     """Timing adds the wall time, the per-phase wall times and, for
-    treewidth, the largest table; without it the stats are unchanged."""
+    treewidth, the largest table; without it the stats are unchanged. Only
+    an unbounded search has a ``kernel`` phase."""
     path = build_slice([(0, 1), (1, 2)])
     for algorithm, phases in PHASES.items():
         if algorithm == "mbc1":
@@ -130,6 +131,9 @@ def test_timing_is_opt_in():
         assert set(timed.stats["phases"]) == phases, algorithm
         assert all(s >= 0 for s in timed.stats["phases"].values())
         assert sum(timed.stats["phases"].values()) <= timed.stats["wall_time_s"]
+    # a bounded search runs on the whole matrix: it has no kernel phase
+    bounded = solve(instance_from_complex(*punctured_octahedron()), "dijkstra", k=7, timing=True)
+    assert set(bounded.stats["phases"]) == {"feasibility", "search", "verify"}
 
 
 def test_scale_travels_through():

@@ -32,21 +32,15 @@ from boundedchain.decomposition import (
     validate_nice,
 )
 from boundedchain.fileio import parse_decomposition_text
+from boundedchain.gf2 import mask_from_indices
 from boundedchain.generators import (
     cylinder,
     random_boundary,
     random_slice,
     triangle_strip,
 )
-from boundedchain.treewidth import (
-    Lift,
-    _contract,
-    _plan,
-    _propagate,
-    _series,
-    backtrack,
-    process_bag,
-)
+from boundedchain.kernel import _propagate, _series, backtrack
+from boundedchain.treewidth import Lift, _contract, _plan, process_bag
 from helpers import (
     assert_join_pairs_capped,
     canonical_optimum,
@@ -466,13 +460,26 @@ def test_series_reduction_against_canonical_optimum():
     assert merged >= 200 and infeasible >= 100, (merged, infeasible)
 
 
+def complemented(charges, col_rows):
+    """What ``_series`` makes of kernel columns with these (on, off)
+    charges and rows: (their weights, base, target flips). Each weighs
+    |on - off| and adds the smaller charge to the base, and the target flips
+    on the rows of each column whose 'on' is the smaller one."""
+    flips = 0
+    for (on, off), rows in zip(charges, col_rows):
+        if on < off:
+            flips ^= mask_from_indices(rows)
+    return tuple(abs(on - off) for on, off in charges), sum(min(c) for c in charges), flips
+
+
 def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
     """Row 0 has columns 0 and 1 alone, so x_1 = x_0 ⊕ u_0; the series rule
     merges column 1 into column 0, and rows 1, 2 and 3 keep three columns
     or more for the DP, and the columns keep distinct rows. With u_0 = 1,
     column 0's state 'on' leaves column 1 out and 'off' takes it: its
     charges are on(0) + off(1) and off(0) + on(1), and the target flips on
-    row 3, column 1's other row."""
+    row 3, column 1's other row. A kernel column whose 'on' is the smaller
+    charge is then complemented, so every kernel weight is positive."""
     cols = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2)]
     for weights in ([1, 1, 1, 1, 1], [4, -2, 1, 0, 3], [-1, 5, -2, 2, -3], [0, 0, 1, 1, 0]):
         mat = Gf2Matrix(4, 5, cols, weights)
@@ -480,9 +487,12 @@ def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
             rows = [0] + [r for r in (1, 2, 3) if rest >> (r - 1) & 1]
             kernel, ktarget, base, image = _series(mat, *unpropagated(mat, rows))
             assert (kernel.nrows, kernel.ncols) == (3, 4)
+            assert kernel.col_rows == ((0, 1, 2), (0, 2), (1, 2), (0, 1))
             on, off = (weights[0] << 5) + (1 << 0), (weights[1] << 5) + (1 << 1)
-            assert (kernel.col_weights[0], base) == (on - off, off)
-            assert ktarget == mat.target_mask([r - 1 for r in rows if r]) ^ 0b100
+            charges = [(on, off)] + [((weights[c] << 5) + (1 << c), 0) for c in (2, 3, 4)]
+            kweights, kbase, flips = complemented(charges, kernel.col_rows)
+            assert (kernel.col_weights, base) == (kweights, kbase)
+            assert ktarget == mat.target_mask([r - 1 for r in rows if r]) ^ 0b100 ^ flips
             assert image[0] == image[4] == image[5] == 3  # row 0, columns 0 and 1
             r = solve_mld_treewidth(mat, rows)
             got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
@@ -574,7 +584,9 @@ def test_parallel_rule_merges_a_twin_pair_by_hand():
     matters: column 1 leaves, and column 0 stands for the pair. Its 'off'
     charge is the cheaper of neither and both, its 'on' the cheaper of
     column 0 alone and column 1 alone. Columns 2, 3 and 4 keep every row at
-    three columns, so the kernel is the rest of the matrix."""
+    three columns, so the kernel is the rest of the matrix. Column 3, at
+    weight -1, and the pair where its 'on' is the smaller charge are
+    complemented."""
     cols = [(0, 1, 2), (0, 1, 2), (0, 1), (1, 2), (0, 2)]
     seen = set()
     for w0, w1 in ((3, 5), (5, 3), (-2, -3), (-3, -2), (4, 4), (-1, 1), (-4, 1), (2, -6)):
@@ -589,9 +601,10 @@ def test_parallel_rule_merges_a_twin_pair_by_hand():
             kernel, ktarget, base, image = _series(mat, *unpropagated(mat, rows))
             assert (kernel.nrows, kernel.ncols) == (3, 4)
             assert kernel.col_rows == ((0, 1, 2), (0, 1), (1, 2), (0, 2))
-            assert (kernel.col_weights[0], base) == (on - off, off)
-            assert kernel.col_weights[1:] == tuple((weights[c] << 5) + (1 << c) for c in (2, 3, 4))
-            assert ktarget == mat.target_mask(rows)
+            charges = [(on, off)] + [((weights[c] << 5) + (1 << c), 0) for c in (2, 3, 4)]
+            kweights, kbase, flips = complemented(charges, kernel.col_rows)
+            assert (kernel.col_weights, base) == (kweights, kbase)
+            assert ktarget == mat.target_mask(rows) ^ flips
             assert image == {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 6: 5, 7: 6}  # column 1 has none
             r = solve_mld_treewidth(mat, rows)
             got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)

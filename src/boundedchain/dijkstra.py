@@ -20,7 +20,8 @@ faces (rows) and a move is a column. A chain question reaches it through
 
 Without a bound, the search runs on the instance's GF(2) kernel (see
 ``kernel``): unit propagation and the series and parallel rules fix and
-merge columns first, which takes them out of the exponent. A kernel
+merge columns first, which takes them out of the exponent, and the
+twin-row rule drops rows that repeat another's equation. A kernel
 column costs its packed (weight, mask) charge, which the kernel keeps
 positive: a column whose charge would be negative (a series merge over a
 target row can leave one) is complemented, x ↦ 1 ⊕ x, which flips the

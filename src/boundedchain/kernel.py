@@ -7,16 +7,23 @@ live column c fixes x_c = u_r, a selected column flips the target bits of
 its rows, and the column leaves; a row left with no column leaves too,
 unless its target bit is set, which proves the target infeasible. It
 marks the vertices left live. ``_series`` then applies two rules to the
-live vertices until neither applies. The series rule substitutes away
-every row of degree 2 or less: a row r over columns a and b says
-x_b = x_a ⊕ u_r, so b merges into a, whose rows become rows(a) Δ rows(b)
-minus r, and the target flips on rows(b) minus r where u_r is set. Degree
-1 and 0 are handled as in propagation, and a column a merge leaves with no
-row is fixed at its cheaper side. The parallel rule merges every two
-columns a and b with the same rows, found by a row-set index: only
-x_a ⊕ x_b matters, so b leaves, and each of their rows loses a column and
-may take the series rule next. These are the problem-level analogue of
-the safe reduction rules for treewidth (Bodlaender and Koster).
+live vertices until neither applies, and a third, once, to what is left.
+The series rule substitutes away every row of degree 2 or less: a row r
+over columns a and b says x_b = x_a ⊕ u_r, so b merges into a, whose rows
+become rows(a) Δ rows(b) minus r, and the target flips on rows(b) minus r
+where u_r is set. Degree 1 and 0 are handled as in propagation, and a
+column a merge leaves with no row is fixed at its cheaper side. The
+parallel rule merges every two columns a and b with the same rows, found
+by a row-set index: only x_a ⊕ x_b matters, so b leaves, and each of their
+rows loses a column and may take the series rule next. The twin-row rule,
+the parallel rule's row dual, then drops every row over the same columns
+as an earlier row: the two are one equation, so with equal target bits
+the later row says nothing new, and with different ones the target is
+infeasible. It cannot cascade: every column holds both twins or neither,
+so dropping one changes no row's degree and makes no two columns equal,
+and one pass over the rows the other rules leave is enough. These are the
+problem-level analogue of the safe reduction rules for treewidth
+(Bodlaender and Koster).
 
 Each column carries two packed charges, ``on`` and ``off``: the sum of
 ``(w_c << n) + (1 << i)`` over the live columns c that it selects when set
@@ -29,14 +36,14 @@ then its columns, each in increasing id order. It weighs each column at
 ``base``, so the kernel weight of a kernel solution plus ``base`` is the
 packed charge of one solution on the live columns, and ``backtrack``
 decodes its weight and the ranks of its columns. Each step is exact: a
-substitution maps solutions one to one, a parallel merge keeps the least
-solution of each parity, which the packed order makes the canonical one,
-and a column left with no row is free, so its cheaper side is the
-canonical choice. Ranks keep the column order, so the witness, the ranked
-columns with propagation's fixed selected columns added, is still the
-canonical one, whichever exact engine finds the kernel's optimum. A
-column's ``on`` and ``off`` never tie, since they select different
-columns, so no kernel weight is 0.
+substitution maps solutions one to one, a dropped twin row changes no
+solution, a parallel merge keeps the least solution of each parity, which
+the packed order makes the canonical one, and a column left with no row
+is free, so its cheaper side is the canonical choice. Ranks keep the
+column order, so the witness, the ranked columns with propagation's fixed
+selected columns added, is still the canonical one, whichever exact
+engine finds the kernel's optimum. A column's ``on`` and ``off`` never
+tie, since they select different columns, so no kernel weight is 0.
 
 Complementing a kernel column c, x_c ↦ 1 ⊕ x_c, swaps its ``on`` and
 ``off`` and flips the kernel target on its rows: solutions map one to one
@@ -55,6 +62,8 @@ from itertools import compress
 from .complexes import Gf2Matrix
 from .gf2 import indices_from_mask, mask_from_indices
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 def _propagate(matrix: Gf2Matrix, target: int) -> tuple[bytearray, bytearray, list[int]]:
     """Unit propagation over GF(2): fix every column that some row forces.
@@ -71,9 +80,8 @@ def _propagate(matrix: Gf2Matrix, target: int) -> tuple[bytearray, bytearray, li
     """
     nrows = matrix.nrows
     col_rows = matrix.col_rows
-    u = bytearray(nrows)
-    for r in indices_from_mask(target):
-        u[r] = 1
+    # one byte per row, unpacked at C level: bin() lists the bits high first
+    u = bytearray(bin(target)[:1:-1].encode().translate(_BITS)[:nrows].ljust(nrows, b"\0"))
     # per row, the number and the xor of its live columns: at degree 1 the
     # xor is the one column left
     deg = [0] * nrows
@@ -111,7 +119,8 @@ def _series(
 ) -> tuple[Gf2Matrix, int, int, dict[int, int]]:
     """Series-parallel reduction over GF(2) of the live rows and columns of
     ``matrix``, with target bits ``u``: substitute away every row of degree
-    2 or less and merge every two columns with the same rows.
+    2 or less, merge every two columns with the same rows, then drop every
+    row with the same columns as an earlier one.
 
     Series rule. A row r with no column leaves, once u_r is clear; with one
     column c it fixes x_c = u_r. With two columns a and b, a having more
@@ -126,6 +135,14 @@ def _series(
     changes, finds such twins. Each of their rows loses b and is queued
     once its degree falls to 2 or less.
 
+    Twin-row rule. Once neither rule applies, two rows over the same
+    columns are one equation: where their target bits are equal, the later
+    row leaves, and where they differ, the target is infeasible. One pass
+    over the rows left, in id order, is enough: every column holds both
+    twins or neither, so a dropped twin changes no row's degree and makes
+    no two columns equal, and the complementing below flips the kept twin
+    as it would have flipped both.
+
     Each column carries two charges, ``on`` and ``off`` (see the module
     docstring). A series merge adds b's charges to a's, crosswise where u_r
     is set. A parallel merge takes, for each parity of the pair, the
@@ -139,12 +156,13 @@ def _series(
 
     Returns (kernel, kernel target mask, base, image). The kernel weighs
     each column at ``on - off``, which is positive, and ``base`` also holds
-    every kernel column's ``off``. ``image`` maps each vertex that contracts into the
-    kernel to its kernel vertex: a series-merged column and its series row
-    map to the column they merged into, and a vertex that leaves has no
-    image. A row left with no column and its target bit set has no
-    solution: the kernel is then that row alone, which either engine finds
-    infeasible.
+    every kernel column's ``off``. ``image`` maps each vertex that
+    contracts into the kernel to its kernel vertex: a series-merged column
+    and its series row map to the column they merged into, and a vertex
+    that leaves, a dropped twin row too, has no image. A row left with no
+    column and its target bit set has no solution, and neither have twin
+    rows with different target bits: the kernel is then one such row alone,
+    with its bit set and no column, which either engine finds infeasible.
     """
     nrows, weights = matrix.nrows, matrix.col_weights
     cols = list(compress(range(matrix.ncols), live[nrows:]))
@@ -239,6 +257,17 @@ def _series(
                         queue.append(s)
         elif u[r]:  # no solution: the kernel is this row alone
             return Gf2Matrix(1, 0, [], []), 1, 0, {r: 0}
+    # the twin-row rule: rows over the same columns are one equation
+    first: dict[frozenset, int] = {}
+    for r, cs in list(row_cols.items()):
+        t = first.setdefault(frozenset(cs), r)
+        if t == r:
+            continue
+        if u[r] != u[t]:  # no solution: the kernel is this row alone
+            return Gf2Matrix(1, 0, [], []), 1, 0, {r: 0}
+        del row_cols[r]
+        for c in cs:
+            col_rows[c].remove(r)
     image = {r: i for i, r in enumerate(row_cols)}
     image.update((nrows + c, i) for i, c in enumerate(col_rows, len(row_cols)))
     for v, w in reversed(into.items()):  # w merged on later or not at all: its image is final

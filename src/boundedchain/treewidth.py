@@ -8,8 +8,8 @@ and accepted by ``validate_decomposition``; nodes are scheduled by an
 iterative post-order, so node ids may come in any order.
 
 Kernel. Before any decomposition, the exact passes of ``kernel``
-(unit propagation, then the series and parallel rules; see that module)
-shrink the instance. The DP runs on what is left, the kernel, with each
+(unit propagation, then the series, parallel and twin-row rules; see that
+module) shrink the instance. The DP runs on what is left, the kernel, with each
 column weighed at its packed ``on - off``; ``base``, the fixed charges and
 every ``off``, is added at the root, so the total is the packed charge of
 one solution on the live columns, and ``backtrack`` decodes its weight and
@@ -18,10 +18,11 @@ propagation's fixed selected columns added. A supplied decomposition is
 validated against the whole incidence graph and then contracted onto the
 kernel through ``_series``'s ``image``, with the same nodes, children and
 root: a series-merged column and its series row map to the column they
-merged into, and a fixed column, a dropped row and a column the parallel
-rule merges away leave. Twins share no edge, so contracting b into a
-could split a's bags, but a's bags already meet all of rows(b), so
-deleting b loses no edge. The kernel's graph is a subgraph of what is
+merged into, and a fixed column, a dropped row, a column the parallel rule
+merges away and a row the twin-row rule drops leave. Twins share no edge,
+so contracting column b into its twin a could split a's bags, but a's
+bags already meet all of rows(b), so deleting b loses no edge, and
+likewise for twin rows. The kernel's graph is a subgraph of what is
 left, a minor of the incidence graph, so the result decomposes it, and
 its width can only fall. The stats ``width``, ``nodes``, ``table_entries``
 and ``join_pairs`` describe the DP on the kernel; an instance the passes
@@ -196,7 +197,8 @@ def _contract(td: TreeDecomposition, image: dict[int, int]) -> TreeDecomposition
     deleted, a minor, and so any subgraph of it, and its width can only
     fall. ``_series`` maps a series-merged column to its survivor, through
     the row that joins them, and gives a column the parallel rule merges
-    away no image, since nothing joins it to its twin.
+    away no image, since nothing joins it to its twin, and a dropped twin
+    row none either.
     """
     return TreeDecomposition(
         [{image[v] for v in bag if v in image} for bag in td.bags], td.children, td.root
@@ -273,8 +275,8 @@ def solve_mld_treewidth(
     """Minimum-weight solution of A x = u via decomposition DP.
 
     Accepts any weights, including negative. Unit propagation and the
-    series and parallel rules first reduce the instance to a kernel (see
-    the module docstring). A decomposition of the whole incidence graph may be
+    series, parallel and twin-row rules first reduce the instance to a
+    kernel (see the module docstring). A decomposition of the whole incidence graph may be
     supplied, any rooted one (a nice one too); it is validated, and the DP
     runs on it contracted onto the kernel, node for node. Otherwise one of
     the kernel's is computed greedily.

@@ -2,7 +2,7 @@
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 from boundedchain import build_slice
 from boundedchain.complexes import Gf2Matrix
@@ -110,24 +110,44 @@ def reference_greedy_decomposition(graph, heuristic):
     return TreeDecomposition(bags, children, len(bags) - 1)
 
 
+# the copies of its lowest column that the j-th row over the same columns
+# takes, j counted from 0: each holds an odd number of c2, c3 and c4, and
+# three copies or more
+TWIN_COPIES = (
+    (0, 2, 3, 4), (2, 3, 4), (1, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2), (0, 1, 3), (0, 1, 4)
+)
+
+
 def irreducible(matrix):
-    """A matrix that neither kernel rule reduces, with three times the
-    optimum. Column c becomes four copies c1..c4 over rows(c), in that order
-    where c was, and three new rows, after the old ones, over {c1, c2, c3},
-    {c1, c2, c4} and {c1, c3, c4}. Those rows force x_c1 = 0 and x_c2 =
-    x_c3 = x_c4, which stands for x_c, so a solution selects c2, c3 and c4
-    for each column c of a solution of ``matrix``, at three times its
-    weight, and the canonical witnesses correspond. Every row with a column
-    then has three or more, and no two columns share their rows, so the
-    treewidth kernel is the whole matrix and the DP runs on the whole
-    incidence graph."""
-    nrows = matrix.nrows
-    col_rows, weights = [], []
-    for c, (rows, w) in enumerate(zip(matrix.col_rows, matrix.col_weights)):
-        g1, g2, g3 = (nrows + 3 * c + i for i in range(3))
-        col_rows += [(*rows, g1, g2, g3), (*rows, g1, g2), (*rows, g1, g3), (*rows, g2, g3)]
-        weights += [w] * 4
-    return Gf2Matrix(nrows + 3 * matrix.ncols, 4 * matrix.ncols, col_rows, weights)
+    """A matrix that no kernel rule reduces, with three times the optimum.
+    Column c becomes five copies c0..c4, in that order where c was, and four
+    new rows, after the old ones, over {c0, c2, c3}, {c0, c3, c4},
+    {c0, c2, c4} and {c1, c2, c3}. Those rows force x_c0 = x_c1 = 0 and
+    x_c2 = x_c3 = x_c4, which stands for x_c. An old row takes c0, c2, c3
+    and c4 of each of its columns, except that the j-th row over the same
+    columns takes ``TWIN_COPIES[j]`` of its lowest one: an odd number of
+    c2..c4 still stands for x_c, so a solution selects c2, c3 and c4 for
+    each column c of a solution of ``matrix``, at three times its weight,
+    and the canonical witnesses correspond. Every row with a column then
+    has three or more, no two columns share their rows (the new rows tell
+    the copies apart), and, up to seven rows over the same columns, no two
+    rows share their columns, so the kernel is the whole matrix and the DP
+    runs on the whole incidence graph."""
+    nrows, ncols = matrix.nrows, matrix.ncols
+    col_rows = [[] for _ in range(5 * ncols)]
+    seen = Counter()
+    for r, cols in enumerate(matrix.row_cols):
+        j = seen[cols] % len(TWIN_COPIES)
+        seen[cols] += 1
+        for i, c in enumerate(cols):
+            for k in TWIN_COPIES[j if i == 0 else 0]:
+                col_rows[5 * c + k].append(r)
+    for c in range(ncols):
+        g1, g2, g3, g4 = (nrows + 4 * c + i for i in range(4))
+        for k, rows in enumerate([(g1, g2, g3), (g4,), (g1, g3, g4), (g1, g2, g4), (g2, g3)]):
+            col_rows[5 * c + k] += rows
+    weights = [w for w in matrix.col_weights for _ in range(5)]
+    return Gf2Matrix(nrows + 4 * ncols, 5 * ncols, col_rows, weights)
 
 
 def canonical_optimum(matrix, target_rows):

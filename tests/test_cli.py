@@ -81,6 +81,20 @@ def test_solve_exit_codes(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(out)["status"] == "infeasible"
+    # infeasible: rows 0 and 1 lie on the same three columns, and only row 0
+    # is in the target; the kernel's twin-row rule finds it under both engines
+    twins = tmp_path / "twins.mld"
+    twins.write_text(
+        "mld 5 6\ne 0 0\ne 1 0\ne 2 0\ne 0 1\ne 1 1\ne 3 1\ne 0 2\ne 1 2\ne 4 2\n"
+        "e 2 3\ne 3 3\ne 2 4\ne 4 4\ne 3 5\ne 4 5\nw 3 1 4 1 5 9\nu 0\n"
+    )
+    td = str(tmp_path / "twins.td")
+    assert run(capsys, "decompose", "--input", str(twins), "--out", td)[0] == 0
+    for extra in (["--algorithm", "dijkstra"], ["--algorithm", "treewidth"],
+                  ["--algorithm", "treewidth", "--td", td]):
+        code, out, _ = run(capsys, "solve", "--matrix", str(twins), *extra)
+        assert code == 2, extra
+        assert json.loads(out)["status"] == "infeasible"
     # bound too small for the full rim
     code, out, _ = run(
         capsys,

@@ -18,6 +18,7 @@ from boundedchain import (
     greedy_decomposition,
     hasse_graph,
     make_nice,
+    solve_mld_dijkstra,
     solve_mld_treewidth,
 )
 from boundedchain.complexes import Gf2Matrix
@@ -31,7 +32,7 @@ from boundedchain.decomposition import (
     validate_decomposition,
     validate_nice,
 )
-from boundedchain.fileio import parse_decomposition_text
+from boundedchain.fileio import parse_decomposition_text, write_decomposition_text
 from boundedchain.gf2 import mask_from_indices
 from boundedchain.generators import (
     cylinder,
@@ -126,15 +127,16 @@ def test_supplied_decompositions():
     assert nice.weight == 7
     # the DP runs on a given decomposition contracted onto the kernel: the
     # computed one given back gives the same answer, and its nice form, a
-    # bigger tree, too. Where every row has three columns or more and no two
-    # columns share their rows, the kernel is the whole matrix, and the
-    # computed one given back does the same work.
+    # bigger tree, too. Where every row has three columns or more, no two
+    # columns share their rows and no two rows their columns, the kernel is
+    # the whole matrix, and the computed one given back does the same work.
     for seed in range(20):
         cs, boundary = random_problem(seed)
         plain = boundary_matrix(cs)
         for mat, whole in ((plain, False), (irreducible(plain), True)):
             assert not whole or all(len(cols) >= 3 for cols in mat.row_cols)
             assert not whole or len(set(mat.col_rows)) == mat.ncols
+            assert not whole or len(set(mat.row_cols)) == mat.nrows
             g = hasse_graph(mat)
             for heuristic in ("min-fill", "min-degree"):
                 computed = solve_mld_treewidth(mat, sorted(boundary), heuristic=heuristic)
@@ -229,13 +231,12 @@ print(json.dumps([r.status.value, r.weight, r.stats["width"]]))
 
 def test_wide_cylinder_solves_in_one_gib():
     """cylinder(20, 20) made irreducible (``helpers.irreducible``): every
-    row has three columns or more and no two columns share their rows, so
-    the kernel reductions leave it whole and the DP runs on a width-43
-    decomposition of the whole incidence graph, for three times the plain
-    optimum. (Propagation alone solves the plain cylinder, the series rule
-    a doubled one and the parallel rule a tripled one.)
-    Run on the rooted decomposition, its
-    tables stay small; padded to nice form, the plain cylinder's width-42
+    row has three columns or more, no two columns share their rows and no
+    two rows their columns, so the kernel reductions leave it whole and the
+    DP runs on a width-43 decomposition of the whole incidence graph, for
+    three times the plain optimum. (Propagation alone solves the plain
+    cylinder, the series rule a doubled one and the parallel rule a tripled
+    one.) Run on the rooted decomposition, its tables stay small; padded to nice form, the plain cylinder's width-42
     solve ran out of a 2 GB address space. Solved in a child process under
     a 1 GiB address-space cap, so a regression fails here and not the
     machine."""
@@ -395,6 +396,24 @@ def unpropagated(mat, rows):
     assert all(live) and not fixed
     assert list(u) == [r in rows for r in range(mat.nrows)]
     return u, live
+
+
+def test_propagation_unpacks_one_byte_per_row():
+    """``_propagate`` starts from one byte per row, its target bit: for the
+    empty target, the top row alone, every row and random targets, across
+    word boundaries. A cycle of two-row columns gives every row two columns,
+    so propagation changes no bit."""
+    rng = random.Random(0)
+    for nrows in (0, 2, 7, 8, 63, 64, 65, 200):
+        cycle = [sorted({c, (c + 1) % nrows}) for c in range(nrows)]
+        mat = Gf2Matrix(nrows, nrows, cycle, [1] * nrows)
+        targets = [0, (1 << nrows) - 1, *(rng.getrandbits(nrows) for _ in range(5))]
+        if nrows:
+            targets.append(1 << nrows - 1)
+        for target in targets:
+            u, live, fixed = _propagate(mat, target)
+            assert u == bytearray(target >> r & 1 for r in range(nrows)), (nrows, target)
+            assert all(live) and not fixed
 
 
 def series_problems():
@@ -612,6 +631,95 @@ def test_parallel_rule_merges_a_twin_pair_by_hand():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+# rows 0 and 1 both lie on columns 0, 1 and 2 alone; every row has three
+# columns or more, and no two columns share their rows
+TWIN_ROWS = Gf2Matrix(
+    5, 6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3), (2, 4), (3, 4)], [3, 1, 4, 1, 5, 9]
+)
+
+
+def twin_row_solves(mat, rows):
+    """(status, weight, witness) of both engines, the DP computing its own
+    decomposition and on supplied ones of the whole incidence graph, each
+    also read back from its ``.td`` text."""
+    g = hasse_graph(mat)
+    supplied = [greedy_decomposition(g, h) for h in ("min-fill", "min-degree")] + [star(mat, 0)]
+    supplied += [parse_decomposition_text(write_decomposition_text(td)) for td in supplied]
+    results = [solve_mld_treewidth(mat, rows, ntd=td) for td in [None, *supplied]]
+    results.append(solve_mld_dijkstra(mat, rows))
+    return {(r.status, r.weight, r.witness) for r in results}
+
+
+def test_twin_rows_with_differing_target_bits_are_infeasible():
+    """Rows 0 and 1 are the one equation twice, so with one of them in the
+    target and not the other, no x solves it. The twin-row rule says so
+    before either engine runs: the kernel is row 1 alone, with its bit set
+    and no column. Both engines report it infeasible, the DP also on
+    supplied decompositions, which contract onto that row."""
+    for rest in range(8):
+        for twin in (0, 1):
+            rows = [twin] + [r for r in (2, 3, 4) if rest >> (r - 2) & 1]
+            kernel, ktarget, base, image = _series(TWIN_ROWS, *unpropagated(TWIN_ROWS, rows))
+            assert (kernel.nrows, kernel.ncols, ktarget, base, image) == (1, 0, 1, 0, {1: 0})
+            assert canonical_optimum(TWIN_ROWS, rows) is None
+            assert twin_row_solves(TWIN_ROWS, rows) == {(Status.INFEASIBLE, None, None)}, rows
+
+
+def test_twin_rows_with_equal_target_bits_keep_one():
+    """With rows 0 and 1 both in the target or both out, row 1 leaves and
+    has no image; the columns keep distinct rows and every other vertex its
+    own kernel vertex. Supplied decompositions still hold row 1 and give the
+    same answer as the computed one, the least (weight, mask) optimum or
+    none where the targets of rows 0, 2, 3 and 4, which sum to 0, have odd
+    parity, and so does the search."""
+    for rest in range(8):
+        for twins in ([], [0, 1]):
+            rows = twins + [r for r in (2, 3, 4) if rest >> (r - 2) & 1]
+            kernel, ktarget, _base, image = _series(TWIN_ROWS, *unpropagated(TWIN_ROWS, rows))
+            assert (kernel.nrows, kernel.ncols) == (4, 6)
+            assert kernel.col_rows == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+            assert image == {0: 0, 2: 1, 3: 2, 4: 3, **{5 + c: 4 + c for c in range(6)}}
+            want = canonical_optimum(TWIN_ROWS, rows)
+            status = Status.INFEASIBLE if want is None else Status.OPTIMAL
+            assert twin_row_solves(TWIN_ROWS, rows) == {(status, *(want or (None, None)))}, rows
+
+
+def test_no_two_kernel_rows_share_their_columns():
+    """200 random matrices, each with one to three rows given a twin, a copy
+    over the same columns at a random place, against the target of a random
+    x or, three times in ten, a random one: no two kernel rows share their
+    columns, and both engines give the least (weight, mask) optimum, the DP
+    also on a supplied decomposition."""
+    nonempty = infeasible = 0
+    for trial in range(200):
+        rng = random.Random(trial)
+        nrows, ncols = rng.randint(2, 9), rng.randint(3, 10)
+        row_cols = [rng.sample(range(ncols), rng.randint(3, min(6, ncols))) for _ in range(nrows)]
+        for r in rng.choices(range(nrows), k=rng.randint(1, 3)):
+            row_cols.insert(rng.randrange(len(row_cols) + 1), row_cols[r])
+        nrows = len(row_cols)
+        col_rows = [[r for r, cs in enumerate(row_cols) if c in cs] for c in range(ncols)]
+        mat = Gf2Matrix(nrows, ncols, col_rows, [rng.randint(0, 6) for _ in range(ncols)])
+        x = rng.sample(range(ncols), rng.randint(0, ncols))
+        rows = [r for r, cs in enumerate(row_cols) if len(set(cs) & set(x)) & 1]
+        if rng.random() < 0.3:
+            rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
+        _left, kernel, _image = reduced(mat, rows)
+        assert len(set(kernel.row_cols)) == kernel.nrows, trial
+        nonempty += kernel.ncols > 0
+        want = canonical_optimum(mat, rows)
+        infeasible += want is None
+        td = greedy_decomposition(hasse_graph(mat), "min-degree")
+        for r in (
+            solve_mld_treewidth(mat, rows),
+            solve_mld_treewidth(mat, rows, ntd=td),
+            solve_mld_dijkstra(mat, rows),
+        ):
+            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
+            assert got == want, trial
+    assert nonempty >= 60 and infeasible >= 20, (nonempty, infeasible)
+
+
 def test_join_table_size_is_bounded():
     """Each join pairs at most 2^|bag cols| * 4^|bag rows| entries, the bag
     being the join node's."""
@@ -796,10 +904,10 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
     relabellings and star decompositions: every vertex owns one key bit,
     vertices that share a bag own distinct bits, at most width + 1 colours
     are used and a bag's column bits are its columns'. Where no row is
-    empty, ``helpers.irreducible`` gives every row three columns or more
-    and every column its own rows, so the kernel is the whole matrix, and
-    there a supplied greedy decomposition does the computed one's work.
-    Every decomposition gives the same answer."""
+    empty, ``helpers.irreducible`` gives every row three columns or more,
+    every column its own rows and every row its own columns, so the kernel
+    is the whole matrix, and there a supplied greedy decomposition does the
+    computed one's work. Every decomposition gives the same answer."""
     checked = 0
     for trial in range(200):
         rng = random.Random(trial)
@@ -811,6 +919,7 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
         decompositions = [star(mat, rng.randrange(ncols))]
         guard = irreducible(mat)
         whole = all(len(cols) >= 3 for cols in guard.row_cols)
+        whole = whole and len(set(guard.row_cols)) == guard.nrows
         checked += whole
         for heuristic in ("min-fill", "min-degree"):
             computed = solve_mld_treewidth(mat, rows, heuristic=heuristic)
@@ -844,7 +953,8 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
 # 30-tetrahedron slices on 8 vertices; "binary" redraws the weights from
 # {0, 1}, so many optima tie and the witness is the one with the smallest
 # column mask. The kernel reductions solve most such slices outright, at
-# counts (1, 0); seed 144's kernel survives them, so its counts pin DP work.
+# counts (1, 0); seed 144's kernel survives them, less its twin rows, so its
+# counts pin DP work.
 PINNED_DIM3 = [
     (0, "random", 45, [0, 2, 3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19, 20, 22, 28, 29], 1, 0),
     (1, "random", 68, [1, 2, 3, 4, 9, 12, 14, 19, 20, 23, 24, 25, 27], 1, 0),
@@ -854,8 +964,8 @@ PINNED_DIM3 = [
     (5, "binary", 5, [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 20, 25, 28], 1, 0),
     (18, "random", 44, [2, 7, 9, 16, 17, 18, 23, 24, 25, 26], 1, 0),
     (18, "binary", 5, [2, 7, 9, 15, 18, 21, 23, 24, 25, 26, 28], 1, 0),
-    (144, "random", 32, [7, 8, 10, 15, 20, 24, 27], 106, 36),
-    (144, "binary", 4, [4, 5, 6, 8, 11, 14, 17, 24, 26, 27], 106, 36),
+    (144, "random", 32, [7, 8, 10, 15, 20, 24, 27], 30, 32),
+    (144, "binary", 4, [4, 5, 6, 8, 11, 14, 17, 24, 26, 27], 30, 32),
 ]
 
 

@@ -18,20 +18,15 @@ The search runs on the decoding view only: a state is the bitmask of its
 faces (rows) and a move is a column. A chain question reaches it through
 ``facade.solve(instance_from_complex(...), "dijkstra")``.
 
-Without a bound, the search runs on the instance's GF(2) kernel (see
-``kernel``): unit propagation and the series and parallel rules fix and
-merge columns first, which takes them out of the exponent, and the
-twin-row rule drops rows that repeat another's equation. A kernel
-column costs its packed (weight, mask) charge, which the kernel keeps
-positive: a column whose charge would be negative (a series merge over a
-target row can leave one) is complemented, x ↦ 1 ⊕ x, which flips the
-kernel target on its rows. Packed costs never tie, so the first empty chain settled is the least
-(weight, mask) optimum, and ``backtrack`` decodes it, plus the kernel's
-constant, into the weight and the canonical witness, the one the
-treewidth DP returns. The feasibility check, the search and its stats
-then run on the kernel; an instance the passes solve whole settles at
-once. A bounded search runs on the whole matrix: a kernel column can
-stand for several simplices, and k counts simplices.
+Without a bound, the search runs on the instance's GF(2) kernel, from
+``kernel.reduce``, whose columns cost their packed charges; these are
+positive and never tie, so the first empty chain settled is the least
+(weight, mask) optimum, and ``kernel.backtrack`` decodes it into the
+weight and the canonical witness, the one the treewidth DP returns. The
+feasibility check, the search and its stats then run on the kernel; an
+instance the passes solve whole settles at once. A bounded search runs on
+the whole matrix: a kernel column can stand for several simplices, and k
+counts simplices.
 
 States are settled in A* order (Hart, Nilsson and Raphael 1968): by
 L*g + h, where g is the cost so far and h a lower bound on the cost still
@@ -65,13 +60,12 @@ import heapq
 import math
 import os
 import time
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .complexes import Gf2Matrix, feasibility_check
 from .errors import ConsistencyError, UsageError
 from .gf2 import indices_from_mask
-from .kernel import _propagate, _series, backtrack
+from .kernel import backtrack, reduce
 from .results import SolveResult, Status
 
 PIVOT_MIN_INDEX = "min-index"
@@ -203,8 +197,8 @@ def solve_mld_dijkstra(
     began = time.perf_counter()
     space = matrix
     if k is None:
-        u, live, fixed = _propagate(matrix, start)
-        space, start, base, _image = _series(matrix, u, live)
+        kern = reduce(matrix, start)
+        space, start = kern.matrix, kern.target
         rows = indices_from_mask(start)
     reduced = time.perf_counter()
     feasible = not check_feasibility or feasibility_check(space, rows)[0]
@@ -214,15 +208,7 @@ def solve_mld_dijkstra(
     else:
         result = SolveResult(Status.INFEASIBLE, stats=stats)
     if k is None and result.is_optimal:
-        cols = list(compress(range(matrix.ncols), live[matrix.nrows:]))
-        weight, ranks = backtrack(base + result.weight, len(cols))
-        weight += matrix.weight_of(fixed)
-        witness = frozenset([cols[i] for i in ranks] + fixed)
-        witness_weight = matrix.weight_of(witness)
-        if witness_weight != weight:
-            raise ConsistencyError(
-                f"kernel optimum {weight} disagrees with witness weight {witness_weight}"
-            )
+        weight, witness = backtrack(matrix, kern, result.weight)
         result = SolveResult(Status.OPTIMAL, weight, witness, stats)
     if timing:
         phases = {"kernel": reduced - began} if k is None else {}

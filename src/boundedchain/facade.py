@@ -89,9 +89,9 @@ def solve(
 
     Timing is opt-in so that default outputs stay byte-reproducible. It
     adds ``wall_time_s`` and ``phases``, the wall seconds of each phase:
-    ``verify`` for every engine, ``decompose`` and ``dp`` for treewidth
-    (which also reports ``peak_table``), ``feasibility`` and ``search``
-    for dijkstra, and ``kernel`` for an unbounded search.
+    ``verify`` for every engine, ``kernel`` for treewidth and an unbounded
+    search, ``decompose`` and ``dp`` for treewidth (which also reports
+    ``peak_table``), and ``feasibility`` and ``search`` for dijkstra.
     """
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")

@@ -34,8 +34,7 @@ two sums. What is left, the kernel, is the only part renumbered: its rows,
 then its columns, each in increasing id order. It weighs each column at
 ``on - off``, and the fixed charges and every ``off`` make up a constant
 ``base``, so the kernel weight of a kernel solution plus ``base`` is the
-packed charge of one solution on the live columns, and ``backtrack``
-decodes its weight and the ranks of its columns. Each step is exact: a
+packed charge of one solution on the live columns. Each step is exact: a
 substitution maps solutions one to one, a dropped twin row changes no
 solution, a parallel merge keeps the least solution of each parity, which
 the packed order makes the canonical one, and a column left with no row
@@ -53,13 +52,21 @@ search needs. The treewidth DP takes any weight and does the same work
 either way: at each node, complementing c flips one fixed set of key bits
 (c's own, or its rows' parity bits once c is forgotten), so every table
 keeps its size.
+
+An engine sees only two calls. ``reduce`` runs both passes and returns a
+``Kernel``: the kernel matrix and target to solve, ``image`` for
+contracting a decomposition, and what the decode needs. ``backtrack``
+turns the kernel optimum back into (weight, witness) on the whole matrix
+and checks the two against each other.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import compress
 
 from .complexes import Gf2Matrix
+from .errors import ConsistencyError
 from .gf2 import indices_from_mask, mask_from_indices
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -288,7 +295,47 @@ def _series(
     return kernel, mask_from_indices(i for i, r in enumerate(row_cols) if u[r]), base, image
 
 
-def backtrack(value: int, ncols: int) -> tuple[int, frozenset[int]]:
-    """Split a packed charge over ``ncols`` live columns into (weight, the
-    ranks of its selected columns)."""
-    return value >> ncols, frozenset(indices_from_mask(value & ((1 << ncols) - 1)))
+@dataclass(frozen=True, slots=True)
+class Kernel:
+    """What ``reduce`` leaves of A x = u: the kernel ``matrix`` and
+    ``target`` mask to solve, and ``image``, the kernel vertex each
+    incidence-graph vertex contracts to, if any. ``base``, the live
+    columns by rank (``cols``) and propagation's fixed selected columns
+    (``fixed``) are for ``backtrack`` alone."""
+
+    matrix: Gf2Matrix
+    target: int
+    image: dict[int, int]
+    base: int
+    cols: list[int]
+    fixed: list[int]
+
+
+def reduce(matrix: Gf2Matrix, target: int) -> Kernel:
+    """The kernel of A x = ``target``: ``_propagate``, then ``_series``."""
+    u, live, fixed = _propagate(matrix, target)
+    kernel, ktarget, base, image = _series(matrix, u, live)
+    cols = list(compress(range(matrix.ncols), live[matrix.nrows:]))
+    return Kernel(kernel, ktarget, image, base, cols, fixed)
+
+
+def backtrack(matrix: Gf2Matrix, kern: Kernel, value: int) -> tuple[int, frozenset[int]]:
+    """Decode ``value``, the kernel weight of a kernel solution, into the
+    (weight, witness) of the solution of ``matrix`` it stands for.
+
+    ``value + base`` is a packed charge over the live columns: its high
+    part is their weight and its low ``len(cols)`` bits their ranks. The
+    fixed columns add their weight and join the witness. Raises
+    ``ConsistencyError`` where the decoded weight is not the witness's.
+    """
+    cols = kern.cols
+    n = len(cols)
+    value += kern.base
+    weight = (value >> n) + matrix.weight_of(kern.fixed)
+    witness = frozenset([cols[i] for i in indices_from_mask(value & ((1 << n) - 1))] + kern.fixed)
+    witness_weight = matrix.weight_of(witness)
+    if witness_weight != weight:
+        raise ConsistencyError(
+            f"kernel optimum {weight} disagrees with witness weight {witness_weight}"
+        )
+    return weight, witness

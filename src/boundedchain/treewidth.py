@@ -7,27 +7,23 @@ The DP runs on the decomposition itself, computed greedily or supplied
 and accepted by ``validate_decomposition``; nodes are scheduled by an
 iterative post-order, so node ids may come in any order.
 
-Kernel. Before any decomposition, the exact passes of ``kernel``
-(unit propagation, then the series, parallel and twin-row rules; see that
-module) shrink the instance. The DP runs on what is left, the kernel, with each
-column weighed at its packed ``on - off``; ``base``, the fixed charges and
-every ``off``, is added at the root, so the total is the packed charge of
-one solution on the live columns, and ``backtrack`` decodes its weight and
-the ranks of its columns. The witness is those columns with
-propagation's fixed selected columns added. A supplied decomposition is
-validated against the whole incidence graph and then contracted onto the
-kernel through ``_series``'s ``image``, with the same nodes, children and
-root: a series-merged column and its series row map to the column they
-merged into, and a fixed column, a dropped row, a column the parallel rule
-merges away and a row the twin-row rule drops leave. Twins share no edge,
-so contracting column b into its twin a could split a's bags, but a's
-bags already meet all of rows(b), so deleting b loses no edge, and
-likewise for twin rows. The kernel's graph is a subgraph of what is
-left, a minor of the incidence graph, so the result decomposes it, and
-its width can only fall. The stats ``width``, ``nodes``, ``table_entries``
-and ``join_pairs`` describe the DP on the kernel; an instance the passes
-reduce whole leaves the empty graph, whose width is -1. Both passes are
-billed to the ``decompose`` phase.
+Kernel. Before any decomposition, ``kernel.reduce`` shrinks the instance
+(see that module), and the DP runs on what is left, the kernel, with each
+column weighed at its packed charge; ``kernel.backtrack`` decodes the root
+value into the weight and the canonical witness. What is particular to this
+engine is a supplied decomposition. It is validated against the whole
+incidence graph and then contracted onto the kernel through the kernel's
+``image``, with the same nodes, children and root: a series-merged column
+and its series row map to the column they merged into, and a fixed column,
+a dropped row, a column the parallel rule merges away and a row the
+twin-row rule drops leave. Twins share no edge, so contracting column b
+into its twin a could split a's bags, but a's bags already meet all of
+rows(b), so deleting b loses no edge, and likewise for twin rows. The
+kernel's graph is a subgraph of what is left, a minor of the incidence
+graph, so the result decomposes it, and its width can only fall. The
+stats ``width``, ``nodes``, ``table_entries`` and ``join_pairs`` describe
+the DP on the kernel; an instance the passes reduce whole leaves the empty
+graph, whose width is -1. The passes are timed as the ``kernel`` phase.
 
 Key layout. One pre-order walk gives every vertex, at its topmost bag, the
 least colour that no other vertex of that bag has. A vertex's bags form a
@@ -81,7 +77,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .complexes import Gf2Matrix, hasse_graph
@@ -92,7 +87,7 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import ConsistencyError, UsageError
-from .kernel import _propagate, _series, backtrack
+from .kernel import backtrack, reduce
 from .results import SolveResult, Status
 
 
@@ -282,12 +277,14 @@ def solve_mld_treewidth(
     the kernel's is computed greedily.
     ``detailed_stats`` adds ``join_bags``, the (node, join pairs)
     of every node with two or more children. ``timing`` adds the wall
-    seconds of the ``decompose`` and ``dp`` phases and the largest node
-    table, ``peak_table``.
+    seconds of the ``kernel``, ``decompose`` and ``dp`` phases and the
+    largest node table, ``peak_table``.
     """
     target = matrix.target_mask(target_rows)
 
     start = time.perf_counter()
+    kern = reduce(matrix, target)
+    reduced = time.perf_counter()
     if ntd is None:
         td_source = heuristic
     elif isinstance(ntd, TreeDecomposition):
@@ -298,13 +295,11 @@ def solve_mld_treewidth(
         td_source = "given"
     else:
         raise UsageError("ntd must be a tree decomposition or None")
-    u, live, fixed = _propagate(matrix, target)
-    kernel, ktarget, base, image = _series(matrix, u, live)
-    g = hasse_graph(kernel)
-    td = greedy_decomposition(g, heuristic) if ntd is None else _contract(ntd, image)
+    g = hasse_graph(kern.matrix)
+    td = greedy_decomposition(g, heuristic) if ntd is None else _contract(ntd, kern.image)
     decomposed = time.perf_counter()
 
-    order, lifts, bag_cols, _bits = _plan(td, g.adj, kernel, ktarget)
+    order, lifts, bag_cols, _bits = _plan(td, g.adj, kern.matrix, kern.target)
 
     tables: list = [None] * td.n_nodes
     table_entries = 0
@@ -337,7 +332,9 @@ def solve_mld_treewidth(
     if detailed_stats:
         stats["join_bags"] = join_bags
     if timing:
-        stats["phases"] = {"decompose": decomposed - start, "dp": done - decomposed}
+        stats["phases"] = {
+            "kernel": reduced - start, "decompose": decomposed - reduced, "dp": done - decomposed
+        }
         stats["peak_table"] = peak_table
 
     if len(top) > 1:
@@ -345,13 +342,5 @@ def solve_mld_treewidth(
     val = top.get(0)
     if val is None:
         return SolveResult(Status.INFEASIBLE, stats=stats)
-    cols = list(compress(range(matrix.ncols), live[matrix.nrows:]))
-    weight, ranks = backtrack(val + base, len(cols))
-    weight += matrix.weight_of(fixed)
-    witness = frozenset([cols[i] for i in ranks] + fixed)
-    witness_weight = matrix.weight_of(witness)
-    if witness_weight != weight:
-        raise ConsistencyError(
-            f"table optimum {weight} disagrees with witness weight {witness_weight}"
-        )
+    weight, witness = backtrack(matrix, kern, val)
     return SolveResult(Status.OPTIMAL, weight, witness, stats)

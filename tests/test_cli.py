@@ -121,7 +121,7 @@ def test_solve_matrix_input(tmp_path, capsys):
     )
     assert code == 0
     stats = json.loads(out)["stats"]
-    assert set(stats["phases"]) == {"decompose", "dp", "verify"}
+    assert set(stats["phases"]) == {"kernel", "decompose", "dp", "verify"}
     assert stats["peak_table"] > 0
     # mixing input styles is refused
     code, _, err = run(

@@ -108,15 +108,15 @@ def test_json_dict_for_matrix_instances_and_failures():
 PHASES = {
     "mbc1": {"verify"},
     "dijkstra": {"kernel", "feasibility", "search", "verify"},
-    "treewidth": {"decompose", "dp", "verify"},
+    "treewidth": {"kernel", "decompose", "dp", "verify"},
     "brute": {"verify"},
 }
 
 
 def test_timing_is_opt_in():
     """Timing adds the wall time, the per-phase wall times and, for
-    treewidth, the largest table; without it the stats are unchanged. Only
-    an unbounded search has a ``kernel`` phase."""
+    treewidth, the largest table; without it the stats are unchanged.
+    Treewidth and an unbounded search have a ``kernel`` phase."""
     path = build_slice([(0, 1), (1, 2)])
     for algorithm, phases in PHASES.items():
         if algorithm == "mbc1":

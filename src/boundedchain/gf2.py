@@ -24,37 +24,38 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
 class Gf2System:
     """Column-space elimination of a GF(2) matrix given as column bitmasks.
 
-    Columns are processed in index order and each pivot takes the lowest
-    available row, so results are deterministic. Dependent columns yield
-    kernel vectors, expressed as masks over the original column indices;
-    each kernel vector's highest set column is unique to it (reduced form).
+    Columns are processed in index order. A column reduces by the pivot on
+    its lowest set row, found by one dict lookup, until that row holds no
+    pivot; a column left nonzero becomes the pivot on that row. Each pivot's
+    lowest set row is its own, so each reduction raises the lowest set row.
+    The pivot columns are the greedy basis in index order, whichever row
+    each pivot sits on, so results are deterministic. Dependent columns
+    yield kernel vectors, expressed as masks over the original column
+    indices; each kernel vector's highest set column is unique to it
+    (reduced form).
     """
 
     def __init__(self, columns: Sequence[int]):
         self.n = len(columns)
-        pivot_rows: list[int] = []
-        reduced: list[int] = []
-        combos: list[int] = []
+        # lowest set row -> (reduced pivot column, its mask over the columns)
+        pivots: dict[int, tuple[int, int]] = {}
         kernel: list[int] = []
         for j, col in enumerate(columns):
             cur = col
             combo = 1 << j
-            for r, pc, pcb in zip(pivot_rows, reduced, combos):
-                if (cur >> r) & 1:
-                    cur ^= pc
-                    combo ^= pcb
-            if cur == 0:
-                kernel.append(combo)
+            while cur:
+                row = (cur & -cur).bit_length() - 1
+                pivot = pivots.get(row)
+                if pivot is None:
+                    pivots[row] = cur, combo
+                    break
+                cur ^= pivot[0]
+                combo ^= pivot[1]
             else:
-                low = cur & -cur
-                pivot_rows.append(low.bit_length() - 1)
-                reduced.append(cur)
-                combos.append(combo)
-        self._pivot_rows = pivot_rows
-        self._reduced = reduced
-        self._combos = combos
+                kernel.append(combo)
+        self._pivots = pivots
         self.kernel = tuple(kernel)
-        self.rank = len(pivot_rows)
+        self.rank = len(pivots)
 
     def solve(self, target: int) -> int | None:
         """One solution x (as a column mask) of A x = target, or None.
@@ -62,10 +63,13 @@ class Gf2System:
         Any other solution differs from the returned one by a sum of
         kernel vectors.
         """
+        pivots = self._pivots
         cur = target
         combo = 0
-        for r, pc, pcb in zip(self._pivot_rows, self._reduced, self._combos):
-            if (cur >> r) & 1:
-                cur ^= pc
-                combo ^= pcb
-        return combo if cur == 0 else None
+        while cur:
+            pivot = pivots.get((cur & -cur).bit_length() - 1)
+            if pivot is None:
+                return None
+            cur ^= pivot[0]
+            combo ^= pivot[1]
+        return combo

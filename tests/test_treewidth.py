@@ -292,8 +292,10 @@ def test_row_left_empty_with_its_bit_set_stays_live():
     mat = Gf2Matrix(5, 4, [(0, 1), (2, 3, 4), (2, 3), (3, 4)], [1, 2, 3, 4])
     u, live, fixed = _propagate(mat, mat.target_mask([0]))
     assert (list(u[:2]), list(live[:2]), live[5], fixed) == ([1, 0], [1, 0], 0, [])
-    kernel, ktarget, base, image = _series(mat, u, live)
-    assert (kernel.nrows, kernel.ncols, ktarget, base, image) == (1, 0, 1, 0, {0: 0})
+    kern = _series(mat, u, live, fixed)
+    assert (kern.matrix.nrows, kern.matrix.ncols, kern.target, kern.base, kern.image) == (
+        1, 0, 1, 0, {0: 0}
+    )
     g = hasse_graph(mat)
     td = greedy_decomposition(g)
     # (nodes, table_entries, join_pairs) computed, and on three supplied forms
@@ -390,11 +392,18 @@ def reduced(mat, rows):
 
 def unpropagated(mat, rows):
     """``_series``'s input where propagation fixes nothing: each row's
-    target bit, and every vertex live."""
+    target bit, every vertex live and no fixed column."""
     u, live, fixed = _propagate(mat, mat.target_mask(rows))
     assert all(live) and not fixed
     assert list(u) == [r in rows for r in range(mat.nrows)]
-    return u, live
+    return u, live, fixed
+
+
+def series(mat, rows):
+    """``_series`` on ``unpropagated`` input: (kernel matrix, kernel
+    target, base, image)."""
+    kern = _series(mat, *unpropagated(mat, rows))
+    return kern.matrix, kern.target, kern.base, kern.image
 
 
 def test_propagation_unpacks_one_byte_per_row():
@@ -503,7 +512,7 @@ def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
         mat = Gf2Matrix(4, 5, cols, weights)
         for rest in range(8):
             rows = [0] + [r for r in (1, 2, 3) if rest >> (r - 1) & 1]
-            kernel, ktarget, base, image = _series(mat, *unpropagated(mat, rows))
+            kernel, ktarget, base, image = series(mat, rows)
             assert (kernel.nrows, kernel.ncols) == (3, 4)
             assert kernel.col_rows == ((0, 1, 2), (0, 2), (1, 2), (0, 1))
             on, off = (weights[0] << 5) + (1 << 0), (weights[1] << 5) + (1 << 1)
@@ -528,7 +537,7 @@ def test_series_survivor_on_a_row_count_tie_is_the_lower_id():
         cols = [(1, 4, 5), c1, (2, 3, 4), (2, 3, 5), (1, 2, 3), (1, 3, 4), (2, 4, 5), (1, 3, 5), c8]
         mat = Gf2Matrix(nrows, 9, cols, [3, 1, 4, 1, 5, 9, 2, 6, 5])
         for rows in ([], [0], [2, 5], [0, 1, 3]):
-            kernel, _ktarget, _base, image = _series(mat, *unpropagated(mat, rows))
+            kernel, _ktarget, _base, image = series(mat, rows)
             assert (kernel.nrows, kernel.ncols) == (5, 8)
             assert image[0] == image[nrows + 8] == image[nrows + 1] == 5 + 1
             assert kernel.col_rows[1] == (1, 4)  # rows 2 and 5
@@ -543,11 +552,17 @@ def test_supplied_decomposition_contracts_onto_the_kernel():
     rule merges away leaves too, with whatever merged into it, rather than
     contracting into its twin, which no edge joins it to. The supplied
     decomposition so contracted decomposes the kernel's graph, at no larger
-    width: greedy and star decompositions of the series problems and of
-    slices with injected twins. Dropping the series rows instead breaks it:
-    in a star decomposition the two columns a series row merges sit in
-    separate leaves, which only the row's image in the root bag joins."""
+    width: greedy and star decompositions of the series problems, of
+    denser dim-2 slices, whose merged columns the dominance rule drops less
+    often, and of slices with injected twins. Dropping the series rows
+    instead breaks it: in a star decomposition the two columns a series row
+    merges sit in separate leaves, which only the row's image in the root
+    bag joins."""
     problems = [(label, boundary_matrix(cs), (sorted(b),)) for label, cs, b in series_problems()]
+    for seed in range(20):
+        cs = random_slice(40, 10, dim=2, seed=seed, weights="random")
+        targets = (sorted(random_boundary(cs, seed=seed)),)
+        problems.append(((2, 40, seed), boundary_matrix(cs), targets))
     broken = 0
     for label, mat, targets in problems + list(twin_problems()):
         g = hasse_graph(mat)
@@ -616,7 +631,7 @@ def test_parallel_rule_merges_a_twin_pair_by_hand():
         seen.add((off == 0, on == on0))
         for rest in range(8):
             rows = [r for r in range(3) if rest >> r & 1]
-            kernel, ktarget, base, image = _series(mat, *unpropagated(mat, rows))
+            kernel, ktarget, base, image = series(mat, rows)
             assert (kernel.nrows, kernel.ncols) == (3, 4)
             assert kernel.col_rows == ((0, 1, 2), (0, 1), (1, 2), (0, 2))
             charges = [(on, off)] + [((weights[c] << 5) + (1 << c), 0) for c in (2, 3, 4)]
@@ -658,7 +673,7 @@ def test_twin_rows_with_differing_target_bits_are_infeasible():
     for rest in range(8):
         for twin in (0, 1):
             rows = [twin] + [r for r in (2, 3, 4) if rest >> (r - 2) & 1]
-            kernel, ktarget, base, image = _series(TWIN_ROWS, *unpropagated(TWIN_ROWS, rows))
+            kernel, ktarget, base, image = series(TWIN_ROWS, rows)
             assert (kernel.nrows, kernel.ncols, ktarget, base, image) == (1, 0, 1, 0, {1: 0})
             assert canonical_optimum(TWIN_ROWS, rows) is None
             assert twin_row_solves(TWIN_ROWS, rows) == {(Status.INFEASIBLE, None, None)}, rows
@@ -674,7 +689,7 @@ def test_twin_rows_with_equal_target_bits_keep_one():
     for rest in range(8):
         for twins in ([], [0, 1]):
             rows = twins + [r for r in (2, 3, 4) if rest >> (r - 2) & 1]
-            kernel, ktarget, _base, image = _series(TWIN_ROWS, *unpropagated(TWIN_ROWS, rows))
+            kernel, ktarget, _base, image = series(TWIN_ROWS, rows)
             assert (kernel.nrows, kernel.ncols) == (4, 6)
             assert kernel.col_rows == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
             assert image == {0: 0, 2: 1, 3: 2, 4: 3, **{5 + c: 4 + c for c in range(6)}}
@@ -954,8 +969,9 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
 # 30-tetrahedron slices on 8 vertices; "binary" redraws the weights from
 # {0, 1}, so many optima tie and the witness is the one with the smallest
 # column mask. The kernel reductions solve most such slices outright, at
-# counts (1, 0); seed 144's kernel survives them, less its twin rows, so its
-# counts pin DP work.
+# counts (1, 0). Seed 144's kernel survived them, less its twin rows, until
+# the dominance rule came in; seed 547's survives all of them, so its counts
+# pin DP work.
 PINNED_DIM3 = [
     (0, "random", 45, [0, 2, 3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19, 20, 22, 28, 29], 1, 0),
     (1, "random", 68, [1, 2, 3, 4, 9, 12, 14, 19, 20, 23, 24, 25, 27], 1, 0),
@@ -965,8 +981,10 @@ PINNED_DIM3 = [
     (5, "binary", 5, [0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 20, 25, 28], 1, 0),
     (18, "random", 44, [2, 7, 9, 16, 17, 18, 23, 24, 25, 26], 1, 0),
     (18, "binary", 5, [2, 7, 9, 15, 18, 21, 23, 24, 25, 26, 28], 1, 0),
-    (144, "random", 32, [7, 8, 10, 15, 20, 24, 27], 30, 32),
-    (144, "binary", 4, [4, 5, 6, 8, 11, 14, 17, 24, 26, 27], 30, 32),
+    (144, "random", 32, [7, 8, 10, 15, 20, 24, 27], 1, 0),
+    (144, "binary", 4, [4, 5, 6, 8, 11, 14, 17, 24, 26, 27], 1, 0),
+    (547, "random", 47, [2, 5, 10, 13, 16, 18, 19, 20, 22, 24, 26], 206, 120),
+    (547, "binary", 6, [2, 5, 10, 13, 16, 18, 19, 20, 22, 24, 26], 206, 120),
 ]
 
 

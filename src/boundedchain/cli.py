@@ -11,7 +11,13 @@ from . import generators
 from .bench import rows_to_csv, run_suite
 from .complexes import boundary_matrix, hasse_graph
 from .decomposition import HEURISTICS, greedy_decomposition
-from .dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV, PIVOT_MIN_COFACE, PIVOT_STRATEGIES
+from .dijkstra import (
+    DEFAULT_MAX_STATES,
+    MAX_STATES_ENV,
+    PIVOT_MAX_STEP,
+    PIVOT_MIN_COFACE,
+    PIVOT_STRATEGIES,
+)
 from .errors import BoundedChainError, UsageError
 from .facade import (
     ALGORITHMS,
@@ -252,7 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--k", type=int, default=None, help="solution size bound (dijkstra only)"
     )
-    s.add_argument("--pivot", choices=PIVOT_STRATEGIES, default=PIVOT_MIN_COFACE)
+    s.add_argument(
+        "--pivot",
+        choices=PIVOT_STRATEGIES,
+        default=None,
+        help=f"dijkstra pivot face (default {PIVOT_MAX_STEP}, or {PIVOT_MIN_COFACE} with --k)",
+    )
     s.add_argument("--td", help="tree decomposition file for --algorithm treewidth")
     s.add_argument("--td-heuristic", choices=HEURISTICS, default="min-fill")
     s.add_argument("--no-feasibility-check", action="store_true")

@@ -8,11 +8,21 @@ branching factor at the pivot's coface degree without losing optimality:
 any bounding chain must cover each boundary face an odd number of times,
 so it contains a coface of whatever pivot is current.
 
-The default pivot is a face of least coface degree, ties to the smaller
-index. It is found without walking the state: the rows are grouped into
-one mask per distinct coface degree, built once per solve, and the pivot
-is the lowest set bit of the state ANDed with the first of those masks, in
-ascending degree, that meets it.
+Any pivot keeps the search exact; a good one settles fewer states. The
+two ranked strategies give every face a key once per solve and take the
+face of least (key, index) in the state. ``min-coface`` keys a face by its
+coface degree. ``max-step`` keys it by (-step, degree), where step is the
+least rise in f = L*g + h (below) that a move from the face makes, over
+its cofaces c: L*w_c plus the bound terms of c's rows, less twice the
+face's own term, the rise when the face is the only row of c in the
+state. A* settles every state with f below the optimum, so the pivot
+whose every move raises f most ends the most branches early; a face with
+no coface comes first, since it ends its branch at once. The pivot is
+found without walking the state: the rows are grouped into one mask per
+distinct key, and the pivot is the lowest set bit of the state ANDed with
+the first of those masks, in ascending key, that meets it. An unbounded
+search defaults to ``max-step``; a bounded one to ``min-coface``, since
+there the size bound k, not the cost, does most of the pruning.
 
 The search runs on the decoding view only: a state is the bitmask of its
 faces (rows) and a move is a column. A chain question reaches it through
@@ -71,31 +81,55 @@ from .results import SolveResult, Status
 PIVOT_MIN_INDEX = "min-index"
 PIVOT_MIN_COFACE = "min-coface"
 PIVOT_MAX_INDEX = "max-index"
-PIVOT_STRATEGIES = (PIVOT_MIN_INDEX, PIVOT_MIN_COFACE, PIVOT_MAX_INDEX)
+PIVOT_MAX_STEP = "max-step"
+PIVOT_STRATEGIES = (PIVOT_MIN_INDEX, PIVOT_MIN_COFACE, PIVOT_MAX_INDEX, PIVOT_MAX_STEP)
 
 DEFAULT_MAX_STATES = 2_000_000
 MAX_STATES_ENV = "MBC_MAX_STATES"
 
 
-def degree_masks(cofdeg: Sequence[int]) -> list[int]:
-    """One row mask per distinct coface degree, in ascending degree."""
-    by_degree: dict[int, int] = {}
-    for r, d in enumerate(cofdeg):
-        by_degree[d] = by_degree.get(d, 0) | 1 << r
-    return [by_degree[d] for d in sorted(by_degree)]
+def rank_masks(keys: Sequence) -> list[int]:
+    """One row mask per distinct key, in ascending key; ``keys[r]`` is row r's."""
+    by_key: dict = {}
+    for r, key in enumerate(keys):
+        by_key[key] = by_key.get(key, 0) | 1 << r
+    return [by_key[key] for key in sorted(by_key)]
 
 
-def _pivot_from_mask(mask: int, strategy: str, deg_masks: Sequence[int]) -> int:
-    """The pivot row of a nonempty state; deg_masks come from degree_masks.
+def pivot_keys(matrix: Gf2Matrix, strategy: str, scale: int, hf: Sequence[int]) -> list:
+    """Each row's rank key under a ranked strategy; ``scale`` and ``hf`` are
+    ``face_bounds(matrix)``.
 
-    ``_search`` inlines the min-coface scan, so a change to it goes there too.
+    ``min-coface`` keys a row by its coface degree and ``max-step`` by
+    (-step, degree), step being the least rise in f that a move from the
+    row makes (see the module docstring); a row with no column comes first.
+    """
+    row_cols = matrix.row_cols
+    if strategy == PIVOT_MIN_COFACE:
+        return [len(cols) for cols in row_cols]
+    # f rises by lift[c] - 2*hf[r] when c moves from r, no other row of c in the state
+    weights = matrix.col_weights
+    lift = [scale * w + sum([hf[r] for r in rs]) for w, rs in zip(weights, matrix.col_rows)]
+    return [
+        (2 * hf[r] - min([lift[c] for c in cols]), len(cols)) if cols else (-math.inf, 0)
+        for r, cols in enumerate(row_cols)
+    ]
+
+
+def _pivot_from_mask(mask: int, strategy: str, masks: Sequence[int]) -> int:
+    """The pivot row of a nonempty state; ``masks`` come from ``rank_masks``
+    of the strategy's ``pivot_keys`` and serve both ranked strategies,
+    ``min-coface`` and ``max-step``: the pivot is the state's least row in
+    the first mask that meets it.
+
+    ``_search`` inlines the ranked scan, so a change to it goes there too.
     """
     if strategy == PIVOT_MIN_INDEX:
         return (mask & -mask).bit_length() - 1
     if strategy == PIVOT_MAX_INDEX:
         return mask.bit_length() - 1
-    for dm in deg_masks:
-        m = mask & dm
+    for rm in masks:
+        m = mask & rm
         if m:
             return (m & -m).bit_length() - 1
 
@@ -158,25 +192,30 @@ def solve_mld_dijkstra(
     target_rows: Iterable[int],
     *,
     k: int | None = None,
-    pivot: str = PIVOT_MIN_COFACE,
+    pivot: str | None = None,
     check_feasibility: bool = True,
     max_states: int | None = None,
     timing: bool = False,
 ) -> SolveResult:
     """Run the search on the decoding view: rows are faces, columns moves.
 
-    Without ``k``, the search runs on the instance's kernel and decodes the
-    canonical witness; with ``k``, on the whole matrix (see the module
-    docstring). ``timing`` adds
-    the wall seconds of the ``kernel`` (unbounded searches only),
-    ``feasibility`` and ``search`` phases to the stats.
+    Without ``k``, the search runs on the instance's kernel, whose weights
+    are all positive, so any weights are accepted, and decodes the
+    canonical witness; with ``k``, on the whole matrix, whose weights must
+    be non-negative (see the module docstring). ``pivot=None`` is
+    ``max-step`` without ``k`` and ``min-coface`` with it; ``stats["pivot"]``
+    names the strategy used. ``timing`` adds the wall seconds of the
+    ``kernel`` (unbounded searches only), ``feasibility`` and ``search``
+    phases to the stats.
     """
+    if pivot is None:
+        pivot = PIVOT_MAX_STEP if k is None else PIVOT_MIN_COFACE
     if pivot not in PIVOT_STRATEGIES:
         raise UsageError(f"unknown pivot strategy {pivot!r}")
-    if any(w < 0 for w in matrix.col_weights):
-        raise UsageError("this search requires non-negative weights")
     if k is not None and k < 0:
         raise UsageError("k must be >= 0")
+    if k is not None and any(w < 0 for w in matrix.col_weights):
+        raise UsageError("a bounded search requires non-negative weights")
     max_states = _default_max_states(max_states)
 
     rows = tuple(target_rows)
@@ -230,11 +269,11 @@ def _search(
     col_rows = matrix.col_rows
     row_cols = matrix.row_cols
     weights = matrix.col_weights
-    deg_masks = degree_masks([len(cs) for cs in row_cols])
-    min_coface = pivot == PIVOT_MIN_COFACE
     bounded = k is not None
     chain_keyed = not bounded or matrix.has_uniform_weights
     scale, hf = face_bounds(matrix)
+    ranked = pivot in (PIVOT_MIN_COFACE, PIVOT_MAX_STEP)
+    masks = rank_masks(pivot_keys(matrix, pivot, scale, hf)) if ranked else []
     cmax = max(map(len, col_rows), default=1)
     heappop = heapq.heappop
     heappush = heapq.heappush
@@ -286,14 +325,14 @@ def _search(
                 # the faces the remaining k - nsteps columns can still clear
                 room = (k - nsteps) * cmax
             h = f - scale * cost
-            if min_coface:
-                for dm in deg_masks:
-                    m = mask & dm
+            if ranked:
+                for rm in masks:
+                    m = mask & rm
                     if m:
                         break
                 p = (m & -m).bit_length() - 1
             else:
-                p = _pivot_from_mask(mask, pivot, deg_masks)
+                p = _pivot_from_mask(mask, pivot, masks)
             for col in row_cols[p]:
                 nmask = mask ^ col_masks[col]
                 if bounded and nmask.bit_count() > room:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix
-from .dijkstra import PIVOT_MIN_COFACE, solve_mld_dijkstra
+from .dijkstra import solve_mld_dijkstra
 from .errors import ConsistencyError, ResourceLimitError, UsageError
 from .mbc1 import solve_mbc1
 from .oracle import brute_force_mld
@@ -77,7 +77,7 @@ def solve(
     algorithm: str,
     *,
     k: int | None = None,
-    pivot: str = PIVOT_MIN_COFACE,
+    pivot: str | None = None,
     ntd=None,
     td_heuristic: str = "min-fill",
     check_feasibility: bool = True,

@@ -65,6 +65,23 @@ def reference_min_coface_pivot(mask, cofdeg):
     return best[1]
 
 
+def reference_max_step_pivot(mask, matrix, scale, hf):
+    """The max-step pivot of a nonempty state, found by walking every face
+    and every coface: the face of greatest least rise in f, L*w_c plus the
+    bound terms of c's other rows minus its own, over its cofaces c, then
+    least coface degree, then least index; a face with no coface first."""
+    keys = []
+    for r in indices_from_mask(mask):
+        cols = matrix.row_cols[r]
+        step = min(
+            (scale * matrix.col_weights[c] + sum(hf[f] for f in matrix.col_rows[c] if f != r) - hf[r]
+             for c in cols),
+            default=0,
+        )
+        keys.append((bool(cols), -step, len(cols), r))
+    return min(keys)[3]
+
+
 def reference_greedy_decomposition(graph, heuristic):
     """Rescore-everything elimination, the reference for greedy_decomposition.
 

@@ -28,6 +28,7 @@ from boundedchain.decomposition import (
     validate_decomposition,
     validate_nice,
 )
+from boundedchain.dijkstra import PIVOT_STRATEGIES
 from boundedchain.fileio import (
     parse_boundary_text,
     parse_complex_text,
@@ -117,7 +118,7 @@ def test_acceptance_3_octahedron_family(acceptance):
         inst = instance_from_complex(cs, boundary)
         runs = [
             solve(inst, "dijkstra", pivot=pivot)
-            for pivot in ("min-index", "min-coface", "max-index")
+            for pivot in PIVOT_STRATEGIES
         ]
         runs += [
             solve(inst, "treewidth", td_heuristic=h)
@@ -136,14 +137,15 @@ def test_acceptance_3_octahedron_family(acceptance):
 
 def test_acceptance_4_negative_weights(acceptance):
     """All-negative weights on the closed surface: the empty target is met
-    by the whole sphere."""
+    by the whole sphere, by the DP and by the unbounded search."""
     with acceptance(4, "negative weights"):
         mat = boundary_matrix(octahedron())
         neg = Gf2Matrix(mat.nrows, mat.ncols, mat.col_rows, [-1] * 8)
-        dp = solve_mld_treewidth(neg, ())
-        assert dp.status is Status.OPTIMAL
-        assert dp.weight == -8
-        assert dp.witness == frozenset(range(8))
+        for engine in (solve_mld_treewidth, solve_mld_dijkstra):
+            r = engine(neg, ())
+            assert r.status is Status.OPTIMAL, engine
+            assert r.weight == -8, engine
+            assert r.witness == frozenset(range(8)), engine
         ref = brute_force_mld(neg, ())
         assert ref.weight == -8 and ref.witness == frozenset(range(8))
 

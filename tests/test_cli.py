@@ -32,6 +32,18 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
     assert payload["status"] == "optimal"
     assert payload["weight"] == 3
     assert len(payload["solution"]) == 3
+    # the default pivot depends on --k
+    assert payload["stats"]["pivot"] == "max-step"
+    code, out, _ = run(
+        capsys,
+        "solve",
+        "--complex", prefix + ".complex",
+        "--boundary", prefix + ".boundary",
+        "--algorithm", "dijkstra",
+        "--k", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["stats"]["pivot"] == "min-coface"
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

@@ -19,10 +19,12 @@ from boundedchain import dijkstra
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.dijkstra import (
     DEFAULT_MAX_STATES,
+    PIVOT_STRATEGIES,
     _pivot_from_mask,
     _search,
-    degree_masks,
     face_bounds,
+    pivot_keys,
+    rank_masks,
 )
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
@@ -31,11 +33,12 @@ from helpers import (
     irreducible,
     punctured_octahedron,
     random_problem,
+    reference_max_step_pivot,
     reference_min_coface_pivot,
 )
 
 
-PIVOTS = ("min-index", "min-coface", "max-index")
+PIVOTS = PIVOT_STRATEGIES
 
 
 def search(cs, boundary, **options):
@@ -70,11 +73,14 @@ def test_punctured_octahedron_needs_seven_triangles():
 
 def test_pivot_select():
     mask = mask_from_indices((2, 5, 7))
-    deg_masks = degree_masks([0, 0, 3, 0, 0, 1, 0, 1])
+    deg_masks = rank_masks([0, 0, 3, 0, 0, 1, 0, 1])
     assert _pivot_from_mask(mask, "min-index", deg_masks) == 2
     assert _pivot_from_mask(mask, "max-index", deg_masks) == 7
     # faces 5 and 7 tie on coface degree 1: the smaller index wins
     assert _pivot_from_mask(mask, "min-coface", deg_masks) == 5
+    # ranked by (-step, degree): face 2 has the largest step, 9
+    step_masks = rank_masks([(0, 0), (0, 0), (-9, 3), (0, 0), (0, 0), (-4, 1), (0, 0), (-4, 1)])
+    assert _pivot_from_mask(mask, "max-step", step_masks) == 2
     cs, boundary = punctured_octahedron()
     with pytest.raises(UsageError):
         search(cs, boundary, pivot="best")
@@ -86,7 +92,7 @@ def test_degree_mask_pivot_matches_face_walk():
     for trial in range(200):
         n = rng.randint(1, 90)
         cofdeg = [rng.choice((0, 1, 1, 2, 3, 5)) for _ in range(n)]
-        deg_masks = degree_masks(cofdeg)
+        deg_masks = rank_masks(cofdeg)
         for _ in range(20):
             mask = rng.getrandbits(n) or 1 << rng.randrange(n)
             want = reference_min_coface_pivot(mask, cofdeg)
@@ -99,13 +105,35 @@ def test_degree_mask_pivot_matches_face_walk():
         mat = Gf2Matrix(base.nrows + 3, base.ncols, base.col_rows, base.col_weights)
         cofdeg = [len(cs) for cs in mat.row_cols]
         assert cofdeg[-3:] == [0, 0, 0]
-        deg_masks = degree_masks(cofdeg)
+        deg_masks = rank_masks(cofdeg)
         masks = [1 << r for r in range(mat.nrows)]
         masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
         masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
         for mask in masks:
             want = reference_min_coface_pivot(mask, cofdeg)
             assert _pivot_from_mask(mask, "min-coface", deg_masks) == want, (seed, mask)
+
+
+def test_max_step_pivot_matches_face_walk():
+    """The max-step pivot is the face of greatest least rise in f over its
+    cofaces, then least coface degree and index, with faces of no coface
+    first: on dim-2 and dim-3 slices with weights from 0 to 3, where rises
+    often tie, plus three rows in no column."""
+    rng = random.Random(47)
+    for seed in range(40):
+        cs, _ = random_problem(seed, max_top=14, dim=2 + seed % 2)
+        base = boundary_matrix(cs)
+        weights = [rng.randint(0, 3) for _ in range(base.ncols)]
+        extra = 3 * (seed % 2)
+        mat = Gf2Matrix(base.nrows + extra, base.ncols, base.col_rows, weights)
+        scale, hf = face_bounds(mat)
+        step_masks = rank_masks(pivot_keys(mat, "max-step", scale, hf))
+        masks = [1 << r for r in range(mat.nrows)]
+        masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
+        masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
+        for mask in masks:
+            want = reference_max_step_pivot(mask, mat, scale, hf)
+            assert _pivot_from_mask(mask, "max-step", step_masks) == want, (seed, mask)
 
 
 def test_expand_state_two_triangle_fan():
@@ -115,8 +143,9 @@ def test_expand_state_two_triangle_fan():
     rim = cs.boundary_of(frozenset({0}))
     assert rim == frozenset({0, 1, 2})
     mat = boundary_matrix(cs)
-    for pivot, pushes in (("min-index", 2), ("min-coface", 2), ("max-index", 3)):
-        # a lone pivot (1,2) has one successor, the shared pivot (2,3) has two
+    for pivot, pushes in (("min-index", 2), ("min-coface", 2), ("max-index", 3), ("max-step", 2)):
+        # a lone pivot (1,2) has one successor, the shared pivot (2,3) has two;
+        # every move of the rim raises f alike, so max-step takes the lone one
         r = search_whole(mat, rim, pivot=pivot)
         assert r.witness == frozenset({0}) and r.weight == 1, pivot
         assert r.stats["states_expanded"] == 2, pivot
@@ -133,6 +162,59 @@ def test_branching_is_bounded_by_coface_degree():
         r = search_whole(boundary_matrix(cs), boundary)
         assert r.stats["pushes"] >= 2, seed
         assert r.stats["pushes"] - 1 <= cs.coface_degree * r.stats["states_expanded"], seed
+
+
+def test_default_pivot_depends_on_k():
+    """``pivot=None`` is max-step without k and min-coface with it, through
+    the search and the facade; a named pivot is kept."""
+    cs, boundary = punctured_octahedron()
+    mat = boundary_matrix(cs)
+    for k, want in ((None, "max-step"), (7, "min-coface")):
+        assert solve_mld_dijkstra(mat, sorted(boundary), k=k).stats["pivot"] == want
+        assert search(cs, boundary, k=k).stats["pivot"] == want
+        assert search(cs, boundary, k=k, pivot="min-index").stats["pivot"] == "min-index"
+
+
+def test_max_step_settles_fewer_states():
+    """Summed over random 55-triangle dim-2 slices with random weights, the
+    shape of the benchmark's search workload, the default unbounded pivot
+    settles fewer states than min-coface, with the same answers."""
+    settled = {"max-step": 0, "min-coface": 0}
+    for seed in range(12):
+        cs = random_slice(55, 10, dim=2, seed=seed, weights="random")
+        inst = instance_from_complex(cs, random_boundary(cs, seed=seed, require_nonempty=True))
+        answers = set()
+        for pivot in (None, "min-coface"):
+            r = solve(inst, "dijkstra", pivot=pivot)
+            settled[r.stats["pivot"]] += r.stats["states_expanded"]
+            answers.add((r.status, r.weight, r.witness))
+        assert len(answers) == 1, seed
+    assert settled["max-step"] < settled["min-coface"], settled
+
+
+def test_signed_weights_without_k_match_treewidth():
+    """Without k the search runs on the kernel, whose weights are all
+    positive, so any signed weights are solved: on random problems of dims
+    1-3 with weights from -3 to 3, against their boundary and a random row
+    subset, it gives the DP's status, weight and witness, also where the
+    kernel is left to search."""
+    infeasible = searched = 0
+    for dim in (1, 2, 3):
+        for seed in range(300):
+            cs, boundary = random_problem(seed, max_top=24, dim=dim)
+            base = boundary_matrix(cs)
+            rng = random.Random(f"signed-{dim}-{seed}")
+            weights = [rng.randint(-3, 3) for _ in range(base.ncols)]
+            mat = Gf2Matrix(base.nrows, base.ncols, base.col_rows, weights)
+            some = sorted(rng.sample(range(mat.nrows), rng.randint(0, mat.nrows)))
+            for rows in (sorted(boundary), some):
+                tw = solve_mld_treewidth(mat, rows)
+                r = solve_mld_dijkstra(mat, rows)
+                got, want = (r.status, r.weight, r.witness), (tw.status, tw.weight, tw.witness)
+                assert got == want, (dim, seed, rows)
+                infeasible += r.status is Status.INFEASIBLE
+                searched += r.stats["states_expanded"] > 1
+    assert infeasible >= 500 and searched >= 100, (infeasible, searched)
 
 
 def test_pivot_strategies_agree_with_oracle():
@@ -427,8 +509,11 @@ def test_infeasible_kernel_with_and_without_the_precheck():
 
 def test_usage_errors():
     mat = Gf2Matrix(2, 1, [(0,)], [-1])
+    # a bounded search runs on the whole matrix: a negative column could cycle
     with pytest.raises(UsageError):
-        solve_mld_dijkstra(mat, (0,))
+        solve_mld_dijkstra(mat, (0,), k=1)
+    signed = solve_mld_dijkstra(mat, (0,))
+    assert (signed.status, signed.weight, signed.witness) == (Status.OPTIMAL, -1, frozenset({0}))
     ok = Gf2Matrix(2, 1, [(0,)], [1])
     with pytest.raises(UsageError):
         solve_mld_dijkstra(ok, (5,))
@@ -455,8 +540,11 @@ def test_usage_errors():
 # longer sums over. Every unbounded row of seeds 0, 1 and 5, and seed 3's
 # unit-weight ones, moved when the kernel began to drop dominated columns
 # (columns two cheaper columns reproduce): the answers are the same, and all
-# but seed 0's unit-weight kernels are now empty. k is the unit-weight
-# optimum's size on even seeds and one less on odd seeds.
+# but seed 0's unit-weight kernels are now empty. The max-step rows were
+# recorded when that strategy came in: its answers are the same, and with k
+# it settles as many states as min-coface or more, which is why bounded
+# searches keep min-coface by default. k is the unit-weight optimum's size
+# on even seeds and one less on odd seeds.
 PINNED = {
     (0, 'unit', 'min-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 4, 3, 4),
     (0, 'unit', 'min-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 50, 15, 50),
@@ -530,6 +618,31 @@ PINNED = {
     (5, 'random', 'min-coface', 8): ('not_found_within_bound', None, None, 19, 19, 6, 19),
     (5, 'random', 'max-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
     (5, 'random', 'max-index', 8): ('not_found_within_bound', None, None, 112, 112, 32, 112),
+    # recorded when max-step came in; the 72 rows above did not change
+    (0, 'unit', 'max-step', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 4, 3, 4),
+    (0, 'unit', 'max-step', 11): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 26, 8, 26),
+    (0, 'random', 'max-step', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 0, 0, 0, 1),
+    (0, 'random', 'max-step', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 47, 82, 35, 79),
+    (1, 'unit', 'max-step', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
+    (1, 'unit', 'max-step', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
+    (1, 'random', 'max-step', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
+    (1, 'random', 'max-step', 7): ('not_found_within_bound', None, None, 9, 9, 3, 9),
+    (2, 'unit', 'max-step', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 4, 10, 7, 10),
+    (2, 'unit', 'max-step', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 12, 3, 12),
+    (2, 'random', 'max-step', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 7, 14, 8, 14),
+    (2, 'random', 'max-step', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 97, 108, 28, 106),
+    (3, 'unit', 'max-step', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
+    (3, 'unit', 'max-step', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
+    (3, 'random', 'max-step', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
+    (3, 'random', 'max-step', 6): ('not_found_within_bound', None, None, 8, 8, 4, 8),
+    (4, 'unit', 'max-step', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
+    (4, 'unit', 'max-step', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
+    (4, 'random', 'max-step', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
+    (4, 'random', 'max-step', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 16, 22, 10, 22),
+    (5, 'unit', 'max-step', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
+    (5, 'unit', 'max-step', 8): ('not_found_within_bound', None, None, 15, 15, 4, 15),
+    (5, 'random', 'max-step', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
+    (5, 'random', 'max-step', 8): ('not_found_within_bound', None, None, 36, 36, 12, 36),
 }
 
 

@@ -86,13 +86,12 @@ def answer(result):
 
 
 def engine_answers(mat, rows, td=None):
-    """The answers of the DP, computed and on ``td`` if given, and, where
-    every weight is non-negative, of the unbounded search."""
+    """The answers of the DP, computed and on ``td`` if given, and of the
+    unbounded search, which takes signed weights too."""
     got = [answer(solve_mld_treewidth(mat, rows))]
     if td is not None:
         got.append(answer(solve_mld_treewidth(mat, rows, ntd=td)))
-    if min(mat.col_weights, default=0) >= 0:
-        got.append(answer(solve_mld_dijkstra(mat, rows)))
+    got.append(answer(solve_mld_dijkstra(mat, rows)))
     return got
 
 
@@ -192,8 +191,8 @@ def test_dominance_rule_against_canonical_optimum():
     """The dominance problems, with their own weights, weights from 0..3
     and weights from -3..3, against their boundary and a random row subset:
     the DP, computed and on a supplied decomposition hung from a random
-    node, and, on non-negative weights, the search give the least (weight,
-    mask) optimum, and are infeasible exactly where it is."""
+    node, and the search give the least (weight, mask) optimum, and are
+    infeasible exactly where it is."""
     infeasible = 0
     for label, cs, boundary in dominance_problems():
         plain = boundary_matrix(cs)

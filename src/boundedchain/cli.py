@@ -41,7 +41,6 @@ from .fileio import (
     write_decomposition_text,
     write_text,
 )
-from .oracle import ORACLE_MODES
 from .results import EXIT_CODES, EXIT_UNDECIDED, SolveResult, Status
 
 
@@ -106,9 +105,7 @@ def _cmd_solve(args) -> int:
         pivot=args.pivot,
         ntd=ntd,
         td_heuristic=args.td_heuristic,
-        check_feasibility=not args.no_feasibility_check,
         max_states=args.max_states,
-        oracle_mode=args.oracle_mode,
         timing=args.timing,
     )
     payload = json.dumps(result_to_json_dict(instance, result), sort_keys=True, indent=2)
@@ -142,7 +139,7 @@ def _cmd_verify(args) -> int:
     if not isinstance(claimed, dict):
         raise UsageError(f"{args.result} is not a JSON object")
     instance = _load_instance(args)
-    reference = solve(instance, "brute", oracle_mode=args.oracle_mode)
+    reference = solve(instance, "brute")
     # an oracle out of budget decides nothing, but a claimed witness is still checked
     undecided = reference.status is Status.RESOURCE_LIMIT
     claims_optimal = claimed.get("status") == Status.OPTIMAL.value
@@ -266,14 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--td", help="tree decomposition file for --algorithm treewidth")
     s.add_argument("--td-heuristic", choices=HEURISTICS, default="min-fill")
-    s.add_argument("--no-feasibility-check", action="store_true")
     s.add_argument(
         "--max-states",
         type=int,
         default=None,
         help=f"search state cap (default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set)",
     )
-    s.add_argument("--oracle-mode", choices=ORACLE_MODES, default="auto")
     s.add_argument(
         "--timing", action="store_true", help="include wall and per-phase times in stats"
     )
@@ -296,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--complex")
     v.add_argument("--boundary")
     v.add_argument("--matrix")
-    v.add_argument("--oracle-mode", choices=ORACLE_MODES, default="auto")
     v.set_defaults(func=_cmd_verify)
 
     b = sub.add_parser("bench", help="run algorithms over a directory of instances")

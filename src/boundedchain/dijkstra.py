@@ -8,10 +8,11 @@ branching factor at the pivot's coface degree without losing optimality:
 any bounding chain must cover each boundary face an odd number of times,
 so it contains a coface of whatever pivot is current.
 
-Any pivot keeps the search exact; a good one settles fewer states. The
-two ranked strategies give every face a key once per solve and take the
-face of least (key, index) in the state. ``min-coface`` keys a face by its
-coface degree. ``max-step`` keys it by (-step, degree), where step is the
+Any pivot keeps the search exact; a good one settles fewer states. Every
+strategy gives each face a key once per solve and takes the face of least
+(key, index) in the state. ``min-index`` keys every face alike, so its
+pivot is the state's least face. ``min-coface`` keys a face by its coface
+degree. ``max-step`` keys it by (-step, degree), where step is the
 least rise in f = L*g + h (below) that a move from the face makes, over
 its cofaces c: L*w_c plus the bound terms of c's rows, less twice the
 face's own term, the rise when the face is the only row of c in the
@@ -80,9 +81,8 @@ from .results import SolveResult, Status
 
 PIVOT_MIN_INDEX = "min-index"
 PIVOT_MIN_COFACE = "min-coface"
-PIVOT_MAX_INDEX = "max-index"
 PIVOT_MAX_STEP = "max-step"
-PIVOT_STRATEGIES = (PIVOT_MIN_INDEX, PIVOT_MIN_COFACE, PIVOT_MAX_INDEX, PIVOT_MAX_STEP)
+PIVOT_STRATEGIES = (PIVOT_MIN_INDEX, PIVOT_MIN_COFACE, PIVOT_MAX_STEP)
 
 DEFAULT_MAX_STATES = 2_000_000
 MAX_STATES_ENV = "MBC_MAX_STATES"
@@ -97,14 +97,17 @@ def rank_masks(keys: Sequence) -> list[int]:
 
 
 def pivot_keys(matrix: Gf2Matrix, strategy: str, scale: int, hf: Sequence[int]) -> list:
-    """Each row's rank key under a ranked strategy; ``scale`` and ``hf`` are
+    """Each row's rank key under a strategy; ``scale`` and ``hf`` are
     ``face_bounds(matrix)``.
 
-    ``min-coface`` keys a row by its coface degree and ``max-step`` by
-    (-step, degree), step being the least rise in f that a move from the
-    row makes (see the module docstring); a row with no column comes first.
+    ``min-index`` keys every row alike, ``min-coface`` keys a row by its
+    coface degree and ``max-step`` by (-step, degree), step being the least
+    rise in f that a move from the row makes (see the module docstring); a
+    row with no column comes first.
     """
     row_cols = matrix.row_cols
+    if strategy == PIVOT_MIN_INDEX:
+        return [0] * matrix.nrows
     if strategy == PIVOT_MIN_COFACE:
         return [len(cols) for cols in row_cols]
     # f rises by lift[c] - 2*hf[r] when c moves from r, no other row of c in the state
@@ -116,18 +119,10 @@ def pivot_keys(matrix: Gf2Matrix, strategy: str, scale: int, hf: Sequence[int]) 
     ]
 
 
-def _pivot_from_mask(mask: int, strategy: str, masks: Sequence[int]) -> int:
-    """The pivot row of a nonempty state; ``masks`` come from ``rank_masks``
-    of the strategy's ``pivot_keys`` and serve both ranked strategies,
-    ``min-coface`` and ``max-step``: the pivot is the state's least row in
-    the first mask that meets it.
-
-    ``_search`` inlines the ranked scan, so a change to it goes there too.
-    """
-    if strategy == PIVOT_MIN_INDEX:
-        return (mask & -mask).bit_length() - 1
-    if strategy == PIVOT_MAX_INDEX:
-        return mask.bit_length() - 1
+def _pivot(mask: int, masks: Sequence[int]) -> int:
+    """The pivot row of a nonempty state. ``masks`` is ``rank_masks`` of the
+    strategy's ``pivot_keys``; the pivot is the state's least row in the
+    first mask that meets it."""
     for rm in masks:
         m = mask & rm
         if m:
@@ -193,7 +188,6 @@ def solve_mld_dijkstra(
     *,
     k: int | None = None,
     pivot: str | None = None,
-    check_feasibility: bool = True,
     max_states: int | None = None,
     timing: bool = False,
 ) -> SolveResult:
@@ -225,7 +219,6 @@ def solve_mld_dijkstra(
         "algorithm": "dijkstra",
         "pivot": pivot,
         "k": k,
-        "feasibility_checked": bool(check_feasibility),
         "states_expanded": 0,
         "pushes": 0,
         "frontier_peak": 0,
@@ -240,7 +233,7 @@ def solve_mld_dijkstra(
         space, start = kern.matrix, kern.target
         rows = indices_from_mask(start)
     reduced = time.perf_counter()
-    feasible = not check_feasibility or feasibility_check(space, rows)[0]
+    feasible = feasibility_check(space, rows)[0]
     checked = time.perf_counter()
     if feasible:
         result = _search(space, start, k, pivot, max_states, stats)
@@ -272,8 +265,7 @@ def _search(
     bounded = k is not None
     chain_keyed = not bounded or matrix.has_uniform_weights
     scale, hf = face_bounds(matrix)
-    ranked = pivot in (PIVOT_MIN_COFACE, PIVOT_MAX_STEP)
-    masks = rank_masks(pivot_keys(matrix, pivot, scale, hf)) if ranked else []
+    masks = rank_masks(pivot_keys(matrix, pivot, scale, hf))
     cmax = max(map(len, col_rows), default=1)
     heappop = heapq.heappop
     heappush = heapq.heappush
@@ -325,15 +317,7 @@ def _search(
                 # the faces the remaining k - nsteps columns can still clear
                 room = (k - nsteps) * cmax
             h = f - scale * cost
-            if ranked:
-                for rm in masks:
-                    m = mask & rm
-                    if m:
-                        break
-                p = (m & -m).bit_length() - 1
-            else:
-                p = _pivot_from_mask(mask, pivot, masks)
-            for col in row_cols[p]:
+            for col in row_cols[_pivot(mask, masks)]:
                 nmask = mask ^ col_masks[col]
                 if bounded and nmask.bit_count() > room:
                     continue

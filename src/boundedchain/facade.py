@@ -80,9 +80,7 @@ def solve(
     pivot: str | None = None,
     ntd=None,
     td_heuristic: str = "min-fill",
-    check_feasibility: bool = True,
     max_states: int | None = None,
-    oracle_mode: str = "auto",
     timing: bool = False,
 ) -> SolveResult:
     """Dispatch to one solver and verify whatever it claims.
@@ -97,6 +95,8 @@ def solve(
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
     if k is not None and algorithm != "dijkstra":
         raise UsageError(f"the size bound k applies to dijkstra only, not {algorithm}")
+    if pivot is not None and algorithm != "dijkstra":
+        raise UsageError(f"a pivot strategy applies to dijkstra only, not {algorithm}")
     if ntd is not None and algorithm != "treewidth":
         raise UsageError(f"a tree decomposition applies to treewidth only, not {algorithm}")
     start = time.perf_counter()
@@ -108,7 +108,6 @@ def solve(
             sorted(instance.target),
             k=k,
             pivot=pivot,
-            check_feasibility=check_feasibility,
             max_states=max_states,
             timing=timing,
         )
@@ -122,7 +121,7 @@ def solve(
         )
     else:
         try:
-            result = brute_force_mld(instance.matrix, sorted(instance.target), mode=oracle_mode)
+            result = brute_force_mld(instance.matrix, sorted(instance.target))
         except ResourceLimitError as exc:
             return SolveResult(
                 Status.RESOURCE_LIMIT,

@@ -97,6 +97,8 @@ def random_slice(
     """``n_top`` distinct random d-simplices on ``n_vertices`` vertices."""
     if dim < 1:
         raise UsageError("dimension must be >= 1")
+    if n_top < 0:
+        raise UsageError(f"the number of top simplices must be >= 0, got {n_top}")
     if n_vertices < dim + 1:
         raise UsageError("not enough vertices for one simplex")
     if n_top > math.comb(n_vertices, dim + 1):
@@ -116,7 +118,7 @@ def random_slice(
         wts = None
     else:
         wts = [rng.randint(1, weight_max) for _ in tops]
-    return build_slice(tops, wts)
+    return build_slice(tops, wts, dim=dim)
 
 
 def random_boundary(

@@ -272,12 +272,12 @@ def solve_mld_treewidth(
 ) -> SolveResult:
     """Minimum-weight solution of A x = u via decomposition DP.
 
-    Accepts any weights, including negative. Unit propagation and the
-    series, parallel and twin-row rules first reduce the instance to a
-    kernel (see the module docstring). A decomposition of the whole incidence graph may be
-    supplied, any rooted one (a nice one too); it is validated, and the DP
-    runs on it contracted onto the kernel, node for node. Otherwise one of
-    the kernel's is computed greedily.
+    Accepts any weights, including negative. ``kernel.reduce`` first
+    reduces the instance to a kernel (see the module docstring). A
+    decomposition of the whole incidence graph may be supplied, any rooted
+    one (a nice one too); it is validated, and the DP runs on it contracted
+    onto the kernel, node for node. Otherwise one of the kernel's is
+    computed greedily.
     ``detailed_stats`` adds ``join_bags``, the (node, join pairs)
     of every node with two or more children. ``timing`` adds the wall
     seconds of the ``kernel``, ``decompose`` and ``dp`` phases and the

@@ -19,6 +19,7 @@ from boundedchain import (
     solve_mbc1,
     solve_mld_dijkstra,
     solve_mld_treewidth,
+    verify_witness,
 )
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import (
@@ -124,7 +125,9 @@ def test_acceptance_3_octahedron_family(acceptance):
             solve(inst, "treewidth", td_heuristic=h)
             for h in ("min-fill", "min-degree")
         ]
-        runs += [solve(inst, "brute", oracle_mode=m) for m in ("exhaustive", "kernel")]
+        for m in ("exhaustive", "kernel"):
+            runs.append(brute_force_mld(inst.matrix, sorted(inst.target), mode=m))
+            verify_witness(inst, runs[-1])
         for r in runs:
             assert r.status is Status.OPTIMAL
             assert r.weight == 7

@@ -422,11 +422,10 @@ def test_size_bound_outside_dijkstra_is_a_usage_error(tmp_path, capsys):
     prefix = str(tmp_path / "strip")
     run(capsys, "gen", "strip", "--length", "10", "--out", prefix)
     instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
-    code, out, err = run(
-        capsys, "solve", *instance, "--algorithm", "treewidth", "--k", "3"
-    )
-    assert code == 1
-    assert out == "" and "error:" in err and "dijkstra" in err
+    for option in (["--k", "3"], ["--pivot", "max-step"]):
+        code, out, err = run(capsys, "solve", *instance, "--algorithm", "treewidth", *option)
+        assert code == 1
+        assert out == "" and "error:" in err and "dijkstra" in err
     code, out, err = run(
         capsys, "solve", *instance, "--algorithm", "dijkstra", "--max-states", "0"
     )
@@ -467,7 +466,6 @@ def test_choice_lists_come_from_the_package(capsys, monkeypatch):
     from boundedchain.decomposition import HEURISTICS
     from boundedchain.dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV, PIVOT_STRATEGIES
     from boundedchain.facade import ALGORITHMS
-    from boundedchain.oracle import ORACLE_MODES
 
     def help_text(*argv):
         with pytest.raises(SystemExit):
@@ -477,9 +475,13 @@ def test_choice_lists_come_from_the_package(capsys, monkeypatch):
     # the help text is the same whatever the environment holds
     monkeypatch.setenv(MAX_STATES_ENV, "17")
     solve_help = help_text("solve")
-    for choices in (ALGORITHMS, PIVOT_STRATEGIES, HEURISTICS, ORACLE_MODES):
+    for choices in (ALGORITHMS, PIVOT_STRATEGIES, HEURISTICS):
         assert "{" + ",".join(choices) + "}" in solve_help
     assert f"default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set" in solve_help
     assert "17" not in solve_help
     assert "{" + ",".join(HEURISTICS) + "}" in help_text("decompose")
-    assert "--against" not in help_text("verify")
+    verify_help = help_text("verify")
+    assert "--against" not in verify_help
+    # the oracle mode follows from the input, and feasibility is always checked
+    for removed in ("--oracle-mode", "--no-feasibility-check"):
+        assert removed not in solve_help and removed not in verify_help

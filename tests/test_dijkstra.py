@@ -20,7 +20,7 @@ from boundedchain.complexes import Gf2Matrix
 from boundedchain.dijkstra import (
     DEFAULT_MAX_STATES,
     PIVOT_STRATEGIES,
-    _pivot_from_mask,
+    _pivot,
     _search,
     face_bounds,
     pivot_keys,
@@ -28,6 +28,7 @@ from boundedchain.dijkstra import (
 )
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
+from boundedchain.kernel import reduce
 from helpers import (
     canonical_optimum,
     irreducible,
@@ -49,6 +50,14 @@ def search_whole(matrix, rows, pivot="min-coface"):
     """The unbounded search run on ``matrix`` itself, with no kernel: the
     solve would reduce these instances first, some of them whole."""
     return _search(matrix, matrix.target_mask(rows), None, pivot, DEFAULT_MAX_STATES, {})
+
+
+def search_kernel(matrix, rows):
+    """The unbounded search on the kernel of ``matrix``, as the solve runs
+    it but with no feasibility check first: an infeasible kernel is searched
+    until the frontier runs out."""
+    kern = reduce(matrix, matrix.target_mask(rows))
+    return _search(kern.matrix, kern.target, None, "max-step", DEFAULT_MAX_STATES, {})
 
 
 def search_irreducible(cs, boundary, **options):
@@ -73,17 +82,17 @@ def test_punctured_octahedron_needs_seven_triangles():
 
 def test_pivot_select():
     mask = mask_from_indices((2, 5, 7))
-    deg_masks = rank_masks([0, 0, 3, 0, 0, 1, 0, 1])
-    assert _pivot_from_mask(mask, "min-index", deg_masks) == 2
-    assert _pivot_from_mask(mask, "max-index", deg_masks) == 7
+    # min-index keys every face alike: one mask, whose least state face wins
+    assert _pivot(mask, rank_masks([0] * 8)) == 2
     # faces 5 and 7 tie on coface degree 1: the smaller index wins
-    assert _pivot_from_mask(mask, "min-coface", deg_masks) == 5
+    assert _pivot(mask, rank_masks([0, 0, 3, 0, 0, 1, 0, 1])) == 5
     # ranked by (-step, degree): face 2 has the largest step, 9
     step_masks = rank_masks([(0, 0), (0, 0), (-9, 3), (0, 0), (0, 0), (-4, 1), (0, 0), (-4, 1)])
-    assert _pivot_from_mask(mask, "max-step", step_masks) == 2
+    assert _pivot(mask, step_masks) == 2
     cs, boundary = punctured_octahedron()
-    with pytest.raises(UsageError):
-        search(cs, boundary, pivot="best")
+    for unknown in ("best", "max-index"):
+        with pytest.raises(UsageError):
+            search(cs, boundary, pivot=unknown)
 
 
 def test_degree_mask_pivot_matches_face_walk():
@@ -96,7 +105,7 @@ def test_degree_mask_pivot_matches_face_walk():
         for _ in range(20):
             mask = rng.getrandbits(n) or 1 << rng.randrange(n)
             want = reference_min_coface_pivot(mask, cofdeg)
-            assert _pivot_from_mask(mask, "min-coface", deg_masks) == want, (trial, mask)
+            assert _pivot(mask, deg_masks) == want, (trial, mask)
     for seed in range(30):
         dim = 2 + seed % 2
         cs, _ = random_problem(seed, max_top=14, dim=dim)
@@ -106,12 +115,16 @@ def test_degree_mask_pivot_matches_face_walk():
         cofdeg = [len(cs) for cs in mat.row_cols]
         assert cofdeg[-3:] == [0, 0, 0]
         deg_masks = rank_masks(cofdeg)
+        scale, hf = face_bounds(mat)
+        index_masks = rank_masks(pivot_keys(mat, "min-index", scale, hf))
         masks = [1 << r for r in range(mat.nrows)]
         masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
         masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
         for mask in masks:
             want = reference_min_coface_pivot(mask, cofdeg)
-            assert _pivot_from_mask(mask, "min-coface", deg_masks) == want, (seed, mask)
+            assert _pivot(mask, deg_masks) == want, (seed, mask)
+            # min-index: the least face of the state
+            assert _pivot(mask, index_masks) == (mask & -mask).bit_length() - 1, (seed, mask)
 
 
 def test_max_step_pivot_matches_face_walk():
@@ -133,7 +146,7 @@ def test_max_step_pivot_matches_face_walk():
         masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
         for mask in masks:
             want = reference_max_step_pivot(mask, mat, scale, hf)
-            assert _pivot_from_mask(mask, "max-step", step_masks) == want, (seed, mask)
+            assert _pivot(mask, step_masks) == want, (seed, mask)
 
 
 def test_expand_state_two_triangle_fan():
@@ -143,7 +156,7 @@ def test_expand_state_two_triangle_fan():
     rim = cs.boundary_of(frozenset({0}))
     assert rim == frozenset({0, 1, 2})
     mat = boundary_matrix(cs)
-    for pivot, pushes in (("min-index", 2), ("min-coface", 2), ("max-index", 3), ("max-step", 2)):
+    for pivot, pushes in (("min-index", 2), ("min-coface", 2), ("max-step", 2)):
         # a lone pivot (1,2) has one successor, the shared pivot (2,3) has two;
         # every move of the rim raises f alike, so max-step takes the lone one
         r = search_whole(mat, rim, pivot=pivot)
@@ -264,10 +277,9 @@ def test_infeasible_via_precheck_and_via_exhaustion():
     pre = search(cs, lonely_edge)
     assert pre.status is Status.INFEASIBLE
     assert pre.stats["states_expanded"] == 0
-    post = search(cs, lonely_edge, check_feasibility=False)
+    post = search_kernel(boundary_matrix(cs), lonely_edge)
     assert post.status is Status.INFEASIBLE
     assert post.stats["states_expanded"] > 0
-    assert not post.stats["feasibility_checked"]
 
 
 def test_empty_target_is_trivial():
@@ -501,7 +513,7 @@ def test_infeasible_kernel_with_and_without_the_precheck():
     checked = solve_mld_dijkstra(mat, [0])
     assert checked.status is Status.INFEASIBLE
     assert (checked.stats["states_expanded"], checked.stats["visited"]) == (0, 0)
-    exhausted = solve_mld_dijkstra(mat, [0], check_feasibility=False)
+    exhausted = search_kernel(mat, [0])
     assert exhausted.status is Status.INFEASIBLE
     assert (exhausted.stats["states_expanded"], exhausted.stats["pushes"]) == (1, 1)
     assert exhausted.stats["visited"] == 1
@@ -535,9 +547,7 @@ def test_usage_errors():
 # search moved onto the kernel: every status and weight is the same, the
 # witness is the canonical one whatever the pivot, and the counts describe
 # the kernel search, which is empty where the kernel passes solve the
-# instance whole. Two max-index rows moved when the kernel began to drop
-# twin rows (rows over the same columns), which the search's bound no
-# longer sums over. Every unbounded row of seeds 0, 1 and 5, and seed 3's
+# instance whole. Every unbounded row of seeds 0, 1 and 5, and seed 3's
 # unit-weight ones, moved when the kernel began to drop dominated columns
 # (columns two cheaper columns reproduce): the answers are the same, and all
 # but seed 0's unit-weight kernels are now empty. The max-step rows were
@@ -550,75 +560,51 @@ PINNED = {
     (0, 'unit', 'min-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 50, 15, 50),
     (0, 'unit', 'min-coface', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 4, 3, 4),
     (0, 'unit', 'min-coface', 11): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 26, 8, 26),
-    (0, 'unit', 'max-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 4, 3, 4),
-    (0, 'unit', 'max-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 726, 1074, 518, 1074),
     (0, 'random', 'min-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 0, 0, 0, 1),
     (0, 'random', 'min-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 79, 87, 31, 85),
     (0, 'random', 'min-coface', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 0, 0, 0, 1),
     (0, 'random', 'min-coface', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 31, 31, 11, 31),
-    (0, 'random', 'max-index', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 0, 0, 0, 1),
-    (0, 'random', 'max-index', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 1055, 1422, 493, 1344),
     (1, 'unit', 'min-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
     (1, 'unit', 'min-index', 7): ('not_found_within_bound', None, None, 24, 24, 9, 24),
     (1, 'unit', 'min-coface', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
     (1, 'unit', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
-    (1, 'unit', 'max-index', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
-    (1, 'unit', 'max-index', 7): ('not_found_within_bound', None, None, 21, 21, 8, 21),
     (1, 'random', 'min-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
     (1, 'random', 'min-index', 7): ('not_found_within_bound', None, None, 26, 26, 9, 26),
     (1, 'random', 'min-coface', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
     (1, 'random', 'min-coface', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
-    (1, 'random', 'max-index', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
-    (1, 'random', 'max-index', 7): ('not_found_within_bound', None, None, 22, 22, 8, 22),
     (2, 'unit', 'min-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 5, 11, 7, 11),
     (2, 'unit', 'min-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 11, 13, 5, 13),
     (2, 'unit', 'min-coface', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 4, 9, 6, 9),
     (2, 'unit', 'min-coface', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 12, 12, 3, 12),
-    (2, 'unit', 'max-index', None): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 4, 9, 6, 9),
-    (2, 'unit', 'max-index', 8): ('optimal', 8, (0, 1, 2, 3, 8, 16, 17, 22), 210, 322, 167, 322),
     (2, 'random', 'min-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 8, 18, 11, 18),
     (2, 'random', 'min-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 16, 18, 4, 17),
     (2, 'random', 'min-coface', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 7, 15, 9, 15),
     (2, 'random', 'min-coface', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 15, 15, 4, 15),
-    (2, 'random', 'max-index', None): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 11, 22, 11, 20),
-    (2, 'random', 'max-index', 8): ('optimal', 25, (0, 1, 2, 3, 8, 16, 17, 22), 338, 427, 136, 381),
     (3, 'unit', 'min-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'unit', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
     (3, 'unit', 'min-coface', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'unit', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
-    (3, 'unit', 'max-index', None): ('optimal', 7, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
-    (3, 'unit', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
     (3, 'random', 'min-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'random', 'min-index', 6): ('not_found_within_bound', None, None, 3, 3, 2, 3),
     (3, 'random', 'min-coface', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'random', 'min-coface', 6): ('not_found_within_bound', None, None, 4, 4, 2, 4),
-    (3, 'random', 'max-index', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
-    (3, 'random', 'max-index', 6): ('not_found_within_bound', None, None, 5, 5, 2, 5),
     (4, 'unit', 'min-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'unit', 'min-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 52, 24, 52),
     (4, 'unit', 'min-coface', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'unit', 'min-coface', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
-    (4, 'unit', 'max-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
-    (4, 'unit', 'max-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 16, 20, 6, 20),
     (4, 'random', 'min-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'random', 'min-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 52, 61, 17, 60),
     (4, 'random', 'min-coface', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'random', 'min-coface', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 11, 13, 4, 13),
-    (4, 'random', 'max-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
-    (4, 'random', 'max-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 24, 27, 10, 26),
     (5, 'unit', 'min-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
     (5, 'unit', 'min-index', 8): ('not_found_within_bound', None, None, 117, 117, 48, 117),
     (5, 'unit', 'min-coface', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
     (5, 'unit', 'min-coface', 8): ('not_found_within_bound', None, None, 15, 15, 4, 15),
-    (5, 'unit', 'max-index', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
-    (5, 'unit', 'max-index', 8): ('not_found_within_bound', None, None, 91, 91, 47, 91),
     (5, 'random', 'min-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
     (5, 'random', 'min-index', 8): ('not_found_within_bound', None, None, 156, 162, 55, 156),
     (5, 'random', 'min-coface', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
     (5, 'random', 'min-coface', 8): ('not_found_within_bound', None, None, 19, 19, 6, 19),
-    (5, 'random', 'max-index', None): ('optimal', 38, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),
-    (5, 'random', 'max-index', 8): ('not_found_within_bound', None, None, 112, 112, 32, 112),
-    # recorded when max-step came in; the 72 rows above did not change
+    # recorded when max-step came in; the rows above did not change
     (0, 'unit', 'max-step', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 4, 3, 4),
     (0, 'unit', 'max-step', 11): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 26, 8, 26),
     (0, 'random', 'max-step', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 0, 0, 0, 1),

@@ -158,29 +158,35 @@ def test_solver_specific_options_pass_through():
     for seed in range(10):
         cs, boundary = random_problem(seed)
         inst = instance_from_complex(cs, boundary)
-        a = solve(inst, "dijkstra", pivot="max-index", check_feasibility=False)
+        a = solve(inst, "dijkstra", pivot="min-index")
         b = solve(inst, "treewidth", td_heuristic="min-degree")
-        c = solve(inst, "brute", oracle_mode="kernel")
+        c = solve(inst, "brute")
         assert a.status is b.status is c.status
         if a.is_optimal:
             assert a.weight == b.weight == c.weight
 
 
 def test_size_bound_is_refused_outside_dijkstra():
-    """k is a dijkstra option; the other engines would silently ignore it."""
+    """k and the pivot are dijkstra options; the other engines would
+    silently ignore them."""
     inst = instance_from_complex(*triangle_strip(10))
     for algorithm in ("treewidth", "brute"):
         assert solve(inst, algorithm).weight == 10
         with pytest.raises(UsageError):
             solve(inst, algorithm, k=3)
+        with pytest.raises(UsageError, match="dijkstra"):
+            solve(inst, algorithm, pivot="max-step")
     assert solve(inst, "dijkstra", k=3).status is Status.NOT_FOUND_WITHIN_BOUND
     assert solve(inst, "dijkstra", k=10).weight == 10
+    assert solve(inst, "dijkstra", pivot="min-index").weight == 10
     edges = build_slice([(0, 1), (1, 2)])
     path = instance_from_complex(
         edges, edges.chain_from_faces([(0,), (2,)])
     )
     with pytest.raises(UsageError):
         solve(path, "mbc1", k=3)
+    with pytest.raises(UsageError, match="dijkstra"):
+        solve(path, "mbc1", pivot="min-coface")
 
 
 def test_decomposition_is_refused_outside_treewidth():

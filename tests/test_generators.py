@@ -84,6 +84,9 @@ def test_random_slice_validation():
         random_slice(1, 2)
     with pytest.raises(UsageError):
         random_slice(1, 5, weights="heavy")
+    for n_top in (-1, -2):
+        with pytest.raises(UsageError, match="top simplices"):
+            random_slice(n_top, 6)
 
 
 def test_random_slice_refuses_a_weight_max_below_one():
@@ -91,6 +94,15 @@ def test_random_slice_refuses_a_weight_max_below_one():
     for weight_max in (0, -3):
         with pytest.raises(UsageError, match="weight_max"):
             random_slice(1, 5, weights="random", weight_max=weight_max)
+
+
+def test_random_slice_with_no_top_simplices():
+    """Zero top simplices give an empty slice of the asked dimension, with
+    an empty boundary."""
+    for dim in (1, 2, 3):
+        cs = random_slice(0, 6, dim=dim)
+        assert (cs.dim, cs.n_top, cs.n_faces) == (dim, 0, 0)
+        assert random_boundary(cs) == frozenset()
 
 
 def test_random_boundaries_are_feasible():

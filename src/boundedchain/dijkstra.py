@@ -19,11 +19,13 @@ face's own term, the rise when the face is the only row of c in the
 state. A* settles every state with f below the optimum, so the pivot
 whose every move raises f most ends the most branches early; a face with
 no coface comes first, since it ends its branch at once. The pivot is
-found without walking the state: the rows are grouped into one mask per
-distinct key, and the pivot is the lowest set bit of the state ANDed with
-the first of those masks, in ascending key, that meets it. An unbounded
-search defaults to ``max-step``; a bounded one to ``min-coface``, since
-there the size bound k, not the cost, does most of the pruning.
+found without walking the state: each search numbers the rows once in
+ascending (key, index) and builds its masks in that numbering, so the
+pivot is the state's lowest set bit. The bound and the keys are computed
+on the rows' own order; only the search's masks are renumbered. An
+unbounded search defaults to ``max-step``; a bounded one to
+``min-coface``, since there the size bound k, not the cost, does most of
+the pruning.
 
 The search runs on the decoding view only: a state is the bitmask of its
 faces (rows) and a move is a column. A chain question reaches it through
@@ -52,9 +54,18 @@ priorities never decrease, and no settled state is ever reached more
 cheaply, so a heap entry is stale exactly when its cost is no longer the
 best known for its state. ``face_bounds`` starts every face from the even
 split, the least w_c*L/|c| over its columns, and raises it by what its
-columns leave unused. A move changes h only on the rows of its column, so
-h is updated in O(|c|) and travels in the heap entry. Ties go to the
-deeper state, then to the smaller mask.
+columns leave unused. It also gives each column's lift, the sum of the
+terms of its rows. A move by c adds the terms of c's rows outside the
+state and takes off those inside, so h changes by lift[c] less twice the
+terms of the overlap of c with the state: the update walks the overlap
+beyond the pivot, not all of c, and h travels in the heap entry.
+Ties go to the deeper state, then to the smaller mask in the search's row
+numbering.
+
+An unbounded search keeps only each state's least known cost: its
+optimum is the packed cost, which ``kernel.backtrack`` decodes. Only a
+bounded search keeps a parent pointer per state, to walk back to its
+witness.
 
 An optional bound k restricts attention to solutions using at most k top
 simplices. With uniform weights a chain never profits from being reached
@@ -88,45 +99,35 @@ DEFAULT_MAX_STATES = 2_000_000
 MAX_STATES_ENV = "MBC_MAX_STATES"
 
 
-def rank_masks(keys: Sequence) -> list[int]:
-    """One row mask per distinct key, in ascending key; ``keys[r]`` is row r's."""
-    by_key: dict = {}
-    for r, key in enumerate(keys):
-        by_key[key] = by_key.get(key, 0) | 1 << r
-    return [by_key[key] for key in sorted(by_key)]
+def pivot_keys(
+    matrix: Gf2Matrix, strategy: str, scale: int, hf: Sequence[int], lift: Sequence[int]
+) -> list:
+    """Each row's key under a strategy; ``scale``, ``hf`` and ``lift`` are
+    ``face_bounds(matrix)``. The search numbers the rows in ascending
+    (key, index), so the pivot of a state is its lowest set bit.
 
-
-def pivot_keys(matrix: Gf2Matrix, strategy: str, scale: int, hf: Sequence[int]) -> list:
-    """Each row's rank key under a strategy; ``scale`` and ``hf`` are
-    ``face_bounds(matrix)``.
-
-    ``min-index`` keys every row alike, ``min-coface`` keys a row by its
-    coface degree and ``max-step`` by (-step, degree), step being the least
-    rise in f that a move from the row makes (see the module docstring); a
-    row with no column comes first.
+    ``min-index`` keys every row alike, which keeps the rows' own order;
+    ``min-coface`` keys a row by its coface degree and ``max-step`` by
+    (-step, degree), step being the least rise in f that a move from the
+    row makes (see the module docstring); a row with no column comes first.
     """
     row_cols = matrix.row_cols
     if strategy == PIVOT_MIN_INDEX:
         return [0] * matrix.nrows
     if strategy == PIVOT_MIN_COFACE:
         return [len(cols) for cols in row_cols]
-    # f rises by lift[c] - 2*hf[r] when c moves from r, no other row of c in the state
-    weights = matrix.col_weights
-    lift = [scale * w + sum([hf[r] for r in rs]) for w, rs in zip(weights, matrix.col_rows)]
+    # f rises by L*w_c + lift[c] - 2*hf[r] when c moves from r, no other row of c in the state
+    rise = [scale * w + up for w, up in zip(matrix.col_weights, lift)]
     return [
-        (2 * hf[r] - min([lift[c] for c in cols]), len(cols)) if cols else (-math.inf, 0)
+        (2 * hf[r] - min(map(rise.__getitem__, cols)), len(cols)) if cols else (-math.inf, 0)
         for r, cols in enumerate(row_cols)
     ]
 
 
-def _pivot(mask: int, masks: Sequence[int]) -> int:
-    """The pivot row of a nonempty state. ``masks`` is ``rank_masks`` of the
-    strategy's ``pivot_keys``; the pivot is the state's least row in the
-    first mask that meets it."""
-    for rm in masks:
-        m = mask & rm
-        if m:
-            return (m & -m).bit_length() - 1
+def row_order(keys: Sequence) -> list[int]:
+    """The rows in ascending (key, index). The search gives row ``order[i]``
+    bit i, so the pivot of a state is its lowest set bit."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _default_max_states(max_states: int | None) -> int:
@@ -145,14 +146,14 @@ def _default_max_states(max_states: int | None) -> int:
     return max_states
 
 
-def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int]]:
-    """The scale L and the per-face terms hf of the search's lower bound.
+def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int], list[int]]:
+    """The scale L, the per-face terms hf of the search's lower bound, and
+    each column's lift, the sum of hf over its rows.
 
     L is the lcm of the nonempty column sizes. The terms pack the column
-    weights: hf >= 0 and, for every column c, the sum of hf over the rows
-    of c is at most w_c*L. The bound of a state is the sum of hf over its
-    faces, in units of 1/L; a move by c lowers it by at most w_c*L, so it
-    is consistent.
+    weights: hf >= 0 and, for every column c, lift[c] is at most w_c*L. The
+    bound of a state is the sum of hf over its faces, in units of 1/L; a
+    move by c lowers it by at most lift[c] <= w_c*L, so it is consistent.
 
     hf starts from the even split, the least w_c*L/|c| over the columns c
     containing the face, and one pass over the rows in index order then
@@ -161,25 +162,28 @@ def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int]]:
     row that lies in a column lies in one with no slack left. A face in no
     column keeps 0; a state holding one is a dead end anyway. With unit
     weights and equal column sizes every slack is 0, so the pass is
-    skipped and the bound is the even split.
+    skipped and the bound is the even split. lift[c] is w_c*L less c's
+    slack.
     """
     col_rows = matrix.col_rows
     row_cols = matrix.row_cols
     weights = matrix.col_weights
     scale = math.lcm(*(len(rs) for rs in col_rows if rs))
     split = [w * scale // len(rs) if rs else 0 for w, rs in zip(weights, col_rows)]
-    hf = [min([split[c] for c in cols]) if cols else 0 for cols in row_cols]
-    slack = [w * scale - sum([hf[r] for r in rs]) for w, rs in zip(weights, col_rows)]
-    if not any(slack):
-        return scale, hf
-    for r, cols in enumerate(row_cols):
-        if cols:
-            d = min([slack[c] for c in cols])
-            if d:
-                hf[r] += d
-                for c in cols:
-                    slack[c] -= d
-    return scale, hf
+    split_of = split.__getitem__
+    hf = [min(map(split_of, cols)) if cols else 0 for cols in row_cols]
+    hf_of = hf.__getitem__
+    slack = [w * scale - sum(map(hf_of, rs)) for w, rs in zip(weights, col_rows)]
+    if any(slack):
+        slack_of = slack.__getitem__
+        for r, cols in enumerate(row_cols):
+            if cols:
+                d = min(map(slack_of, cols))
+                if d:
+                    hf[r] += d
+                    for c in cols:
+                        slack[c] -= d
+    return scale, hf, [w * scale - s for w, s in zip(weights, slack)]
 
 
 def solve_mld_dijkstra(
@@ -253,28 +257,46 @@ def solve_mld_dijkstra(
 def _search(
     matrix: Gf2Matrix, start: int, k: int | None, pivot: str, max_states: int, stats: dict
 ) -> SolveResult:
-    """The best-first search from the target mask ``start``; fills ``stats``."""
+    """The best-first search from the target mask ``start``; fills ``stats``.
+
+    An unbounded search keeps no parent pointers: its optimum's weight is
+    the packed kernel cost, which ``kernel.backtrack`` decodes, and its
+    witness is None. A bounded one walks its parents to the witness.
+    """
     if start == 0:
         stats["visited"] = 1
         return SolveResult(Status.OPTIMAL, 0, frozenset(), stats)
 
-    col_masks = matrix.col_masks
     col_rows = matrix.col_rows
-    row_cols = matrix.row_cols
     weights = matrix.col_weights
     bounded = k is not None
     chain_keyed = not bounded or matrix.has_uniform_weights
-    scale, hf = face_bounds(matrix)
-    masks = rank_masks(pivot_keys(matrix, pivot, scale, hf))
+    scale, hf, lift = face_bounds(matrix)
+    h = sum(map(hf.__getitem__, indices_from_mask(start)))
+    # row order[i] gets bit i in the search's masks
+    order = row_order(pivot_keys(matrix, pivot, scale, hf, lift))
+    row_cols = [matrix.row_cols[r] for r in order]
+    hf2 = [2 * hf[r] for r in order]
+    col_masks = [0] * matrix.ncols
+    renumbered = 0
+    for i, (r, cols) in enumerate(zip(order, row_cols)):
+        b = 1 << i
+        for c in cols:
+            col_masks[c] |= b
+        if start >> r & 1:
+            renumbered |= b
+    start = renumbered
     cmax = max(map(len, col_rows), default=1)
     heappop = heapq.heappop
     heappush = heapq.heappush
 
-    # key -> (cost, parent key, column); a key is the mask, or (mask, steps)
+    # key -> least known cost; a key is the mask, or (mask, steps)
     start_key = start if chain_keyed else (start, 0)
-    best: dict = {start_key: (0, None, None)}
+    best: dict = {start_key: 0}
+    # key -> (parent key, column), filled by bounded searches only
+    parents: dict = {start_key: None}
     # entries (f, -g, steps, mask) with f = L*g + h
-    heap = [(sum(hf[r] for r in indices_from_mask(start)), 0, 0, start)]
+    heap = [(h, 0, 0, start)]
     prev_f = 0
     # the counters live in locals and reach stats on every way out
     expanded = 0
@@ -289,7 +311,7 @@ def _search(
             cost = -neg_cost
             # a cheaper entry for this state came first: the bound is
             # consistent, so a settled state is never improved or reopened
-            if best[key][0] != cost:
+            if best[key] != cost:
                 continue
             expanded += 1
             if f < prev_f:
@@ -297,11 +319,14 @@ def _search(
             prev_f = f
 
             if mask == 0:
+                if not bounded:
+                    return SolveResult(Status.OPTIMAL, cost, None, stats)
                 used = 0
-                _, parent, col = best[key]
-                while parent is not None:
+                link = parents[key]
+                while link is not None:
+                    key, col = link
                     used ^= 1 << col
-                    _, parent, col = best[parent]
+                    link = parents[key]
                 witness = frozenset(indices_from_mask(used))
                 weight = matrix.weight_of(witness)
                 if weight != cost:
@@ -316,22 +341,33 @@ def _search(
                     continue
                 # the faces the remaining k - nsteps columns can still clear
                 room = (k - nsteps) * cmax
-            h = f - scale * cost
-            for col in row_cols[_pivot(mask, masks)]:
-                nmask = mask ^ col_masks[col]
+            low = mask & -mask
+            p = low.bit_length() - 1
+            # a move by c adds c's rows outside the state and removes those
+            # inside it, the pivot among them: h changes by lift[c] less twice
+            # the terms of the overlap
+            h = f - scale * cost - hf2[p]
+            for col in row_cols[p]:
+                cm = col_masks[col]
+                nmask = mask ^ cm
                 if bounded and nmask.bit_count() > room:
                     continue
                 nkey = nmask if chain_keyed else (nmask, nsteps)
                 ncost = cost + weights[col]
                 old = best.get(nkey)
-                if old is not None and old[0] <= ncost:
+                if old is not None and old <= ncost:
                     continue
                 if old is None and len(best) >= max_states:
                     return SolveResult(Status.RESOURCE_LIMIT, stats=stats)
-                best[nkey] = (ncost, key, col)
-                nh = h
-                for r in col_rows[col]:
-                    nh += -hf[r] if mask >> r & 1 else hf[r]
+                best[nkey] = ncost
+                if bounded:
+                    parents[nkey] = (key, col)
+                nh = h + lift[col]
+                both = mask & cm ^ low
+                while both:
+                    b = both & -both
+                    nh -= hf2[b.bit_length() - 1]
+                    both ^= b
                 heappush(heap, (scale * ncost + nh, -ncost, nsteps, nmask))
                 pushes += 1
             if len(heap) > frontier_peak:

@@ -52,7 +52,7 @@ def random_problem(seed, max_top=10, dim=2, weights=None, max_vertices=9):
 
 def reference_min_coface_pivot(mask, cofdeg):
     """The least (coface degree, index) over the faces of a nonempty state,
-    found by walking every face: the reference for the degree-mask pivot."""
+    found by walking every face: the reference for the search's pivot."""
     best = None
     m = mask
     while m:

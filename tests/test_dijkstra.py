@@ -20,11 +20,10 @@ from boundedchain.complexes import Gf2Matrix
 from boundedchain.dijkstra import (
     DEFAULT_MAX_STATES,
     PIVOT_STRATEGIES,
-    _pivot,
     _search,
     face_bounds,
     pivot_keys,
-    rank_masks,
+    row_order,
 )
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
@@ -80,15 +79,25 @@ def test_punctured_octahedron_needs_seven_triangles():
     assert exact.status is Status.OPTIMAL and exact.weight == 7
 
 
+def numbered_pivot(mask, order):
+    """The search's pivot of a nonempty state with the rows numbered by
+    ``order``: the lowest set bit of the renumbered state, mapped back to
+    its row."""
+    renumbered = sum(1 << i for i, r in enumerate(order) if mask >> r & 1)
+    return order[(renumbered & -renumbered).bit_length() - 1]
+
+
 def test_pivot_select():
     mask = mask_from_indices((2, 5, 7))
-    # min-index keys every face alike: one mask, whose least state face wins
-    assert _pivot(mask, rank_masks([0] * 8)) == 2
+    # min-index keys every face alike: the rows keep their order, and the
+    # least face of the state wins
+    assert row_order([0] * 8) == list(range(8))
+    assert numbered_pivot(mask, row_order([0] * 8)) == 2
     # faces 5 and 7 tie on coface degree 1: the smaller index wins
-    assert _pivot(mask, rank_masks([0, 0, 3, 0, 0, 1, 0, 1])) == 5
+    assert numbered_pivot(mask, row_order([0, 0, 3, 0, 0, 1, 0, 1])) == 5
     # ranked by (-step, degree): face 2 has the largest step, 9
-    step_masks = rank_masks([(0, 0), (0, 0), (-9, 3), (0, 0), (0, 0), (-4, 1), (0, 0), (-4, 1)])
-    assert _pivot(mask, step_masks) == 2
+    step_keys = [(0, 0), (0, 0), (-9, 3), (0, 0), (0, 0), (-4, 1), (0, 0), (-4, 1)]
+    assert numbered_pivot(mask, row_order(step_keys)) == 2
     cs, boundary = punctured_octahedron()
     for unknown in ("best", "max-index"):
         with pytest.raises(UsageError):
@@ -101,11 +110,11 @@ def test_degree_mask_pivot_matches_face_walk():
     for trial in range(200):
         n = rng.randint(1, 90)
         cofdeg = [rng.choice((0, 1, 1, 2, 3, 5)) for _ in range(n)]
-        deg_masks = rank_masks(cofdeg)
+        order = row_order(cofdeg)
         for _ in range(20):
             mask = rng.getrandbits(n) or 1 << rng.randrange(n)
             want = reference_min_coface_pivot(mask, cofdeg)
-            assert _pivot(mask, deg_masks) == want, (trial, mask)
+            assert numbered_pivot(mask, order) == want, (trial, mask)
     for seed in range(30):
         dim = 2 + seed % 2
         cs, _ = random_problem(seed, max_top=14, dim=dim)
@@ -114,17 +123,17 @@ def test_degree_mask_pivot_matches_face_walk():
         mat = Gf2Matrix(base.nrows + 3, base.ncols, base.col_rows, base.col_weights)
         cofdeg = [len(cs) for cs in mat.row_cols]
         assert cofdeg[-3:] == [0, 0, 0]
-        deg_masks = rank_masks(cofdeg)
-        scale, hf = face_bounds(mat)
-        index_masks = rank_masks(pivot_keys(mat, "min-index", scale, hf))
+        bounds = face_bounds(mat)
+        order = row_order(pivot_keys(mat, "min-coface", *bounds))
+        index_order = row_order(pivot_keys(mat, "min-index", *bounds))
         masks = [1 << r for r in range(mat.nrows)]
         masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
         masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
         for mask in masks:
             want = reference_min_coface_pivot(mask, cofdeg)
-            assert _pivot(mask, deg_masks) == want, (seed, mask)
+            assert numbered_pivot(mask, order) == want, (seed, mask)
             # min-index: the least face of the state
-            assert _pivot(mask, index_masks) == (mask & -mask).bit_length() - 1, (seed, mask)
+            assert numbered_pivot(mask, index_order) == (mask & -mask).bit_length() - 1, (seed, mask)
 
 
 def test_max_step_pivot_matches_face_walk():
@@ -139,14 +148,14 @@ def test_max_step_pivot_matches_face_walk():
         weights = [rng.randint(0, 3) for _ in range(base.ncols)]
         extra = 3 * (seed % 2)
         mat = Gf2Matrix(base.nrows + extra, base.ncols, base.col_rows, weights)
-        scale, hf = face_bounds(mat)
-        step_masks = rank_masks(pivot_keys(mat, "max-step", scale, hf))
+        scale, hf, lift = face_bounds(mat)
+        order = row_order(pivot_keys(mat, "max-step", scale, hf, lift))
         masks = [1 << r for r in range(mat.nrows)]
         masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
         masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
         for mask in masks:
             want = reference_max_step_pivot(mask, mat, scale, hf)
-            assert _pivot(mask, step_masks) == want, (seed, mask)
+            assert numbered_pivot(mask, order) == want, (seed, mask)
 
 
 def test_expand_state_two_triangle_fan():
@@ -160,9 +169,11 @@ def test_expand_state_two_triangle_fan():
         # a lone pivot (1,2) has one successor, the shared pivot (2,3) has two;
         # every move of the rim raises f alike, so max-step takes the lone one
         r = search_whole(mat, rim, pivot=pivot)
-        assert r.witness == frozenset({0}) and r.weight == 1, pivot
+        assert r.weight == 1, pivot
         assert r.stats["states_expanded"] == 2, pivot
         assert r.stats["pushes"] == pushes, pivot
+        # an unbounded search keeps no parents: the solve decodes the witness
+        assert search(cs, rim, pivot=pivot).witness == frozenset({0}), pivot
     empty = search(cs, frozenset())
     assert empty.stats["states_expanded"] == 0 and empty.witness == frozenset()
 
@@ -337,7 +348,7 @@ def test_lower_bound_is_consistent():
     for seed in range(40):
         cs, _ = random_problem(seed, max_top=14, dim=2 + seed % 2, weights="random")
         mat = boundary_matrix(cs)
-        scale, hf = face_bounds(mat)
+        scale, hf, _ = face_bounds(mat)
         assert _bound(hf, 0) == 0
         assert min(hf) >= 0, seed
         slack = []
@@ -357,6 +368,33 @@ def test_lower_bound_is_consistent():
             assert scale * mat.col_weights[c] + step >= 0, (seed, m, c)
 
 
+def test_lift_is_the_sum_of_its_rows_terms():
+    """``face_bounds``' lift[c] is the sum of hf over c's rows and at most
+    L*w_c: the search updates h by the overlap of a move with the state on
+    these two facts. On whole dense slices of dims 1-3 and on their kernels,
+    signed weights included."""
+    kernels = 0
+    for dim, n_top, n_vertices in ((1, 14, 8), (2, 30, 9), (3, 35, 8)):
+        for seed in range(30):
+            weights = ("unit", "random")[seed % 2]
+            base = boundary_matrix(random_slice(n_top, n_vertices, dim=dim, seed=seed, weights=weights))
+            rng = random.Random(f"lift-{dim}-{seed}")
+            signed = [rng.randint(-3, 3) for _ in range(base.ncols)]
+            rows = sorted(rng.sample(range(base.nrows), rng.randint(0, base.nrows)))
+            mats = [base]
+            for mat in (base, Gf2Matrix(base.nrows, base.ncols, base.col_rows, signed)):
+                kern = reduce(mat, mat.target_mask(rows))
+                mats.append(kern.matrix)
+                kernels += kern.matrix.ncols > 0
+            for mat in mats:
+                scale, hf, lift = face_bounds(mat)
+                assert len(lift) == mat.ncols
+                for c, col in enumerate(mat.col_rows):
+                    assert lift[c] == sum(hf[r] for r in col), (dim, seed, c)
+                    assert lift[c] <= mat.col_weights[c] * scale, (dim, seed, c)
+    assert kernels >= 30, kernels
+
+
 def test_exact_bound_walks_straight_to_the_goal():
     """Pairs of rows cost 2 together or 3 each alone: the bound is exact,
     so only the states on one optimal path are settled. Every row has two
@@ -368,8 +406,9 @@ def test_exact_bound_walks_straight_to_the_goal():
     mat = Gf2Matrix(2 * m, 3 * m, pairs + singles, [2] * m + [3] * (2 * m))
     r = search_whole(mat, range(2 * m))
     assert r.weight == 2 * m
-    assert r.witness == frozenset(range(m))
     assert r.stats["states_expanded"] == m + 1
+    # an unbounded search keeps no parents: the solve decodes the witness
+    assert solve_mld_dijkstra(mat, range(2 * m)).witness == frozenset(range(m))
 
 
 def test_random_weight_oracle_sweep():
@@ -418,7 +457,7 @@ def test_treewidth_agrees_above_oracle_size():
         r = solve(inst, "dijkstra")
         assert r.status is ref.status, seed
         assert r.weight == ref.weight, seed
-        scale, hf = face_bounds(mat)
+        scale, hf, _ = face_bounds(mat)
         split = [min(weights[c] * scale // len(mat.col_rows[c]) for c in cols)
                  for cols in mat.row_cols]
         raised += hf != split
@@ -553,8 +592,14 @@ def test_usage_errors():
 # but seed 0's unit-weight kernels are now empty. The max-step rows were
 # recorded when that strategy came in: its answers are the same, and with k
 # it settles as many states as min-coface or more, which is why bounded
-# searches keep min-coface by default. k is the unit-weight optimum's size
-# on even seeds and one less on odd seeds.
+# searches keep min-coface by default. Three bounded rows, (4, 'unit',
+# 'min-coface', 7), (0, 'random', 'max-step', 11) and (4, 'unit',
+# 'max-step', 7), moved by one in frontier_peak alone when the search began
+# to number the rows in pivot order: heap entries that tie on priority,
+# cost and steps are ordered by their masks, which are now compared in that
+# numbering. No unbounded row moved, since packed kernel costs never tie.
+# k is the unit-weight optimum's size on even seeds and one less on odd
+# seeds.
 PINNED = {
     (0, 'unit', 'min-index', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 4, 3, 4),
     (0, 'unit', 'min-index', 11): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 47, 50, 15, 50),
@@ -591,7 +636,7 @@ PINNED = {
     (4, 'unit', 'min-index', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'unit', 'min-index', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 31, 52, 24, 52),
     (4, 'unit', 'min-coface', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
-    (4, 'unit', 'min-coface', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
+    (4, 'unit', 'min-coface', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 3, 13),
     (4, 'random', 'min-index', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'random', 'min-index', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 52, 61, 17, 60),
     (4, 'random', 'min-coface', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
@@ -608,7 +653,7 @@ PINNED = {
     (0, 'unit', 'max-step', None): ('optimal', 11, (0, 1, 3, 5, 7, 8, 11, 12, 13, 17, 20), 2, 4, 3, 4),
     (0, 'unit', 'max-step', 11): ('optimal', 11, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 24, 26, 8, 26),
     (0, 'random', 'max-step', None): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 0, 0, 0, 1),
-    (0, 'random', 'max-step', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 47, 82, 35, 79),
+    (0, 'random', 'max-step', 11): ('optimal', 55, (0, 2, 3, 7, 8, 11, 12, 13, 15, 17, 20), 47, 82, 36, 79),
     (1, 'unit', 'max-step', None): ('optimal', 8, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
     (1, 'unit', 'max-step', 7): ('not_found_within_bound', None, None, 6, 6, 3, 6),
     (1, 'random', 'max-step', None): ('optimal', 47, (1, 2, 3, 4, 9, 12, 14, 18), 0, 0, 0, 1),
@@ -622,7 +667,7 @@ PINNED = {
     (3, 'random', 'max-step', None): ('optimal', 20, (0, 3, 5, 7, 8, 17, 23), 0, 0, 0, 1),
     (3, 'random', 'max-step', 6): ('not_found_within_bound', None, None, 8, 8, 4, 8),
     (4, 'unit', 'max-step', None): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
-    (4, 'unit', 'max-step', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 4, 13),
+    (4, 'unit', 'max-step', 7): ('optimal', 7, (3, 10, 11, 16, 19, 20, 23), 12, 13, 3, 13),
     (4, 'random', 'max-step', None): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 0, 0, 0, 1),
     (4, 'random', 'max-step', 7): ('optimal', 33, (3, 10, 11, 16, 19, 20, 23), 16, 22, 10, 22),
     (5, 'unit', 'max-step', None): ('optimal', 9, (1, 2, 4, 5, 9, 11, 12, 15, 19), 0, 0, 0, 1),

@@ -138,32 +138,48 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"{args.result} is not valid JSON: {exc}") from exc
     if not isinstance(claimed, dict):
         raise UsageError(f"{args.result} is not a JSON object")
+    k = _claimed_bound(claimed)
     instance = _load_instance(args)
     reference = solve(instance, "brute")
-    # an oracle out of budget decides nothing, but a claimed witness is still checked
-    undecided = reference.status is Status.RESOURCE_LIMIT
-    claims_optimal = claimed.get("status") == Status.OPTIMAL.value
+    status = claimed.get("status")
+    weight = claimed.get("weight")
+    claims_optimal = status == Status.OPTIMAL.value
+    # why the oracle cannot decide the claim, or None: it ran out of budget,
+    # or it knows no k and its optimum does not fit in k. A claimed witness
+    # is checked either way.
+    undecided = None
+    fits = ""
+    if reference.status is Status.RESOURCE_LIMIT:
+        unchecked = "optimality" if claims_optimal else "status"
+        undecided = f"the oracle hit its resource limit ({unchecked} unchecked)"
+    elif k is not None and reference.is_optimal:
+        size = len(reference.witness)
+        if size <= k:
+            fits = f" with {size} columns, within k={k}"
+        elif status == Status.NOT_FOUND_WITHIN_BOUND.value or (
+            claims_optimal and type(weight) is int and weight > reference.weight
+        ):
+            undecided = (
+                f"the oracle's optimum, {reference.weight}, has {size} columns,"
+                f" more than k={k}, so the least weight within the bound is unchecked"
+            )
     ok = True
-    if not undecided and claimed.get("status") != reference.status.value:
-        print(
-            f"FAIL status: claimed {claimed.get('status')}, oracle says"
-            f" {reference.status.value}"
-        )
+    if undecided is None and status != reference.status.value:
+        print(f"FAIL status: claimed {status}, oracle says {reference.status.value}{fits}")
         ok = False
     elif claims_optimal:
-        weight = claimed.get("weight")
         if type(weight) is not int:  # bool is an int subclass and is refused
             print(f"FAIL weight: claimed {weight!r}, not an integer")
             ok = False
-        elif not undecided and weight != reference.weight:
-            print(
-                f"FAIL weight: claimed {weight}, oracle found"
-                f" {reference.weight}"
-            )
+        elif undecided is None and weight != reference.weight:
+            print(f"FAIL weight: claimed {weight}, oracle found {reference.weight}{fits}")
             ok = False
         witness = _witness_from_solution(instance, claimed.get("solution"))
         if witness is None:
             print("FAIL solution: missing or malformed")
+            ok = False
+        elif k is not None and len(witness) > k:
+            print(f"FAIL solution: {len(witness)} columns, more than k={k}")
             ok = False
         else:
             try:
@@ -176,12 +192,20 @@ def _cmd_verify(args) -> int:
                 ok = False
     if not ok:
         return 1
-    if undecided:
-        unchecked = "optimality" if claims_optimal else "status"
-        print(f"UNDECIDED: the oracle hit its resource limit ({unchecked} unchecked)")
+    if undecided is not None:
+        print(f"UNDECIDED: {undecided}")
         return EXIT_UNDECIDED
     print("PASS: result agrees with the brute-force oracle")
     return 0
+
+
+def _claimed_bound(claimed: dict) -> int | None:
+    """The size bound k the result was solved with, ``stats["k"]``, or None."""
+    stats = claimed.get("stats")
+    k = stats.get("k") if isinstance(stats, dict) else None
+    if k is not None and (type(k) is not int or k < 0):
+        raise UsageError(f"stats.k is {k!r}, not a non-negative integer")
+    return k
 
 
 def _witness_from_solution(instance, solution):

@@ -17,8 +17,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import networkx as nx
-
 from .complexes import Gf2Matrix
 from .errors import ConsistencyError, UsageError
 from .gf2 import indices_from_mask
@@ -108,7 +106,8 @@ def min_weight_perfect_matching(
     Distances must be exact integers (or INF for "no edge"). Returns the
     pairs sorted, or None when no finite perfect matching exists. Solved
     with blossom matching on negated weights, which is exact for integer
-    inputs.
+    inputs. networkx is imported only here, for four nodes or more, so
+    the other engines' solves never load it.
     """
     nodes = sorted(nodes)
     if len(nodes) % 2 != 0:
@@ -118,6 +117,8 @@ def min_weight_perfect_matching(
     if len(nodes) == 2:
         a, b = nodes
         return [(a, b)] if dist_of(a, b) != INF else None
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(nodes)
     for i, a in enumerate(nodes):

@@ -212,6 +212,60 @@ def test_verify_undecided_when_oracle_runs_out(tmp_path, capsys):
     assert "FAIL solution" in out
 
 
+def test_verify_checks_bounded_results_within_k(tmp_path, capsys):
+    """The oracle knows no k: a bounded answer heavier than its optimum, or
+    none, is wrong only when that optimum fits in k, and undecided
+    otherwise. On this slice the optimum, 43, has 12 triangles, and the
+    search at --k 10 finds 44."""
+    prefix = str(tmp_path / "s")
+    run(
+        capsys,
+        "gen", "random", "--top-simplices", "40", "--vertices", "9", "--dim", "2",
+        "--weights", "random", "--out", prefix,
+    )
+    instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
+    results = {}
+    for k in (9, 10, 12):
+        out = tmp_path / f"k{k}.json"
+        run(
+            capsys,
+            "solve", *instance, "--algorithm", "dijkstra", "--k", str(k), "--out", str(out),
+        )
+        results[k] = json.loads(out.read_text())
+    assert results[9]["status"] == "not_found_within_bound"
+    assert (results[10]["weight"], results[12]["weight"]) == (44, 43)
+    assert len(results[12]["solution"]) == 12
+
+    def verify(claimed):
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps(claimed))
+        code, out, _ = run(capsys, "verify", str(path), *instance)
+        return code, out
+
+    for k in (9, 10):
+        code, out = verify(results[k])
+        assert code == 5, (k, out)
+        assert "UNDECIDED" in out and "FAIL" not in out, (k, out)
+    code, out = verify(results[12])
+    assert code == 0 and "PASS" in out, out
+    # the 44 of --k 10 claimed at k=12, where the oracle's optimum fits
+    heavier = dict(results[10], stats=dict(results[10]["stats"], k=12))
+    code, out = verify(heavier)
+    assert code == 1 and "FAIL weight: claimed 44, oracle found 43" in out, out
+    missed = dict(results[9], stats=dict(results[9]["stats"], k=12))
+    code, out = verify(missed)
+    assert code == 1 and "FAIL status" in out, out
+    # the optimum's 12 triangles claimed at k=11
+    oversized = dict(results[12], stats=dict(results[12]["stats"], k=11))
+    code, out = verify(oversized)
+    assert code == 1 and "FAIL solution: 12 columns, more than k=11" in out, out
+    for bad in (True, -1, "12"):
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps(dict(results[12], stats=dict(results[12]["stats"], k=bad))))
+        code, out, err = run(capsys, "verify", str(path), *instance)
+        assert code == 1 and out == "" and "stats.k" in err, bad
+
+
 def test_verify_refuses_malformed_matrix_solutions(tmp_path, capsys):
     """Column lists must be distinct in-range ints: no wrap-around, no bools."""
     mld = tmp_path / "ones.mld"

@@ -22,6 +22,7 @@ from boundedchain.dijkstra import (
     PIVOT_STRATEGIES,
     _search,
     face_bounds,
+    number_rows,
     pivot_keys,
     row_order,
 )
@@ -48,7 +49,8 @@ def search(cs, boundary, **options):
 def search_whole(matrix, rows, pivot="min-coface"):
     """The unbounded search run on ``matrix`` itself, with no kernel: the
     solve would reduce these instances first, some of them whole."""
-    return _search(matrix, matrix.target_mask(rows), None, pivot, DEFAULT_MAX_STATES, {})
+    numbering = number_rows(matrix, matrix.target_mask(rows), pivot)
+    return _search(matrix, numbering, None, DEFAULT_MAX_STATES, {})
 
 
 def search_kernel(matrix, rows):
@@ -56,7 +58,8 @@ def search_kernel(matrix, rows):
     it but with no feasibility check first: an infeasible kernel is searched
     until the frontier runs out."""
     kern = reduce(matrix, matrix.target_mask(rows))
-    return _search(kern.matrix, kern.target, None, "max-step", DEFAULT_MAX_STATES, {})
+    numbering = number_rows(kern.matrix, kern.target, "max-step")
+    return _search(kern.matrix, numbering, None, DEFAULT_MAX_STATES, {})
 
 
 def search_irreducible(cs, boundary, **options):
@@ -521,11 +524,11 @@ def test_negative_kernel_columns_are_complemented(monkeypatch):
     seen = []
     real_search = dijkstra._search
 
-    def spy(space, start, *args):
+    def spy(space, numbering, *args):
         # a negative cost would make a cycle the search never leaves
         assert min(space.col_weights) >= 0, space.col_weights
-        seen.append((space, start))
-        return real_search(space, start, *args)
+        seen.append((space, numbering.start))
+        return real_search(space, numbering, *args)
 
     monkeypatch.setattr(dijkstra, "_search", spy)
     for rest in range(8):
@@ -536,7 +539,9 @@ def test_negative_kernel_columns_are_complemented(monkeypatch):
         assert space.col_rows == ((0, 1, 2), (0, 2), (1, 2), (0, 1))
         assert space.col_weights == (off - on, *((1 << 5) + (1 << c) for c in (2, 3, 4)))
         # the merge flips row 3, column 1's other row; complementing flips rows 1-3
-        assert start == mat.target_mask([r - 1 for r in rows if r]) ^ 0b100 ^ 0b111
+        want = mat.target_mask([r - 1 for r in rows if r]) ^ 0b100 ^ 0b111
+        # the search sees its start in its own row numbering
+        assert start == number_rows(space, want, "max-step").start
         ref = brute_force_mld(mat, rows)
         assert (got.status, got.weight) == (ref.status, ref.weight), rows
         assert (got.weight, got.witness) == canonical_optimum(mat, rows), rows

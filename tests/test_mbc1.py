@@ -278,3 +278,52 @@ def test_perfect_matching_closure_stays_small(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["weight"] == m
     assert rss_mb < 150, rss_mb
+
+
+LAZY_NETWORKX_CHILD = r"""
+import os
+import sys
+
+from boundedchain import Gf2Matrix, instance_from_matrix, solve
+from boundedchain.cli import main
+
+# the path 0-1-2-3-4 and a chord 0-2 of weight 3
+mat = Gf2Matrix(5, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)], [1, 1, 1, 1, 3])
+two = instance_from_matrix(mat, [0, 4])
+for algorithm, options in [
+    ("dijkstra", {}), ("dijkstra", {"k": 4}), ("treewidth", {}), ("brute", {}), ("mbc1", {}),
+]:
+    r = solve(two, algorithm, **options)
+    assert (r.status.value, r.weight) == ("optimal", 4), (algorithm, options, r)
+os.chdir(sys.argv[1])
+instance = ["--complex", "s.complex", "--boundary", "s.boundary"]
+for argv in (
+    ["gen", "random", "--top-simplices", "12", "--vertices", "8", "--weights", "random",
+     "--out", "s"],
+    ["solve", *instance, "--algorithm", "dijkstra", "--out", "s.json"],
+    ["decompose", "--input", "s.complex", "--out", "s.td"],
+    ["verify", "s.json", *instance],
+):
+    assert main(argv) == 0, argv
+assert "networkx" not in sys.modules
+# four targets in one component: the blossom matching
+four = solve(instance_from_matrix(mat, [0, 1, 3, 4]), "mbc1")
+assert "networkx" in sys.modules
+print(four.weight, sorted(four.witness), four.stats["pairs"])
+"""
+
+
+def test_networkx_is_loaded_only_for_the_blossom_matching(tmp_path):
+    """Importing the package, every engine on a two-target graph and the
+    gen, solve, decompose and verify commands leave networkx unloaded; it
+    is loaded by an mbc1 solve that pairs four targets in one component.
+    Other tests import networkx, so this runs in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NETWORKX_CHILD, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # pairs (0, 1) and (3, 4), edges 0 and 3
+    assert proc.stdout.splitlines()[-1] == "2 [0, 3] 2"
+

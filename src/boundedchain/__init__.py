@@ -18,7 +18,6 @@ from .complexes import (
     Gf2Matrix,
     boundary_matrix,
     build_slice,
-    feasibility_check,
     hasse_graph,
 )
 from .decomposition import (
@@ -76,7 +75,6 @@ __all__ = [
     "brute_force_mld",
     "build_slice",
     "distance_closure",
-    "feasibility_check",
     "greedy_decomposition",
     "hasse_graph",
     "instance_from_complex",

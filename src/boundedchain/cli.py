@@ -10,7 +10,7 @@ import sys
 from . import generators
 from .bench import rows_to_csv, run_suite
 from .complexes import boundary_matrix, hasse_graph
-from .decomposition import HEURISTICS, greedy_decomposition
+from .decomposition import greedy_decomposition
 from .dijkstra import (
     DEFAULT_MAX_STATES,
     MAX_STATES_ENV,
@@ -104,7 +104,6 @@ def _cmd_solve(args) -> int:
         k=args.k,
         pivot=args.pivot,
         ntd=ntd,
-        td_heuristic=args.td_heuristic,
         max_states=args.max_states,
         timing=args.timing,
     )
@@ -124,8 +123,8 @@ def _cmd_decompose(args) -> int:
         matrix, _target = parse_matrix_text(text)
     else:
         raise UsageError("decompose expects a complex or mld file")
-    td = greedy_decomposition(hasse_graph(matrix), args.heuristic)
-    comments = [f"decomposition: heuristic={args.heuristic}"]
+    td = greedy_decomposition(hasse_graph(matrix))
+    comments = ["decomposition: heuristic=min-fill"]
     write_text(args.out, write_decomposition_text(td, comments))
     print(f"wrote {args.out} (width {td.width}, {td.n_nodes} nodes)")
     return 0
@@ -140,8 +139,11 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"{args.result} is not a JSON object")
     k = _claimed_bound(claimed)
     instance = _load_instance(args)
-    reference = solve(instance, "brute")
     status = claimed.get("status")
+    if status == Status.RESOURCE_LIMIT.value:
+        print("UNDECIDED: the result hit its resource limit and claims no answer")
+        return EXIT_UNDECIDED
+    reference = solve(instance, "brute")
     weight = claimed.get("weight")
     claims_optimal = status == Status.OPTIMAL.value
     # why the oracle cannot decide the claim, or None: it ran out of budget,
@@ -243,8 +245,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as every other usage error does; exit 2 means infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbc",
         description="Exact minimum bounded chain / GF(2) decoding solvers.",
     )
@@ -286,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"dijkstra pivot face (default {PIVOT_MAX_STEP}, or {PIVOT_MIN_COFACE} with --k)",
     )
     s.add_argument("--td", help="tree decomposition file for --algorithm treewidth")
-    s.add_argument("--td-heuristic", choices=HEURISTICS, default="min-fill")
     s.add_argument(
         "--max-states",
         type=int,
@@ -306,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         " incidence graph, for solve --td.",
     )
     d.add_argument("--input", required=True, help="complex or mld file")
-    d.add_argument("--heuristic", choices=HEURISTICS, default="min-fill")
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_decompose)
 

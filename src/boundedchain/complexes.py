@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .decomposition import Graph
 from .errors import InputError, UsageError
-from .gf2 import Gf2System, indices_from_mask, mask_from_indices
+from .gf2 import mask_from_indices
 
 
 def check_simplex(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -280,17 +280,3 @@ def hasse_graph(matrix: Gf2Matrix) -> Graph:
     nrows = matrix.nrows
     return Graph(nrows + matrix.ncols, ((r, nrows + c) for r, c in matrix.entries()))
 
-
-def feasibility_check(
-    matrix: Gf2Matrix, target_rows: Iterable[int]
-) -> tuple[bool, frozenset[int] | None]:
-    """Decide solvability of A x = u and return one witness column set.
-
-    The witness is any solution, with no optimality promise; it is meant
-    for feasibility screening and as a starting point for enumeration.
-    """
-    target = matrix.target_mask(target_rows)
-    combo = Gf2System(matrix.col_masks).solve(target)
-    if combo is None:
-        return (False, None)
-    return (True, frozenset(indices_from_mask(combo)))

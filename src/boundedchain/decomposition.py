@@ -1,21 +1,19 @@
-"""Tree decompositions: greedy elimination heuristics, validation, nice form.
+"""Tree decompositions: greedy min-fill elimination, validation, nice form.
 
-Decompositions are built by eliminating vertices in a heuristic order
-(min-degree or min-fill, ties by smallest vertex id); the bag of an
-eliminated vertex is itself plus its current neighbourhood, which is then
-turned into a clique. Scores are kept incrementally in a heap keyed by
-(score, vertex id), so the order is the one full rescoring would give at
-every step. Min-degree recounts the eliminated vertex's neighbours.
-Min-fill counts each vertex's missing neighbour pairs once, then updates
-the counts exactly from three terms: each neighbour a of the eliminated
-vertex v loses its pairs (v, x) with x outside v's neighbourhood; each
-fill edge (a, b) closes one pair at every common neighbour of a and b;
-and it opens at a the pairs (b, x) with x a neighbour of a outside v's
-neighbourhood and not adjacent to b, and likewise at b. No neighbour is
-rescored from scratch, and orders and files are the same as with
-rescoring. Each bag's parent is the bag of the member
-eliminated next, so the result is a rooted tree whose root is the last
-bag. The nice form rewrites any rooted decomposition into leaf /
+Decompositions are built by eliminating vertices in min-fill order, ties
+by smallest vertex id; the bag of an eliminated vertex is itself plus its
+current neighbourhood, which is then turned into a clique. Each vertex's
+fill count, its missing neighbour pairs, is counted once and kept in a
+heap keyed by (count, vertex id), then updated exactly from three terms:
+each neighbour a of the eliminated vertex v loses its pairs (v, x) with x
+outside v's neighbourhood; each fill edge (a, b) closes one pair at every
+common neighbour of a and b; and it opens at a the pairs (b, x) with x a
+neighbour of a outside v's neighbourhood and not adjacent to b, and
+likewise at b. No neighbour is rescored from scratch, and orders and
+files are the same as with rescoring. Any other decomposition can be
+given to the treewidth engine instead. Each bag's parent is the bag of
+the member eliminated next, so the result is a rooted tree whose root is
+the last bag. The nice form rewrites any rooted decomposition into leaf /
 introduce / forget / join nodes with an empty root bag, never increasing
 the width; it is a TreeDecomposition whose nodes also carry a kind and,
 for introduce and forget nodes, a vertex. It is a library utility: the
@@ -35,8 +33,6 @@ LEAF = "leaf"
 INTRODUCE = "introduce"
 FORGET = "forget"
 JOIN = "join"
-
-HEURISTICS = ("min-fill", "min-degree")
 
 
 class Graph:
@@ -171,19 +167,13 @@ def _eliminate_min_fill(adj: list[set[int]], score: list[int], v: int, nbrs: lis
     return changed
 
 
-def greedy_decomposition(graph: Graph, heuristic: str = "min-fill") -> TreeDecomposition:
-    """Elimination-ordering decomposition under min-fill or min-degree."""
-    if heuristic not in HEURISTICS:
-        raise UsageError(f"unknown heuristic {heuristic!r}")
+def greedy_decomposition(graph: Graph) -> TreeDecomposition:
+    """Elimination-ordering decomposition under min-fill, ties by smallest id."""
     n = graph.n
     if n == 0:
         return TreeDecomposition([frozenset()], [()], 0)
     adj = [set(s) for s in graph.adj]
-    min_fill = heuristic == "min-fill"
-    if min_fill:
-        score = [_fill_count(adj, v) for v in range(n)]
-    else:
-        score = [len(s) for s in adj]
+    score = [_fill_count(adj, v) for v in range(n)]
     heap = sorted(zip(score, range(n)))
 
     bags: list[frozenset] = []
@@ -195,20 +185,7 @@ def greedy_decomposition(graph: Graph, heuristic: str = "min-fill") -> TreeDecom
         nbrs = sorted(adj[v])
         bags.append(frozenset([v] + nbrs))
         elim_pos[v] = len(bags) - 1
-        if min_fill:
-            changed = _eliminate_min_fill(adj, score, v, nbrs)
-        else:
-            for a in nbrs:
-                adj[a].discard(v)
-            adj[v].clear()
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1:]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-            for a in nbrs:
-                score[a] = len(adj[a])
-            changed = nbrs
-        for w in changed:
+        for w in _eliminate_min_fill(adj, score, v, nbrs):
             heapq.heappush(heap, (score[w], w))
 
     order = sorted(elim_pos, key=elim_pos.get)

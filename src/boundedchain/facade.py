@@ -79,7 +79,6 @@ def solve(
     k: int | None = None,
     pivot: str | None = None,
     ntd=None,
-    td_heuristic: str = "min-fill",
     max_states: int | None = None,
     timing: bool = False,
 ) -> SolveResult:
@@ -116,16 +115,14 @@ def solve(
             instance.matrix,
             sorted(instance.target),
             ntd=ntd,
-            heuristic=td_heuristic,
             timing=timing,
         )
     else:
         try:
             result = brute_force_mld(instance.matrix, sorted(instance.target))
         except ResourceLimitError as exc:
-            return SolveResult(
-                Status.RESOURCE_LIMIT,
-                stats={"algorithm": "brute", "reason": str(exc)},
+            result = SolveResult(
+                Status.RESOURCE_LIMIT, stats={"algorithm": "brute", "reason": str(exc)}
             )
     solved = time.perf_counter()
     verify_witness(instance, result)

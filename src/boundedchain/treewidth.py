@@ -266,7 +266,6 @@ def solve_mld_treewidth(
     target_rows: Iterable[int],
     *,
     ntd: TreeDecomposition | None = None,
-    heuristic: str = "min-fill",
     detailed_stats: bool = False,
     timing: bool = False,
 ) -> SolveResult:
@@ -276,8 +275,8 @@ def solve_mld_treewidth(
     reduces the instance to a kernel (see the module docstring). A
     decomposition of the whole incidence graph may be supplied, any rooted
     one (a nice one too); it is validated, and the DP runs on it contracted
-    onto the kernel, node for node. Otherwise one of the kernel's is
-    computed greedily.
+    onto the kernel, node for node. Otherwise the kernel's min-fill one is
+    computed.
     ``detailed_stats`` adds ``join_bags``, the (node, join pairs)
     of every node with two or more children. ``timing`` adds the wall
     seconds of the ``kernel``, ``decompose`` and ``dp`` phases and the
@@ -289,7 +288,7 @@ def solve_mld_treewidth(
     kern = reduce(matrix, target)
     reduced = time.perf_counter()
     if ntd is None:
-        td_source = heuristic
+        td_source = "min-fill"
     elif isinstance(ntd, TreeDecomposition):
         g = hasse_graph(matrix)
         bad = validate_decomposition(ntd, g)
@@ -299,7 +298,7 @@ def solve_mld_treewidth(
     else:
         raise UsageError("ntd must be a tree decomposition or None")
     g = hasse_graph(kern.matrix)
-    td = greedy_decomposition(g, heuristic) if ntd is None else _contract(ntd, kern.image)
+    td = greedy_decomposition(g) if ntd is None else _contract(ntd, kern.image)
     decomposed = time.perf_counter()
 
     order, lifts, bag_cols, _bits = _plan(td, g.adj, kern.matrix, kern.target)

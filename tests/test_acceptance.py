@@ -43,7 +43,12 @@ from boundedchain.generators import (
     random_slice,
     triangle_strip,
 )
-from helpers import assert_join_pairs_capped, irreducible, punctured_octahedron
+from helpers import (
+    assert_join_pairs_capped,
+    irreducible,
+    punctured_octahedron,
+    reference_greedy_decomposition,
+)
 
 
 def test_acceptance_1_oracle_agreement(acceptance):
@@ -121,10 +126,8 @@ def test_acceptance_3_octahedron_family(acceptance):
             solve(inst, "dijkstra", pivot=pivot)
             for pivot in PIVOT_STRATEGIES
         ]
-        runs += [
-            solve(inst, "treewidth", td_heuristic=h)
-            for h in ("min-fill", "min-degree")
-        ]
+        min_degree = reference_greedy_decomposition(hasse_graph(inst.matrix), "min-degree")
+        runs += [solve(inst, "treewidth", ntd=ntd) for ntd in (None, min_degree)]
         for m in ("exhaustive", "kernel"):
             runs.append(brute_force_mld(inst.matrix, sorted(inst.target), mode=m))
             verify_witness(inst, runs[-1])
@@ -189,8 +192,10 @@ def test_acceptance_6_decomposition_validity(acceptance):
                 u, v = rng.sample(range(n), 2)
                 edges.add((min(u, v), max(u, v)))
             g = Graph(n, sorted(edges))
-            heuristic = "min-fill" if trial % 2 else "min-degree"
-            td = greedy_decomposition(g, heuristic)
+            if trial % 2:
+                td = greedy_decomposition(g)
+            else:
+                td = reference_greedy_decomposition(g, "min-degree")
             ntd = make_nice(td, g)
             assert validate_decomposition(ntd, g) is None, trial
             assert validate_nice(ntd) is None, trial
@@ -205,7 +210,7 @@ def _strip_dp_time(length, reps=5):
     cs, boundary = triangle_strip(length)
     mat = irreducible(boundary_matrix(cs))
     g = hasse_graph(mat)
-    ntd = greedy_decomposition(g, "min-fill")
+    ntd = greedy_decomposition(g)
     best = None
     result = None
     for _ in range(reps):
@@ -228,7 +233,7 @@ def test_acceptance_7_scaling(acceptance):
             cs = random_slice(n_top, n_v, seed=seed)
             boundary = random_boundary(cs, seed=seed)
             mat = boundary_matrix(cs)
-            td = greedy_decomposition(hasse_graph(mat), "min-fill")
+            td = greedy_decomposition(hasse_graph(mat))
             r = solve_mld_treewidth(mat, sorted(boundary), ntd=td, detailed_stats=True)
             assert_join_pairs_capped(td, mat.nrows, r.stats["join_bags"])
 

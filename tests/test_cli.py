@@ -212,6 +212,47 @@ def test_verify_undecided_when_oracle_runs_out(tmp_path, capsys):
     assert "FAIL solution" in out
 
 
+def test_verify_undecided_on_a_resource_limit_result(tmp_path, capsys):
+    """A solve that ran out of states claims nothing about the answer, so
+    verify can neither pass nor fail it."""
+    prefix = str(tmp_path / "q")
+    run(
+        capsys,
+        "gen", "random", "--top-simplices", "40", "--vertices", "9", "--dim", "2",
+        "--seed", "1", "--weights", "random", "--out", prefix,
+    )
+    instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
+    result = tmp_path / "q.json"
+    code, _, _ = run(
+        capsys,
+        "solve", *instance, "--algorithm", "dijkstra", "--max-states", "3", "--out", str(result),
+    )
+    assert code == 4
+    code, out, _ = run(capsys, "verify", str(result), *instance)
+    assert code == 5
+    assert "UNDECIDED" in out and "FAIL" not in out
+
+
+def test_argument_errors_exit_one(capsys):
+    """A mistyped option is a usage error, exit 1, never the infeasible 2."""
+    for argv in (
+        ["solve", "--matrix", "x.mld", "--algorithm", "nope"],
+        ["solve", "--matrix", "x.mld", "--algorithm", "brute", "--k", "ten"],
+        ["solve", "--matrix", "x.mld"],
+        ["solve", "--matrix", "x.mld", "--algorithm", "treewidth", "--td-heuristic", "min-fill"],
+        ["decompose", "--input", "x.mld", "--out", "x.td", "--heuristic", "min-fill"],
+        ["gen", "random", "--out", "x"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err, argv
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--help"])
+    assert exit_info.value.code == 0
+
+
 def test_verify_checks_bounded_results_within_k(tmp_path, capsys):
     """The oracle knows no k: a bounded answer heavier than its optimum, or
     none, is wrong only when that optimum fits in k, and undecided
@@ -517,7 +558,6 @@ def test_errors_exit_one(tmp_path, capsys):
 
 
 def test_choice_lists_come_from_the_package(capsys, monkeypatch):
-    from boundedchain.decomposition import HEURISTICS
     from boundedchain.dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV, PIVOT_STRATEGIES
     from boundedchain.facade import ALGORITHMS
 
@@ -529,11 +569,13 @@ def test_choice_lists_come_from_the_package(capsys, monkeypatch):
     # the help text is the same whatever the environment holds
     monkeypatch.setenv(MAX_STATES_ENV, "17")
     solve_help = help_text("solve")
-    for choices in (ALGORITHMS, PIVOT_STRATEGIES, HEURISTICS):
+    for choices in (ALGORITHMS, PIVOT_STRATEGIES):
         assert "{" + ",".join(choices) + "}" in solve_help
     assert f"default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set" in solve_help
     assert "17" not in solve_help
-    assert "{" + ",".join(HEURISTICS) + "}" in help_text("decompose")
+    # min-fill is the only built-in elimination order; --td supplies any other
+    assert "--td-heuristic" not in solve_help
+    assert "--heuristic" not in help_text("decompose")
     verify_help = help_text("verify")
     assert "--against" not in verify_help
     # the oracle mode follows from the input, and feasibility is always checked

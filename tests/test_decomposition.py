@@ -49,16 +49,17 @@ def test_graph_basics():
         Graph(-1)
 
 
+def decompositions(g):
+    """The min-fill decomposition and the reference's min-degree one."""
+    return greedy_decomposition(g), reference_greedy_decomposition(g, "min-degree")
+
+
 def test_known_widths():
-    for heuristic in ("min-fill", "min-degree"):
-        assert greedy_decomposition(path_graph(6), heuristic).width == 1
-        assert greedy_decomposition(clique(5), heuristic).width == 4
-        triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert greedy_decomposition(triangle, heuristic).width == 2
-        star = Graph(5, [(0, i) for i in range(1, 5)])
-        assert greedy_decomposition(star, heuristic).width == 1
-        lonely = Graph(3)
-        assert greedy_decomposition(lonely, heuristic).width == 0
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    star = Graph(5, [(0, i) for i in range(1, 5)])
+    for g, width in ((path_graph(6), 1), (clique(5), 4), (triangle, 2), (star, 1), (Graph(3), 0)):
+        for td in decompositions(g):
+            assert td.width == width
 
 
 def test_three_by_three_grid_width():
@@ -71,15 +72,9 @@ def test_three_by_three_grid_width():
             if r + 1 < 3:
                 edges.append((v, v + 3))
     g = Graph(9, edges)
-    for heuristic in ("min-fill", "min-degree"):
-        td = greedy_decomposition(g, heuristic)
+    for td in decompositions(g):
         assert validate_decomposition(td, g) is None
         assert td.width == 3
-
-
-def test_unknown_heuristic():
-    with pytest.raises(UsageError):
-        greedy_decomposition(path_graph(3), "lexicographic")
 
 
 def test_validate_catches_broken_properties():
@@ -144,8 +139,7 @@ def test_make_nice_random_sweep():
         n = rng.randint(1, 16)
         m = rng.randint(0, min(24, n * (n - 1) // 2))
         g = random_graph(rng, n, m)
-        for heuristic in ("min-fill", "min-degree"):
-            td = greedy_decomposition(g, heuristic)
+        for td in decompositions(g):
             assert validate_decomposition(td, g) is None, trial
             ntd = make_nice(td, g)
             assert validate_decomposition(ntd, g) is None, trial
@@ -159,14 +153,14 @@ def test_make_nice_random_sweep():
 
 def test_join_nodes_appear_for_branching_trees():
     g = Graph(7, [(0, i) for i in range(1, 7)])
-    td = greedy_decomposition(g, "min-degree")
+    td = reference_greedy_decomposition(g, "min-degree")
     ntd = make_nice(td, g)
     assert "join" in ntd.kinds
     assert validate_nice(ntd) is None
 
 
 def test_validate_nice_shape_rules():
-    ok = make_nice(greedy_decomposition(path_graph(4), "min-fill"))
+    ok = make_nice(greedy_decomposition(path_graph(4)))
     assert validate_nice(ok) is None
     broken = NiceTreeDecomposition(
         list(ok.bags), ["join"] + list(ok.kinds[1:]), list(ok.vertices),
@@ -203,7 +197,7 @@ def _hasse(cslice):
 
 
 def test_incremental_elimination_matches_reference():
-    """The heap-driven heuristics pick the same order as full rescoring."""
+    """The heap-driven min-fill order is the one full rescoring picks."""
     rng = random.Random(2)
     graphs = []
     for _ in range(1000):
@@ -225,26 +219,21 @@ def test_incremental_elimination_matches_reference():
     graphs += [_hasse(triangle_strip(length)[0]) for length in (60, 480)]
     graphs += [_hasse(cylinder(8, 4)[0]), _hasse(cylinder(12, 12)[0])]
     for i, g in enumerate(graphs):
-        for heuristic in ("min-fill", "min-degree"):
-            got = greedy_decomposition(g, heuristic)
-            want = reference_greedy_decomposition(g, heuristic)
-            assert (got.bags, got.children, got.root) == (
-                want.bags, want.children, want.root
-            ), (i, heuristic)
+        got = greedy_decomposition(g)
+        want = reference_greedy_decomposition(g, "min-fill")
+        assert (got.bags, got.children, got.root) == (want.bags, want.children, want.root), i
 
 
 # sha256 of write_decomposition_text(greedy_decomposition(...)): `mbc decompose`
 # files are byte-stable, so any change to an elimination order shows here.
 GOLDEN_TD_SHA256 = {
     ("cylinder", "min-fill"): "bfa9de117f846dab4add909990d074176b675e1f6f36adb48059e4309da2dbf6",
-    ("cylinder", "min-degree"): "bfbe5b34947bed49adfe74d301b981293c62282e4d090f14107dc61d7009450e",
     ("strip", "min-fill"): "d6d44c7566abc681dcbf1e7e88e9a85d54ec6b408d40125428235bf4a0c1996d",
-    ("strip", "min-degree"): "d6d44c7566abc681dcbf1e7e88e9a85d54ec6b408d40125428235bf4a0c1996d",
 }
 
 
 @pytest.mark.parametrize("name,heuristic", sorted(GOLDEN_TD_SHA256))
 def test_decomposition_files_are_pinned(name, heuristic):
     cslice = cylinder(12, 12)[0] if name == "cylinder" else triangle_strip(480)[0]
-    text = write_decomposition_text(greedy_decomposition(_hasse(cslice), heuristic))
+    text = write_decomposition_text(greedy_decomposition(_hasse(cslice)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TD_SHA256[name, heuristic]

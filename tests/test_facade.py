@@ -16,7 +16,7 @@ from boundedchain import (
 )
 from boundedchain.complexes import Gf2Matrix, boundary_matrix
 from boundedchain.generators import triangle_strip
-from helpers import punctured_octahedron, random_problem
+from helpers import punctured_octahedron, random_problem, reference_greedy_decomposition
 
 
 def test_all_algorithms_agree_on_the_punctured_octahedron():
@@ -65,6 +65,19 @@ def test_brute_resource_limit_becomes_a_status():
     r = solve(instance_from_matrix(mat, (0,)), "brute")
     assert r.status is Status.RESOURCE_LIMIT
     assert "limit" in r.stats.get("reason", "")
+
+
+def test_brute_resource_limit_keeps_its_timing():
+    """Out of budget, brute still reports the wall time and the verify phase."""
+    mat = Gf2Matrix(1, 25, [(0,)] * 25, [1] * 25)
+    inst = instance_from_matrix(mat, (0,))
+    plain = solve(inst, "brute")
+    timed = solve(inst, "brute", timing=True)
+    assert timed.status is Status.RESOURCE_LIMIT
+    assert set(plain.stats) == {"algorithm", "reason"}
+    assert set(timed.stats) == {"algorithm", "reason", "wall_time_s", "phases"}
+    assert set(timed.stats["phases"]) == PHASES["brute"]
+    assert timed.stats["phases"]["verify"] <= timed.stats["wall_time_s"]
 
 
 def test_verify_witness_rejects_lies():
@@ -159,7 +172,8 @@ def test_solver_specific_options_pass_through():
         cs, boundary = random_problem(seed)
         inst = instance_from_complex(cs, boundary)
         a = solve(inst, "dijkstra", pivot="min-index")
-        b = solve(inst, "treewidth", td_heuristic="min-degree")
+        min_degree = reference_greedy_decomposition(hasse_graph(inst.matrix), "min-degree")
+        b = solve(inst, "treewidth", ntd=min_degree)
         c = solve(inst, "brute")
         assert a.status is b.status is c.status
         if a.is_optimal:

@@ -10,7 +10,6 @@ from boundedchain import (
     Status,
     boundary_matrix,
     brute_force_mld,
-    greedy_decomposition,
     hasse_graph,
     solve_mld_dijkstra,
     solve_mld_treewidth,
@@ -19,7 +18,13 @@ from boundedchain.complexes import Gf2Matrix
 from boundedchain.gf2 import indices_from_mask, mask_from_indices
 from boundedchain.kernel import backtrack, reduce
 from boundedchain.generators import random_boundary, random_slice
-from helpers import canonical_optimum, irreducible, random_problem, rerooted
+from helpers import (
+    canonical_optimum,
+    irreducible,
+    random_problem,
+    reference_greedy_decomposition,
+    rerooted,
+)
 
 
 def kernel_problems():
@@ -203,7 +208,7 @@ def test_dominance_rule_against_canonical_optimum():
             )
             for lo in (0, -3)
         ]
-        td = greedy_decomposition(hasse_graph(plain), "min-degree")
+        td = reference_greedy_decomposition(hasse_graph(plain), "min-degree")
         given = rerooted(td, rng.randrange(td.n_nodes))
         targets = (sorted(boundary), sorted(rng.sample(range(plain.nrows), rng.randint(0, plain.nrows))))
         for mat in (plain, *redrawn):

@@ -49,6 +49,7 @@ from helpers import (
     punctured_octahedron,
     random_problem,
     irreducible,
+    reference_greedy_decomposition,
     rerooted,
 )
 
@@ -108,18 +109,18 @@ def test_oracle_sweep_and_heuristic_invariance():
         cs, boundary = random_problem(seed, max_top=10)
         mat = boundary_matrix(cs)
         ref = brute_force_mld(mat, sorted(boundary))
-        for heuristic in ("min-fill", "min-degree"):
-            r = solve_mld_treewidth(mat, sorted(boundary), heuristic=heuristic)
-            assert r.status is ref.status, (seed, heuristic)
+        for ntd in (None, reference_greedy_decomposition(hasse_graph(mat), "min-degree")):
+            r = solve_mld_treewidth(mat, sorted(boundary), ntd=ntd)
+            assert r.status is ref.status, (seed, ntd)
             if ref.is_optimal:
-                assert r.weight == ref.weight, (seed, heuristic)
+                assert r.weight == ref.weight, (seed, ntd)
 
 
 def test_supplied_decompositions():
     cs, boundary = punctured_octahedron()
     mat = boundary_matrix(cs)
     g = hasse_graph(mat)
-    td = greedy_decomposition(g, "min-degree")
+    td = reference_greedy_decomposition(g, "min-degree")
     plain = solve_mld_treewidth(mat, sorted(boundary), ntd=td)
     assert plain.weight == 7
     assert plain.stats["decomposition"] == "given"
@@ -138,9 +139,11 @@ def test_supplied_decompositions():
             assert not whole or len(set(mat.col_rows)) == mat.ncols
             assert not whole or len(set(mat.row_cols)) == mat.nrows
             g = hasse_graph(mat)
-            for heuristic in ("min-fill", "min-degree"):
-                computed = solve_mld_treewidth(mat, sorted(boundary), heuristic=heuristic)
-                td = greedy_decomposition(g, heuristic)
+            computed = solve_mld_treewidth(mat, sorted(boundary))
+            for heuristic, td in (
+                ("min-fill", greedy_decomposition(g)),
+                ("min-degree", reference_greedy_decomposition(g, "min-degree")),
+            ):
                 for ntd in (td, make_nice(td, g)):
                     given = solve_mld_treewidth(mat, sorted(boundary), ntd=ntd)
                     assert (given.status, given.weight, given.witness) == (
@@ -148,7 +151,7 @@ def test_supplied_decompositions():
                     ), (seed, heuristic)
                     assert given.stats["nodes"] == ntd.n_nodes
                     assert given.stats["width"] <= ntd.width
-                    if whole and ntd is td:
+                    if whole and ntd is td and heuristic == "min-fill":
                         for key in ("width", "nodes", "table_entries", "join_pairs"):
                             assert given.stats[key] == computed.stats[key], (seed, heuristic, key)
 
@@ -357,8 +360,9 @@ def test_supplied_decomposition_is_checked_on_the_whole_graph():
 
 def test_witness_is_canonical_where_propagation_fixes_columns():
     """On random dim-2 and dim-3 slices where propagation fixes some columns,
-    with random and {-1, 0, 1} weights, under both heuristics, the witness
-    is the least (weight, mask) optimum, fixed columns included."""
+    with random and {-1, 0, 1} weights, under min-fill and a supplied
+    min-degree decomposition, the witness is the least (weight, mask)
+    optimum, fixed columns included."""
     partial = 0
     for dim, n_top, n_vertices in ((2, 16, 8), (3, 20, 7)):
         for seed in range(40):
@@ -374,11 +378,12 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
             signed = Gf2Matrix(
                 mat.nrows, mat.ncols, mat.col_rows, [rng.randint(-1, 1) for _ in range(mat.ncols)]
             )
+            given = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
             for m in (mat, signed):
                 want = canonical_optimum(m, rows)
-                for heuristic in ("min-fill", "min-degree"):
-                    r = solve_mld_treewidth(m, rows, heuristic=heuristic)
-                    assert (r.weight, r.witness) == want, (dim, seed, m is signed, heuristic)
+                for ntd in (None, given):
+                    r = solve_mld_treewidth(m, rows, ntd=ntd)
+                    assert (r.weight, r.witness) == want, (dim, seed, m is signed, ntd)
     assert partial >= 20
 
 
@@ -460,9 +465,9 @@ def twin_problems():
 def test_series_reduction_against_canonical_optimum():
     """Random problems, plain and with weights redrawn from -3..3, each
     against its boundary and a random row subset as target (infeasible ones
-    included), under both heuristics and a supplied decomposition hung from
-    a random node: the answer is the least (weight, mask) optimum, and the
-    series rule shrinks many of the kernels."""
+    included), under min-fill and a supplied min-degree decomposition, as
+    it is and hung from a random node: the answer is the least (weight,
+    mask) optimum, and the series rule shrinks many of the kernels."""
     merged = infeasible = 0
     for label, cs, boundary in series_problems():
         plain = boundary_matrix(cs)
@@ -473,17 +478,17 @@ def test_series_reduction_against_canonical_optimum():
         )
         targets = (sorted(boundary), sorted(rng.sample(range(plain.nrows), rng.randint(0, plain.nrows))))
         for mat in (plain, signed):
-            td = greedy_decomposition(hasse_graph(mat), "min-degree")
+            td = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
             given = rerooted(td, rng.randrange(td.n_nodes))
             for rows in targets:
                 left, kernel, _image = reduced(mat, rows)
                 merged += kernel.ncols < left
                 want = canonical_optimum(mat, rows)
                 infeasible += want is None
-                for how in ({"heuristic": "min-fill"}, {"heuristic": "min-degree"}, {"ntd": given}):
-                    r = solve_mld_treewidth(mat, rows, **how)
+                for ntd in (None, td, given):
+                    r = solve_mld_treewidth(mat, rows, ntd=ntd)
                     got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-                    assert got == want, (label, mat is signed, rows, how)
+                    assert got == want, (label, mat is signed, rows, ntd)
     assert merged >= 200 and infeasible >= 100, (merged, infeasible)
 
 
@@ -566,7 +571,7 @@ def test_supplied_decomposition_contracts_onto_the_kernel():
     broken = 0
     for label, mat, targets in problems + list(twin_problems()):
         g = hasse_graph(mat)
-        decompositions = [greedy_decomposition(g, h) for h in ("min-fill", "min-degree")]
+        decompositions = [greedy_decomposition(g), reference_greedy_decomposition(g, "min-degree")]
         decompositions.append(star(mat, 0))
         for rows in targets:
             _left, kernel, image = reduced(mat, rows)
@@ -582,9 +587,9 @@ def test_supplied_decomposition_contracts_onto_the_kernel():
 
 def test_parallel_rule_against_canonical_optimum():
     """Slices with injected twin columns and signed weights, against their
-    boundary and a random row subset, under both heuristics and a supplied
-    decomposition hung from a random node: the answer is the least (weight,
-    mask) optimum. The twins merge first, at their own charges, so the
+    boundary and a random row subset, under min-fill and a supplied
+    min-degree decomposition, as it is and hung from a random node: the
+    answer is the least (weight, mask) optimum. The twins merge first, at their own charges, so the
     merged ``off`` keeps both clear where their weights sum to 0 or more
     and both set where less, and the merged ``on`` the lighter one; the
     weights drawn take every one of those branches many times."""
@@ -599,15 +604,15 @@ def test_parallel_rule_against_canonical_optimum():
                 w_first, w_second = pair
                 branches["off"][w_first + w_second < 0] += 1
                 branches["on"][w_second < w_first] += 1
-        td = greedy_decomposition(hasse_graph(mat), "min-degree")
+        td = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
         given = rerooted(td, random.Random(repr(label)).randrange(td.n_nodes))
         for rows in targets:
             want = canonical_optimum(mat, rows)
             infeasible += want is None
-            for how in ({"heuristic": "min-fill"}, {"heuristic": "min-degree"}, {"ntd": given}):
-                r = solve_mld_treewidth(mat, rows, **how)
+            for ntd in (None, td, given):
+                r = solve_mld_treewidth(mat, rows, ntd=ntd)
                 got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-                assert got == want, (label, rows, how)
+                assert got == want, (label, rows, ntd)
     assert min(branches["off"] + branches["on"]) >= 30, branches
     assert infeasible >= 50, infeasible
 
@@ -657,7 +662,9 @@ def twin_row_solves(mat, rows):
     decomposition and on supplied ones of the whole incidence graph, each
     also read back from its ``.td`` text."""
     g = hasse_graph(mat)
-    supplied = [greedy_decomposition(g, h) for h in ("min-fill", "min-degree")] + [star(mat, 0)]
+    supplied = [
+        greedy_decomposition(g), reference_greedy_decomposition(g, "min-degree"), star(mat, 0)
+    ]
     supplied += [parse_decomposition_text(write_decomposition_text(td)) for td in supplied]
     results = [solve_mld_treewidth(mat, rows, ntd=td) for td in [None, *supplied]]
     results.append(solve_mld_dijkstra(mat, rows))
@@ -723,7 +730,7 @@ def test_no_two_kernel_rows_share_their_columns():
         nonempty += kernel.ncols > 0
         want = canonical_optimum(mat, rows)
         infeasible += want is None
-        td = greedy_decomposition(hasse_graph(mat), "min-degree")
+        td = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
         for r in (
             solve_mld_treewidth(mat, rows),
             solve_mld_treewidth(mat, rows, ntd=td),
@@ -741,7 +748,7 @@ def test_join_table_size_is_bounded():
     for seed in range(30):
         cs, boundary = random_problem(seed)
         mat = boundary_matrix(cs)
-        td = greedy_decomposition(hasse_graph(mat), "min-fill")
+        td = greedy_decomposition(hasse_graph(mat))
         r = solve_mld_treewidth(mat, sorted(boundary), ntd=td, detailed_stats=True)
         joins += assert_join_pairs_capped(td, mat.nrows, r.stats["join_bags"])
     assert joins
@@ -904,7 +911,7 @@ def test_root_first_ids():
         cs, boundary = random_problem(seed)
         mat = boundary_matrix(cs)
         computed = solve_mld_treewidth(mat, sorted(boundary))
-        td = greedy_decomposition(hasse_graph(mat), "min-fill")
+        td = greedy_decomposition(hasse_graph(mat))
         for root in {0, td.n_nodes // 2, td.root}:
             ntd = relabelled(rerooted(td, root))
             assert all(c > t for t, kids in enumerate(ntd.children) for c in kids)
@@ -915,8 +922,8 @@ def test_root_first_ids():
 
 
 def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
-    """On the incidence graphs of 200 random matrices, for greedy
-    decompositions under both heuristics, their nice forms, root-first
+    """On the incidence graphs of 200 random matrices, for the min-fill and
+    the reference min-degree decompositions, their nice forms, root-first
     relabellings and star decompositions: every vertex owns one key bit,
     vertices that share a bag own distinct bits, at most width + 1 colours
     are used and a bag's column bits are its columns'. Where no row is
@@ -937,16 +944,13 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
         whole = all(len(cols) >= 3 for cols in guard.row_cols)
         whole = whole and len(set(guard.row_cols)) == guard.nrows
         checked += whole
-        for heuristic in ("min-fill", "min-degree"):
-            computed = solve_mld_treewidth(mat, rows, heuristic=heuristic)
-            td = greedy_decomposition(g, heuristic)
-            if whole:
-                own = solve_mld_treewidth(guard, rows, heuristic=heuristic)
-                given = solve_mld_treewidth(
-                    guard, rows, ntd=greedy_decomposition(hasse_graph(guard), heuristic)
-                )
-                for key in ("width", "nodes", "table_entries", "join_pairs"):
-                    assert given.stats[key] == own.stats[key], (trial, heuristic, key)
+        computed = solve_mld_treewidth(mat, rows)
+        if whole:
+            own = solve_mld_treewidth(guard, rows)
+            given = solve_mld_treewidth(guard, rows, ntd=greedy_decomposition(hasse_graph(guard)))
+            for key in ("width", "nodes", "table_entries", "join_pairs"):
+                assert given.stats[key] == own.stats[key], (trial, key)
+        for td in (greedy_decomposition(g), reference_greedy_decomposition(g, "min-degree")):
             root = rng.randrange(td.n_nodes)
             decompositions += [td, make_nice(td, g), relabelled(rerooted(td, root))]
         want = (computed.status, computed.weight, computed.witness)
@@ -1014,8 +1018,9 @@ def test_pinned_dim3_answers(seed, weights, weight, witness, entries, pairs):
 
 def test_witness_is_the_least_weight_then_mask_optimum():
     """On dim-2 and dim-3 slices with random and with {-1, 0, 1} weights,
-    under both heuristics and a supplied decomposition hung from a random
-    node, the witness is the optimum with the smallest column mask."""
+    under min-fill, a supplied min-degree decomposition and a supplied
+    min-fill one hung from a random node, the witness is the optimum with
+    the smallest column mask."""
     for dim, n_top, n_vertices in ((2, 16, 8), (3, 20, 7)):
         for seed in range(25):
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
@@ -1025,13 +1030,14 @@ def test_witness_is_the_least_weight_then_mask_optimum():
             signed = Gf2Matrix(
                 mat.nrows, mat.ncols, mat.col_rows, [rng.randint(-1, 1) for _ in range(mat.ncols)]
             )
-            td = greedy_decomposition(hasse_graph(mat), "min-fill")
+            td = greedy_decomposition(hasse_graph(mat))
             given = rerooted(td, rng.randrange(td.n_nodes))
+            min_degree = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
             for m in (mat, signed):
                 want = canonical_optimum(m, rows)
-                for how in ({"heuristic": "min-fill"}, {"heuristic": "min-degree"}, {"ntd": given}):
-                    r = solve_mld_treewidth(m, rows, **how)
-                    assert (r.weight, r.witness) == want, (dim, seed, m is signed, how)
+                for ntd in (None, min_degree, given):
+                    r = solve_mld_treewidth(m, rows, ntd=ntd)
+                    assert (r.weight, r.witness) == want, (dim, seed, m is signed, ntd)
 
 
 def test_stats_shape():

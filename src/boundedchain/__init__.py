@@ -34,7 +34,6 @@ from .errors import (
     BoundedChainError,
     ConsistencyError,
     InputError,
-    ResourceLimitError,
     UsageError,
 )
 from .facade import (
@@ -66,7 +65,6 @@ __all__ = [
     "InputError",
     "Instance",
     "NiceTreeDecomposition",
-    "ResourceLimitError",
     "SolveResult",
     "Status",
     "TreeDecomposition",

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Keeping these distinct lets the CLI map failures to exit codes without
-string matching: usage and input problems exit 1, resource limits are
-reported as a solver status, and consistency errors are never caught.
+string matching: usage and input problems exit 1, and consistency errors
+are never caught. Running out of budget is not an exception: every
+engine, the brute-force oracle included, returns ``resource_limit``.
 """
 
 
@@ -16,10 +17,6 @@ class UsageError(BoundedChainError):
 
 class InputError(BoundedChainError):
     """A file or in-memory instance is malformed."""
-
-
-class ResourceLimitError(BoundedChainError):
-    """An enumeration or search exceeded its configured budget."""
 
 
 class ConsistencyError(BoundedChainError):

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .complexes import ComplexSlice, Gf2Matrix, boundary_matrix
 from .dijkstra import solve_mld_dijkstra
-from .errors import ConsistencyError, ResourceLimitError, UsageError
+from .errors import ConsistencyError, UsageError
 from .mbc1 import solve_mbc1
 from .oracle import brute_force_mld
 from .results import SolveResult, Status
@@ -92,8 +92,8 @@ def solve(
     """
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if k is not None and algorithm != "dijkstra":
-        raise UsageError(f"the size bound k applies to dijkstra only, not {algorithm}")
+    if k is not None and algorithm not in ("dijkstra", "brute"):
+        raise UsageError(f"the size bound k applies to dijkstra and brute, not {algorithm}")
     if pivot is not None and algorithm != "dijkstra":
         raise UsageError(f"a pivot strategy applies to dijkstra only, not {algorithm}")
     if ntd is not None and algorithm != "treewidth":
@@ -118,12 +118,7 @@ def solve(
             timing=timing,
         )
     else:
-        try:
-            result = brute_force_mld(instance.matrix, sorted(instance.target))
-        except ResourceLimitError as exc:
-            result = SolveResult(
-                Status.RESOURCE_LIMIT, stats={"algorithm": "brute", "reason": str(exc)}
-            )
+        result = brute_force_mld(instance.matrix, sorted(instance.target), k=k)
     solved = time.perf_counter()
     verify_witness(instance, result)
     if result.status is Status.OPTIMAL:

@@ -133,9 +133,3 @@ def random_boundary(
             return boundary
     raise InputError("could not draw a nonempty boundary; the slice may be too small")
 
-
-def random_graph_slice(
-    n_edges: int, n_vertices: int, seed: int = 0, weights: str = "unit", weight_max: int = 9
-) -> ComplexSlice:
-    """Random 1-dimensional slice (a graph); convenience wrapper."""
-    return random_slice(n_edges, n_vertices, dim=1, seed=seed, weights=weights, weight_max=weight_max)

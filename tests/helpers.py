@@ -3,12 +3,13 @@
 import math
 import random
 from collections import Counter, deque
+from itertools import combinations
 
 from boundedchain import build_slice
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import TreeDecomposition
 from boundedchain.generators import random_boundary, random_slice
-from boundedchain.gf2 import Gf2System, indices_from_mask
+from boundedchain.gf2 import Gf2System, indices_from_mask, mask_from_indices
 
 
 def octahedron_tops():
@@ -186,6 +187,18 @@ def canonical_optimum(matrix, target_rows):
         if best is None or cand < best:
             best = cand
     return best[0], frozenset(indices_from_mask(best[1]))
+
+
+def best_by_size(mat, target):
+    """Least weight of a solution with exactly s columns, for every s."""
+    want = mask_from_indices(target)
+    best = {}
+    for size in range(mat.ncols + 1):
+        for combo in combinations(range(mat.ncols), size):
+            if mat.product_mask(combo) == want:
+                w = mat.weight_of(combo)
+                best[size] = min(best.get(size, w), w)
+    return best
 
 
 def rerooted(td, root):

@@ -39,7 +39,6 @@ from boundedchain.fileio import (
 from boundedchain.generators import (
     octahedron,
     random_boundary,
-    random_graph_slice,
     random_slice,
     triangle_strip,
 )
@@ -82,7 +81,7 @@ def test_acceptance_2_dimension_one_correctness(acceptance):
         for seed in range(300):
             n_v = rng.randint(4, 10)
             n_e = rng.randint(1, min(18, math.comb(n_v, 2)))
-            base = random_graph_slice(n_e, n_v, seed=seed)
+            base = random_slice(n_e, n_v, dim=1, seed=seed)
             weights = [rng.randint(0, 9) for _ in range(base.n_top)]
             cs = build_slice(list(base.top), weights)
             boundary = random_boundary(cs, seed=seed)
@@ -100,7 +99,7 @@ def test_acceptance_2_dimension_one_correctness(acceptance):
             seed += 1
             n_v = rng.randint(5, 9)
             n_e = rng.randint(5, min(16, math.comb(n_v, 2)))
-            cs = random_graph_slice(n_e, n_v, seed=seed, weights="random")
+            cs = random_slice(n_e, n_v, dim=1, seed=seed, weights="random")
             g = nx.Graph()
             g.add_nodes_from(range(cs.n_faces))
             for j, (a, b) in enumerate(cs.faces_of):

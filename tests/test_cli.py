@@ -253,11 +253,10 @@ def test_argument_errors_exit_one(capsys):
     assert exit_info.value.code == 0
 
 
-def test_verify_checks_bounded_results_within_k(tmp_path, capsys):
-    """The oracle knows no k: a bounded answer heavier than its optimum, or
-    none, is wrong only when that optimum fits in k, and undecided
-    otherwise. On this slice the optimum, 43, has 12 triangles, and the
-    search at --k 10 finds 44."""
+def _bounded_results(tmp_path, capsys, bounds):
+    """The 40-triangle slice whose optimum, 43, has 12 triangles, and the
+    search's result JSON at each bound k; the search at --k 10 finds 44
+    and at --k 9 nothing."""
     prefix = str(tmp_path / "s")
     run(
         capsys,
@@ -266,16 +265,13 @@ def test_verify_checks_bounded_results_within_k(tmp_path, capsys):
     )
     instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
     results = {}
-    for k in (9, 10, 12):
+    for k in bounds:
         out = tmp_path / f"k{k}.json"
         run(
             capsys,
             "solve", *instance, "--algorithm", "dijkstra", "--k", str(k), "--out", str(out),
         )
         results[k] = json.loads(out.read_text())
-    assert results[9]["status"] == "not_found_within_bound"
-    assert (results[10]["weight"], results[12]["weight"]) == (44, 43)
-    assert len(results[12]["solution"]) == 12
 
     def verify(claimed):
         path = tmp_path / "claim.json"
@@ -283,19 +279,47 @@ def test_verify_checks_bounded_results_within_k(tmp_path, capsys):
         code, out, _ = run(capsys, "verify", str(path), *instance)
         return code, out
 
-    for k in (9, 10):
+    return instance, results, verify
+
+
+def test_verify_fails_a_false_not_found_within_bound_claim(tmp_path, capsys):
+    """The search finds 44 within k=10, so a claim of no answer within it
+    is false, and the oracle, which answers k too, says so."""
+    _, results, verify = _bounded_results(tmp_path, capsys, (10,))
+    assert results[10]["weight"] == 44
+    claimed = dict(results[10], status="not_found_within_bound", weight=None, solution=None)
+    code, out = verify(claimed)
+    assert code == 1, out
+    assert "FAIL status: claimed not_found_within_bound, oracle says optimal" in out, out
+    assert "UNDECIDED" not in out
+
+
+def test_verify_checks_bounded_results_within_k(tmp_path, capsys):
+    """The oracle answers k too, so a bounded claim is judged like an
+    unbounded one."""
+    instance, results, verify = _bounded_results(tmp_path, capsys, (9, 10, 12))
+    assert results[9]["status"] == "not_found_within_bound"
+    assert (results[10]["weight"], results[12]["weight"]) == (44, 43)
+    assert len(results[12]["solution"]) == 12
+    for k in (9, 10, 12):
         code, out = verify(results[k])
-        assert code == 5, (k, out)
-        assert "UNDECIDED" in out and "FAIL" not in out, (k, out)
-    code, out = verify(results[12])
+        assert code == 0 and "PASS" in out, (k, out)
+    # the brute engine answers the same bounded question, and records k
+    brute = tmp_path / "b12.json"
+    run(capsys, "solve", *instance, "--algorithm", "brute", "--k", "12", "--out", str(brute))
+    claimed = json.loads(brute.read_text())
+    assert (claimed["weight"], claimed["stats"]["k"]) == (43, 12)
+    code, out = verify(claimed)
     assert code == 0 and "PASS" in out, out
-    # the 44 of --k 10 claimed at k=12, where the oracle's optimum fits
+    # the 44 of --k 10 claimed at k=12, where the optimum fits
     heavier = dict(results[10], stats=dict(results[10]["stats"], k=12))
     code, out = verify(heavier)
     assert code == 1 and "FAIL weight: claimed 44, oracle found 43" in out, out
-    missed = dict(results[9], stats=dict(results[9]["stats"], k=12))
-    code, out = verify(missed)
-    assert code == 1 and "FAIL status" in out, out
+    # the 43 of --k 12 claimed at k=10, where the least weight is 44
+    lighter = dict(results[12], stats=dict(results[12]["stats"], k=10))
+    code, out = verify(lighter)
+    assert code == 1 and "FAIL weight: claimed 43, oracle found 44" in out, out
+    assert "FAIL solution: 12 columns, more than k=10" in out, out
     # the optimum's 12 triangles claimed at k=11
     oversized = dict(results[12], stats=dict(results[12]["stats"], k=11))
     code, out = verify(oversized)
@@ -520,7 +544,7 @@ def test_size_bound_outside_dijkstra_is_a_usage_error(tmp_path, capsys):
     for option in (["--k", "3"], ["--pivot", "max-step"]):
         code, out, err = run(capsys, "solve", *instance, "--algorithm", "treewidth", *option)
         assert code == 1
-        assert out == "" and "error:" in err and "dijkstra" in err
+        assert out == "" and "error:" in err and "dijkstra" in err, option
     code, out, err = run(
         capsys, "solve", *instance, "--algorithm", "dijkstra", "--max-states", "0"
     )
@@ -535,7 +559,7 @@ def test_size_bound_outside_dijkstra_is_a_usage_error(tmp_path, capsys):
     assert [(r[1], r[3], r[4]) for r in rows] == [
         ("dijkstra", "not_found_within_bound", ""),
         ("treewidth", "error", "UsageError"),
-        ("brute", "error", "UsageError"),
+        ("brute", "not_found_within_bound", ""),
     ]
 
 

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 
@@ -30,6 +29,7 @@ from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
 from boundedchain.kernel import reduce
 from helpers import (
+    best_by_size,
     canonical_optimum,
     irreducible,
     punctured_octahedron,
@@ -255,25 +255,13 @@ def test_pivot_strategies_agree_with_oracle():
                 assert r.weight == ref.weight, (seed, pivot)
 
 
-def _best_by_size(mat, target):
-    """Least weight of a solution with exactly s columns, for every s."""
-    want = mask_from_indices(target)
-    best = {}
-    for size in range(mat.ncols + 1):
-        for combo in combinations(range(mat.ncols), size):
-            if mat.product_mask(combo) == want:
-                w = mat.weight_of(combo)
-                best[size] = min(best.get(size, w), w)
-    return best
-
-
 def test_bounded_search_matches_restricted_enumeration():
     """For every k, the search equals the best solution of size <= k."""
     rng = random.Random(41)
     for trial in range(25):
         cs, boundary = random_problem(trial, max_top=8, max_vertices=8)
         mat = boundary_matrix(cs)
-        best = _best_by_size(mat, sorted(boundary))
+        best = best_by_size(mat, sorted(boundary))
         for k in range(mat.ncols + 1):
             fits = [w for s, w in best.items() if s <= k]
             r = solve_mld_dijkstra(mat, sorted(boundary), k=k)
@@ -428,7 +416,7 @@ def test_random_weight_oracle_sweep():
         r = solve_mld_dijkstra(mat, sorted(boundary))
         assert r.status is ref.status, seed
         assert r.weight == ref.weight, seed
-        best = _best_by_size(mat, sorted(boundary))
+        best = best_by_size(mat, sorted(boundary))
         if ref.is_optimal:
             assert min(best.values()) == ref.weight, seed
         for k in range(mat.ncols + 1):

@@ -181,23 +181,27 @@ def test_solver_specific_options_pass_through():
 
 
 def test_size_bound_is_refused_outside_dijkstra():
-    """k and the pivot are dijkstra options; the other engines would
-    silently ignore them."""
+    """k is a dijkstra and brute option, and the two agree on it; the pivot
+    is a dijkstra option. The other engines would silently ignore them."""
     inst = instance_from_complex(*triangle_strip(10))
     for algorithm in ("treewidth", "brute"):
         assert solve(inst, algorithm).weight == 10
-        with pytest.raises(UsageError):
-            solve(inst, algorithm, k=3)
         with pytest.raises(UsageError, match="dijkstra"):
             solve(inst, algorithm, pivot="max-step")
-    assert solve(inst, "dijkstra", k=3).status is Status.NOT_FOUND_WITHIN_BOUND
-    assert solve(inst, "dijkstra", k=10).weight == 10
+    with pytest.raises(UsageError, match="dijkstra and brute"):
+        solve(inst, "treewidth", k=3)
+    for algorithm in ("dijkstra", "brute"):
+        bounded = solve(inst, algorithm, k=3)
+        assert bounded.status is Status.NOT_FOUND_WITHIN_BOUND
+        assert bounded.stats["k"] == 3
+        assert solve(inst, algorithm, k=10).weight == 10
     assert solve(inst, "dijkstra", pivot="min-index").weight == 10
+    assert "k" not in solve(inst, "brute").stats
     edges = build_slice([(0, 1), (1, 2)])
     path = instance_from_complex(
         edges, edges.chain_from_faces([(0,), (2,)])
     )
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="dijkstra and brute"):
         solve(path, "mbc1", k=3)
     with pytest.raises(UsageError, match="dijkstra"):
         solve(path, "mbc1", pivot="min-coface")

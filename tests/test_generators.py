@@ -6,7 +6,6 @@ from boundedchain.generators import (
     cylinder,
     octahedron,
     random_boundary,
-    random_graph_slice,
     random_slice,
     sphere_subdivision,
     triangle_strip,
@@ -121,7 +120,7 @@ def test_random_boundary_nonempty_flag():
 
 
 def test_random_graph_slice():
-    g = random_graph_slice(6, 6, seed=2, weights="random")
+    g = random_slice(6, 6, dim=1, seed=2, weights="random")
     assert g.dim == 1
     assert g.n_top == 6
     assert all(w >= 1 for w in g.weights)

@@ -24,7 +24,7 @@ from boundedchain import (
 )
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.fileio import write_matrix_text
-from boundedchain.generators import random_boundary, random_graph_slice
+from boundedchain.generators import random_boundary, random_slice
 from boundedchain.mbc1 import INF, assemble_chain
 
 
@@ -73,7 +73,7 @@ def test_single_pair_equals_graph_distance():
     for seed in range(40):
         n_v = rng.randint(4, 9)
         n_e = rng.randint(3, min(14, math.comb(n_v, 2)))
-        cs = random_graph_slice(n_e, n_v, seed=seed, weights="random")
+        cs = random_slice(n_e, n_v, dim=1, seed=seed, weights="random")
         g = nx.Graph()
         for j, (a, b) in enumerate(cs.faces_of):
             w = cs.weights[j]
@@ -144,7 +144,7 @@ def test_against_brute_force_sweep():
         n_v = rng.randint(3, 8)
         n_e = rng.randint(1, min(12, math.comb(n_v, 2)))
         weights = rng.choice(["unit", "random"])
-        cs = random_graph_slice(n_e, n_v, seed=trial, weights=weights)
+        cs = random_slice(n_e, n_v, dim=1, seed=trial, weights=weights)
         boundary = random_boundary(cs, seed=trial)
         inst = instance_from_complex(cs, boundary)
         ref = solve(inst, "brute")
@@ -235,7 +235,7 @@ def test_distance_closure_predecessors_are_usable():
     for trial in range(30):
         n_v = rng.randint(4, 8)
         n_e = rng.randint(3, min(12, math.comb(n_v, 2)))
-        cs = random_graph_slice(n_e, n_v, seed=100 + trial, weights="unit")
+        cs = random_slice(n_e, n_v, dim=1, seed=100 + trial, weights="unit")
         # force some zero weights to stress tie handling
         weights = [rng.choice((0, 1)) for _ in range(cs.n_top)]
         cs = build_slice(list(cs.top), weights)

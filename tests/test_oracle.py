@@ -1,14 +1,15 @@
 import pytest
 
 from boundedchain import (
-    ResourceLimitError,
     Status,
     UsageError,
     boundary_matrix,
     brute_force_mld,
+    solve_mld_dijkstra,
 )
 from boundedchain.complexes import Gf2Matrix
-from helpers import octahedron_slice, random_problem
+from boundedchain.gf2 import mask_from_indices
+from helpers import best_by_size, octahedron_slice, random_problem
 
 
 def test_modes_agree_on_octahedron():
@@ -58,21 +59,65 @@ def test_infeasible_target():
         assert r.weight is None and r.witness is None
 
 
-def test_limits_raise():
+def test_limits_return_resource_limit():
+    """Over its enumeration limit the oracle reports a status, as every
+    engine does, with the reason in its stats."""
     mat = Gf2Matrix(1, 25, [(0,)] * 25, [1] * 25)
-    with pytest.raises(ResourceLimitError):
-        brute_force_mld(mat, (0,), mode="exhaustive")
-    with pytest.raises(ResourceLimitError):
-        brute_force_mld(mat, (0,), mode="kernel", kernel_limit=10)
+    r = brute_force_mld(mat, (0,), mode="exhaustive")
+    assert r.status is Status.RESOURCE_LIMIT
+    assert r.stats == {
+        "algorithm": "brute",
+        "reason": "25 columns exceed exhaustive limit 20",
+    }
+    r = brute_force_mld(mat, (0,), mode="kernel", k=3)
+    assert r.status is Status.RESOURCE_LIMIT
+    assert r.stats == {
+        "algorithm": "brute",
+        "k": 3,
+        "reason": "kernel dimension 24 exceeds enumeration limit 20",
+    }
+    # an infeasible target is known before the kernel is enumerated
+    r = brute_force_mld(Gf2Matrix(2, 25, [(0,)] * 25, [1] * 25), (1,))
+    assert r.status is Status.INFEASIBLE and r.stats["kernel_dim"] == 24
     with pytest.raises(UsageError):
         brute_force_mld(mat, (0,), mode="fast")
     with pytest.raises(UsageError):
         brute_force_mld(mat, (5,))
+    with pytest.raises(UsageError, match="k must be"):
+        brute_force_mld(mat, (0,), k=-1)
 
 
 def test_auto_mode_switches_to_kernel():
+    """Above 20 columns auto mode enumerates the kernel: 11 pairs of twin
+    columns leave a kernel of dimension 11 + 9."""
     mat = Gf2Matrix(2, 22, [(0,), (1,)] * 11, [1] * 22)
-    r = brute_force_mld(mat, (0,), mode="auto", kernel_limit=22)
-    assert r.stats["mode"] == "kernel"
+    r = brute_force_mld(mat, (0,), mode="auto")
+    assert r.stats["mode"] == "kernel" and r.stats["kernel_dim"] == 20
     assert r.weight == 1
+    assert brute_force_mld(mat, (0,), mode="auto", k=0).status is Status.NOT_FOUND_WITHIN_BOUND
 
+
+def test_size_bound_sweep_matches_restricted_enumeration():
+    """For every k, both enumerations keep the best solution of size <= k,
+    and agree with the bounded search in status and weight."""
+    for trial in range(25):
+        cs, boundary = random_problem(trial, max_top=8, max_vertices=8)
+        mat = boundary_matrix(cs)
+        target = sorted(boundary)
+        best = best_by_size(mat, target)
+        for k in range(mat.ncols + 1):
+            fits = [w for s, w in best.items() if s <= k]
+            search = solve_mld_dijkstra(mat, target, k=k)
+            for mode in ("exhaustive", "kernel"):
+                r = brute_force_mld(mat, target, mode=mode, k=k)
+                assert r.status is search.status, (trial, k, mode)
+                assert r.weight == search.weight, (trial, k, mode)
+                assert r.stats["k"] == k
+                if not fits:
+                    assert r.status is Status.NOT_FOUND_WITHIN_BOUND, (trial, k, mode)
+                    continue
+                assert r.status is Status.OPTIMAL, (trial, k, mode)
+                assert r.weight == min(fits), (trial, k, mode)
+                assert len(r.witness) <= k, (trial, k, mode)
+                assert mat.product_mask(r.witness) == mask_from_indices(target)
+                assert mat.weight_of(r.witness) == r.weight

@@ -22,7 +22,6 @@ from .complexes import (
 )
 from .decomposition import (
     Graph,
-    NiceTreeDecomposition,
     TreeDecomposition,
     greedy_decomposition,
     make_nice,
@@ -64,7 +63,6 @@ __all__ = [
     "Graph",
     "InputError",
     "Instance",
-    "NiceTreeDecomposition",
     "SolveResult",
     "Status",
     "TreeDecomposition",

@@ -287,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-states",
         type=int,
         default=None,
-        help=f"search state cap (default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set)",
+        help=(
+            f"search state cap (dijkstra; default {DEFAULT_MAX_STATES},"
+            f" or {MAX_STATES_ENV} if set)"
+        ),
     )
     s.add_argument(
         "--timing", action="store_true", help="include wall and per-phase times in stats"

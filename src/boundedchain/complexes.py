@@ -17,6 +17,7 @@ incidence graph is a plain ``decomposition.Graph`` with rows first.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from operator import ge
 from typing import Iterable, Iterator, Sequence
@@ -60,16 +61,14 @@ class ComplexSlice:
         scale: denominator the decimal weights were multiplied by.
         faces: sorted tuple of (d-1)-simplices.
         faces_of: per top simplex, the sorted tuple of its face indices.
-        cofaces: per face, the sorted tuple of top indices containing it.
     """
 
-    def __init__(self, dim, top, weights, faces, faces_of, cofaces, scale=1):
+    def __init__(self, dim, top, weights, faces, faces_of, scale=1):
         self.dim = dim
         self.top = tuple(top)
         self.weights = tuple(weights)
         self.faces = tuple(faces)
         self.faces_of = tuple(tuple(f) for f in faces_of)
-        self.cofaces = tuple(tuple(c) for c in cofaces)
         self.scale = scale
         self._face_index = {s: i for i, s in enumerate(self.faces)}
         self._top_index = {s: i for i, s in enumerate(self.top)}
@@ -85,7 +84,7 @@ class ComplexSlice:
     @property
     def coface_degree(self) -> int:
         """Largest number of top simplices sharing one face."""
-        return max((len(c) for c in self.cofaces), default=0)
+        return max(Counter(i for fs in self.faces_of for i in fs).values(), default=0)
 
     def _lookup(self, table: dict, dim: int, simplex: tuple[int, ...]) -> int:
         try:
@@ -184,11 +183,7 @@ def build_slice(
     face_index = {s: i for i, s in enumerate(faces)}
 
     faces_of = [sorted(face_index[f] for f in fs) for fs in top_faces]
-    cofaces: list[list[int]] = [[] for _ in faces]
-    for j, fs in enumerate(faces_of):
-        for i in fs:
-            cofaces[i].append(j)
-    return ComplexSlice(dim, tops, weights, faces, faces_of, cofaces, scale)
+    return ComplexSlice(dim, tops, weights, faces, faces_of, scale)
 
 
 class Gf2Matrix:

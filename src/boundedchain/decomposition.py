@@ -15,8 +15,9 @@ given to the treewidth engine instead. Each bag's parent is the bag of
 the member eliminated next, so the result is a rooted tree whose root is
 the last bag. The nice form rewrites any rooted decomposition into leaf /
 introduce / forget / join nodes with an empty root bag, never increasing
-the width; it is a TreeDecomposition whose nodes also carry a kind and,
-for introduce and forget nodes, a vertex. It is a library utility: the
+the width. It is a shape, not a type: a TreeDecomposition whose bags and
+children obey the rules that ``validate_nice`` checks, so a node's kind
+is read from its bag and its children's. It is a library utility: the
 treewidth DP runs on the rooted decomposition it is given, in any shape,
 and files hold plain decompositions.
 """
@@ -28,11 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, UsageError
-
-LEAF = "leaf"
-INTRODUCE = "introduce"
-FORGET = "forget"
-JOIN = "join"
 
 
 class Graph:
@@ -87,24 +83,6 @@ class TreeDecomposition:
             for c in kids:
                 par[c] = t
         return par
-
-
-class NiceTreeDecomposition(TreeDecomposition):
-    """A nice decomposition: leaf/introduce/forget/join nodes, empty root bag.
-
-    ``kinds[t]`` is one of LEAF, INTRODUCE, FORGET, JOIN and
-    ``vertices[t]`` the vertex an introduce or forget node adds or drops
-    (None otherwise). Nodes are stored children-first (every child id is
-    smaller than its parent's), so iterating ids in order is a valid
-    bottom-up schedule.
-    """
-
-    def __init__(self, bags, kinds, vertices, children, root):
-        super().__init__(bags, children, root)
-        self.kinds = tuple(kinds)
-        self.vertices = tuple(vertices)
-        if len(self.kinds) != len(self.bags) or len(self.vertices) != len(self.bags):
-            raise InputError("kind and vertex lists must match bag list")
 
 
 @dataclass
@@ -261,27 +239,16 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> Violation | N
     return None
 
 
-class _NiceBuilder:
-    def __init__(self):
-        self.bags: list[frozenset] = []
-        self.kinds: list[str] = []
-        self.vertices: list = []
-        self.children: list[list[int]] = []
-
-    def add(self, kind, bag, vertex, children) -> int:
-        self.bags.append(frozenset(bag))
-        self.kinds.append(kind)
-        self.vertices.append(vertex)
-        self.children.append(list(children))
-        return len(self.bags) - 1
-
-
-def make_nice(td: TreeDecomposition, graph: Graph | None = None) -> NiceTreeDecomposition:
+def make_nice(td: TreeDecomposition, graph: Graph | None = None) -> TreeDecomposition:
     """Rewrite a rooted decomposition into nice form with an empty root bag.
 
-    Introduce and forget chains add/remove vertices one at a time in
-    increasing id order; joins are binary with both children carrying the
-    parent bag. Passing the graph validates the input first.
+    Every node of the result is a leaf (no child, empty bag), introduces
+    or forgets one vertex of its single child's bag, or joins two
+    children that carry its own bag. Introduce and forget chains add and
+    remove vertices one at a time in increasing id order. Ids are
+    children-first (every child id is smaller than its parent's), so
+    iterating ids in order is a valid bottom-up schedule. Passing the
+    graph validates the input first.
     """
     if graph is not None:
         bad = validate_decomposition(td, graph)
@@ -292,16 +259,22 @@ def make_nice(td: TreeDecomposition, graph: Graph | None = None) -> NiceTreeDeco
         if bad:
             raise UsageError(f"input decomposition is invalid ({bad})")
 
-    b = _NiceBuilder()
+    bags: list[frozenset] = []
+    children: list[list[int]] = []
+
+    def add(bag, kids: list[int]) -> int:
+        bags.append(frozenset(bag))
+        children.append(kids)
+        return len(bags) - 1
 
     def adapt(node_id: int, from_bag: frozenset, to_bag: frozenset) -> int:
         cur, bag = node_id, set(from_bag)
         for v in sorted(from_bag - to_bag):
             bag.discard(v)
-            cur = b.add(FORGET, bag, v, [cur])
+            cur = add(bag, [cur])
         for v in sorted(to_bag - from_bag):
             bag.add(v)
-            cur = b.add(INTRODUCE, bag, v, [cur])
+            cur = add(bag, [cur])
         return cur
 
     # children-first traversal without recursion (decompositions can be long chains)
@@ -317,51 +290,44 @@ def make_nice(td: TreeDecomposition, graph: Graph | None = None) -> NiceTreeDeco
         bag = td.bags[node]
         kids = td.children[node]
         if not kids:
-            cur = b.add(LEAF, frozenset(), None, [])
-            cur = adapt(cur, frozenset(), bag)
+            cur = adapt(add((), []), frozenset(), bag)
         else:
             adapted = [adapt(deliver[c], td.bags[c], bag) for c in kids]
             cur = adapted[0]
             for extra in adapted[1:]:
-                cur = b.add(JOIN, bag, None, [cur, extra])
+                cur = add(bag, [cur, extra])
         deliver[node] = cur
 
     top = adapt(deliver[td.root], td.bags[td.root], frozenset())
-    return NiceTreeDecomposition(b.bags, b.kinds, b.vertices, b.children, top)
+    return TreeDecomposition(bags, children, top)
 
 
-def validate_nice(ntd: NiceTreeDecomposition) -> Violation | None:
-    """Shape rules of the nice form; pair with validate_decomposition."""
-    bad = _tree_ok(ntd)
+def validate_nice(td: TreeDecomposition) -> Violation | None:
+    """Shape rules of the nice form; pair with validate_decomposition.
+
+    The root bag is empty, and each node is a leaf (no child, empty bag),
+    an introduce or forget node (one child whose bag differs from its own
+    in exactly one vertex) or a join (two children that both carry its
+    bag).
+    """
+    bad = _tree_ok(td)
     if bad:
         return bad
-    if ntd.bags[ntd.root]:
+    if td.bags[td.root]:
         return Violation("nice-shape", "root bag is not empty")
-    for t in range(ntd.n_nodes):
-        kind = ntd.kinds[t]
-        bag = ntd.bags[t]
-        kids = ntd.children[t]
-        v = ntd.vertices[t]
-        if kind == LEAF:
-            if kids or bag:
-                return Violation("nice-shape", f"leaf node {t} must be empty and childless")
-        elif kind == INTRODUCE:
-            if len(kids) != 1:
-                return Violation("nice-shape", f"introduce node {t} needs one child")
-            cb = ntd.bags[kids[0]]
-            if v is None or v in cb or bag != cb | {v}:
-                return Violation("nice-shape", f"introduce node {t} does not add exactly {v}")
-        elif kind == FORGET:
-            if len(kids) != 1:
-                return Violation("nice-shape", f"forget node {t} needs one child")
-            cb = ntd.bags[kids[0]]
-            if v is None or v in bag or cb != bag | {v}:
-                return Violation("nice-shape", f"forget node {t} does not drop exactly {v}")
-        elif kind == JOIN:
-            if len(kids) != 2:
-                return Violation("nice-shape", f"join node {t} needs two children")
-            if any(ntd.bags[c] != bag for c in kids):
+    for t, (bag, kids) in enumerate(zip(td.bags, td.children)):
+        if not kids:
+            if bag:
+                return Violation("nice-shape", f"leaf node {t} has a nonempty bag")
+        elif len(kids) == 1:
+            diff = len(bag ^ td.bags[kids[0]])
+            if diff != 1:
+                return Violation(
+                    "nice-shape", f"node {t} differs from its child in {diff} vertices"
+                )
+        elif len(kids) == 2:
+            if any(td.bags[c] != bag for c in kids):
                 return Violation("nice-shape", f"join node {t} children bags differ")
         else:
-            return Violation("nice-shape", f"unknown node kind {kind!r} at {t}")
+            return Violation("nice-shape", f"node {t} has {len(kids)} children")
     return None

@@ -98,6 +98,8 @@ def solve(
         raise UsageError(f"a pivot strategy applies to dijkstra only, not {algorithm}")
     if ntd is not None and algorithm != "treewidth":
         raise UsageError(f"a tree decomposition applies to treewidth only, not {algorithm}")
+    if max_states is not None and algorithm != "dijkstra":
+        raise UsageError(f"a state budget applies to dijkstra only, not {algorithm}")
     start = time.perf_counter()
     if algorithm == "mbc1":
         result = solve_mbc1(instance.matrix, instance.target)

@@ -541,7 +541,7 @@ def test_size_bound_outside_dijkstra_is_a_usage_error(tmp_path, capsys):
     prefix = str(tmp_path / "strip")
     run(capsys, "gen", "strip", "--length", "10", "--out", prefix)
     instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
-    for option in (["--k", "3"], ["--pivot", "max-step"]):
+    for option in (["--k", "3"], ["--pivot", "max-step"], ["--max-states", "1"]):
         code, out, err = run(capsys, "solve", *instance, "--algorithm", "treewidth", *option)
         assert code == 1
         assert out == "" and "error:" in err and "dijkstra" in err, option

@@ -17,7 +17,7 @@ def test_octahedron_tables():
     assert oc.n_top == 8
     assert oc.n_faces == 12
     assert oc.coface_degree == 2
-    assert all(len(c) == 2 for c in oc.cofaces)
+    assert all(len(c) == 2 for c in boundary_matrix(oc).row_cols)
     full = oc.chain_from_tops(oc.top)
     assert oc.boundary_of(full) == frozenset()
 
@@ -49,8 +49,9 @@ def test_extra_faces_are_retained_even_if_uncovered():
     assert cs.n_faces == 12
     assert len(boundary) == 3
     # the rim edges exist although one of their cofaces was removed
+    row_cols = boundary_matrix(cs).row_cols
     for v in ((0, 1), (0, 2), (1, 2)):
-        assert len(cs.cofaces[cs.face_index(v)]) == 1
+        assert len(row_cols[cs.face_index(v)]) == 1
 
 
 def test_face_and_top_lookup_errors():

@@ -6,7 +6,6 @@ import pytest
 from boundedchain import (
     Graph,
     InputError,
-    NiceTreeDecomposition,
     TreeDecomposition,
     UsageError,
     greedy_decomposition,
@@ -15,7 +14,7 @@ from boundedchain import (
     validate_nice,
 )
 from boundedchain.complexes import boundary_matrix, hasse_graph
-from boundedchain.fileio import write_decomposition_text
+from boundedchain.fileio import parse_decomposition_text, write_decomposition_text
 from boundedchain.generators import cylinder, random_slice, triangle_strip
 from helpers import reference_greedy_decomposition
 
@@ -109,14 +108,9 @@ def test_make_nice_single_bag_sequence():
     g = Graph(2, [(0, 1)])
     td = TreeDecomposition([frozenset({0, 1})], [()], 0)
     ntd = make_nice(td, g)
-    walk = [(ntd.kinds[t], sorted(ntd.bags[t]), ntd.vertices[t]) for t in range(ntd.n_nodes)]
-    assert walk == [
-        ("leaf", [], None),
-        ("introduce", [0], 0),
-        ("introduce", [0, 1], 1),
-        ("forget", [1], 0),
-        ("forget", [], 1),
-    ]
+    # leaf, introduce 0, introduce 1, forget 0, forget 1
+    walk = [(sorted(ntd.bags[t]), ntd.children[t]) for t in range(ntd.n_nodes)]
+    assert walk == [([], ()), ([0], (0,)), ([0, 1], (1,)), ([1], (2,)), ([], (3,))]
     assert ntd.root == 4
     assert validate_nice(ntd) is None
     assert validate_decomposition(ntd, g) is None
@@ -155,23 +149,45 @@ def test_join_nodes_appear_for_branching_trees():
     g = Graph(7, [(0, i) for i in range(1, 7)])
     td = reference_greedy_decomposition(g, "min-degree")
     ntd = make_nice(td, g)
-    assert "join" in ntd.kinds
+    assert any(len(kids) == 2 for kids in ntd.children)
     assert validate_nice(ntd) is None
 
 
 def test_validate_nice_shape_rules():
     ok = make_nice(greedy_decomposition(path_graph(4)))
     assert validate_nice(ok) is None
-    broken = NiceTreeDecomposition(
-        list(ok.bags), ["join"] + list(ok.kinds[1:]), list(ok.vertices),
-        list(ok.children), ok.root,
-    )
-    bad = validate_nice(broken)
-    assert bad is not None and bad.kind == "nice-shape"
-    tilted = NiceTreeDecomposition(
-        [frozenset({0})], ["leaf"], [None], [()], 0
-    )
+    # node 1 introduces a vertex into the empty leaf; emptying it leaves
+    # a one-child node that adds nothing
+    assert ok.children[1] == (0,) and len(ok.bags[1]) == 1
+    bags = list(ok.bags)
+    bags[1] = frozenset()
+    bad = validate_nice(TreeDecomposition(bags, ok.children, ok.root))
+    assert bad is not None and bad.kind == "nice-shape" and "node 1 " in bad.detail
+    tilted = TreeDecomposition([frozenset({0})], [()], 0)
     assert validate_nice(tilted) is not None
+
+
+def test_validate_nice_reads_the_shape_of_a_parsed_file():
+    """Nice is a shape of any decomposition, so a nice form read back from
+    a file passes; each broken shape names its node."""
+    g = Graph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4)])
+    ntd = make_nice(reference_greedy_decomposition(g, "min-degree"), g)
+    back = parse_decomposition_text(write_decomposition_text(ntd))
+    assert validate_nice(back) is None
+    assert validate_decomposition(back, g) is None
+    empty = frozenset()
+    broken = {
+        # node 1 adds two vertices at once
+        1: TreeDecomposition([empty, {0, 1}, {0}, empty], [(), (0,), (1,), (2,)], 3),
+        # leaf node 0 has a nonempty bag
+        0: TreeDecomposition([{0}, empty], [(), (0,)], 1),
+        # node 3 has three children
+        3: TreeDecomposition([empty] * 4, [(), (), (), (0, 1, 2)], 3),
+    }
+    for t, td in broken.items():
+        bad = validate_nice(td)
+        assert bad is not None and bad.kind == "nice-shape", t
+        assert f"node {t} " in bad.detail, (t, bad)
 
 
 def test_empty_graph_decomposition():

@@ -220,3 +220,21 @@ def test_decomposition_is_refused_outside_treewidth():
     path = instance_from_complex(edges, edges.chain_from_faces([(0,), (2,)]))
     with pytest.raises(UsageError, match="treewidth"):
         solve(path, "mbc1", ntd=greedy_decomposition(hasse_graph(path.matrix)))
+
+
+def test_state_budget_is_refused_outside_dijkstra(monkeypatch):
+    """max_states is a dijkstra option; the other engines would silently
+    ignore it. The environment default stays dijkstra's alone."""
+    inst = instance_from_complex(*triangle_strip(10))
+    for algorithm in ("treewidth", "brute"):
+        with pytest.raises(UsageError, match="dijkstra"):
+            solve(inst, algorithm, max_states=5)
+    edges = build_slice([(0, 1), (1, 2)])
+    path = instance_from_complex(edges, edges.chain_from_faces([(0,), (2,)]))
+    with pytest.raises(UsageError, match="dijkstra"):
+        solve(path, "mbc1", max_states=5)
+    assert solve(inst, "dijkstra", max_states=5).weight == 10
+    monkeypatch.setenv("MBC_MAX_STATES", "5")
+    for algorithm in ("treewidth", "brute"):
+        assert solve(inst, algorithm).weight == 10
+    assert solve(path, "mbc1").is_optimal

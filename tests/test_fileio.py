@@ -201,8 +201,6 @@ def test_decomposition_round_trip_nice():
     assert back.root == ntd.root
     again = make_nice(back, g)
     assert again.bags == ntd.bags
-    assert again.kinds == ntd.kinds
-    assert again.vertices == ntd.vertices
     assert again.children == ntd.children
 
 

@@ -54,7 +54,7 @@ def test_cylinder_counts_and_rim():
 def test_octahedron_is_closed():
     oc = octahedron()
     assert oc.n_top == 8 and oc.n_faces == 12
-    assert all(len(c) == 2 for c in oc.cofaces)
+    assert all(len(c) == 2 for c in boundary_matrix(oc).row_cols)
 
 
 def test_sphere_subdivision_counts():
@@ -62,7 +62,7 @@ def test_sphere_subdivision_counts():
     sp = sphere_subdivision(1)
     assert sp.n_top == 32
     assert sp.n_faces == 48
-    assert all(len(c) == 2 for c in sp.cofaces)
+    assert all(len(c) == 2 for c in boundary_matrix(sp).row_cols)
     with pytest.raises(UsageError):
         sphere_subdivision(-1)
 

@@ -23,11 +23,6 @@ from boundedchain import (
 )
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import (
-    FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
-    NiceTreeDecomposition,
     TreeDecomposition,
     validate_decomposition,
     validate_nice,
@@ -157,33 +152,25 @@ def test_supplied_decompositions():
 
 
 def test_nice_decomposition_with_parents_before_children():
-    """A valid nice decomposition whose ids run root-first is solved as the
-    plain tree it is, like the same tree read from a file."""
+    """A valid nice decomposition whose ids run root-first, as read from a
+    file, is solved as the plain tree it is."""
     mat = Gf2Matrix(1, 1, [(0,)], [1])
     g = hasse_graph(mat)  # row 0 is vertex 0, column 0 is vertex 1
-    root_first = NiceTreeDecomposition(
-        [frozenset(), {0}, {0, 1}, {1}, frozenset()],
-        [FORGET, FORGET, INTRODUCE, INTRODUCE, LEAF],
-        [0, 1, 0, 1, None],
-        [(1,), (2,), (3,), (4,), ()],
-        0,
-    )
-    assert validate_decomposition(root_first, g) is None
-    assert validate_nice(root_first) is None
-    plain = parse_decomposition_text(
+    root_first = parse_decomposition_text(
         "td 5 1\nb 0\nb 1 0\nb 2 0 1\nb 3 1\nb 4\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
     )
+    assert root_first.root == 0
+    assert root_first.children == ((1,), (2,), (3,), (4,), ())
+    assert validate_decomposition(root_first, g) is None
+    assert validate_nice(root_first) is None
     for target in ([0], []):
         computed = solve_mld_treewidth(mat, target)
-        runs = [solve_mld_treewidth(mat, target, ntd=ntd) for ntd in (root_first, plain)]
-        for given in runs:
-            assert given.stats["decomposition"] == "given"
-            assert (given.status, given.weight, given.witness) == (
-                computed.status, computed.weight, computed.witness
-            )
-            assert given.stats["nodes"] == 5
-        for key in ("width", "table_entries", "join_pairs"):
-            assert runs[0].stats[key] == runs[1].stats[key], key
+        given = solve_mld_treewidth(mat, target, ntd=root_first)
+        assert given.stats["decomposition"] == "given"
+        assert (given.status, given.weight, given.witness) == (
+            computed.status, computed.weight, computed.witness
+        )
+        assert given.stats["nodes"] == 5
 
 
 def test_rejects_unusable_decompositions():
@@ -200,23 +187,16 @@ def test_rejects_unusable_decompositions():
 
 
 def test_malformed_nice_decomposition_is_an_input_error():
-    """A nice decomposition gets the plain class's root and children checks;
-    its kinds are not trusted, since the DP rebuilds the nice form from the bags."""
+    """A decomposition in any shape gets the root and children checks, and
+    the DP runs on one that is not nice."""
     mat = Gf2Matrix(1, 1, [(0,)], [1])
     with pytest.raises(InputError, match="root"):
-        solve_mld_treewidth(
-            mat, [0], ntd=NiceTreeDecomposition([frozenset()], [LEAF], [None], [()], 5)
-        )
+        solve_mld_treewidth(mat, [0], ntd=TreeDecomposition([frozenset()], [()], 5))
     with pytest.raises(InputError, match="children"):
-        NiceTreeDecomposition([frozenset()], [LEAF], [None], [(), ()], 0)
-    with pytest.raises(InputError, match="kind"):
-        NiceTreeDecomposition([frozenset()], [LEAF, LEAF], [None], [()], 0)
-    mislabelled = NiceTreeDecomposition(
-        [frozenset(), {0, 1}, frozenset()], [JOIN, LEAF, FORGET], [None, None, 0],
-        [(1,), (2,), ()], 0,
-    )
-    assert validate_nice(mislabelled) is not None
-    r = solve_mld_treewidth(mat, [0], ntd=mislabelled)
+        TreeDecomposition([frozenset()], [(), ()], 0)
+    not_nice = TreeDecomposition([frozenset(), {0, 1}, frozenset()], [(1,), (2,), ()], 0)
+    assert validate_nice(not_nice) is not None
+    r = solve_mld_treewidth(mat, [0], ntd=not_nice)
     assert (r.weight, r.witness) == (1, frozenset((0,)))
 
 

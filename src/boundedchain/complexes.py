@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import chain, combinations
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
@@ -34,7 +35,7 @@ def check_simplex(vertices: Iterable[int]) -> tuple[int, ...]:
         raise UsageError("a simplex needs at least one vertex")
     if vs[0] < 0:
         raise UsageError(f"negative vertex id in {vs!r}")
-    if any(a >= b for a, b in zip(vs, vs[1:])):
+    if any(map(ge, vs, vs[1:])):
         raise UsageError(f"vertex ids must be strictly increasing: {vs!r}")
     return vs
 
@@ -45,6 +46,15 @@ def _check_int(value, what: str) -> int:
     if type(value) is not int:
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _check_ints(values: Sequence, what: str) -> Sequence:
+    """``values`` when every one is an int; else the first that is not is
+    refused as ``_check_int`` words it."""
+    if set(map(type, values)) - {int}:
+        for value in values:
+            _check_int(value, what)
+    return values
 
 
 def simplex_name(vs: tuple[int, ...]) -> str:
@@ -61,17 +71,23 @@ class ComplexSlice:
         scale: denominator the decimal weights were multiplied by.
         faces: sorted tuple of (d-1)-simplices.
         faces_of: per top simplex, the sorted tuple of its face indices.
+
+    ``face_index`` is the dict from each face to its index that
+    ``build_slice`` built the tables with.
     """
 
-    def __init__(self, dim, top, weights, faces, faces_of, scale=1):
+    def __init__(self, dim, top, weights, faces, faces_of, scale, face_index):
         self.dim = dim
         self.top = tuple(top)
         self.weights = tuple(weights)
         self.faces = tuple(faces)
-        self.faces_of = tuple(tuple(f) for f in faces_of)
+        self.faces_of = tuple(map(tuple, faces_of))
         self.scale = scale
-        self._face_index = {s: i for i, s in enumerate(self.faces)}
-        self._top_index = {s: i for i, s in enumerate(self.top)}
+        self._face_index = face_index
+
+    @cached_property
+    def _top_index(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(self.top, range(len(self.top))))
 
     @property
     def n_top(self) -> int:
@@ -115,10 +131,12 @@ class ComplexSlice:
     def boundary_of(self, indices: Iterable[int]) -> frozenset[int]:
         """Face indices lying in an odd number of the given top simplices."""
         acc: set[int] = set()
+        faces_of = self.faces_of
+        n_top = len(faces_of)
         for j in indices:
-            if not (0 <= j < self.n_top):
+            if not (0 <= j < n_top):
                 raise UsageError(f"top simplex index {j} out of range")
-            acc.symmetric_difference_update(self.faces_of[j])
+            acc.symmetric_difference_update(faces_of[j])
         return frozenset(acc)
 
 
@@ -133,7 +151,10 @@ def build_slice(
     """Assemble a slice from top simplices, optional weights and extra faces.
 
     Every simplex given is checked here, once; the faces derived from the
-    tops are slices of checked tuples. Weights are given in the order of
+    tops are sub-tuples of checked tuples. A checked top is sorted, so
+    ``itertools.combinations(top, dim)`` yields its faces in lexicographic
+    order, which is the order of the face table: each top's face indices
+    come out increasing with no sort. Weights are given in the order of
     ``top_simplices`` and are reordered together with them when the table
     is sorted. Extra faces that are a face of nothing are retained on
     purpose: a boundary that mentions them is then representable and
@@ -164,9 +185,9 @@ def build_slice(
     if len(set(tops)) != len(tops):
         raise InputError("duplicate top simplex")
 
-    order = sorted(range(len(tops)), key=lambda i: tops[i])
+    order = sorted(range(len(tops)), key=tops.__getitem__)
     tops = [tops[i] for i in order]
-    weights = [_check_int(weights[i], "weight") for i in order]
+    weights = _check_ints([weights[i] for i in order], "weight")
 
     for f in extras:
         if len(f) != dim:
@@ -176,14 +197,13 @@ def build_slice(
     face_set = set(extras)
     if len(face_set) != len(extras):
         raise InputError("duplicate extra face")
-    top_faces = [[t[:i] + t[i + 1:] for i in range(dim + 1)] for t in tops]
-    for fs in top_faces:
-        face_set.update(fs)
+    top_faces = [tuple(combinations(t, dim)) for t in tops]
+    face_set.update(chain.from_iterable(top_faces))
     faces = sorted(face_set)
-    face_index = {s: i for i, s in enumerate(faces)}
+    face_index = dict(zip(faces, range(len(faces))))
 
-    faces_of = [sorted(face_index[f] for f in fs) for fs in top_faces]
-    return ComplexSlice(dim, tops, weights, faces, faces_of, scale)
+    faces_of = [tuple(map(face_index.__getitem__, fs)) for fs in top_faces]
+    return ComplexSlice(dim, tops, weights, faces, faces_of, scale, face_index)
 
 
 class Gf2Matrix:
@@ -196,8 +216,8 @@ class Gf2Matrix:
     def __init__(self, nrows, ncols, col_rows, col_weights, scale=1):
         self.nrows = _check_int(nrows, "row count")
         self.ncols = _check_int(ncols, "column count")
-        self.col_rows = tuple(tuple(rs) for rs in col_rows)
-        self.col_weights = tuple(_check_int(w, "column weight") for w in col_weights)
+        self.col_rows = tuple(map(tuple, col_rows))
+        self.col_weights = _check_ints(tuple(col_weights), "column weight")
         self.scale = _check_int(scale, "scale")
         if self.nrows < 0 or self.ncols < 0:
             raise InputError("matrix dimensions must be non-negative")

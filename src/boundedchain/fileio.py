@@ -21,9 +21,9 @@ from .errors import InputError
 def _lines(text: str) -> list[tuple[int, list[str]]]:
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((no, line.split()))
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            out.append((no, toks))
     return out
 
 
@@ -34,8 +34,18 @@ def _int(tok: str, no: int, what: str) -> int:
         raise InputError(f"line {no}: {what} must be an integer, got {tok!r}") from None
 
 
+def _ints(toks: Sequence[str], no: int, what: str) -> list[int]:
+    """The tokens read with ``int``; the first bad one is named by ``_int``."""
+    try:
+        return list(map(int, toks))
+    except ValueError:
+        return [_int(tok, no, what) for tok in toks]
+
+
 def _scaled_weight(tok: str, scale: int, no: int) -> int:
     try:
+        if tok.isascii() and tok.isdigit():
+            return int(tok) * scale
         value = Fraction(tok) * scale
     except (ValueError, ZeroDivisionError):
         raise InputError(f"line {no}: bad weight {tok!r}") from None
@@ -48,6 +58,8 @@ def _scaled_weight(tok: str, scale: int, no: int) -> int:
 
 def format_weight(value: int, scale: int) -> str:
     """Exact decimal rendering of a fixed-point weight."""
+    if value % scale == 0:
+        return str(value // scale)
     fr = Fraction(value, scale)
     if fr.denominator == 1:
         return str(fr.numerator)
@@ -122,12 +134,12 @@ def parse_complex_text(text: str) -> ComplexSlice:
                 raise InputError(
                     f"line {no}: a {dim}-simplex needs {dim + 1} vertices"
                 )
-            tops.append(tuple(sorted(_int(v, no, "vertex") for v in verts)))
+            tops.append(tuple(sorted(_ints(verts, no, "vertex"))))
             weights.append(scale if wtok is None else _scaled_weight(wtok, scale, no))
         elif head == "f":
             if len(rest) != dim:
                 raise InputError(f"line {no}: an extra face needs {dim} vertices")
-            extra.append(tuple(sorted(_int(v, no, "vertex") for v in rest)))
+            extra.append(tuple(sorted(_ints(rest, no, "vertex"))))
         else:
             raise InputError(f"line {no}: unknown directive {head!r}")
     if dim is None:
@@ -136,20 +148,21 @@ def parse_complex_text(text: str) -> ComplexSlice:
 
 
 def write_complex_text(cslice: ComplexSlice, comments: Sequence[str] = ()) -> str:
-    declared = {f for fs in (cslice.faces_of or ()) for f in fs}
+    declared = set().union(*cslice.faces_of)
+    scale = cslice.scale
     out = [f"# {c}" for c in comments]
     out.append(f"dim {cslice.dim}")
-    if cslice.scale != 1:
-        out.append(f"scale {cslice.scale}")
-    for j, s in enumerate(cslice.top):
-        verts = " ".join(str(v) for v in s)
-        if cslice.weights[j] == cslice.scale:
+    if scale != 1:
+        out.append(f"scale {scale}")
+    for s, w in zip(cslice.top, cslice.weights):
+        verts = " ".join(map(str, s))
+        if w == scale:
             out.append(f"s {verts}")
         else:
-            out.append(f"s {verts} {format_weight(cslice.weights[j], cslice.scale)}")
+            out.append(f"s {verts} {format_weight(w, scale)}")
     for i, f in enumerate(cslice.faces):
         if i not in declared:
-            out.append("f " + " ".join(str(v) for v in f))
+            out.append("f " + " ".join(map(str, f)))
     return "\n".join(out) + "\n"
 
 
@@ -164,19 +177,19 @@ def parse_boundary_text(text: str, cslice: ComplexSlice) -> frozenset[int]:
             raise InputError(
                 f"line {no}: a boundary simplex needs {cslice.dim} vertex ids"
             )
-        s = check_simplex(sorted(_int(v, no, "vertex") for v in toks))
+        s = check_simplex(sorted(_ints(toks, no, "vertex")))
         if s in seen:
             raise InputError(f"line {no}: duplicate boundary simplex {simplex_name(s)}")
         seen[s] = None
-    return cslice.chain_from_faces(seen)
+    return frozenset(map(cslice.face_index, seen))
 
 
 def write_boundary_text(
     cslice: ComplexSlice, chain: Iterable[int], comments: Sequence[str] = ()
 ) -> str:
     out = [f"# {c}" for c in comments]
-    for i in sorted(chain):
-        out.append(" ".join(str(v) for v in cslice.faces[i]))
+    faces = cslice.faces
+    out.extend(" ".join(map(str, faces[i])) for i in sorted(chain))
     return "\n".join(out) + "\n"
 
 
@@ -212,7 +225,10 @@ def parse_matrix_text(text: str) -> tuple[Gf2Matrix, frozenset[int]]:
         elif head == "e":
             if len(rest) != 2:
                 raise InputError(f"line {no}: entry lines are 'e row col'")
-            r, c = _int(rest[0], no, "row"), _int(rest[1], no, "column")
+            try:
+                r, c = map(int, rest)
+            except ValueError:
+                r, c = _int(rest[0], no, "row"), _int(rest[1], no, "column")
             if not (0 <= r < m and 0 <= c < n):
                 raise InputError(f"line {no}: entry ({r}, {c}) out of range")
             if (r, c) in entries:
@@ -227,7 +243,7 @@ def parse_matrix_text(text: str) -> tuple[Gf2Matrix, frozenset[int]]:
         elif head == "u":
             if target is not None:
                 raise InputError(f"line {no}: repeated target line")
-            rows = [_int(t, no, "target row") for t in rest]
+            rows = _ints(rest, no, "target row")
             if any(not (0 <= r < m) for r in rows):
                 raise InputError(f"line {no}: target row out of range")
             if len(set(rows)) != len(rows):
@@ -241,9 +257,9 @@ def parse_matrix_text(text: str) -> tuple[Gf2Matrix, frozenset[int]]:
     if weights is None:
         weights = [scale] * n
     col_rows: list[list[int]] = [[] for _ in range(n)]
-    for r, c in sorted(entries):
+    for r, c in sorted(entries):  # row order, so each column's rows increase
         col_rows[c].append(r)
-    matrix = Gf2Matrix(m, n, [sorted(rs) for rs in col_rows], weights, scale=scale)
+    matrix = Gf2Matrix(m, n, col_rows, weights, scale=scale)
     return matrix, target if target is not None else frozenset()
 
 
@@ -255,14 +271,13 @@ def write_matrix_text(
     if matrix.scale != 1:
         out.append(f"scale {matrix.scale}")
     for c, rs in enumerate(matrix.col_rows):
-        for r in rs:
-            out.append(f"e {r} {c}")
+        out += [f"e {r} {c}" for r in rs]
     out.append(
         "w " + " ".join(format_weight(w, matrix.scale) for w in matrix.col_weights)
     )
     rows = sorted(set(target))
     if rows:
-        out.append("u " + " ".join(str(r) for r in rows))
+        out.append("u " + " ".join(map(str, rows)))
     return "\n".join(out) + "\n"
 
 
@@ -294,7 +309,7 @@ def parse_decomposition_text(text: str) -> TreeDecomposition:
                 raise InputError(f"line {no}: node id {t} out of range")
             if t in bags:
                 raise InputError(f"line {no}: repeated bag for node {t}")
-            bags[t] = frozenset(_int(v, no, "vertex") for v in rest[1:])
+            bags[t] = frozenset(_ints(rest[1:], no, "vertex"))
         elif head == "e":
             if len(rest) != 2:
                 raise InputError(f"line {no}: edge lines are 'e <parent> <child>'")
@@ -337,7 +352,7 @@ def write_decomposition_text(td: TreeDecomposition, comments: Sequence[str] = ()
     out = [f"# {c}" for c in comments]
     out.append(f"td {td.n_nodes} {td.width}")
     for t, bag in enumerate(td.bags):
-        out.append(("b " + str(t) + " " + " ".join(str(v) for v in sorted(bag))).rstrip())
+        out.append(("b " + str(t) + " " + " ".join(map(str, sorted(bag)))).rstrip())
     for t, kids in enumerate(td.children):
         for c in kids:
             out.append(f"e {t} {c}")

@@ -51,6 +51,24 @@ def random_problem(seed, max_top=10, dim=2, weights=None, max_vertices=9):
     return cslice, boundary
 
 
+def reference_slice_tables(top_simplices, weights, extra_faces=()):
+    """The (top, weights, faces, faces_of) tables of ``build_slice`` by the
+    plain construction, for valid input: sort the tops with their weights,
+    take each top's faces by slicing out one vertex, sort the face set, then
+    sort each top's face indices."""
+    tops = [tuple(t) for t in top_simplices]
+    order = sorted(range(len(tops)), key=lambda i: tops[i])
+    top = [tops[i] for i in order]
+    top_faces = [[t[:i] + t[i + 1:] for i in range(len(t))] for t in top]
+    face_set = {tuple(f) for f in extra_faces}
+    for fs in top_faces:
+        face_set.update(fs)
+    faces = sorted(face_set)
+    face_index = {s: i for i, s in enumerate(faces)}
+    faces_of = [tuple(sorted(face_index[f] for f in fs)) for fs in top_faces]
+    return tuple(top), tuple(weights[i] for i in order), tuple(faces), tuple(faces_of)
+
+
 def reference_min_coface_pivot(mask, cofdeg):
     """The least (coface degree, index) over the faces of a nonempty state,
     found by walking every face: the reference for the search's pivot."""

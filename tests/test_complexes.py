@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from boundedchain import (
@@ -9,7 +12,13 @@ from boundedchain import (
 )
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.dijkstra import feasibility_check
-from helpers import octahedron_slice, punctured_octahedron, random_problem
+from boundedchain.generators import cylinder, sphere_subdivision, triangle_strip
+from helpers import (
+    octahedron_slice,
+    punctured_octahedron,
+    random_problem,
+    reference_slice_tables,
+)
 
 
 def test_octahedron_tables():
@@ -42,6 +51,48 @@ def test_build_slice_rejects_bad_input():
         build_slice([(0, 1, 2)], extra_faces=[(3, 4, 5)])
     with pytest.raises(InputError):
         build_slice([(0, 1, 2)], extra_faces=[(3, 4), (3, 4)])
+
+
+def _tables(cs):
+    return cs.top, cs.weights, cs.faces, cs.faces_of
+
+
+def _assert_lookups(cs):
+    assert [cs.face_index(f) for f in cs.faces] == list(range(cs.n_faces))
+    assert [cs.top_index(t) for t in cs.top] == list(range(cs.n_top))
+
+
+def _shuffled_slice_input(dim, seed):
+    """Distinct random tops in random order, signed weights, and extra faces
+    some of which lie on vertices no top has."""
+    rng = random.Random(seed)
+    n_vertices = rng.randint(dim + 1, dim + 6)
+    pool = list(combinations(range(n_vertices), dim + 1))
+    tops = rng.sample(pool, rng.randint(1, min(len(pool), 30)))
+    weights = [rng.randint(-9, 9) for _ in tops]
+    face_pool = list(combinations(range(n_vertices + 2), dim))
+    extras = rng.sample(face_pool, rng.randint(0, min(len(face_pool), 6)))
+    return tops, weights, extras
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_build_slice_tables_match_the_plain_construction(dim):
+    for seed in range(50):
+        tops, weights, extras = _shuffled_slice_input(dim, seed)
+        cs = build_slice(tops, weights, extras)
+        assert _tables(cs) == reference_slice_tables(tops, weights, extras), seed
+        _assert_lookups(cs)
+
+
+def test_surface_tables_match_the_plain_construction():
+    surfaces = [triangle_strip(40)[0], cylinder(5, 4)[0], sphere_subdivision(2)]
+    for cs in surfaces:
+        assert _tables(cs) == reference_slice_tables(cs.top, cs.weights)
+        _assert_lookups(cs)
+        tops = list(cs.top)
+        random.Random(cs.n_top).shuffle(tops)
+        weights = list(range(len(tops)))
+        assert _tables(build_slice(tops, weights)) == reference_slice_tables(tops, weights)
 
 
 def test_extra_faces_are_retained_even_if_uncovered():

@@ -11,13 +11,7 @@ from . import generators
 from .bench import rows_to_csv, run_suite
 from .complexes import boundary_matrix, hasse_graph
 from .decomposition import greedy_decomposition
-from .dijkstra import (
-    DEFAULT_MAX_STATES,
-    MAX_STATES_ENV,
-    PIVOT_MAX_STEP,
-    PIVOT_MIN_COFACE,
-    PIVOT_STRATEGIES,
-)
+from .dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV
 from .errors import BoundedChainError, UsageError
 from .facade import (
     ALGORITHMS,
@@ -102,7 +96,6 @@ def _cmd_solve(args) -> int:
         instance,
         args.algorithm,
         k=args.k,
-        pivot=args.pivot,
         ntd=ntd,
         max_states=args.max_states,
         timing=args.timing,
@@ -275,12 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     s.add_argument(
         "--k", type=int, default=None, help="solution size bound (dijkstra and brute)"
-    )
-    s.add_argument(
-        "--pivot",
-        choices=PIVOT_STRATEGIES,
-        default=None,
-        help=f"dijkstra pivot face (default {PIVOT_MAX_STEP}, or {PIVOT_MIN_COFACE} with --k)",
     )
     s.add_argument("--td", help="tree decomposition file for --algorithm treewidth")
     s.add_argument(

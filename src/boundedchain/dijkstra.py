@@ -8,25 +8,25 @@ branching factor at the pivot's coface degree without losing optimality:
 any bounding chain must cover each boundary face an odd number of times,
 so it contains a coface of whatever pivot is current.
 
-Any pivot keeps the search exact; a good one settles fewer states. Every
-strategy gives each face a key once per solve and takes the face of least
-(key, index) in the state. ``min-index`` keys every face alike, so its
-pivot is the state's least face. ``min-coface`` keys a face by its coface
-degree. ``max-step`` keys it by (-step, degree), where step is the
-least rise in f = L*g + h (below) that a move from the face makes, over
-its cofaces c: L*w_c plus the bound terms of c's rows, less twice the
-face's own term, the rise when the face is the only row of c in the
-state. A* settles every state with f below the optimum, so the pivot
-whose every move raises f most ends the most branches early; a face with
-no coface comes first, since it ends its branch at once. The pivot is
-found without walking the state: each search numbers the rows once in
-ascending (key, index) and builds its masks in that numbering, so the
-pivot is the state's lowest set bit. The bound and the keys are computed
-on the rows' own order; only the search's masks are renumbered, and the
-feasibility check runs on those same masks, as a renumbering of the rows
-changes no rank. An unbounded search defaults to ``max-step``; a bounded
-one to ``min-coface``, since there the size bound k, not the cost, does
-most of the pruning.
+Any pivot keeps the search exact; a good one settles fewer states. The
+search gives each face a key once per solve and takes the face of least
+(key, index) in the state. Which key settles fewest states depends on
+what prunes the search, so the key follows from whether k is given.
+Without k, the cost prunes: a face is keyed by (-step, degree), where
+step is the least rise in f = L*g + h (below) that a move from the face
+makes, over its cofaces c: L*w_c plus the bound terms of c's rows, less
+twice the face's own term, the rise when the face is the only row of c
+in the state. A* settles every state with f below the optimum, so the
+pivot whose every move raises f most ends the most branches early; a
+face with no coface comes first, since it ends its branch at once. With
+k, the size bound, not the cost, does most of the pruning, and a face is
+keyed by its coface degree, so the fewest branches open at each state.
+The pivot is found without walking the state: each search numbers the
+rows once in ascending (key, index) and builds its masks in that
+numbering, so the pivot is the state's lowest set bit. The bound and the
+keys are computed on the rows' own order; only the search's masks are
+renumbered, and the feasibility check runs on those same masks, as a
+renumbering of the rows changes no rank.
 
 The search runs on the decoding view only: a state is the bitmask of its
 faces (rows) and a move is a column. A chain question reaches it through
@@ -91,31 +91,24 @@ from .gf2 import Gf2System, indices_from_mask
 from .kernel import backtrack, reduce
 from .results import SolveResult, Status
 
-PIVOT_MIN_INDEX = "min-index"
-PIVOT_MIN_COFACE = "min-coface"
-PIVOT_MAX_STEP = "max-step"
-PIVOT_STRATEGIES = (PIVOT_MIN_INDEX, PIVOT_MIN_COFACE, PIVOT_MAX_STEP)
-
 DEFAULT_MAX_STATES = 2_000_000
 MAX_STATES_ENV = "MBC_MAX_STATES"
 
 
 def pivot_keys(
-    matrix: Gf2Matrix, strategy: str, scale: int, hf: Sequence[int], lift: Sequence[int]
+    matrix: Gf2Matrix, bounded: bool, scale: int, hf: Sequence[int], lift: Sequence[int]
 ) -> list:
-    """Each row's key under a strategy; ``scale``, ``hf`` and ``lift`` are
+    """Each row's key; ``scale``, ``hf`` and ``lift`` are
     ``face_bounds(matrix)``. The search numbers the rows in ascending
     (key, index), so the pivot of a state is its lowest set bit.
 
-    ``min-index`` keys every row alike, which keeps the rows' own order;
-    ``min-coface`` keys a row by its coface degree and ``max-step`` by
+    A bounded search keys a row by its coface degree; an unbounded one by
     (-step, degree), step being the least rise in f that a move from the
-    row makes (see the module docstring); a row with no column comes first.
+    row makes (see the module docstring), and a row with no column comes
+    first.
     """
     row_cols = matrix.row_cols
-    if strategy == PIVOT_MIN_INDEX:
-        return [0] * matrix.nrows
-    if strategy == PIVOT_MIN_COFACE:
+    if bounded:
         return [len(cols) for cols in row_cols]
     # f rises by L*w_c + lift[c] - 2*hf[r] when c moves from r, no other row of c in the state
     rise = [scale * w + up for w, up in zip(matrix.col_weights, lift)]
@@ -201,12 +194,12 @@ class Numbering(NamedTuple):
     lift: list[int]
 
 
-def number_rows(matrix: Gf2Matrix, start: int, pivot: str) -> Numbering:
+def number_rows(matrix: Gf2Matrix, start: int, bounded: bool) -> Numbering:
     """Number the rows of ``matrix`` for a search from the row mask
-    ``start`` under ``pivot``, in ascending (key, index). The bound and the
+    ``start``, bounded or not, in ascending (key, index). The bound and the
     keys are computed on the rows' own order."""
     scale, hf, lift = face_bounds(matrix)
-    order = row_order(pivot_keys(matrix, pivot, scale, hf, lift))
+    order = row_order(pivot_keys(matrix, bounded, scale, hf, lift))
     row_cols = [matrix.row_cols[r] for r in order]
     col_masks = [0] * matrix.ncols
     numbered = 0
@@ -233,7 +226,6 @@ def solve_mld_dijkstra(
     target_rows: Iterable[int],
     *,
     k: int | None = None,
-    pivot: str | None = None,
     max_states: int | None = None,
     timing: bool = False,
 ) -> SolveResult:
@@ -242,16 +234,12 @@ def solve_mld_dijkstra(
     Without ``k``, the search runs on the instance's kernel, whose weights
     are all positive, so any weights are accepted, and decodes the
     canonical witness; with ``k``, on the whole matrix, whose weights must
-    be non-negative (see the module docstring). ``pivot=None`` is
-    ``max-step`` without ``k`` and ``min-coface`` with it; ``stats["pivot"]``
-    names the strategy used. ``timing`` adds the wall seconds of the
+    be non-negative (see the module docstring). The pivot key follows from
+    whether ``k`` is given: the least rise in f without it, the coface
+    degree with it. ``timing`` adds the wall seconds of the
     ``kernel`` (unbounded searches only), ``feasibility`` and ``search``
     phases to the stats.
     """
-    if pivot is None:
-        pivot = PIVOT_MAX_STEP if k is None else PIVOT_MIN_COFACE
-    if pivot not in PIVOT_STRATEGIES:
-        raise UsageError(f"unknown pivot strategy {pivot!r}")
     if k is not None and k < 0:
         raise UsageError("k must be >= 0")
     if k is not None and any(w < 0 for w in matrix.col_weights):
@@ -262,7 +250,6 @@ def solve_mld_dijkstra(
 
     stats: dict = {
         "algorithm": "dijkstra",
-        "pivot": pivot,
         "k": k,
         "states_expanded": 0,
         "pushes": 0,
@@ -277,7 +264,7 @@ def solve_mld_dijkstra(
         kern = reduce(matrix, start)
         space, start = kern.matrix, kern.target
     reduced = time.perf_counter()
-    numbering = number_rows(space, start, pivot)
+    numbering = number_rows(space, start, k is not None)
     numbered = time.perf_counter()
     feasible = feasibility_check(numbering.col_masks, numbering.start)
     checked = time.perf_counter()

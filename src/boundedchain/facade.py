@@ -52,7 +52,10 @@ def instance_from_complex(cslice: ComplexSlice, boundary: Iterable[int]) -> Inst
 
 def instance_from_matrix(matrix: Gf2Matrix, target: Iterable[int]) -> Instance:
     rows = frozenset(target)
-    matrix.target_mask(rows)
+    if rows:
+        for r in (min(rows), max(rows)):
+            if not 0 <= r < matrix.nrows:
+                raise UsageError(f"target row {r} out of range")
     return Instance(matrix, rows)
 
 
@@ -77,13 +80,14 @@ def solve(
     algorithm: str,
     *,
     k: int | None = None,
-    pivot: str | None = None,
     ntd=None,
     max_states: int | None = None,
     timing: bool = False,
 ) -> SolveResult:
     """Dispatch to one solver and verify whatever it claims.
 
+    ``k`` bounds the solution size for dijkstra and brute; dijkstra's
+    pivot key follows from whether it is given, and no option picks it.
     Timing is opt-in so that default outputs stay byte-reproducible. It
     adds ``wall_time_s`` and ``phases``, the wall seconds of each phase:
     ``verify`` for every engine, ``kernel`` for treewidth and an unbounded
@@ -94,8 +98,6 @@ def solve(
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
     if k is not None and algorithm not in ("dijkstra", "brute"):
         raise UsageError(f"the size bound k applies to dijkstra and brute, not {algorithm}")
-    if pivot is not None and algorithm != "dijkstra":
-        raise UsageError(f"a pivot strategy applies to dijkstra only, not {algorithm}")
     if ntd is not None and algorithm != "treewidth":
         raise UsageError(f"a tree decomposition applies to treewidth only, not {algorithm}")
     if max_states is not None and algorithm != "dijkstra":
@@ -108,7 +110,6 @@ def solve(
             instance.matrix,
             sorted(instance.target),
             k=k,
-            pivot=pivot,
             max_states=max_states,
             timing=timing,
         )

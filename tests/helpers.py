@@ -3,9 +3,12 @@
 import math
 import random
 from collections import Counter, deque
+from contextlib import contextmanager
 from itertools import combinations
 
-from boundedchain import build_slice
+import pytest
+
+from boundedchain import build_slice, dijkstra
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import TreeDecomposition
 from boundedchain.generators import random_boundary, random_slice
@@ -99,6 +102,27 @@ def reference_max_step_pivot(mask, matrix, scale, hf):
         )
         keys.append((bool(cols), -step, len(cols), r))
     return min(keys)[3]
+
+
+# Row keys to stand in for ``dijkstra.pivot_keys``, which keys the rows by
+# max-step without k and by min-coface with it: each of the two under the
+# other kind of search too, and min-index, equal keys, under which the
+# pivot is the state's least face. Any order keeps the search exact.
+_search_keys = dijkstra.pivot_keys
+PIVOT_ORDERS = {
+    "min-index": lambda m, bounded, *b: [0] * m.nrows,
+    "min-coface": lambda m, bounded, *b: _search_keys(m, True, *b),
+    "max-step": lambda m, bounded, *b: _search_keys(m, False, *b),
+}
+
+
+@contextmanager
+def pivot_order(name):
+    """Run every search in the block with its rows keyed by
+    ``PIVOT_ORDERS[name]``, bounded or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dijkstra, "pivot_keys", PIVOT_ORDERS[name])
+        yield
 
 
 def reference_greedy_decomposition(graph, heuristic):

@@ -29,7 +29,6 @@ from boundedchain.decomposition import (
     validate_decomposition,
     validate_nice,
 )
-from boundedchain.dijkstra import PIVOT_STRATEGIES
 from boundedchain.fileio import (
     parse_boundary_text,
     parse_complex_text,
@@ -43,8 +42,10 @@ from boundedchain.generators import (
     triangle_strip,
 )
 from helpers import (
+    PIVOT_ORDERS,
     assert_join_pairs_capped,
     irreducible,
+    pivot_order,
     punctured_octahedron,
     reference_greedy_decomposition,
 )
@@ -121,10 +122,10 @@ def test_acceptance_3_octahedron_family(acceptance):
     with acceptance(3, "octahedron family"):
         cs, boundary = punctured_octahedron()
         inst = instance_from_complex(cs, boundary)
-        runs = [
-            solve(inst, "dijkstra", pivot=pivot)
-            for pivot in PIVOT_STRATEGIES
-        ]
+        runs = []
+        for order in PIVOT_ORDERS:
+            with pivot_order(order):
+                runs.append(solve(inst, "dijkstra"))
         min_degree = reference_greedy_decomposition(hasse_graph(inst.matrix), "min-degree")
         runs += [solve(inst, "treewidth", ntd=ntd) for ntd in (None, min_degree)]
         for m in ("exhaustive", "kernel"):

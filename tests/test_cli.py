@@ -32,8 +32,8 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
     assert payload["status"] == "optimal"
     assert payload["weight"] == 3
     assert len(payload["solution"]) == 3
-    # the default pivot depends on --k
-    assert payload["stats"]["pivot"] == "max-step"
+    # the pivot follows from --k, so the stats do not name it
+    assert "pivot" not in payload["stats"]
     code, out, _ = run(
         capsys,
         "solve",
@@ -43,7 +43,9 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
         "--k", "3",
     )
     assert code == 0
-    assert json.loads(out)["stats"]["pivot"] == "min-coface"
+    bounded = json.loads(out)
+    assert (bounded["weight"], bounded["stats"]["k"]) == (3, 3)
+    assert "pivot" not in bounded["stats"]
 
 
 def test_gen_is_deterministic(tmp_path, capsys):
@@ -240,6 +242,7 @@ def test_argument_errors_exit_one(capsys):
         ["solve", "--matrix", "x.mld", "--algorithm", "brute", "--k", "ten"],
         ["solve", "--matrix", "x.mld"],
         ["solve", "--matrix", "x.mld", "--algorithm", "treewidth", "--td-heuristic", "min-fill"],
+        ["solve", "--matrix", "x.mld", "--algorithm", "dijkstra", "--pivot", "max-step"],
         ["decompose", "--input", "x.mld", "--out", "x.td", "--heuristic", "min-fill"],
         ["gen", "random", "--out", "x"],
         [],
@@ -541,7 +544,7 @@ def test_size_bound_outside_dijkstra_is_a_usage_error(tmp_path, capsys):
     prefix = str(tmp_path / "strip")
     run(capsys, "gen", "strip", "--length", "10", "--out", prefix)
     instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
-    for option in (["--k", "3"], ["--pivot", "max-step"], ["--max-states", "1"]):
+    for option in (["--k", "3"], ["--max-states", "1"]):
         code, out, err = run(capsys, "solve", *instance, "--algorithm", "treewidth", *option)
         assert code == 1
         assert out == "" and "error:" in err and "dijkstra" in err, option
@@ -582,7 +585,7 @@ def test_errors_exit_one(tmp_path, capsys):
 
 
 def test_choice_lists_come_from_the_package(capsys, monkeypatch):
-    from boundedchain.dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV, PIVOT_STRATEGIES
+    from boundedchain.dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV
     from boundedchain.facade import ALGORITHMS
 
     def help_text(*argv):
@@ -593,12 +596,13 @@ def test_choice_lists_come_from_the_package(capsys, monkeypatch):
     # the help text is the same whatever the environment holds
     monkeypatch.setenv(MAX_STATES_ENV, "17")
     solve_help = help_text("solve")
-    for choices in (ALGORITHMS, PIVOT_STRATEGIES):
-        assert "{" + ",".join(choices) + "}" in solve_help
+    assert "{" + ",".join(ALGORITHMS) + "}" in solve_help
     assert f"default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set" in solve_help
     assert "17" not in solve_help
     # min-fill is the only built-in elimination order; --td supplies any other
     assert "--td-heuristic" not in solve_help
+    # the search's pivot follows from --k
+    assert "--pivot" not in solve_help
     assert "--heuristic" not in help_text("decompose")
     verify_help = help_text("verify")
     assert "--against" not in verify_help

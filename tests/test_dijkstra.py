@@ -1,4 +1,6 @@
+import math
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -18,7 +20,6 @@ from boundedchain import dijkstra
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.dijkstra import (
     DEFAULT_MAX_STATES,
-    PIVOT_STRATEGIES,
     _search,
     face_bounds,
     number_rows,
@@ -29,9 +30,11 @@ from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
 from boundedchain.kernel import reduce
 from helpers import (
+    PIVOT_ORDERS,
     best_by_size,
     canonical_optimum,
     irreducible,
+    pivot_order,
     punctured_octahedron,
     random_problem,
     reference_max_step_pivot,
@@ -39,17 +42,15 @@ from helpers import (
 )
 
 
-PIVOTS = PIVOT_STRATEGIES
-
-
 def search(cs, boundary, **options):
     return solve(instance_from_complex(cs, boundary), "dijkstra", **options)
 
 
-def search_whole(matrix, rows, pivot="min-coface"):
-    """The unbounded search run on ``matrix`` itself, with no kernel: the
-    solve would reduce these instances first, some of them whole."""
-    numbering = number_rows(matrix, matrix.target_mask(rows), pivot)
+def search_whole(matrix, rows):
+    """The unbounded search run on ``matrix`` itself, with no kernel, its
+    rows keyed as for a bounded search: the solve would reduce these
+    instances first, some of them whole."""
+    numbering = number_rows(matrix, matrix.target_mask(rows), True)
     return _search(matrix, numbering, None, DEFAULT_MAX_STATES, {})
 
 
@@ -58,7 +59,7 @@ def search_kernel(matrix, rows):
     it but with no feasibility check first: an infeasible kernel is searched
     until the frontier runs out."""
     kern = reduce(matrix, matrix.target_mask(rows))
-    numbering = number_rows(kern.matrix, kern.target, "max-step")
+    numbering = number_rows(kern.matrix, kern.target, False)
     return _search(kern.matrix, numbering, None, DEFAULT_MAX_STATES, {})
 
 
@@ -71,8 +72,9 @@ def search_irreducible(cs, boundary, **options):
 
 def test_punctured_octahedron_needs_seven_triangles():
     cs, boundary = punctured_octahedron()
-    for pivot in PIVOTS:
-        r = search(cs, boundary, pivot=pivot)
+    for order in PIVOT_ORDERS:
+        with pivot_order(order):
+            r = search(cs, boundary)
         assert r.status is Status.OPTIMAL
         assert r.weight == 7
         assert r.witness == frozenset(range(7))
@@ -92,8 +94,8 @@ def numbered_pivot(mask, order):
 
 def test_pivot_select():
     mask = mask_from_indices((2, 5, 7))
-    # min-index keys every face alike: the rows keep their order, and the
-    # least face of the state wins
+    # equal keys keep the rows' own order, and the least face of the state
+    # wins
     assert row_order([0] * 8) == list(range(8))
     assert numbered_pivot(mask, row_order([0] * 8)) == 2
     # faces 5 and 7 tie on coface degree 1: the smaller index wins
@@ -101,10 +103,6 @@ def test_pivot_select():
     # ranked by (-step, degree): face 2 has the largest step, 9
     step_keys = [(0, 0), (0, 0), (-9, 3), (0, 0), (0, 0), (-4, 1), (0, 0), (-4, 1)]
     assert numbered_pivot(mask, row_order(step_keys)) == 2
-    cs, boundary = punctured_octahedron()
-    for unknown in ("best", "max-index"):
-        with pytest.raises(UsageError):
-            search(cs, boundary, pivot=unknown)
 
 
 def test_degree_mask_pivot_matches_face_walk():
@@ -127,8 +125,8 @@ def test_degree_mask_pivot_matches_face_walk():
         cofdeg = [len(cs) for cs in mat.row_cols]
         assert cofdeg[-3:] == [0, 0, 0]
         bounds = face_bounds(mat)
-        order = row_order(pivot_keys(mat, "min-coface", *bounds))
-        index_order = row_order(pivot_keys(mat, "min-index", *bounds))
+        order = row_order(pivot_keys(mat, True, *bounds))
+        index_order = row_order(PIVOT_ORDERS["min-index"](mat, True, *bounds))
         masks = [1 << r for r in range(mat.nrows)]
         masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
         masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
@@ -152,7 +150,7 @@ def test_max_step_pivot_matches_face_walk():
         extra = 3 * (seed % 2)
         mat = Gf2Matrix(base.nrows + extra, base.ncols, base.col_rows, weights)
         scale, hf, lift = face_bounds(mat)
-        order = row_order(pivot_keys(mat, "max-step", scale, hf, lift))
+        order = row_order(pivot_keys(mat, False, scale, hf, lift))
         masks = [1 << r for r in range(mat.nrows)]
         masks += [rng.getrandbits(mat.nrows) or 1 for _ in range(100)]
         masks += [(1 << mat.nrows) - 1, (1 << base.nrows) - 1]
@@ -168,15 +166,16 @@ def test_expand_state_two_triangle_fan():
     rim = cs.boundary_of(frozenset({0}))
     assert rim == frozenset({0, 1, 2})
     mat = boundary_matrix(cs)
-    for pivot, pushes in (("min-index", 2), ("min-coface", 2), ("max-step", 2)):
+    for order in PIVOT_ORDERS:
         # a lone pivot (1,2) has one successor, the shared pivot (2,3) has two;
         # every move of the rim raises f alike, so max-step takes the lone one
-        r = search_whole(mat, rim, pivot=pivot)
-        assert r.weight == 1, pivot
-        assert r.stats["states_expanded"] == 2, pivot
-        assert r.stats["pushes"] == pushes, pivot
-        # an unbounded search keeps no parents: the solve decodes the witness
-        assert search(cs, rim, pivot=pivot).witness == frozenset({0}), pivot
+        with pivot_order(order):
+            r = search_whole(mat, rim)
+            # an unbounded search keeps no parents: the solve decodes the witness
+            assert search(cs, rim).witness == frozenset({0}), order
+        assert r.weight == 1, order
+        assert r.stats["states_expanded"] == 2, order
+        assert r.stats["pushes"] == 2, order
     empty = search(cs, frozenset())
     assert empty.stats["states_expanded"] == 0 and empty.witness == frozenset()
 
@@ -191,32 +190,68 @@ def test_branching_is_bounded_by_coface_degree():
         assert r.stats["pushes"] - 1 <= cs.coface_degree * r.stats["states_expanded"], seed
 
 
-def test_default_pivot_depends_on_k():
-    """``pivot=None`` is max-step without k and min-coface with it, through
-    the search and the facade; a named pivot is kept."""
+def test_default_pivot_depends_on_k(monkeypatch):
+    """The search keys its rows as max-step without k and as min-coface
+    with it, through the search and the facade, and the stats name no
+    pivot: the key follows from ``stats["k"]``."""
     cs, boundary = punctured_octahedron()
     mat = boundary_matrix(cs)
-    for k, want in ((None, "max-step"), (7, "min-coface")):
-        assert solve_mld_dijkstra(mat, sorted(boundary), k=k).stats["pivot"] == want
-        assert search(cs, boundary, k=k).stats["pivot"] == want
-        assert search(cs, boundary, k=k, pivot="min-index").stats["pivot"] == "min-index"
+    flags = []
+
+    def spy(m, bounded, *bounds):
+        flags.append(bounded)
+        return pivot_keys(m, bounded, *bounds)
+
+    monkeypatch.setattr(dijkstra, "pivot_keys", spy)
+    for k in (None, 7):
+        for r in (solve_mld_dijkstra(mat, sorted(boundary), k=k), search(cs, boundary, k=k)):
+            assert r.weight == 7 and r.stats["k"] == k
+            assert "pivot" not in r.stats
+        assert flags == [k is not None] * 2, k
+        flags.clear()
+
+
+def settled_states(cases, order=None):
+    """The states the dijkstra solves of ``cases``, (instance, k) pairs,
+    settle in total, and their answers, with the rows keyed by the search's
+    own key or by ``PIVOT_ORDERS[order]``."""
+    with nullcontext() if order is None else pivot_order(order):
+        runs = [solve(inst, "dijkstra", k=k) for inst, k in cases]
+    return sum(r.stats["states_expanded"] for r in runs), runs
 
 
 def test_max_step_settles_fewer_states():
     """Summed over random 55-triangle dim-2 slices with random weights, the
-    shape of the benchmark's search workload, the default unbounded pivot
-    settles fewer states than min-coface, with the same answers."""
-    settled = {"max-step": 0, "min-coface": 0}
+    shape of the benchmark's search workload, the unbounded search's own
+    key, max-step, settles fewer states than min-coface, with the same
+    answers."""
+    cases = []
     for seed in range(12):
         cs = random_slice(55, 10, dim=2, seed=seed, weights="random")
         inst = instance_from_complex(cs, random_boundary(cs, seed=seed, require_nonempty=True))
-        answers = set()
-        for pivot in (None, "min-coface"):
-            r = solve(inst, "dijkstra", pivot=pivot)
-            settled[r.stats["pivot"]] += r.stats["states_expanded"]
-            answers.add((r.status, r.weight, r.witness))
-        assert len(answers) == 1, seed
-    assert settled["max-step"] < settled["min-coface"], settled
+        cases.append((inst, None))
+    own, runs = settled_states(cases)
+    other, other_runs = settled_states(cases, "min-coface")
+    for seed, (a, b) in enumerate(zip(runs, other_runs)):
+        assert (a.status, a.weight, a.witness) == (b.status, b.weight, b.witness), seed
+    assert own < other, (own, other)
+
+
+def test_min_coface_settles_fewer_states_with_k():
+    """Summed over random 60-triangle dim-2 slices with random weights and
+    k a third of the target plus two, the shape of the benchmark's bounded
+    workload, the bounded search's own key, min-coface, settles fewer
+    states than max-step, with the same statuses and weights."""
+    cases = []
+    for seed in range(1, 24, 2):
+        cs = random_slice(60, 10, dim=2, seed=seed, weights="random")
+        boundary = random_boundary(cs, seed=seed, require_nonempty=True)
+        cases.append((instance_from_complex(cs, boundary), math.ceil(len(boundary) / 3) + 2))
+    own, runs = settled_states(cases)
+    other, other_runs = settled_states(cases, "max-step")
+    for seed, (a, b) in zip(range(1, 24, 2), zip(runs, other_runs)):
+        assert (a.status, a.weight) == (b.status, b.weight), seed
+    assert own < other, (own, other)
 
 
 def test_signed_weights_without_k_match_treewidth():
@@ -248,11 +283,12 @@ def test_pivot_strategies_agree_with_oracle():
     for seed in range(60):
         cs, boundary = random_problem(seed, max_top=10)
         ref = brute_force_mld(boundary_matrix(cs), boundary)
-        for pivot in PIVOTS:
-            r = search(cs, boundary, pivot=pivot)
-            assert r.status is ref.status, (seed, pivot)
+        for order in PIVOT_ORDERS:
+            with pivot_order(order):
+                r = search(cs, boundary)
+            assert r.status is ref.status, (seed, order)
             if ref.is_optimal:
-                assert r.weight == ref.weight, (seed, pivot)
+                assert r.weight == ref.weight, (seed, order)
 
 
 def test_bounded_search_matches_restricted_enumeration():
@@ -475,7 +511,7 @@ def test_unbounded_witness_is_the_canonical_one():
     """On random slices of dims 1-3, dense enough that many kernels are left
     to search, with unit and random weights, against their boundary and a
     random row subset: the unbounded search's answer is treewidth's and the
-    least (weight, mask) optimum, under every pivot."""
+    least (weight, mask) optimum, under every row order."""
     searched = infeasible = 0
     for dim, n_top, n_vertices in ((1, 14, 8), (2, 30, 9), (3, 35, 8)):
         for seed in range(100):
@@ -489,10 +525,11 @@ def test_unbounded_witness_is_the_canonical_one():
                 infeasible += want is None
                 tw = solve_mld_treewidth(mat, rows)
                 assert (None if tw.status is Status.INFEASIBLE else (tw.weight, tw.witness)) == want
-                for pivot in PIVOTS:
-                    r = solve_mld_dijkstra(mat, rows, pivot=pivot)
+                for order in PIVOT_ORDERS:
+                    with pivot_order(order):
+                        r = solve_mld_dijkstra(mat, rows)
                     got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-                    assert got == want, (dim, seed, rows, pivot)
+                    assert got == want, (dim, seed, rows, order)
                     searched += r.stats["states_expanded"] > 1
     assert searched >= 300 and infeasible >= 100, (searched, infeasible)
 
@@ -529,7 +566,7 @@ def test_negative_kernel_columns_are_complemented(monkeypatch):
         # the merge flips row 3, column 1's other row; complementing flips rows 1-3
         want = mat.target_mask([r - 1 for r in rows if r]) ^ 0b100 ^ 0b111
         # the search sees its start in its own row numbering
-        assert start == number_rows(space, want, "max-step").start
+        assert start == number_rows(space, want, False).start
         ref = brute_force_mld(mat, rows)
         assert (got.status, got.weight) == (ref.status, ref.weight), rows
         assert (got.weight, got.witness) == canonical_optimum(mat, rows), rows
@@ -563,14 +600,15 @@ def test_usage_errors():
         solve_mld_dijkstra(ok, (5,))
     with pytest.raises(UsageError):
         solve_mld_dijkstra(ok, (0,), k=-1)
-    with pytest.raises(UsageError):
-        solve_mld_dijkstra(ok, (0,), pivot="best")
+    # no caller picks the pivot: it follows from k
+    with pytest.raises(TypeError):
+        solve_mld_dijkstra(ok, (0,), pivot="max-step")
     cs, _ = punctured_octahedron()
     with pytest.raises(UsageError):
         search(cs, frozenset({99}))
 
 
-# (seed, weights, pivot, k) -> (status, weight, witness, states_expanded,
+# (seed, weights, row order, k) -> (status, weight, witness, states_expanded,
 # pushes, frontier_peak, visited). The bounded rows were recorded after the
 # bound's raise pass (face_bounds) went in: against the even split, every
 # status and weight is the same, no row settles more states, the
@@ -671,15 +709,19 @@ PINNED = {
 
 
 def test_pinned_search_counts():
-    """The search settles the same states in the same order as recorded."""
+    """The search settles the same states in the same order as recorded:
+    the rows under the search's own key, max-step without k and min-coface
+    with it, through the plain solve, and the others with the key swapped."""
     slices = {}
-    for (seed, weights, pivot, k), want in PINNED.items():
+    for (seed, weights, order, k), want in PINNED.items():
         if (seed, weights) not in slices:
             cs = random_slice(24, 8, dim=2, seed=seed, weights=weights)
             slices[seed, weights] = (cs, random_boundary(cs, seed=seed, require_nonempty=True))
-        r = search(*slices[seed, weights], pivot=pivot, k=k)
+        own = order == ("max-step" if k is None else "min-coface")
+        with nullcontext() if own else pivot_order(order):
+            r = search(*slices[seed, weights], k=k)
         s = r.stats
         witness = tuple(sorted(r.witness)) if r.witness is not None else None
         got = (r.status.value, r.weight, witness, s["states_expanded"], s["pushes"],
                s["frontier_peak"], s["visited"])
-        assert got == want, (seed, weights, pivot, k)
+        assert got == want, (seed, weights, order, k)

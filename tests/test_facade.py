@@ -165,13 +165,19 @@ def test_instance_from_matrix_validates_rows():
     mat = Gf2Matrix(2, 1, [(0,)], [1])
     with pytest.raises(UsageError):
         instance_from_matrix(mat, (4,))
+    # the error names a row out of range, below the first row or past the last
+    for rows, bad in (((-1, 0, 1), -1), ((0, 1, 2), 2), ((1, 7), 7)):
+        with pytest.raises(UsageError, match=rf"^target row {bad} out of range$"):
+            instance_from_matrix(mat, rows)
+    assert instance_from_matrix(mat, (0, 1)).target == frozenset({0, 1})
+    assert instance_from_matrix(mat, ()).target == frozenset()
 
 
 def test_solver_specific_options_pass_through():
     for seed in range(10):
         cs, boundary = random_problem(seed)
         inst = instance_from_complex(cs, boundary)
-        a = solve(inst, "dijkstra", pivot="min-index")
+        a = solve(inst, "dijkstra", k=cs.n_top)
         min_degree = reference_greedy_decomposition(hasse_graph(inst.matrix), "min-degree")
         b = solve(inst, "treewidth", ntd=min_degree)
         c = solve(inst, "brute")
@@ -181,13 +187,14 @@ def test_solver_specific_options_pass_through():
 
 
 def test_size_bound_is_refused_outside_dijkstra():
-    """k is a dijkstra and brute option, and the two agree on it; the pivot
-    is a dijkstra option. The other engines would silently ignore them."""
+    """k is a dijkstra and brute option, and the two agree on it. The other
+    engines would silently ignore it. No engine takes a pivot: dijkstra's
+    follows from k."""
     inst = instance_from_complex(*triangle_strip(10))
     for algorithm in ("treewidth", "brute"):
         assert solve(inst, algorithm).weight == 10
-        with pytest.raises(UsageError, match="dijkstra"):
-            solve(inst, algorithm, pivot="max-step")
+    with pytest.raises(TypeError):
+        solve(inst, "dijkstra", pivot="max-step")
     with pytest.raises(UsageError, match="dijkstra and brute"):
         solve(inst, "treewidth", k=3)
     for algorithm in ("dijkstra", "brute"):
@@ -195,7 +202,6 @@ def test_size_bound_is_refused_outside_dijkstra():
         assert bounded.status is Status.NOT_FOUND_WITHIN_BOUND
         assert bounded.stats["k"] == 3
         assert solve(inst, algorithm, k=10).weight == 10
-    assert solve(inst, "dijkstra", pivot="min-index").weight == 10
     assert "k" not in solve(inst, "brute").stats
     edges = build_slice([(0, 1), (1, 2)])
     path = instance_from_complex(
@@ -203,8 +209,6 @@ def test_size_bound_is_refused_outside_dijkstra():
     )
     with pytest.raises(UsageError, match="dijkstra and brute"):
         solve(path, "mbc1", k=3)
-    with pytest.raises(UsageError, match="dijkstra"):
-        solve(path, "mbc1", pivot="min-coface")
 
 
 def test_decomposition_is_refused_outside_treewidth():

@@ -1,8 +1,9 @@
 """Benchmark harness: run algorithms over an instance directory, emit CSV.
 
 One CSV row per (instance, algorithm, repetition) run; aggregation is left
-to scripts. Solver failures become status "error" rows so a sweep never
-dies half way. Timing columns can be dropped for byte-reproducible output.
+to scripts. A usage or input error becomes a status "error" row, so a sweep
+does not die half way; a consistency error is a bug and propagates. Timing
+columns can be dropped for byte-reproducible output.
 """
 
 from __future__ import annotations
@@ -13,24 +14,13 @@ import time
 from pathlib import Path
 
 from .complexes import Gf2Matrix
-from .errors import BoundedChainError, InputError, UsageError
+from .errors import InputError, UsageError
 from .facade import Instance, instance_from_complex, instance_from_matrix, solve
 from .fileio import parse_boundary, parse_complex, parse_matrix
 from .results import Status
 
-CSV_COLUMNS = [
-    "instance",
-    "algorithm",
-    "rep",
-    "status",
-    "weight",
-    "scale",
-    "width",
-    "states_expanded",
-    "table_entries",
-    "join_pairs",
-    "wall_time_s",
-]
+STAT_COLUMNS = ["width", "states_expanded", "table_entries", "join_pairs"]
+CSV_COLUMNS = ["instance", "algorithm", "rep", "status", "weight", "scale", *STAT_COLUMNS, "wall_time_s"]
 
 
 def discover_instances(suite_dir) -> list[tuple[str, Instance]]:
@@ -74,32 +64,19 @@ def run_suite(
         for algo in algorithms:
             for rep in range(reps):
                 run = _fresh(instance)
-                row = {
-                    "instance": name,
-                    "algorithm": algo,
-                    "rep": rep,
-                    "status": "",
-                    "weight": "",
-                    "scale": instance.scale,
-                    "width": "",
-                    "states_expanded": "",
-                    "table_entries": "",
-                    "join_pairs": "",
-                    "wall_time_s": "",
-                }
+                row = dict.fromkeys(CSV_COLUMNS, "")
+                row.update(instance=name, algorithm=algo, rep=rep, scale=instance.scale)
                 start = time.perf_counter()
                 try:
                     result = solve(run, algo, k=k)
-                except BoundedChainError as exc:
+                except (UsageError, InputError) as exc:
                     row["status"] = "error"
                     row["weight"] = type(exc).__name__
                 else:
                     row["status"] = result.status.value
                     if result.status is Status.OPTIMAL:
                         row["weight"] = result.weight
-                    for key in ("width", "states_expanded", "table_entries", "join_pairs"):
-                        if key in result.stats:
-                            row[key] = result.stats[key]
+                    row.update((key, result.stats[key]) for key in STAT_COLUMNS if key in result.stats)
                 if timing:
                     row["wall_time_s"] = f"{time.perf_counter() - start:.6f}"
                 rows.append(row)

@@ -11,8 +11,8 @@ from . import generators
 from .bench import rows_to_csv, run_suite
 from .complexes import boundary_matrix, hasse_graph
 from .decomposition import greedy_decomposition
-from .dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV
-from .errors import BoundedChainError, UsageError
+from .dijkstra import DEFAULT_MAX_STATES
+from .errors import BoundedChainError, InputError, UsageError
 from .facade import (
     ALGORITHMS,
     instance_from_complex,
@@ -274,10 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-states",
         type=int,
         default=None,
-        help=(
-            f"search state cap (dijkstra; default {DEFAULT_MAX_STATES},"
-            f" or {MAX_STATES_ENV} if set)"
-        ),
+        help=f"search state cap (dijkstra; default {DEFAULT_MAX_STATES})",
     )
     s.add_argument(
         "--timing", action="store_true", help="include wall and per-phase times in stats"
@@ -323,7 +320,7 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
-    except BoundedChainError as exc:
+    except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
 from typing import Iterable, NamedTuple, Sequence
 
@@ -92,7 +91,6 @@ from .kernel import backtrack, reduce
 from .results import SolveResult, Status
 
 DEFAULT_MAX_STATES = 2_000_000
-MAX_STATES_ENV = "MBC_MAX_STATES"
 
 
 def pivot_keys(
@@ -122,22 +120,6 @@ def row_order(keys: Sequence) -> list[int]:
     """The rows in ascending (key, index). The search gives row ``order[i]``
     bit i, so the pivot of a state is its lowest set bit."""
     return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def _default_max_states(max_states: int | None) -> int:
-    source = "max_states"
-    if max_states is None:
-        env = os.environ.get(MAX_STATES_ENV)
-        if not env:
-            return DEFAULT_MAX_STATES
-        source = MAX_STATES_ENV
-        try:
-            max_states = int(env)
-        except ValueError:
-            raise UsageError(f"{MAX_STATES_ENV} must be an integer, got {env!r}")
-    if max_states < 1:
-        raise UsageError(f"{source} must be >= 1, got {max_states}")
-    return max_states
 
 
 def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int], list[int]]:
@@ -236,7 +218,9 @@ def solve_mld_dijkstra(
     canonical witness; with ``k``, on the whole matrix, whose weights must
     be non-negative (see the module docstring). The pivot key follows from
     whether ``k`` is given: the least rise in f without it, the coface
-    degree with it. ``timing`` adds the wall seconds of the
+    degree with it. ``max_states`` (default ``DEFAULT_MAX_STATES``) caps
+    the states stored; past it the search returns ``resource_limit``.
+    Nothing else sets it. ``timing`` adds the wall seconds of the
     ``kernel`` (unbounded searches only), ``feasibility`` and ``search``
     phases to the stats.
     """
@@ -244,7 +228,10 @@ def solve_mld_dijkstra(
         raise UsageError("k must be >= 0")
     if k is not None and any(w < 0 for w in matrix.col_weights):
         raise UsageError("a bounded search requires non-negative weights")
-    max_states = _default_max_states(max_states)
+    if max_states is None:
+        max_states = DEFAULT_MAX_STATES
+    elif max_states < 1:
+        raise UsageError(f"max_states must be >= 1, got {max_states}")
 
     start = matrix.target_mask(target_rows)
 

@@ -92,7 +92,8 @@ def solve(
     adds ``wall_time_s`` and ``phases``, the wall seconds of each phase:
     ``verify`` for every engine, ``kernel`` for treewidth and an unbounded
     search, ``decompose`` and ``dp`` for treewidth (which also reports
-    ``peak_table``), and ``feasibility`` and ``search`` for dijkstra.
+    ``peak_table`` and ``join_bags``), and ``feasibility`` and ``search``
+    for dijkstra.
     """
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -107,21 +108,12 @@ def solve(
         result = solve_mbc1(instance.matrix, instance.target)
     elif algorithm == "dijkstra":
         result = solve_mld_dijkstra(
-            instance.matrix,
-            sorted(instance.target),
-            k=k,
-            max_states=max_states,
-            timing=timing,
+            instance.matrix, instance.target, k=k, max_states=max_states, timing=timing
         )
     elif algorithm == "treewidth":
-        result = solve_mld_treewidth(
-            instance.matrix,
-            sorted(instance.target),
-            ntd=ntd,
-            timing=timing,
-        )
+        result = solve_mld_treewidth(instance.matrix, instance.target, ntd=ntd, timing=timing)
     else:
-        result = brute_force_mld(instance.matrix, sorted(instance.target), k=k)
+        result = brute_force_mld(instance.matrix, instance.target, k=k)
     solved = time.perf_counter()
     verify_witness(instance, result)
     if result.status is Status.OPTIMAL:

@@ -5,8 +5,11 @@ favour obvious correctness over speed. Exhaustive mode walks all 2^n
 column subsets in Gray-code order; kernel mode enumerates one solution
 plus the span of the kernel, which is exact for any weights because every
 solution is visited. Like every engine, both take a matrix and target rows
-and an optional size bound k, and keep the lightest solution with at most
-k columns. Over its enumeration limit the oracle returns ``resource_limit``.
+and an optional size bound k, and keep the least (weight, column mask)
+solution with at most k columns, so the witness does not depend on the
+enumeration order: without k it is the canonical witness that treewidth
+and the unbounded search return. Over its enumeration limit the oracle
+returns ``resource_limit``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _exhaustive(matrix: Gf2Matrix, target: int, k: int, stats: dict) -> SolveRes
         w += weights[j] if x & bit else -weights[j]
         if bnd == target:
             feasible = True
-            if (best_w is None or w < best_w) and x.bit_count() <= k:
+            if (best_x is None or (w, x) < (best_w, best_x)) and x.bit_count() <= k:
                 best_w, best_x = w, x
     stats.update(mode="exhaustive", enumerated=1 << n)
     return _result(best_w, best_x, feasible, stats)
@@ -78,7 +81,7 @@ def _kernel(matrix: Gf2Matrix, target: int, k: int, stats: dict) -> SolveResult:
         x ^= basis
         for t in indices_from_mask(basis):
             w += weights[t] if (x >> t) & 1 else -weights[t]
-        if (best_w is None or w < best_w) and x.bit_count() <= k:
+        if (best_x is None or (w, x) < (best_w, best_x)) and x.bit_count() <= k:
             best_w, best_x = w, x
     stats.update(mode="kernel", kernel_dim=kdim, enumerated=1 << kdim)
     return _result(best_w, best_x, True, stats)

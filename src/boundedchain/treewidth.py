@@ -266,7 +266,6 @@ def solve_mld_treewidth(
     target_rows: Iterable[int],
     *,
     ntd: TreeDecomposition | None = None,
-    detailed_stats: bool = False,
     timing: bool = False,
 ) -> SolveResult:
     """Minimum-weight solution of A x = u via decomposition DP.
@@ -277,10 +276,10 @@ def solve_mld_treewidth(
     one (a nice one too); it is validated, and the DP runs on it contracted
     onto the kernel, node for node. Otherwise the kernel's min-fill one is
     computed.
-    ``detailed_stats`` adds ``join_bags``, the (node, join pairs)
-    of every node with two or more children. ``timing`` adds the wall
-    seconds of the ``kernel``, ``decompose`` and ``dp`` phases and the
-    largest node table, ``peak_table``.
+    ``timing`` adds the wall seconds of the ``kernel``, ``decompose`` and
+    ``dp`` phases, the largest node table, ``peak_table``, and
+    ``join_bags``, the (node, join pairs) of every node with two or more
+    children.
     """
     target = matrix.target_mask(target_rows)
 
@@ -318,7 +317,7 @@ def solve_mld_treewidth(
         if len(table) > peak_table:
             peak_table = len(table)
         join_pairs += pairs
-        if detailed_stats and len(kids) > 1:
+        if timing and len(kids) > 1:
             join_bags.append((t, pairs))
     top = _lift(lifts[td.root], tables[td.root])
     done = time.perf_counter()
@@ -331,13 +330,12 @@ def solve_mld_treewidth(
         "join_pairs": join_pairs,
         "decomposition": td_source,
     }
-    if detailed_stats:
-        stats["join_bags"] = join_bags
     if timing:
         stats["phases"] = {
             "kernel": reduced - start, "decompose": decomposed - reduced, "dp": done - decomposed
         }
         stats["peak_table"] = peak_table
+        stats["join_bags"] = join_bags
 
     if len(top) > 1:
         raise ConsistencyError("root table has entries beyond (empty, empty)")

@@ -266,7 +266,7 @@ def rerooted(td, root):
 def assert_join_pairs_capped(td, nrows, join_bags):
     """A node with k children does k - 1 joins in its own bag, and each pairs
     at most 2^|bag cols| * 4^|bag rows| entries. ``join_bags`` is the (node,
-    pairs) list of a ``detailed_stats`` solve on ``td``; returns its length."""
+    pairs) list of a timed solve on ``td``; returns its length."""
     assert sorted(t for t, _ in join_bags) == [
         t for t in range(td.n_nodes) if len(td.children[t]) > 1
     ]

@@ -234,7 +234,7 @@ def test_acceptance_7_scaling(acceptance):
             boundary = random_boundary(cs, seed=seed)
             mat = boundary_matrix(cs)
             td = greedy_decomposition(hasse_graph(mat))
-            r = solve_mld_treewidth(mat, sorted(boundary), ntd=td, detailed_stats=True)
+            r = solve_mld_treewidth(mat, sorted(boundary), ntd=td, timing=True)
             assert_join_pairs_capped(td, mat.nrows, r.stats["join_bags"])
 
         # hard cap on search size: sum of c^i for i <= k

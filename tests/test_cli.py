@@ -584,8 +584,57 @@ def test_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_choice_lists_come_from_the_package(capsys, monkeypatch):
-    from boundedchain.dijkstra import DEFAULT_MAX_STATES, MAX_STATES_ENV
+def test_consistency_errors_are_never_caught(tmp_path, capsys, monkeypatch):
+    """A wrong answer is a bug: neither ``solve`` nor ``bench`` turns the
+    ``ConsistencyError`` of its verification into an error line or row."""
+    from boundedchain import bench, facade
+    from boundedchain.errors import ConsistencyError
+    from boundedchain.results import SolveResult
+
+    real = facade.solve_mld_treewidth
+
+    def lying(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return SolveResult(r.status, r.weight + 1, r.witness, r.stats)
+
+    monkeypatch.setattr(facade, "solve_mld_treewidth", lying)
+    prefix = str(tmp_path / "strip")
+    run(capsys, "gen", "strip", "--length", "3", "--out", prefix)
+    with pytest.raises(ConsistencyError, match="weight"):
+        bench.run_suite(tmp_path, ["treewidth"])
+    with pytest.raises(ConsistencyError, match="weight"):
+        main([
+            "solve", "--complex", prefix + ".complex", "--boundary", prefix + ".boundary",
+            "--algorithm", "treewidth",
+        ])
+    # a usage error is still an error row
+    rows = bench.run_suite(tmp_path, ["treewidth"], k=3, timing=False)
+    assert [(row["status"], row["weight"]) for row in rows] == [("error", "UsageError")]
+
+
+def test_search_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    """The state budget is an argument only: ``MBC_MAX_STATES`` in the
+    environment changes nothing, so one command line prints one answer in
+    any shell."""
+    prefix = str(tmp_path / "rnd")
+    run(
+        capsys, "gen", "random", "--top-simplices", "40", "--vertices", "10",
+        "--seed", "1", "--weights", "random", "--out", prefix,
+    )
+    instance = ["--complex", prefix + ".complex", "--boundary", prefix + ".boundary"]
+    for bound in ([], ["--k", "14"]):
+        argv = ["solve", *instance, "--algorithm", "dijkstra", *bound]
+        monkeypatch.delenv("MBC_MAX_STATES", raising=False)
+        plain = run(capsys, *argv)
+        assert plain[0] == 0, bound
+        # a budget of one state, passed as an argument, does stop this search
+        assert run(capsys, *argv, "--max-states", "1")[0] == 4, bound
+        monkeypatch.setenv("MBC_MAX_STATES", "1")
+        assert run(capsys, *argv) == plain, bound
+
+
+def test_choice_lists_come_from_the_package(capsys):
+    from boundedchain.dijkstra import DEFAULT_MAX_STATES
     from boundedchain.facade import ALGORITHMS
 
     def help_text(*argv):
@@ -593,12 +642,11 @@ def test_choice_lists_come_from_the_package(capsys, monkeypatch):
             main([*argv, "--help"])
         return " ".join(capsys.readouterr().out.split())
 
-    # the help text is the same whatever the environment holds
-    monkeypatch.setenv(MAX_STATES_ENV, "17")
     solve_help = help_text("solve")
     assert "{" + ",".join(ALGORITHMS) + "}" in solve_help
-    assert f"default {DEFAULT_MAX_STATES}, or {MAX_STATES_ENV} if set" in solve_help
-    assert "17" not in solve_help
+    # the budget is an argument only: no environment variable sets it
+    assert f"(dijkstra; default {DEFAULT_MAX_STATES})" in solve_help
+    assert "MBC_" not in solve_help
     # min-fill is the only built-in elimination order; --td supplies any other
     assert "--td-heuristic" not in solve_help
     # the search's pivot follows from --k

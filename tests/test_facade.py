@@ -128,8 +128,9 @@ PHASES = {
 
 def test_timing_is_opt_in():
     """Timing adds the wall time, the per-phase wall times and, for
-    treewidth, the largest table; without it the stats are unchanged.
-    Treewidth and an unbounded search have a ``kernel`` phase."""
+    treewidth, the largest table and the join pairs of each join node;
+    without it the stats are unchanged. Treewidth and an unbounded search
+    have a ``kernel`` phase."""
     path = build_slice([(0, 1), (1, 2)])
     for algorithm, phases in PHASES.items():
         if algorithm == "mbc1":
@@ -138,7 +139,9 @@ def test_timing_is_opt_in():
             inst = instance_from_complex(*punctured_octahedron())
         plain = solve(inst, algorithm)
         timed = solve(inst, algorithm, timing=True)
-        added = {"wall_time_s", "phases"} | ({"peak_table"} if algorithm == "treewidth" else set())
+        added = {"wall_time_s", "phases"}
+        if algorithm == "treewidth":
+            added |= {"peak_table", "join_bags"}
         assert not added & set(plain.stats), algorithm
         assert set(timed.stats) == set(plain.stats) | added, algorithm
         assert set(timed.stats["phases"]) == phases, algorithm
@@ -226,9 +229,9 @@ def test_decomposition_is_refused_outside_treewidth():
         solve(path, "mbc1", ntd=greedy_decomposition(hasse_graph(path.matrix)))
 
 
-def test_state_budget_is_refused_outside_dijkstra(monkeypatch):
+def test_state_budget_is_refused_outside_dijkstra():
     """max_states is a dijkstra option; the other engines would silently
-    ignore it. The environment default stays dijkstra's alone."""
+    ignore it. Without it every engine solves."""
     inst = instance_from_complex(*triangle_strip(10))
     for algorithm in ("treewidth", "brute"):
         with pytest.raises(UsageError, match="dijkstra"):
@@ -238,7 +241,6 @@ def test_state_budget_is_refused_outside_dijkstra(monkeypatch):
     with pytest.raises(UsageError, match="dijkstra"):
         solve(path, "mbc1", max_states=5)
     assert solve(inst, "dijkstra", max_states=5).weight == 10
-    monkeypatch.setenv("MBC_MAX_STATES", "5")
     for algorithm in ("treewidth", "brute"):
         assert solve(inst, algorithm).weight == 10
     assert solve(path, "mbc1").is_optimal

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from boundedchain import (
@@ -9,7 +11,7 @@ from boundedchain import (
 )
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.gf2 import mask_from_indices
-from helpers import best_by_size, octahedron_slice, random_problem
+from helpers import best_by_size, canonical_optimum, octahedron_slice, random_problem
 
 
 def test_modes_agree_on_octahedron():
@@ -31,15 +33,25 @@ def test_modes_agree_on_random_instances():
         assert a.status is b.status, seed
         assert a.status is Status.OPTIMAL
         assert a.weight == b.weight, seed
-        # both witnesses must hit the target, not necessarily be equal
+        # both keep the least (weight, mask): the canonical witness
+        assert a.witness == b.witness == canonical_optimum(mat, boundary)[1], seed
         tmask = 0
         for i in boundary:
             tmask |= 1 << i
-        for r in (a, b):
-            acc = 0
-            for j in r.witness:
-                acc ^= mat.col_masks[j]
-            assert acc == tmask
+        acc = 0
+        for j in a.witness:
+            acc ^= mat.col_masks[j]
+        assert acc == tmask
+
+
+def test_ties_go_to_the_least_mask():
+    """Columns 0 and 1 are twins of equal weight, so {0, 3} and {1, 3} are
+    both optimal; each mode keeps the least mask, whichever it meets first."""
+    mat = Gf2Matrix(2, 4, [(1,), (1,), (0,), (0,)], [2, 2, 2, 1])
+    for mode in ("exhaustive", "kernel"):
+        for k in (None, 2):
+            r = brute_force_mld(mat, (0, 1), mode=mode, k=k)
+            assert (r.weight, r.witness) == (3, frozenset({0, 3})), (mode, k)
 
 
 def test_negative_weights_favour_large_witnesses():
@@ -98,13 +110,19 @@ def test_auto_mode_switches_to_kernel():
 
 
 def test_size_bound_sweep_matches_restricted_enumeration():
-    """For every k, both enumerations keep the best solution of size <= k,
-    and agree with the bounded search in status and weight."""
+    """For every k, both enumerations keep the least (weight, mask) solution
+    of size <= k, and agree with the bounded search in status and weight."""
     for trial in range(25):
         cs, boundary = random_problem(trial, max_top=8, max_vertices=8)
         mat = boundary_matrix(cs)
         target = sorted(boundary)
         best = best_by_size(mat, target)
+        solutions = sorted(
+            (mat.weight_of(cols), mask_from_indices(cols), len(cols))
+            for size in range(mat.ncols + 1)
+            for cols in combinations(range(mat.ncols), size)
+            if mat.product_mask(cols) == mask_from_indices(target)
+        )
         for k in range(mat.ncols + 1):
             fits = [w for s, w in best.items() if s <= k]
             search = solve_mld_dijkstra(mat, target, k=k)
@@ -119,5 +137,7 @@ def test_size_bound_sweep_matches_restricted_enumeration():
                 assert r.status is Status.OPTIMAL, (trial, k, mode)
                 assert r.weight == min(fits), (trial, k, mode)
                 assert len(r.witness) <= k, (trial, k, mode)
+                least = next((w, m) for w, m, size in solutions if size <= k)
+                assert (r.weight, mask_from_indices(r.witness)) == least, (trial, k, mode)
                 assert mat.product_mask(r.witness) == mask_from_indices(target)
                 assert mat.weight_of(r.witness) == r.weight

@@ -245,8 +245,8 @@ def test_infeasible_target():
 def test_target_row_with_no_column_is_infeasible():
     """Unit propagation alone proves these infeasible: row 1 has no column
     and is in the target, or is left with none once column 0, forced by
-    row 0, flips it. The stats keep their keys, and a supplied decomposition
-    keeps its node count."""
+    row 0, flips it. The stats keep their keys, timed ones included, and a
+    supplied decomposition keeps its node count."""
     empty_row = Gf2Matrix(3, 2, [(0, 2), (0, 2)], [1, 1])
     flipped = Gf2Matrix(2, 1, [(0, 1)], [1])
     for mat, rows in ((empty_row, [1]), (empty_row, [0, 1]), (flipped, [0]), (flipped, [1])):
@@ -254,7 +254,7 @@ def test_target_row_with_no_column_is_infeasible():
         assert (r.status, r.weight, r.witness) == (Status.INFEASIBLE, None, None), (mat, rows)
         assert set(r.stats) == {
             "algorithm", "width", "nodes", "table_entries", "join_pairs", "decomposition",
-            "phases", "peak_table",
+            "phases", "peak_table", "join_bags",
         }
         td = greedy_decomposition(hasse_graph(mat))
         given = solve_mld_treewidth(mat, rows, ntd=td)
@@ -729,7 +729,7 @@ def test_join_table_size_is_bounded():
         cs, boundary = random_problem(seed)
         mat = boundary_matrix(cs)
         td = greedy_decomposition(hasse_graph(mat))
-        r = solve_mld_treewidth(mat, sorted(boundary), ntd=td, detailed_stats=True)
+        r = solve_mld_treewidth(mat, sorted(boundary), ntd=td, timing=True)
         joins += assert_join_pairs_capped(td, mat.nrows, r.stats["join_bags"])
     assert joins
 
@@ -866,7 +866,7 @@ def test_star_decompositions():
         td = star(mat, rng.randrange(ncols))
         assert validate_decomposition(td, hasse_graph(mat)) is None
         rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
-        r = solve_mld_treewidth(mat, rows, ntd=td, detailed_stats=True)
+        r = solve_mld_treewidth(mat, rows, ntd=td, timing=True)
         want = canonical_optimum(mat, rows)
         got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
         assert got == want, seed
@@ -1021,8 +1021,9 @@ def test_witness_is_the_least_weight_then_mask_optimum():
 
 
 def test_stats_shape():
-    """Without timing the stats keys are fixed; timing adds the phases and
-    the largest node table, and nothing else."""
+    """Without timing the stats keys are fixed; timing adds the phases, the
+    largest node table and the join pairs of each join node, and nothing
+    else."""
     cs, boundary = random_problem(3)
     mat = boundary_matrix(cs)
     r = solve_mld_treewidth(mat, sorted(boundary))
@@ -1030,9 +1031,10 @@ def test_stats_shape():
         "algorithm", "width", "nodes", "table_entries", "join_pairs", "decomposition"
     }
     timed = solve_mld_treewidth(mat, sorted(boundary), timing=True)
-    assert set(timed.stats) - set(r.stats) == {"phases", "peak_table"}
+    assert set(timed.stats) - set(r.stats) == {"phases", "peak_table", "join_bags"}
     assert set(timed.stats["phases"]) == {"kernel", "decompose", "dp"}
     assert all(s >= 0 for s in timed.stats["phases"].values())
     assert 0 < timed.stats["peak_table"] <= timed.stats["table_entries"]
+    assert sum(pairs for _, pairs in timed.stats["join_bags"]) == timed.stats["join_pairs"]
     for key in r.stats:
         assert timed.stats[key] == r.stats[key], key

@@ -38,7 +38,8 @@ positive and never tie, so the first empty chain settled is the least
 (weight, mask) optimum, and ``kernel.backtrack`` decodes it into the
 weight and the canonical witness, the one the treewidth DP returns. The
 feasibility check, the search and its stats then run on the kernel; an
-instance the passes solve whole settles at once. A bounded search runs on
+instance the passes solve whole, as the coset rule solves most random
+dim-3 slices, settles at once. A bounded search runs on
 the whole matrix: a kernel column can stand for several simplices, and k
 counts simplices.
 

@@ -1,42 +1,48 @@
 """The exact GF(2) kernel that the treewidth DP and the unbounded search solve.
 
-Two exact passes shrink an instance A x = u before either engine runs,
-both in the incidence graph's vertex ids, rows first, then columns.
-``_propagate`` runs unit propagation over GF(2), on arrays: a row with one
-live column c fixes x_c = u_r, a selected column flips the target bits of
-its rows, and the column leaves; a row left with no column leaves too,
-unless its target bit is set, which proves the target infeasible. It
-marks the vertices left live. ``_series`` then applies three rules to
-the live vertices until none applies, and a fourth, once, to what is
-left. The series rule substitutes away every row of degree 2 or less: a
-row r over columns a and b says x_b = x_a ⊕ u_r, so b merges into a,
-whose rows become rows(a) Δ rows(b) minus r, and the target flips on
-rows(b) minus r where u_r is set. Degree 1 and 0 are handled as in
-propagation, and a column a merge leaves with no row is fixed at its
-cheaper side. The parallel rule merges every two columns a and b with
-the same rows, found by a row-set index: only x_a ⊕ x_b matters, so b
-leaves, and each of their rows loses a column and may take the series
-rule next. The dominance rule is the GF(2) triangle inequality: where
-rows(c) = rows(a) Δ rows(b) and c's two sides differ by more in packed
-charge than a's and b's together, |on_c - off_c| > |on_a - off_a| +
-|on_b - off_b|, c is fixed at its cheaper side and leaves, and each of its
-rows loses a column and may take the series rule next. For d = 1 it is the
-fact that an edge longer than a two-edge detour lies on no shortest path.
-It is tried only when the other two rules are done, and only on the
-columns a merge has made or changed since it last ran: each against every
-column sharing a row with it, the third column found by the row-set index.
-Pure columns of a dim-2 or dim-3 slice form no triangle (in dim 2
+Exact passes shrink an instance A x = u before either engine runs, all
+in the incidence graph's vertex ids, rows first, then columns.
+``_propagate`` runs unit propagation over GF(2), on arrays: a row with
+one live column c fixes x_c = u_r, a selected column flips the target
+bits of its rows, and the column leaves; a row left with no column
+leaves too, unless its target bit is set, which proves the target
+infeasible. It lists the vertices left live. ``_coset`` then solves the
+live system outright where it has few solutions: eliminated over GF(2),
+its solutions are one solution x0 plus the null space, 2^d of them, and
+where 2^d is at most n, the number of live columns, it walks them all
+and keeps the least packed charge (below), which leaves an empty kernel;
+a live system with no solution leaves one infeasible row. Where there
+are more solutions, ``_series`` applies three rules to the live vertices
+until none applies, and a fourth, once, to what is left. The series rule
+substitutes away every row of degree 2 or less: a row r over columns a
+and b says x_b = x_a ⊕ u_r, so b merges into a, whose rows become
+rows(a) Δ rows(b) minus r, and the target flips on rows(b) minus r where
+u_r is set. Degree 1 and 0 are handled as in propagation, and a column a
+merge leaves with no row is fixed at its cheaper side. The parallel rule
+merges every two columns a and b with the same rows, found by a row-set
+index: only x_a ⊕ x_b matters, so b leaves, and each of their rows loses
+a column and may take the series rule next. The dominance rule is the
+GF(2) triangle inequality: where rows(c) = rows(a) Δ rows(b) and c's two
+sides differ by more in packed charge than a's and b's together,
+|on_c - off_c| > |on_a - off_a| + |on_b - off_b|, c is fixed at its
+cheaper side and leaves, and each of its rows loses a column and may
+take the series rule next. In a graph (dimension 1) it is the fact that
+an edge longer than a two-edge detour lies on no shortest path. It is
+tried only when the other two rules are done, and only on the columns a
+merge has made or changed since it last ran: each against every column
+sharing a row with it, the third column found by the row-set index. Pure
+columns of a dim-2 or dim-3 slice form no triangle (in dim 2
 |rows(a) Δ rows(b)| is even, in dim 3 two tetrahedra share at most one
 triangle), so an instance whose kernel ends empty pays it only a set pop
 per merge. It need not find every dominated column; each it finds is
 exact. The twin-row rule, the parallel rule's row dual, then drops every
-row over the same columns as an earlier row: the two are one equation, so
-with equal target bits the later row says nothing new, and with different
-ones the target is infeasible. It cannot cascade: every column holds both
-twins or neither, so dropping one changes no row's degree and makes no two
-columns equal or a triangle, and one pass over the rows the other rules
-leave is enough. These are the problem-level analogue of the safe
-reduction rules for treewidth (Bodlaender and Koster).
+row over the same columns as an earlier row: the two are one equation,
+so with equal target bits the later row says nothing new, and with
+different ones the target is infeasible. It cannot cascade: every column
+holds both twins or neither, so dropping one changes no row's degree and
+makes no two columns equal or a triangle, and one pass over the rows the
+other rules leave is enough. These are the problem-level analogue of the
+safe reduction rules for treewidth (Bodlaender and Koster).
 
 Each column carries two packed charges, ``on`` and ``off``: the sum of
 ``(w_c << n) + (1 << i)`` over the live columns c that it selects when set
@@ -47,7 +53,10 @@ two sums. What is left, the kernel, is the only part renumbered: its rows,
 then its columns, each in increasing id order. It weighs each column at
 ``on - off``, and the fixed charges and every ``off`` make up a constant
 ``base``, so the kernel weight of a kernel solution plus ``base`` is the
-packed charge of one solution on the live columns. Each step is exact: a
+packed charge of one solution on the live columns. Each step is exact.
+Every solution on the live columns has packed charge ``(W << n) | x``, W
+its weight and x its ranks, so the least one the coset rule lists is the
+canonical solution, and its charge is the empty kernel's ``base``. A
 substitution maps solutions one to one, a dropped twin row changes no
 solution, a parallel merge keeps the least solution of each parity, which
 the packed order makes the canonical one, and a column left with no row
@@ -70,7 +79,7 @@ either way: at each node, complementing c flips one fixed set of key bits
 (c's own, or its rows' parity bits once c is forgotten), so every table
 keeps its size.
 
-An engine sees only two calls. ``reduce`` runs both passes and returns a
+An engine sees only two calls. ``reduce`` runs the passes and returns a
 ``Kernel``: the kernel matrix and target to solve, ``image`` for
 contracting a decomposition, and what the decode needs. ``backtrack``
 turns the kernel optimum back into (weight, witness) on the whole matrix
@@ -84,7 +93,7 @@ from itertools import compress
 
 from .complexes import Gf2Matrix
 from .errors import ConsistencyError
-from .gf2 import indices_from_mask, mask_from_indices
+from .gf2 import Gf2System, indices_from_mask, mask_from_indices
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -93,7 +102,8 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 class Kernel:
     """What ``reduce`` leaves of A x = u: the kernel ``matrix`` and
     ``target`` mask to solve, and ``image``, the kernel vertex each
-    incidence-graph vertex contracts to, if any. ``base``, the live
+    incidence-graph vertex contracts to, if any; an empty kernel, which
+    the coset rule leaves, has an empty ``image``. ``base``, the live
     columns by rank (``cols``) and propagation's fixed selected columns
     (``fixed``) are for ``backtrack`` alone."""
 
@@ -105,18 +115,21 @@ class Kernel:
     fixed: list[int]
 
 
-def _propagate(matrix: Gf2Matrix, target: int) -> tuple[bytearray, bytearray, list[int]]:
+def _propagate(
+    matrix: Gf2Matrix, target: int
+) -> tuple[bytearray, list[int], list[int], list[int]]:
     """Unit propagation over GF(2): fix every column that some row forces.
 
     A row with one live column c fixes it: x_c = u_r. A selected column
     flips the target bit of each of its rows, and the column leaves. A row
     with no live column leaves too, once its target bit is clear; with the
-    bit set it has no solution, and it stays live for ``_series`` to
+    bit set it has no solution, and it stays live for ``_coset`` to
     report. This repeats until every row left has no column or two or more.
 
-    Returns (each row's target bit, one live flag per vertex, the fixed
-    selected columns). A live column's rows are all live, since a row
-    leaves only after all its columns.
+    Returns (each row's target bit, the live rows, the live columns, the
+    fixed selected columns), the rows and columns each in increasing order.
+    A live column's rows are all live, since a row leaves only after all
+    its columns, and a live row with no live column has its bit set.
     """
     nrows = matrix.nrows
     col_rows = matrix.col_rows
@@ -151,10 +164,14 @@ def _propagate(matrix: Gf2Matrix, target: int) -> tuple[bytearray, bytearray, li
             deg[s] -= 1
             if deg[s] == 1:
                 queue.append(s)
-    return u, live, fixed
+    rows = list(compress(range(nrows), live))
+    cols = list(compress(range(matrix.ncols), live[nrows:]))
+    return u, rows, cols, fixed
 
 
-def _series(matrix: Gf2Matrix, u: bytearray, live: bytearray, fixed: list[int]) -> Kernel:
+def _series(
+    matrix: Gf2Matrix, u: bytearray, rows: list[int], cols: list[int], fixed: list[int]
+) -> Kernel:
     """Series-parallel reduction over GF(2) of the live rows and columns of
     ``matrix``, with target bits ``u``: substitute away every row of degree
     2 or less, merge every two columns with the same rows, drop every column
@@ -223,9 +240,8 @@ def _series(matrix: Gf2Matrix, u: bytearray, live: bytearray, fixed: list[int]) 
     which either engine finds infeasible.
     """
     nrows, weights = matrix.nrows, matrix.col_weights
-    cols = list(compress(range(matrix.ncols), live[nrows:]))
     n = len(cols)
-    row_cols: dict[int, set[int]] = {r: set() for r in compress(range(nrows), live)}
+    row_cols: dict[int, set[int]] = {r: set() for r in rows}
     col_rows: dict[int, set[int]] = {}
     on: dict[int, int] = {}
     for i, c in enumerate(cols):
@@ -362,7 +378,7 @@ def _series(matrix: Gf2Matrix, u: bytearray, live: bytearray, fixed: list[int]) 
                     if len(rc) <= 2:
                         queue.append(s)
         elif u[r]:  # no solution: the kernel is this row alone
-            return Kernel(Gf2Matrix(1, 0, [], []), 1, {r: 0}, 0, cols, fixed)
+            return _infeasible(r, cols, fixed)
     # the twin-row rule: rows over the same columns are one equation
     first: dict[frozenset, int] = {}
     for r, cs in list(row_cols.items()):
@@ -370,7 +386,7 @@ def _series(matrix: Gf2Matrix, u: bytearray, live: bytearray, fixed: list[int]) 
         if t == r:
             continue
         if u[r] != u[t]:  # no solution: the kernel is this row alone
-            return Kernel(Gf2Matrix(1, 0, [], []), 1, {r: 0}, 0, cols, fixed)
+            return _infeasible(r, cols, fixed)
         del row_cols[r]
         for c in cs:
             col_rows[c].remove(r)
@@ -395,9 +411,64 @@ def _series(matrix: Gf2Matrix, u: bytearray, live: bytearray, fixed: list[int]) 
     return Kernel(kernel, target, image, base, cols, fixed)
 
 
+def _infeasible(r: int, cols: list[int], fixed: list[int]) -> Kernel:
+    """The kernel of a system with no solution: live row r alone, with its
+    target bit set and no column, which either engine finds infeasible."""
+    return Kernel(Gf2Matrix(1, 0, [], []), 1, {r: 0}, 0, cols, fixed)
+
+
+def _coset(
+    matrix: Gf2Matrix, u: bytearray, rows: list[int], cols: list[int], fixed: list[int]
+) -> Kernel | None:
+    """The live system solved outright where it has few solutions, or None.
+
+    The solutions of the live rows are one solution x0 plus the null space
+    that ``Gf2System`` spans, of dimension d: 2^d of them.
+    Where 2^d is at most n, the number of live columns, they are walked in
+    Gray-code order with a running weight W, and the least packed charge
+    ``(W << n) | x``, x over the column ranks, is the canonical solution:
+    the kernel is then empty, and its ``base`` is that charge. Where the
+    system has no solution, the kernel is one live row with its bit set.
+    Otherwise None, and ``_series`` reduces the system. d is at least n
+    less the number of live rows, so where that alone makes 2^d exceed n,
+    nothing is eliminated; with no live column, nothing is either.
+    """
+    n = len(cols)
+    if not n:  # every live row is empty, with its bit set
+        if rows:
+            return _infeasible(rows[-1], cols, fixed)
+        return Kernel(Gf2Matrix(0, 0, [], []), 0, {}, 0, cols, fixed)
+    if n - len(rows) >= n.bit_length():
+        return None
+    system = Gf2System([mask_from_indices(matrix.col_rows[c]) for c in cols])
+    x = system.solve(mask_from_indices([r for r in rows if u[r]]))
+    if x is None:  # the target is not 0, so a live row has its bit set
+        return _infeasible(next(r for r in reversed(rows) if u[r]), cols, fixed)
+    basis = system.kernel
+    if len(basis) >= n.bit_length():
+        return None
+    weights = [matrix.col_weights[c] for c in cols]
+    supports = [indices_from_mask(v) for v in basis]
+    w = sum([weights[i] for i in indices_from_mask(x)])
+    best = (w << n) | x
+    for j in range(1, 1 << len(basis)):
+        b = (j & -j).bit_length() - 1
+        for i in supports[b]:
+            w += -weights[i] if x >> i & 1 else weights[i]
+        x ^= basis[b]
+        packed = (w << n) | x
+        if packed < best:
+            best = packed
+    return Kernel(Gf2Matrix(0, 0, [], []), 0, {}, best, cols, fixed)
+
+
 def reduce(matrix: Gf2Matrix, target: int) -> Kernel:
-    """The kernel of A x = ``target``: ``_propagate``, then ``_series``."""
-    return _series(matrix, *_propagate(matrix, target))
+    """The kernel of A x = ``target``: ``_propagate``, then ``_coset``,
+    and where that declines, ``_series``, the two on the same live rows
+    and columns. Where the live system has at most one solution per live
+    column, or none, the kernel is empty, or one infeasible row."""
+    live = _propagate(matrix, target)
+    return _coset(matrix, *live) or _series(matrix, *live)
 
 
 def backtrack(matrix: Gf2Matrix, kern: Kernel, value: int) -> tuple[int, frozenset[int]]:

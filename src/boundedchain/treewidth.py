@@ -21,12 +21,15 @@ the columns merged into it, leave with no image. Twins share no edge, so
 contracting column b into its twin a could split a's bags, but a's bags
 already meet all of rows(b), so deleting b loses no edge, and likewise
 for twin rows. A dominated column is deleted outright, as a fixed one
-is. The kernel's graph is a subgraph of what is left, a minor of the
-incidence graph, so the result decomposes it, and its width can only
-fall. The stats ``width``, ``nodes``, ``table_entries`` and
-``join_pairs`` describe the DP on the kernel; an instance the passes
-reduce whole leaves the empty graph, whose width is -1. The passes are
-timed as the ``kernel`` phase.
+is. Where the coset rule solves the live system, no vertex has an image,
+and every bag contracts to the empty one; where it finds no solution,
+the one infeasible row it keeps is the image of one live row. The
+kernel's graph is a subgraph of what is left, a minor of the incidence
+graph, so the result decomposes it, and its width can only fall. The
+stats ``width``, ``nodes``, ``table_entries`` and ``join_pairs``
+describe the DP on the kernel; an instance the passes reduce whole,
+most random dim-3 slices among them, leaves the empty graph, whose
+width is -1. The passes are timed as the ``kernel`` phase.
 
 Key layout. One pre-order walk gives every vertex, at its topmost bag, the
 least colour that no other vertex of that bag has. A vertex's bags form a
@@ -196,7 +199,8 @@ def _contract(td: TreeDecomposition, image: dict[int, int]) -> TreeDecomposition
     fall. ``_series`` maps a series-merged column to its survivor, through
     the row that joins them, and gives a column the parallel rule merges
     away no image, since nothing joins it to its twin, and a dropped twin
-    row and a dominated column, with its series rows, none either.
+    row and a dominated column, with its series rows, none either. A
+    kernel the coset rule empties gives no vertex an image.
     """
     return TreeDecomposition(
         [{image[v] for v in bag if v in image} for bag in td.bags], td.children, td.root

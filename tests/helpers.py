@@ -179,7 +179,8 @@ TWIN_COPIES = (
 
 
 def irreducible(matrix):
-    """A matrix that no kernel rule reduces, with three times the optimum.
+    """A matrix that no series, parallel, dominance or twin-row rule reduces,
+    with three times the optimum.
     Column c becomes five copies c0..c4, in that order where c was, and four
     new rows, after the old ones, over {c0, c2, c3}, {c0, c3, c4},
     {c0, c2, c4} and {c1, c2, c3}. Those rows force x_c0 = x_c1 = 0 and
@@ -191,8 +192,11 @@ def irreducible(matrix):
     and the canonical witnesses correspond. Every row with a column then
     has three or more, no two columns share their rows (the new rows tell
     the copies apart), and, up to seven rows over the same columns, no two
-    rows share their columns, so the kernel is the whole matrix and the DP
-    runs on the whole incidence graph."""
+    rows share their columns, so the series rules leave the whole matrix.
+    The number of solutions is ``matrix``'s, so the kernel is the whole
+    matrix, and the DP runs on the whole incidence graph, only where the
+    solutions outnumber the 5 ncols columns: otherwise the coset rule
+    solves it outright. ``copied`` makes such inputs."""
     nrows, ncols = matrix.nrows, matrix.ncols
     col_rows = [[] for _ in range(5 * ncols)]
     seen = Counter()
@@ -208,6 +212,18 @@ def irreducible(matrix):
             col_rows[5 * c + k] += rows
     weights = [w for w in matrix.col_weights for _ in range(5)]
     return Gf2Matrix(nrows + 4 * ncols, 5 * ncols, col_rows, weights)
+
+
+def copied(matrix, k):
+    """``matrix`` with each column k times, the copies in k blocks of ncols
+    columns, at the same weights: column c's copies together stand for
+    x_c, so each solution of ``matrix`` becomes 2^((k-1) ncols) of them,
+    and the canonical witness is the same columns. Made irreducible, it
+    has 5k ncols columns and more than that many solutions once
+    2^((k-1) ncols) > 5k ncols: for every ncols at k = 6, and for
+    ncols of 6 or more at k = 2. The kernel's coset rule then leaves it
+    to the series rules."""
+    return Gf2Matrix(matrix.nrows, k * matrix.ncols, matrix.col_rows * k, matrix.col_weights * k)
 
 
 def canonical_optimum(matrix, target_rows):

@@ -44,6 +44,7 @@ from boundedchain.generators import (
 from helpers import (
     PIVOT_ORDERS,
     assert_join_pairs_capped,
+    copied,
     irreducible,
     pivot_order,
     punctured_octahedron,
@@ -204,11 +205,13 @@ def test_acceptance_6_decomposition_validity(acceptance):
 
 
 def _strip_dp_time(length, reps=5):
-    """The DP on a strip made irreducible (``helpers.irreducible``): the
-    kernel reductions solve a plain strip outright, and leave this one
+    """The DP on a strip with every triangle twice (``helpers.copied``), made
+    irreducible (``helpers.irreducible``): the kernel reductions solve a
+    plain strip outright, and the coset rule an irreducible one, whose
+    solution is unique; this one has 2^length solutions, and they leave it
     whole, at fixed width."""
     cs, boundary = triangle_strip(length)
-    mat = irreducible(boundary_matrix(cs))
+    mat = irreducible(copied(boundary_matrix(cs), 2))
     g = hasse_graph(mat)
     ntd = greedy_decomposition(g)
     best = None

@@ -28,11 +28,12 @@ from boundedchain.dijkstra import (
 )
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import mask_from_indices
-from boundedchain.kernel import reduce
+from boundedchain.kernel import _propagate, _series, reduce
 from helpers import (
     PIVOT_ORDERS,
     best_by_size,
     canonical_optimum,
+    copied,
     irreducible,
     pivot_order,
     punctured_octahedron,
@@ -64,9 +65,10 @@ def search_kernel(matrix, rows):
 
 
 def search_irreducible(cs, boundary, **options):
-    """The solve on ``helpers.irreducible`` of the slice's matrix, whose
-    kernel is the whole matrix: the search runs on every column."""
-    matrix = irreducible(boundary_matrix(cs))
+    """The solve on ``helpers.irreducible`` of the slice's matrix with every
+    column twice (``helpers.copied``), whose kernel is the whole matrix, at
+    six columns or more: the search runs on every column."""
+    matrix = irreducible(copied(boundary_matrix(cs), 2))
     return solve(instance_from_matrix(matrix, boundary), "dijkstra", **options)
 
 
@@ -539,7 +541,9 @@ def test_negative_kernel_columns_are_complemented(monkeypatch):
     (0 alone) and 'off' (1 alone), and it would weigh on - off < 0. The
     search sees it complemented: it weighs off - on, the kernel target
     flips on its rows, every kernel weight is non-negative, and the answer
-    is still the oracle's and the canonical one."""
+    is still the oracle's and the canonical one. The instance has two
+    solutions for five columns, so the coset rule would solve it outright:
+    the search gets the series rules' kernel instead."""
     cols = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2)]
     mat = Gf2Matrix(4, 5, cols, [1, 5, 1, 1, 1])
     on, off = (1 << 5) + (1 << 0), (5 << 5) + (1 << 1)
@@ -554,6 +558,7 @@ def test_negative_kernel_columns_are_complemented(monkeypatch):
         return real_search(space, numbering, *args)
 
     monkeypatch.setattr(dijkstra, "_search", spy)
+    monkeypatch.setattr(dijkstra, "reduce", lambda m, t: _series(m, *_propagate(m, t)))
     for rest in range(8):
         rows = [0] + [r for r in (1, 2, 3) if rest >> (r - 1) & 1]
         got = solve_mld_dijkstra(mat, rows)

@@ -40,6 +40,7 @@ from boundedchain.treewidth import Lift, _contract, _plan, process_bag
 from helpers import (
     assert_join_pairs_capped,
     canonical_optimum,
+    copied,
     octahedron_slice,
     punctured_octahedron,
     random_problem,
@@ -124,12 +125,13 @@ def test_supplied_decompositions():
     # the DP runs on a given decomposition contracted onto the kernel: the
     # computed one given back gives the same answer, and its nice form, a
     # bigger tree, too. Where every row has three columns or more, no two
-    # columns share their rows and no two rows their columns, the kernel is
-    # the whole matrix, and the computed one given back does the same work.
+    # columns share their rows, no two rows their columns and the solutions
+    # outnumber the columns (``helpers.copied``), the kernel is the whole
+    # matrix, and the computed one given back does the same work.
     for seed in range(20):
         cs, boundary = random_problem(seed)
         plain = boundary_matrix(cs)
-        for mat, whole in ((plain, False), (irreducible(plain), True)):
+        for mat, whole in ((plain, False), (irreducible(copied(plain, 6)), True)):
             assert not whole or all(len(cols) >= 3 for cols in mat.row_cols)
             assert not whole or len(set(mat.col_rows)) == mat.ncols
             assert not whole or len(set(mat.row_cols)) == mat.nrows
@@ -205,24 +207,26 @@ import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from boundedchain import boundary_matrix, solve_mld_treewidth
 from boundedchain.generators import cylinder
-from helpers import irreducible
+from helpers import copied, irreducible
 cs, boundary = cylinder(20, 20)
-r = solve_mld_treewidth(irreducible(boundary_matrix(cs)), sorted(boundary))
+r = solve_mld_treewidth(irreducible(copied(boundary_matrix(cs), 2)), sorted(boundary))
 print(json.dumps([r.status.value, r.weight, r.stats["width"]]))
 """
 
 
 def test_wide_cylinder_solves_in_one_gib():
-    """cylinder(20, 20) made irreducible (``helpers.irreducible``): every
-    row has three columns or more, no two columns share their rows and no
-    two rows their columns, so the kernel reductions leave it whole and the
-    DP runs on a width-43 decomposition of the whole incidence graph, for
-    three times the plain optimum. (Propagation alone solves the plain
-    cylinder, the series rule a doubled one and the parallel rule a tripled
-    one.) Run on the rooted decomposition, its tables stay small; padded to nice form, the plain cylinder's width-42
-    solve ran out of a 2 GB address space. Solved in a child process under
-    a 1 GiB address-space cap, so a regression fails here and not the
-    machine."""
+    """cylinder(20, 20) with every triangle twice (``helpers.copied``), made
+    irreducible (``helpers.irreducible``): every row has three columns or
+    more, no two columns share their rows and no two rows their columns,
+    and the live system has 2^800 solutions, more than its 8,000 columns,
+    so the kernel reductions leave it whole and the DP runs on a width-43
+    decomposition of the whole incidence graph, for three times the plain
+    optimum. (Propagation alone solves the plain cylinder, and the coset
+    rule the irreducible one, whose solution is unique.) Run on the rooted
+    decomposition, its tables stay small; padded to nice form, the plain
+    cylinder's width-42 solve ran out of a 2 GB address space. Solved in a
+    child process under a 1 GiB address-space cap, so a regression fails
+    here and not the machine."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}")
     proc = subprocess.run(
@@ -273,9 +277,9 @@ def test_row_left_empty_with_its_bit_set_stays_live():
     which the DP finds infeasible at the same counts as a propagation that
     stops at that row."""
     mat = Gf2Matrix(5, 4, [(0, 1), (2, 3, 4), (2, 3), (3, 4)], [1, 2, 3, 4])
-    u, live, fixed = _propagate(mat, mat.target_mask([0]))
-    assert (list(u[:2]), list(live[:2]), live[5], fixed) == ([1, 0], [1, 0], 0, [])
-    kern = _series(mat, u, live, fixed)
+    u, rows, cols, fixed = _propagate(mat, mat.target_mask([0]))
+    assert (list(u[:2]), rows, cols, fixed) == ([1, 0], [0, 2, 3, 4], [1, 2, 3], [])
+    kern = _series(mat, u, rows, cols, fixed)
     assert (kern.matrix.nrows, kern.matrix.ncols, kern.target, kern.base, kern.image) == (
         1, 0, 1, 0, {0: 0}
     )
@@ -349,8 +353,7 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             mat = boundary_matrix(cs)
             rows = sorted(random_boundary(cs, seed=seed))
-            _u, live, _fixed = _propagate(mat, mat.target_mask(rows))
-            left = sum(live[mat.nrows:])
+            left = len(_propagate(mat, mat.target_mask(rows))[2])
             if left == mat.ncols:
                 continue
             partial += left > 0
@@ -378,10 +381,10 @@ def reduced(mat, rows):
 def unpropagated(mat, rows):
     """``_series``'s input where propagation fixes nothing: each row's
     target bit, every vertex live and no fixed column."""
-    u, live, fixed = _propagate(mat, mat.target_mask(rows))
-    assert all(live) and not fixed
+    u, live_rows, cols, fixed = _propagate(mat, mat.target_mask(rows))
+    assert live_rows == list(range(mat.nrows)) and cols == list(range(mat.ncols)) and not fixed
     assert list(u) == [r in rows for r in range(mat.nrows)]
-    return u, live, fixed
+    return u, live_rows, cols, fixed
 
 
 def series(mat, rows):
@@ -404,9 +407,9 @@ def test_propagation_unpacks_one_byte_per_row():
         if nrows:
             targets.append(1 << nrows - 1)
         for target in targets:
-            u, live, fixed = _propagate(mat, target)
+            u, rows, cols, fixed = _propagate(mat, target)
             assert u == bytearray(target >> r & 1 for r in range(nrows)), (nrows, target)
-            assert all(live) and not fixed
+            assert rows == cols == list(range(nrows)) and not fixed
 
 
 def series_problems():
@@ -688,9 +691,11 @@ def test_twin_rows_with_equal_target_bits_keep_one():
 def test_no_two_kernel_rows_share_their_columns():
     """200 random matrices, each with one to three rows given a twin, a copy
     over the same columns at a random place, against the target of a random
-    x or, three times in ten, a random one: no two kernel rows share their
-    columns, and both engines give the least (weight, mask) optimum, the DP
-    also on a supplied decomposition."""
+    x or, three times in ten, a random one: no two rows of the series
+    rules' kernel (``_series`` after ``_propagate``, which the coset rule
+    would mostly pre-empt here) share their columns, and both engines give
+    the least (weight, mask) optimum, the DP also on a supplied
+    decomposition."""
     nonempty = infeasible = 0
     for trial in range(200):
         rng = random.Random(trial)
@@ -705,7 +710,7 @@ def test_no_two_kernel_rows_share_their_columns():
         rows = [r for r, cs in enumerate(row_cols) if len(set(cs) & set(x)) & 1]
         if rng.random() < 0.3:
             rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
-        _left, kernel, _image = reduced(mat, rows)
+        kernel = _series(mat, *_propagate(mat, mat.target_mask(rows))).matrix
         assert len(set(kernel.row_cols)) == kernel.nrows, trial
         nonempty += kernel.ncols > 0
         want = canonical_optimum(mat, rows)
@@ -907,10 +912,12 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
     relabellings and star decompositions: every vertex owns one key bit,
     vertices that share a bag own distinct bits, at most width + 1 colours
     are used and a bag's column bits are its columns'. Where no row is
-    empty, ``helpers.irreducible`` gives every row three columns or more,
-    every column its own rows and every row its own columns, so the kernel
-    is the whole matrix, and there a supplied greedy decomposition does the
-    computed one's work. Every decomposition gives the same answer."""
+    empty, ``helpers.irreducible`` of the matrix with each column six times
+    (``helpers.copied``) gives every row three columns or more, every column
+    its own rows and every row its own columns, and its live system more
+    solutions than columns, so the kernel is the whole matrix, and there a
+    supplied greedy decomposition does the computed one's work. Every
+    decomposition gives the same answer."""
     checked = 0
     for trial in range(200):
         rng = random.Random(trial)
@@ -920,7 +927,7 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
         g = hasse_graph(mat)
         rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
         decompositions = [star(mat, rng.randrange(ncols))]
-        guard = irreducible(mat)
+        guard = irreducible(copied(mat, 6))
         whole = all(len(cols) >= 3 for cols in guard.row_cols)
         whole = whole and len(set(guard.row_cols)) == guard.nrows
         checked += whole

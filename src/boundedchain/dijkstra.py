@@ -38,10 +38,12 @@ positive and never tie, so the first empty chain settled is the least
 (weight, mask) optimum, and ``kernel.backtrack`` decodes it into the
 weight and the canonical witness, the one the treewidth DP returns. The
 feasibility check, the search and its stats then run on the kernel; an
-instance the passes solve whole, as the coset rule solves most random
-dim-3 slices, settles at once. A bounded search runs on
-the whole matrix: a kernel column can stand for several simplices, and k
-counts simplices.
+instance the passes solve whole, as the coset rule solves nearly every
+random dim-3 slice, settles at once. The kernel's rows may repeat, and
+its columns too, since only the series rule shrinks what the coset rule
+leaves: the feasibility check finds twin rows with different target
+bits infeasible. A bounded search runs on the whole matrix: a kernel
+column can stand for several simplices, and k counts simplices.
 
 States are settled in A* order (Hart, Nilsson and Raphael 1968): by
 L*g + h, where g is the cost so far and h a lower bound on the cost still

@@ -14,22 +14,18 @@ value into the weight and the canonical witness. What is particular to this
 engine is a supplied decomposition. It is validated against the whole
 incidence graph and then contracted onto the kernel through the kernel's
 ``image``, with the same nodes, children and root: a series-merged column
-and its series row map to the column they merged into, and a fixed column,
-a dropped row, a column the parallel rule merges away, a row the twin-row
-rule drops and a column the dominance rule drops, with its series rows and
-the columns merged into it, leave with no image. Twins share no edge, so
-contracting column b into its twin a could split a's bags, but a's bags
-already meet all of rows(b), so deleting b loses no edge, and likewise
-for twin rows. A dominated column is deleted outright, as a fixed one
-is. Where the coset rule solves the live system, no vertex has an image,
-and every bag contracts to the empty one; where it finds no solution,
-the one infeasible row it keeps is the image of one live row. The
-kernel's graph is a subgraph of what is left, a minor of the incidence
-graph, so the result decomposes it, and its width can only fall. The
-stats ``width``, ``nodes``, ``table_entries`` and ``join_pairs``
-describe the DP on the kernel; an instance the passes reduce whole,
-most random dim-3 slices among them, leaves the empty graph, whose
-width is -1. The passes are timed as the ``kernel`` phase.
+and its series row map to the column they merged into, and a fixed
+column, with its series rows and the columns merged into it, and a
+dropped row leave with no image. Where the coset rule solves the live
+system, no vertex has an image, and every bag contracts to the empty
+one; where it finds no solution, the one infeasible row it keeps is the
+image of one live row. The kernel's graph is a subgraph of what is left,
+a minor of the incidence graph, so the result decomposes it, and its
+width can only fall. The stats ``width``, ``nodes``, ``table_entries``
+and ``join_pairs`` describe the DP on the kernel; an instance the passes
+reduce whole, nearly every random dim-3 slice among them, leaves the
+empty graph, whose width is -1. The passes are timed as the ``kernel``
+phase.
 
 Key layout. One pre-order walk gives every vertex, at its topmost bag, the
 least colour that no other vertex of that bag has. A vertex's bags form a
@@ -197,10 +193,9 @@ def _contract(td: TreeDecomposition, image: dict[int, int]) -> TreeDecomposition
     graph with each preimage contracted and the vertices with no image
     deleted, a minor, and so any subgraph of it, and its width can only
     fall. ``_series`` maps a series-merged column to its survivor, through
-    the row that joins them, and gives a column the parallel rule merges
-    away no image, since nothing joins it to its twin, and a dropped twin
-    row and a dominated column, with its series rows, none either. A
-    kernel the coset rule empties gives no vertex an image.
+    the row that joins them, and gives a fixed column, with its series
+    rows, no image. A kernel the coset rule empties gives no vertex an
+    image.
     """
     return TreeDecomposition(
         [{image[v] for v in bag if v in image} for bag in td.bags], td.children, td.root

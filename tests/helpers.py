@@ -179,8 +179,8 @@ TWIN_COPIES = (
 
 
 def irreducible(matrix):
-    """A matrix that no series, parallel, dominance or twin-row rule reduces,
-    with three times the optimum.
+    """A matrix that neither propagation nor the series rule reduces, with
+    three times the optimum.
     Column c becomes five copies c0..c4, in that order where c was, and four
     new rows, after the old ones, over {c0, c2, c3}, {c0, c3, c4},
     {c0, c2, c4} and {c1, c2, c3}. Those rows force x_c0 = x_c1 = 0 and
@@ -190,13 +190,15 @@ def irreducible(matrix):
     c2..c4 still stands for x_c, so a solution selects c2, c3 and c4 for
     each column c of a solution of ``matrix``, at three times its weight,
     and the canonical witnesses correspond. Every row with a column then
-    has three or more, no two columns share their rows (the new rows tell
-    the copies apart), and, up to seven rows over the same columns, no two
-    rows share their columns, so the series rules leave the whole matrix.
-    The number of solutions is ``matrix``'s, so the kernel is the whole
-    matrix, and the DP runs on the whole incidence graph, only where the
-    solutions outnumber the 5 ncols columns: otherwise the coset rule
-    solves it outright. ``copied`` makes such inputs."""
+    has three or more, so the series rule leaves the whole matrix. No two
+    columns share their rows either (the new rows tell the copies apart),
+    nor, up to seven rows over the same columns, two rows their columns:
+    no kernel rule needs that now, but the copies keep this helper's
+    matrices, and the widths measured on them, as they were. The number of
+    solutions is ``matrix``'s, so the kernel is the whole matrix, and the
+    DP runs on the whole incidence graph, only where the solutions
+    outnumber the 5 ncols columns: otherwise the coset rule solves it
+    outright. ``copied`` makes such inputs."""
     nrows, ncols = matrix.nrows, matrix.ncols
     col_rows = [[] for _ in range(5 * ncols)]
     seen = Counter()
@@ -222,7 +224,7 @@ def copied(matrix, k):
     has 5k ncols columns and more than that many solutions once
     2^((k-1) ncols) > 5k ncols: for every ncols at k = 6, and for
     ncols of 6 or more at k = 2. The kernel's coset rule then leaves it
-    to the series rules."""
+    to the series rule."""
     return Gf2Matrix(matrix.nrows, k * matrix.ncols, matrix.col_rows * k, matrix.col_weights * k)
 
 

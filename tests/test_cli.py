@@ -96,7 +96,8 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["status"] == "infeasible"
     # infeasible: rows 0 and 1 lie on the same three columns, and only row 0
-    # is in the target; the kernel's twin-row rule finds it under both engines
+    # is in the target; both engines find it, the DP also on a supplied
+    # decomposition
     twins = tmp_path / "twins.mld"
     twins.write_text(
         "mld 5 6\ne 0 0\ne 1 0\ne 2 0\ne 0 1\ne 1 1\ne 3 1\ne 0 2\ne 1 2\ne 4 2\n"

@@ -50,7 +50,7 @@ def kernel_problems(seeds=80):
 
 
 def series_kernel(mat, rows):
-    """The kernel of the series rules alone, ``_series`` after
+    """The kernel of the series rule alone, ``_series`` after
     ``_propagate``: what ``reduce`` returns where the coset rule declines."""
     return _series(mat, *_propagate(mat, mat.target_mask(rows)))
 
@@ -82,8 +82,8 @@ def test_reduce_against_the_oracle():
 
 def test_coset_rule_against_the_series_rules():
     """On 2,400 random problems, ``reduce``'s kernel, which the coset rule
-    empties where the live system has at most one solution per live column,
-    and the series rules' kernel, solved by the oracle, decode to the same
+    empties where the live system has at most one solution per column,
+    and the series rule's kernel, solved by the oracle, decode to the same
     answer, the least (weight, mask) optimum. The rule both solves and
     declines many of them."""
     fired = declined = 0
@@ -112,7 +112,7 @@ def fields(kern):
 
 def coset_kernel(mat, rows):
     """The coset rule's kernel, checked to be ``reduce``'s, or None where
-    the rule declines, checked to leave ``reduce`` the series rules'."""
+    the rule declines, checked to leave ``reduce`` the series rule's."""
     kern = _coset(mat, *_propagate(mat, mat.target_mask(rows)))
     want = series_kernel(mat, rows) if kern is None else kern
     assert fields(reduce(mat, mat.target_mask(rows))) == fields(want), rows
@@ -126,9 +126,9 @@ def test_coset_rule_by_hand():
     over columns 0, 1 and 2, 3 have 2^2 solutions for 4 columns, which the
     rule lists: the least packed charge, here of a negative weight, is the
     base of an empty kernel. Twin rows over 4 columns have 2^3, twice the
-    columns, and the series rules get them, to merge the 4 parallel
-    columns and drop a twin row; against one twin alone they have no
-    solution, which the elimination finds first. A triangle's three edges,
+    columns, and the series rule gets them, to leave them whole for the
+    engines; against one twin alone they have no solution, which the
+    elimination finds first. A triangle's three edges,
     each a column over two of its three rows, cannot hit an odd number of
     rows: no solution, and the kernel is the last row of the target."""
     forced = Gf2Matrix(2, 1, [(0, 1)], [4])
@@ -159,8 +159,8 @@ def test_coset_rule_by_hand():
 
 def test_coset_rule_skips_the_elimination(monkeypatch):
     """With no live column, or with more live columns than live rows by the
-    bit length of their number or more, nothing is eliminated: the rule
-    declines or solves without ``Gf2System``."""
+    bit length of the instance's column count or more, nothing is
+    eliminated: the rule declines or solves without ``Gf2System``."""
     built = []
     real = kernel.Gf2System
     monkeypatch.setattr(kernel, "Gf2System", lambda cols: built.append(cols) or real(cols))
@@ -168,12 +168,55 @@ def test_coset_rule_skips_the_elimination(monkeypatch):
     def coset(mat, rows):
         return _coset(mat, *_propagate(mat, mat.target_mask(rows)))
 
-    wide = Gf2Matrix(1, 4, [(0,)] * 4, [1, 2, 3, 4])  # 4 - 1 >= 3, the bit length of 4
+    wide = Gf2Matrix(1, 4, [(0,)] * 4, [1, 2, 3, 4])  # 4 - 1 >= 3, the bit length of its 4 columns
     assert coset(wide, [0]) is None
     assert coset(Gf2Matrix(2, 1, [(0, 1)], [4]), [0, 1]) is not None
     assert built == []
     assert coset(Gf2Matrix(2, 4, [(0,), (0,), (1,), (1,)], [1] * 4), [0]) is not None
     assert len(built) == 1
+
+
+def with_forced(mat, count):
+    """``mat`` with ``count`` columns added, each alone on a new row, so
+    that propagation fixes them and leaves ``mat``'s live system."""
+    return Gf2Matrix(
+        mat.nrows + count,
+        mat.ncols + count,
+        [*mat.col_rows, *((mat.nrows + i,) for i in range(count))],
+        [*mat.col_weights, *range(1, count + 1)],
+    )
+
+
+def test_coset_gate_counts_every_column(monkeypatch):
+    """The rule lists up to one solution per column of the instance, not
+    per live column. One row over 4 columns has 2^3 solutions, and so have
+    twin rows over them: more than the 4 live columns. With 4 more columns,
+    which propagation fixes, 2^3 is at most the 8 in all, and the rule
+    empties the kernel at the least (weight, mask) optimum. With 3 more,
+    2^3 exceeds the 7 in all, and it declines: the row before any
+    elimination, since 4 - 1 live rows is at least 3, the bit length of 7,
+    and the twins after one, which finds d = 3 though 4 - 2 is less. Every
+    engine gives the least (weight, mask) optimum either way."""
+    built = []
+    real = kernel.Gf2System
+    monkeypatch.setattr(kernel, "Gf2System", lambda cols: built.append(cols) or real(cols))
+    row = Gf2Matrix(1, 4, [(0,)] * 4, [3, 1, 4, 1])
+    twins = Gf2Matrix(2, 4, [(0, 1)] * 4, [3, -1, 4, 1])
+    for mat, live_targets, eliminated in ((row, ([], [0]), 0), (twins, ([], [0, 1]), 1)):
+        for count in (4, 3):
+            wide = with_forced(mat, count)
+            for live in live_targets:
+                rows = live + [mat.nrows + i for i in range(0, count, 2)]
+                want = canonical_optimum(wide, rows)
+                built.clear()
+                kern = _coset(wide, *_propagate(wide, wide.target_mask(rows)))
+                if count == 4:
+                    assert kern is not None and shape(kern) == (0, 0, 0, {}), (mat, rows)
+                    assert backtrack(wide, kern, 0) == want, (mat, rows)
+                else:
+                    assert kern is None and len(built) == eliminated, (mat, rows)
+                assert (coset_kernel(wide, rows) is None) == (kern is None)  # and reduce agrees
+                assert set(engine_answers(wide, rows)) == {want}, (mat, rows)
 
 
 def test_supplied_decomposition_on_an_emptied_kernel():
@@ -227,67 +270,9 @@ def engine_answers(mat, rows, td=None):
     return got
 
 
-# Row 0 lies on columns p = 0 and q = 1 alone, so q merges into p, which
-# then lies on rows 1-4, as do a = 2 and b = 3 together (rows 1, 2 and 3, 4).
-# Columns d..g (4-7) give every row three columns or more, and no two
-# columns share their rows.
-TRIPLE = [(0, 1, 2, 3), (0, 4), (1, 2), (3, 4), (1, 3, 5), (2, 4, 5), (1, 2, 5), (3, 4, 5)]
-
-
-def test_dominated_column_leaves_at_its_cheaper_side():
-    """With row 0 in the target, x_q = x_p ⊕ 1, so the merged column's
-    charges are on_p + off_q and off_p + on_q: |on - off| is about
-    |w_p - w_q| << 8 against about 1 << 8 each for a and b. At weights 9 and
-    1 its cheaper side is 'off' (q alone); at 1 and 9 it is 'on' (p alone),
-    and the target flips on rows 1-4. Either way it leaves, at that charge,
-    with row 0 and q and no image, and the series rules' kernel is rows 1-5
-    over columns a..g. At 5 and 3 it is not dominated and stays. (The
-    system has 2^2 solutions for 8 columns, so ``reduce`` itself solves it
-    by the coset rule.) Every answer is the least (weight, mask)
-    optimum."""
-    for wp, wq in ((9, 1), (1, 9), (5, 3)):
-        mat = Gf2Matrix(6, 8, TRIPLE, [wp, wq, 1, 1, 1, 1, 1, 1])
-        on, off = (wp << 8) + 1, (wq << 8) + 2
-        for rest in range(32):
-            rows = [0] + [r for r in range(1, 6) if rest >> (r - 1) & 1]
-            kern = series_kernel(mat, rows)
-            if wp == 5:
-                assert kern.matrix.ncols == 7, rows
-            else:
-                # a..g on kernel rows 0-4 (rows 1-5); p, q and row 0 have no image
-                assert kern.matrix.col_rows == (
-                    (0, 1), (2, 3), (0, 2, 4), (1, 3, 4), (0, 1, 4), (2, 3, 4)
-                )
-                rows_image = {r: r - 1 for r in range(1, 6)}
-                assert kern.image == rows_image | {6 + c: c + 3 for c in range(2, 8)}
-                assert kern.base == min(on, off)
-                # the series merge flips row 4 (q's other row); the 'on' side rows 1-4
-                flips = 0b1000 ^ (0b1111 if on < off else 0)
-                assert kern.target == mask_from_indices(r - 1 for r in rows if r) ^ flips, rows
-            want = canonical_optimum(mat, rows)
-            assert set(engine_answers(mat, rows)) == {want}, (wp, wq, rows)
-
-
-def test_dominated_column_cascades_into_the_series_rule():
-    """``TRIPLE`` without g: once the merged column leaves, rows 3 and 4 keep
-    two columns each, so the series rule runs again, and the merges it makes
-    reduce the instance whole. Where the merged column is not dominated,
-    every row keeps three columns and the series rules' kernel keeps six."""
-    cols = TRIPLE[:7]
-    for wp, wq in ((9, 1), (1, 9), (5, 3)):
-        mat = Gf2Matrix(6, 7, cols, [wp, wq, 1, 1, 1, 1, 1])
-        for rest in range(32):
-            rows = [0] + [r for r in range(1, 6) if rest >> (r - 1) & 1]
-            kern = series_kernel(mat, rows)
-            assert kern.matrix.ncols == (6 if wp == 5 else 0), (wp, wq, rows)
-            want = canonical_optimum(mat, rows)
-            assert set(engine_answers(mat, rows)) == {want}, (wp, wq, rows)
-
-
-# Series merges leave column 0 on row 0 alone, and the dominance rule drops
-# it, row 0 staying live; later merges leave column 7 on row 0 alone too. A
-# row-set index that still filed column 0 under {0} would merge column 7
-# into the column that is gone, and lose it.
+# Series merges leave column 0 on row 0 alone, and later merges leave
+# column 7 on row 0 alone too: a kernel that once filed columns by their row
+# sets lost column 7 here, merging it into column 0 after column 0 had left.
 REFILED = Gf2Matrix(
     7, 11,
     [[0, 3, 4, 6], [0, 6], [1, 2, 3], [4], [2, 6], [2, 5], [0, 5], [0, 1, 3, 5], [3, 6], [5], [4]],
@@ -308,27 +293,28 @@ def test_dominated_column_leaves_the_row_set_index():
         assert set(engine_answers(REFILED, rows)) == {want}, rows
 
 
-def dominance_problems():
+def dense_problems():
     """(label, slice, boundary): random problems of dims 1-3, and denser
-    dim-2 and dim-3 slices, where series merges leave more columns that two
-    others reproduce."""
+    dim-2 and dim-3 slices, whose kernels the series rule merges into and
+    leaves for the engines."""
     for dim in (1, 2, 3):
         for seed in range(40):
             yield (dim, seed), *random_problem(seed, max_top=24, dim=dim)
-    for dim, n_top, n_vertices in ((2, 30, 9), (2, 40, 10), (3, 35, 8)):
+    for dim, n_top, n_vertices in ((2, 30, 9), (2, 40, 10), (3, 25, 7)):
         for seed in range(20):
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             yield (dim, n_top, seed), cs, random_boundary(cs, seed=seed)
 
 
-def test_dominance_rule_against_canonical_optimum():
-    """The dominance problems, with their own weights, weights from 0..3
-    and weights from -3..3, against their boundary and a random row subset:
+def test_dense_slices_against_canonical_optimum():
+    """The dense problems, with their own weights, weights from 0..3 and
+    weights from -3..3, against their boundary and a random row subset:
     the DP, computed and on a supplied decomposition hung from a random
     node, and the search give the least (weight, mask) optimum, and are
-    infeasible exactly where it is."""
-    infeasible = 0
-    for label, cs, boundary in dominance_problems():
+    infeasible exactly where it is. Many of their kernels are left for the
+    engines, the dim-3 slices' among them."""
+    infeasible = left = 0
+    for label, cs, boundary in dense_problems():
         plain = boundary_matrix(cs)
         rng = random.Random(f"dominance-{label}")
         redrawn = [
@@ -344,17 +330,17 @@ def test_dominance_rule_against_canonical_optimum():
             for rows in targets:
                 want = canonical_optimum(mat, rows)
                 infeasible += want is None
+                if label[:2] == (3, 25) and len(label) == 3:  # a dense dim-3 slice
+                    left += reduce(mat, mat.target_mask(rows)).matrix.ncols > 0
                 assert set(engine_answers(mat, rows, given)) == {want}, (label, rows)
-    assert infeasible >= 100, infeasible
+    assert infeasible >= 100 and left >= 60, (infeasible, left)
 
 
 def test_irreducible_keeps_its_whole_matrix():
-    """``helpers.irreducible`` gives the series rule no row to start from, so
-    no merge makes a column the dominance rule could drop: the series rules'
-    kernel is the whole matrix. Its copies share one weight, so none is
-    dearer than two others in any case. With each column six times
-    (``helpers.copied``), its solutions outnumber its columns, the coset
-    rule declines, and ``reduce`` keeps the whole matrix too."""
+    """``helpers.irreducible`` gives the series rule no row to start from:
+    the series rule's kernel is the whole matrix. With each column six
+    times (``helpers.copied``), its solutions outnumber its columns, the
+    coset rule declines, and ``reduce`` keeps the whole matrix too."""
     for dim in (1, 2, 3):
         for seed in range(20):
             cs, boundary = random_problem(seed, max_top=12, dim=dim)

@@ -124,17 +124,14 @@ def test_supplied_decompositions():
     assert nice.weight == 7
     # the DP runs on a given decomposition contracted onto the kernel: the
     # computed one given back gives the same answer, and its nice form, a
-    # bigger tree, too. Where every row has three columns or more, no two
-    # columns share their rows, no two rows their columns and the solutions
-    # outnumber the columns (``helpers.copied``), the kernel is the whole
-    # matrix, and the computed one given back does the same work.
+    # bigger tree, too. Where every row has three columns or more and the
+    # solutions outnumber the columns (``helpers.copied``), the kernel is
+    # the whole matrix, and the computed one given back does the same work.
     for seed in range(20):
         cs, boundary = random_problem(seed)
         plain = boundary_matrix(cs)
         for mat, whole in ((plain, False), (irreducible(copied(plain, 6)), True)):
             assert not whole or all(len(cols) >= 3 for cols in mat.row_cols)
-            assert not whole or len(set(mat.col_rows)) == mat.ncols
-            assert not whole or len(set(mat.row_cols)) == mat.nrows
             g = hasse_graph(mat)
             computed = solve_mld_treewidth(mat, sorted(boundary))
             for heuristic, td in (
@@ -346,9 +343,10 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
     """On random dim-2 and dim-3 slices where propagation fixes some columns,
     with random and {-1, 0, 1} weights, under min-fill and a supplied
     min-degree decomposition, the witness is the least (weight, mask)
-    optimum, fixed columns included."""
-    partial = 0
-    for dim, n_top, n_vertices in ((2, 16, 8), (3, 20, 7)):
+    optimum, fixed columns included. Most of their kernels are left for
+    the DP."""
+    partial = reached = 0
+    for dim, n_top, n_vertices in ((2, 28, 8), (3, 25, 7)):
         for seed in range(40):
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             mat = boundary_matrix(cs)
@@ -357,6 +355,7 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
             if left == mat.ncols:
                 continue
             partial += left > 0
+            reached += reduce(mat, mat.target_mask(rows)).matrix.ncols > 0
             rng = random.Random(seed)
             signed = Gf2Matrix(
                 mat.nrows, mat.ncols, mat.col_rows, [rng.randint(-1, 1) for _ in range(mat.ncols)]
@@ -367,7 +366,7 @@ def test_witness_is_canonical_where_propagation_fixes_columns():
                 for ntd in (None, given):
                     r = solve_mld_treewidth(m, rows, ntd=ntd)
                     assert (r.weight, r.witness) == want, (dim, seed, m is signed, ntd)
-    assert partial >= 20
+    assert partial >= 20 and reached >= 60, (partial, reached)
 
 
 def reduced(mat, rows):
@@ -419,7 +418,7 @@ def series_problems():
     for dim in (1, 2, 3):
         for seed in range(50):
             yield (dim, seed), *random_problem(seed, max_top=12, dim=dim)
-    for dim, n_top, n_vertices in ((2, 30, 9), (3, 20, 7)):
+    for dim, n_top, n_vertices in ((2, 30, 9), (3, 25, 7)):
         for seed in range(20):
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             yield (dim, n_top, seed), cs, random_boundary(cs, seed=seed)
@@ -514,6 +513,24 @@ def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
             assert got == canonical_optimum(mat, rows), (weights, rows)
 
 
+def test_series_fixes_a_column_with_no_row_at_its_cheaper_side():
+    """Columns 0 and 5 lie on no row, so each is free: ``_series`` fixes
+    column 0, at weight -2, selected and column 5, at weight 3, clear, and
+    neither has an image. Rows 0-2 keep three columns each, so the kernel
+    is them over columns 1-4. Every target is feasible, and both engines
+    take column 0 and leave column 5 out."""
+    mat = Gf2Matrix(3, 6, [(), (0, 1, 2), (0, 1), (1, 2), (0, 2), ()], [-2, 1, 1, 1, 1, 3])
+    for rest in range(8):
+        rows = [r for r in range(3) if rest >> r & 1]
+        kernel, _ktarget, _base, image = series(mat, rows)
+        assert (kernel.nrows, kernel.ncols) == (3, 4)
+        assert 3 + 0 not in image and 3 + 5 not in image
+        weight, witness = canonical_optimum(mat, rows)
+        assert 0 in witness and 5 not in witness, rows
+        for r in (solve_mld_treewidth(mat, rows), solve_mld_dijkstra(mat, rows)):
+            assert (r.weight, r.witness) == (weight, witness), rows
+
+
 def test_series_survivor_on_a_row_count_tie_is_the_lower_id():
     """Row 0 has columns 1 and 8 alone, with four rows each, and every other
     row three columns or more. Column 1 survives, whichever of the two row
@@ -536,13 +553,11 @@ def test_series_survivor_on_a_row_count_tie_is_the_lower_id():
 
 def test_supplied_decomposition_contracts_onto_the_kernel():
     """A merged column and its series row map to the column they merged
-    into, and forced columns and dropped rows leave. A column the parallel
-    rule merges away leaves too, with whatever merged into it, rather than
-    contracting into its twin, which no edge joins it to. The supplied
+    into, and forced columns and dropped rows leave. The supplied
     decomposition so contracted decomposes the kernel's graph, at no larger
     width: greedy and star decompositions of the series problems, of
-    denser dim-2 slices, whose merged columns the dominance rule drops less
-    often, and of slices with injected twins. Dropping the series rows
+    denser dim-2 slices, and of slices with injected twins, which the
+    kernel keeps side by side. Dropping the series rows
     instead breaks it: in a star decomposition the two columns a series row
     merges sit in separate leaves, which only the row's image in the root
     bag joins."""
@@ -568,14 +583,14 @@ def test_supplied_decomposition_contracts_onto_the_kernel():
     assert broken >= 20, broken
 
 
-def test_parallel_rule_against_canonical_optimum():
+def test_twin_columns_against_canonical_optimum():
     """Slices with injected twin columns and signed weights, against their
     boundary and a random row subset, under min-fill and a supplied
     min-degree decomposition, as it is and hung from a random node: the
-    answer is the least (weight, mask) optimum. The twins merge first, at their own charges, so the
-    merged ``off`` keeps both clear where their weights sum to 0 or more
-    and both set where less, and the merged ``on`` the lighter one; the
-    weights drawn take every one of those branches many times."""
+    answer is the least (weight, mask) optimum. Of a twin pair, an optimum
+    takes both where their weights sum below 0 and the lighter one where it
+    takes one, the lower index on a tie; the weights drawn take each side
+    of both comparisons many times."""
     branches = {"off": [0, 0], "on": [0, 0]}
     infeasible = 0
     for label, mat, targets in twin_problems():
@@ -598,39 +613,6 @@ def test_parallel_rule_against_canonical_optimum():
                 assert got == want, (label, rows, ntd)
     assert min(branches["off"] + branches["on"]) >= 30, branches
     assert infeasible >= 50, infeasible
-
-
-def test_parallel_rule_merges_a_twin_pair_by_hand():
-    """Columns 0 and 1 both lie on rows 0, 1 and 2, so only x_0 ⊕ x_1
-    matters: column 1 leaves, and column 0 stands for the pair. Its 'off'
-    charge is the cheaper of neither and both, its 'on' the cheaper of
-    column 0 alone and column 1 alone. Columns 2, 3 and 4 keep every row at
-    three columns, so the kernel is the rest of the matrix. Column 3, at
-    weight -1, and the pair where its 'on' is the smaller charge are
-    complemented."""
-    cols = [(0, 1, 2), (0, 1, 2), (0, 1), (1, 2), (0, 2)]
-    seen = set()
-    for w0, w1 in ((3, 5), (5, 3), (-2, -3), (-3, -2), (4, 4), (-1, 1), (-4, 1), (2, -6)):
-        weights = [w0, w1, 2, -1, 3]
-        mat = Gf2Matrix(3, 5, cols, weights)
-        on0, on1 = (w0 << 5) + (1 << 0), (w1 << 5) + (1 << 1)
-        off = min(0, on0 + on1)
-        on = min(on0, on1)
-        seen.add((off == 0, on == on0))
-        for rest in range(8):
-            rows = [r for r in range(3) if rest >> r & 1]
-            kernel, ktarget, base, image = series(mat, rows)
-            assert (kernel.nrows, kernel.ncols) == (3, 4)
-            assert kernel.col_rows == ((0, 1, 2), (0, 1), (1, 2), (0, 2))
-            charges = [(on, off)] + [((weights[c] << 5) + (1 << c), 0) for c in (2, 3, 4)]
-            kweights, kbase, flips = complemented(charges, kernel.col_rows)
-            assert (kernel.col_weights, base) == (kweights, kbase)
-            assert ktarget == mat.target_mask(rows) ^ flips
-            assert image == {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 6: 5, 7: 6}  # column 1 has none
-            r = solve_mld_treewidth(mat, rows)
-            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-            assert got == canonical_optimum(mat, rows), (weights, rows)
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # rows 0 and 1 both lie on columns 0, 1 and 2 alone; every row has three
@@ -656,74 +638,19 @@ def twin_row_solves(mat, rows):
 
 def test_twin_rows_with_differing_target_bits_are_infeasible():
     """Rows 0 and 1 are the one equation twice, so with one of them in the
-    target and not the other, no x solves it. The twin-row rule says so
-    before either engine runs: the kernel is row 1 alone, with its bit set
-    and no column. Both engines report it infeasible, the DP also on
-    supplied decompositions, which contract onto that row."""
+    target and not the other, no x solves it. Both engines report it
+    infeasible, the DP also on supplied decompositions of the whole
+    incidence graph. With both twins in the target or neither, both give
+    the least (weight, mask) optimum, or none where the targets of rows 0,
+    2, 3 and 4, which sum to 0, have odd parity."""
     for rest in range(8):
-        for twin in (0, 1):
-            rows = [twin] + [r for r in (2, 3, 4) if rest >> (r - 2) & 1]
-            kernel, ktarget, base, image = series(TWIN_ROWS, rows)
-            assert (kernel.nrows, kernel.ncols, ktarget, base, image) == (1, 0, 1, 0, {1: 0})
-            assert canonical_optimum(TWIN_ROWS, rows) is None
-            assert twin_row_solves(TWIN_ROWS, rows) == {(Status.INFEASIBLE, None, None)}, rows
-
-
-def test_twin_rows_with_equal_target_bits_keep_one():
-    """With rows 0 and 1 both in the target or both out, row 1 leaves and
-    has no image; the columns keep distinct rows and every other vertex its
-    own kernel vertex. Supplied decompositions still hold row 1 and give the
-    same answer as the computed one, the least (weight, mask) optimum or
-    none where the targets of rows 0, 2, 3 and 4, which sum to 0, have odd
-    parity, and so does the search."""
-    for rest in range(8):
-        for twins in ([], [0, 1]):
-            rows = twins + [r for r in (2, 3, 4) if rest >> (r - 2) & 1]
-            kernel, ktarget, _base, image = series(TWIN_ROWS, rows)
-            assert (kernel.nrows, kernel.ncols) == (4, 6)
-            assert kernel.col_rows == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-            assert image == {0: 0, 2: 1, 3: 2, 4: 3, **{5 + c: 4 + c for c in range(6)}}
+        others = [r for r in (2, 3, 4) if rest >> (r - 2) & 1]
+        for twins in ([0], [1], [], [0, 1]):
+            rows = twins + others
             want = canonical_optimum(TWIN_ROWS, rows)
+            assert len(twins) != 1 or want is None, rows
             status = Status.INFEASIBLE if want is None else Status.OPTIMAL
             assert twin_row_solves(TWIN_ROWS, rows) == {(status, *(want or (None, None)))}, rows
-
-
-def test_no_two_kernel_rows_share_their_columns():
-    """200 random matrices, each with one to three rows given a twin, a copy
-    over the same columns at a random place, against the target of a random
-    x or, three times in ten, a random one: no two rows of the series
-    rules' kernel (``_series`` after ``_propagate``, which the coset rule
-    would mostly pre-empt here) share their columns, and both engines give
-    the least (weight, mask) optimum, the DP also on a supplied
-    decomposition."""
-    nonempty = infeasible = 0
-    for trial in range(200):
-        rng = random.Random(trial)
-        nrows, ncols = rng.randint(2, 9), rng.randint(3, 10)
-        row_cols = [rng.sample(range(ncols), rng.randint(3, min(6, ncols))) for _ in range(nrows)]
-        for r in rng.choices(range(nrows), k=rng.randint(1, 3)):
-            row_cols.insert(rng.randrange(len(row_cols) + 1), row_cols[r])
-        nrows = len(row_cols)
-        col_rows = [[r for r, cs in enumerate(row_cols) if c in cs] for c in range(ncols)]
-        mat = Gf2Matrix(nrows, ncols, col_rows, [rng.randint(0, 6) for _ in range(ncols)])
-        x = rng.sample(range(ncols), rng.randint(0, ncols))
-        rows = [r for r, cs in enumerate(row_cols) if len(set(cs) & set(x)) & 1]
-        if rng.random() < 0.3:
-            rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
-        kernel = _series(mat, *_propagate(mat, mat.target_mask(rows))).matrix
-        assert len(set(kernel.row_cols)) == kernel.nrows, trial
-        nonempty += kernel.ncols > 0
-        want = canonical_optimum(mat, rows)
-        infeasible += want is None
-        td = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
-        for r in (
-            solve_mld_treewidth(mat, rows),
-            solve_mld_treewidth(mat, rows, ntd=td),
-            solve_mld_dijkstra(mat, rows),
-        ):
-            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-            assert got == want, trial
-    assert nonempty >= 60 and infeasible >= 20, (nonempty, infeasible)
 
 
 def test_join_table_size_is_bounded():
@@ -913,11 +840,10 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
     vertices that share a bag own distinct bits, at most width + 1 colours
     are used and a bag's column bits are its columns'. Where no row is
     empty, ``helpers.irreducible`` of the matrix with each column six times
-    (``helpers.copied``) gives every row three columns or more, every column
-    its own rows and every row its own columns, and its live system more
-    solutions than columns, so the kernel is the whole matrix, and there a
-    supplied greedy decomposition does the computed one's work. Every
-    decomposition gives the same answer."""
+    (``helpers.copied``) gives every row three columns or more and its live
+    system more solutions than columns, so the kernel is the whole matrix,
+    and there a supplied greedy decomposition does the computed one's work.
+    Every decomposition gives the same answer."""
     checked = 0
     for trial in range(200):
         rng = random.Random(trial)
@@ -929,7 +855,6 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
         decompositions = [star(mat, rng.randrange(ncols))]
         guard = irreducible(copied(mat, 6))
         whole = all(len(cols) >= 3 for cols in guard.row_cols)
-        whole = whole and len(set(guard.row_cols)) == guard.nrows
         checked += whole
         computed = solve_mld_treewidth(mat, rows)
         if whole:
@@ -959,10 +884,10 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
 # (generator seed, weights, weight, witness, table_entries, join_pairs) of
 # 30-tetrahedron slices on 8 vertices; "binary" redraws the weights from
 # {0, 1}, so many optima tie and the witness is the one with the smallest
-# column mask. The kernel reductions solve most such slices outright, at
-# counts (1, 0). Seed 144's kernel survived them, less its twin rows, until
-# the dominance rule came in; seed 547's survives all of them, so its counts
-# pin DP work.
+# column mask. The kernel reductions solve nearly all such slices outright,
+# at counts (1, 0): the coset rule lists up to one solution per column, and
+# of seeds 0-1499 only seed 1456's live system has more, so its counts pin
+# DP work.
 PINNED_DIM3 = [
     (0, "random", 45, [0, 2, 3, 6, 7, 9, 11, 12, 13, 14, 15, 18, 19, 20, 22, 28, 29], 1, 0),
     (1, "random", 68, [1, 2, 3, 4, 9, 12, 14, 19, 20, 23, 24, 25, 27], 1, 0),
@@ -974,8 +899,10 @@ PINNED_DIM3 = [
     (18, "binary", 5, [2, 7, 9, 15, 18, 21, 23, 24, 25, 26, 28], 1, 0),
     (144, "random", 32, [7, 8, 10, 15, 20, 24, 27], 1, 0),
     (144, "binary", 4, [4, 5, 6, 8, 11, 14, 17, 24, 26, 27], 1, 0),
-    (547, "random", 47, [2, 5, 10, 13, 16, 18, 19, 20, 22, 24, 26], 206, 120),
-    (547, "binary", 6, [2, 5, 10, 13, 16, 18, 19, 20, 22, 24, 26], 206, 120),
+    (547, "random", 47, [2, 5, 10, 13, 16, 18, 19, 20, 22, 24, 26], 1, 0),
+    (547, "binary", 6, [2, 5, 10, 13, 16, 18, 19, 20, 22, 24, 26], 1, 0),
+    (1456, "random", 35, [0, 2, 5, 6, 7, 17, 19, 28, 29], 176, 80),
+    (1456, "binary", 3, [0, 2, 5, 6, 7, 17, 19, 28, 29], 176, 80),
 ]
 
 
@@ -1007,8 +934,10 @@ def test_witness_is_the_least_weight_then_mask_optimum():
     """On dim-2 and dim-3 slices with random and with {-1, 0, 1} weights,
     under min-fill, a supplied min-degree decomposition and a supplied
     min-fill one hung from a random node, the witness is the optimum with
-    the smallest column mask."""
-    for dim, n_top, n_vertices in ((2, 16, 8), (3, 20, 7)):
+    the smallest column mask. The slices are dense enough that most
+    kernels are left for the DP."""
+    reached = 0
+    for dim, n_top, n_vertices in ((2, 28, 8), (3, 25, 7)):
         for seed in range(25):
             cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
             mat = boundary_matrix(cs)
@@ -1020,11 +949,13 @@ def test_witness_is_the_least_weight_then_mask_optimum():
             td = greedy_decomposition(hasse_graph(mat))
             given = rerooted(td, rng.randrange(td.n_nodes))
             min_degree = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
+            reached += reduce(mat, mat.target_mask(rows)).matrix.ncols > 0
             for m in (mat, signed):
                 want = canonical_optimum(m, rows)
                 for ntd in (None, min_degree, given):
                     r = solve_mld_treewidth(m, rows, ntd=ntd)
                     assert (r.weight, r.witness) == want, (dim, seed, m is signed, ntd)
+    assert reached >= 40, reached
 
 
 def test_stats_shape():

@@ -22,9 +22,14 @@ one; where it finds no solution, the one infeasible row it keeps is the
 image of one live row. The kernel's graph is a subgraph of what is left,
 a minor of the incidence graph, so the result decomposes it, and its
 width can only fall. The stats ``width``, ``nodes``, ``table_entries``
-and ``join_pairs`` describe the DP on the kernel; an instance the passes
-reduce whole, nearly every random dim-3 slice among them, leaves the
-empty graph, whose width is -1. The passes are timed as the ``kernel``
+and ``join_pairs`` describe the DP on the kernel. An instance the passes
+reduce whole, every strip and nearly every random dim-3 slice among them,
+leaves the empty graph, and with no decomposition supplied the DP does not
+run on it: the kernel's optimum is 0, decoded at once, and the stats are
+those of the empty graph's min-fill decomposition, one empty bag whose
+table is ``{0: 0}``, at width -1. With ``timing`` its ``decompose`` and
+``dp`` phases read about 0, and a traced run records no incidence,
+elimination or DP span for it. The passes are timed as the ``kernel``
 phase.
 
 Key layout. One pre-order walk gives every vertex, at its topmost bag, the
@@ -260,6 +265,39 @@ def _plan(
     return order, lifts, bag_cols, bits
 
 
+def _dp(
+    td: TreeDecomposition, adj: Sequence[set[int]], matrix: Gf2Matrix, target: int, timing: bool
+) -> tuple[dict, int, int, int, list[tuple[int, int]]]:
+    """Run the DP on ``td``, which decomposes ``adj``, the incidence graph
+    of ``matrix``.
+
+    Returns the root's table lifted into an empty bag, the table entries
+    and join pairs summed over the nodes, the largest node table and, with
+    ``timing``, the (node, join pairs) of every node with two or more
+    children.
+    """
+    order, lifts, bag_cols, _bits = _plan(td, adj, matrix, target)
+    tables: list = [None] * td.n_nodes
+    table_entries = 0
+    join_pairs = 0
+    peak_table = 0
+    join_bags: list[tuple[int, int]] = []
+    for t in order:
+        kids = td.children[t]
+        table, pairs = process_bag([lifts[c] for c in kids], bag_cols[t], [tables[c] for c in kids])
+        tables[t] = table
+        for c in kids:
+            tables[c] = None  # only the root table is read after the DP
+        table_entries += len(table)
+        if len(table) > peak_table:
+            peak_table = len(table)
+        join_pairs += pairs
+        if timing and len(kids) > 1:
+            join_bags.append((t, pairs))
+    top = _lift(lifts[td.root], tables[td.root])
+    return top, table_entries, join_pairs, peak_table, join_bags
+
+
 def solve_mld_treewidth(
     matrix: Gf2Matrix,
     target_rows: Iterable[int],
@@ -274,7 +312,8 @@ def solve_mld_treewidth(
     decomposition of the whole incidence graph may be supplied, any rooted
     one (a nice one too); it is validated, and the DP runs on it contracted
     onto the kernel, node for node. Otherwise the kernel's min-fill one is
-    computed.
+    computed, except for an empty kernel: its optimum is decoded at once,
+    with the stats of the empty graph's one-bag decomposition.
     ``timing`` adds the wall seconds of the ``kernel``, ``decompose`` and
     ``dp`` phases, the largest node table, ``peak_table``, and
     ``join_bags``, the (node, join pairs) of every node with two or more
@@ -295,36 +334,26 @@ def solve_mld_treewidth(
         td_source = "given"
     else:
         raise UsageError("ntd must be a tree decomposition or None")
-    g = hasse_graph(kern.matrix)
-    td = greedy_decomposition(g) if ntd is None else _contract(ntd, kern.image)
-    decomposed = time.perf_counter()
-
-    order, lifts, bag_cols, _bits = _plan(td, g.adj, kern.matrix, kern.target)
-
-    tables: list = [None] * td.n_nodes
-    table_entries = 0
-    join_pairs = 0
-    peak_table = 0
-    join_bags: list[tuple[int, int]] = []
-    for t in order:
-        kids = td.children[t]
-        table, pairs = process_bag([lifts[c] for c in kids], bag_cols[t], [tables[c] for c in kids])
-        tables[t] = table
-        for c in kids:
-            tables[c] = None  # only the root table is read after the DP
-        table_entries += len(table)
-        if len(table) > peak_table:
-            peak_table = len(table)
-        join_pairs += pairs
-        if timing and len(kids) > 1:
-            join_bags.append((t, pairs))
-    top = _lift(lifts[td.root], tables[td.root])
-    done = time.perf_counter()
+    if ntd is None and not kern.matrix.nrows:
+        # the passes solved the instance: the empty graph's min-fill
+        # decomposition is one empty bag, whose table is {0: 0}
+        width, nodes = -1, 1
+        top, table_entries, join_pairs, peak_table, join_bags = {0: 0}, 1, 0, 1, []
+        decomposed = done = reduced
+    else:
+        g = hasse_graph(kern.matrix)
+        td = greedy_decomposition(g) if ntd is None else _contract(ntd, kern.image)
+        decomposed = time.perf_counter()
+        top, table_entries, join_pairs, peak_table, join_bags = _dp(
+            td, g.adj, kern.matrix, kern.target, timing
+        )
+        done = time.perf_counter()
+        width, nodes = td.width, td.n_nodes
 
     stats: dict = {
         "algorithm": "treewidth",
-        "width": td.width,
-        "nodes": td.n_nodes,
+        "width": width,
+        "nodes": nodes,
         "table_entries": table_entries,
         "join_pairs": join_pairs,
         "decomposition": td_source,

@@ -5,6 +5,8 @@ import importlib.util
 from pathlib import Path
 
 from boundedchain import facade, generators, treewidth
+from boundedchain.complexes import boundary_matrix
+from boundedchain.kernel import reduce
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -20,12 +22,17 @@ def test_patch_points_exist_and_record_treewidth_spans():
     spans = load_spans()
     for module, attr in spans.PATCH_POINTS:
         assert hasattr(module, attr), (module.__name__, attr)
+    # a slice whose kernel is left for the DP (11 rows, 10 columns): on an
+    # empty kernel the solve returns before any decomposition or DP span
+    cslice = generators.random_slice(24, 8, dim=2, seed=0)
+    boundary = generators.random_boundary(cslice, seed=0, require_nonempty=True)
+    matrix = boundary_matrix(cslice)
+    assert reduce(matrix, matrix.target_mask(sorted(boundary))).matrix.nrows > 0
     original = treewidth.process_bag
     tracer = spans.Tracer()
     tracer.install()
     try:
         tracer.solve_id = 0
-        cslice, boundary = generators.triangle_strip(12)
         result = facade.solve(facade.instance_from_complex(cslice, boundary), "treewidth")
     finally:
         tracer.remove()

@@ -20,6 +20,7 @@ from boundedchain import (
     make_nice,
     solve_mld_dijkstra,
     solve_mld_treewidth,
+    treewidth,
 )
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import (
@@ -305,22 +306,55 @@ def test_forced_columns_ignore_their_weight():
     assert (r.weight, r.witness) == (-6, frozenset((0, 2)))
 
 
-def test_forcing_chains_solve_strips_and_cylinders_outright():
+def test_forcing_chains_solve_strips_and_cylinders_outright(monkeypatch):
     """A strip's and a cylinder's boundary edges have one coface each, and
     each fixed triangle leaves a neighbour's edge with one: propagation
-    fixes every column, and the DP runs on the empty graph."""
-    for cs, boundary in (triangle_strip(40), cylinder(6, 5)):
+    fixes every column. The coset rule solves a random dim-3 slice of the
+    benchmark's shape, 35 tetrahedra on 8 vertices, outright. With the
+    kernel empty, the solve builds no incidence graph, decomposition or
+    table, and reports the stats of the empty graph's min-fill
+    decomposition, one empty bag whose table is {0: 0}."""
+    calls = []
+    for name in ("hasse_graph", "greedy_decomposition", "process_bag"):
+        monkeypatch.setattr(treewidth, name, lambda *args, name=name: calls.append(name))
+    tetrahedra = random_slice(35, 8, dim=3, seed=1, weights="random")
+    instances = (
+        triangle_strip(40),
+        cylinder(6, 5),
+        (tetrahedra, random_boundary(tetrahedra, seed=1, require_nonempty=True)),
+    )
+    for cs, boundary in instances:
         mat = boundary_matrix(cs)
-        r = solve_mld_treewidth(mat, sorted(boundary))
-        assert (r.weight, r.witness) == (mat.ncols, frozenset(range(mat.ncols)))
-        assert r.stats["table_entries"] <= 1
-        assert (r.stats["width"], r.stats["join_pairs"]) == (-1, 0)
+        rows = sorted(boundary)
+        assert reduce(mat, mat.target_mask(rows)).matrix.nrows == 0
+        r = solve_mld_treewidth(mat, rows)
+        assert (r.weight, r.witness) == canonical_optimum(mat, rows)
+        if cs is not tetrahedra:  # propagation selects every triangle
+            assert (r.weight, r.witness) == (mat.ncols, frozenset(range(mat.ncols)))
+        assert r.stats == {
+            "algorithm": "treewidth", "width": -1, "nodes": 1, "table_entries": 1,
+            "join_pairs": 0, "decomposition": "min-fill",
+        }
+        timed = solve_mld_treewidth(mat, rows, timing=True)
+        assert (timed.weight, timed.witness) == (r.weight, r.witness)
+        assert set(timed.stats) == set(r.stats) | {"phases", "peak_table", "join_bags"}
+        assert set(timed.stats["phases"]) == {"kernel", "decompose", "dp"}
+        assert (timed.stats["peak_table"], timed.stats["join_bags"]) == (1, [])
+    assert calls == []
 
 
-def test_supplied_decomposition_is_checked_on_the_whole_graph():
+def test_supplied_decomposition_is_checked_on_the_whole_graph(monkeypatch):
     """Propagation fixes every column of a strip. A supplied decomposition is
     still validated against the whole incidence graph, with the same error,
-    and a valid one runs restricted to the empty kernel, keeping its nodes."""
+    and a valid one runs the DP restricted to the empty kernel, one table
+    per node."""
+    bags = []
+
+    def counted(lifts, cols, child_tables):
+        bags.append(cols)
+        return process_bag(lifts, cols, child_tables)
+
+    monkeypatch.setattr(treewidth, "process_bag", counted)
     cs, boundary = triangle_strip(12)
     mat = boundary_matrix(cs)
     g = hasse_graph(mat)
@@ -333,10 +367,12 @@ def test_supplied_decomposition_is_checked_on_the_whole_graph():
         solve_mld_treewidth(mat, sorted(boundary), ntd=broken)
     assert str(err.value) == f"input decomposition is invalid ({bad})"
     for ntd in (td, make_nice(td, g), rerooted(td, 0)):
+        bags.clear()
         r = solve_mld_treewidth(mat, sorted(boundary), ntd=ntd)
         assert (r.weight, r.witness) == (12, frozenset(range(12)))
         assert r.stats["nodes"] == r.stats["table_entries"] == ntd.n_nodes
         assert r.stats["width"] == -1
+        assert bags == [0] * ntd.n_nodes
 
 
 def test_witness_is_canonical_where_propagation_fixes_columns():

@@ -324,6 +324,9 @@ def parse_decomposition_text(text: str) -> TreeDecomposition:
     n_nodes, width = header
     if n_nodes < 1:
         raise InputError("a decomposition needs at least one node")
+    if len(bags) < n_nodes:  # before any per-node table: bag ids lie in range
+        missing = next(t for t in range(len(bags) + 1) if t not in bags)
+        raise InputError(f"node {missing} is missing its bag line")
     children: list[list[int]] = [[] for _ in range(n_nodes)]
     has_parent = [False] * n_nodes
     for p, c in edges:
@@ -334,9 +337,6 @@ def parse_decomposition_text(text: str) -> TreeDecomposition:
     roots = [t for t in range(n_nodes) if not has_parent[t]]
     if len(roots) != 1:
         raise InputError(f"expected one root, found {len(roots)}")
-    missing = [t for t in range(n_nodes) if t not in bags]
-    if missing:
-        raise InputError(f"node {missing[0]} is missing its bag line")
     td = TreeDecomposition(
         [bags[t] for t in range(n_nodes)], [sorted(c) for c in children], roots[0]
     )

@@ -1,18 +1,38 @@
-"""Shared instance builders and reference implementations for the test suite."""
+"""Shared instance builders and reference implementations for the test suite.
+
+New randomized answer checks go through ``check_engines`` on problems drawn
+from ``problems``: it runs every exact engine against ``canonical_optimum``
+and returns how many problems of each dimension reached the kernel, the
+search and the DP. Each test asserts its own floor on those counts for
+each dimension it draws, because each kernel rule changes which random
+problems reach an engine: a rule that solves more of them outright would
+otherwise leave an engine untested without a failure.
+"""
 
 import math
 import random
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 
-from boundedchain import build_slice, dijkstra
+from boundedchain import (
+    Status,
+    boundary_matrix,
+    brute_force_mld,
+    build_slice,
+    dijkstra,
+    hasse_graph,
+    solve_mbc1,
+    solve_mld_dijkstra,
+    solve_mld_treewidth,
+)
 from boundedchain.complexes import Gf2Matrix
 from boundedchain.decomposition import TreeDecomposition
 from boundedchain.generators import random_boundary, random_slice
 from boundedchain.gf2 import Gf2System, indices_from_mask, mask_from_indices
+from boundedchain.kernel import backtrack, reduce
 
 
 def octahedron_tops():
@@ -294,3 +314,124 @@ def assert_join_pairs_capped(td, nrows, join_bags):
         cap = (len(td.children[t]) - 1) * 2**ncols * 4 ** (len(bag) - ncols)
         assert pairs <= cap, (t, pairs, cap)
     return len(join_bags)
+
+
+# (dim, tops, vertices) of the dense random slices, whose kernels the
+# reductions mostly leave for the engines
+DENSE_SHAPES = ((1, 14, 8), (2, 28, 8), (2, 30, 9), (2, 40, 10), (3, 25, 7))
+FAMILIES = ("random", "dense", "twins")
+Label = namedtuple("Label", "family dim seed signed random_target")
+
+
+def with_twins(matrix, rng):
+    """``matrix`` with one to three of its columns given a twin: a copy over
+    the same rows, at the same weight, at a random place."""
+    cols = list(zip(matrix.col_rows, matrix.col_weights))
+    for c in rng.sample(range(matrix.ncols), min(rng.randint(1, 3), matrix.ncols)):
+        cols.insert(rng.randrange(len(cols) + 1), (matrix.col_rows[c], matrix.col_weights[c]))
+    return Gf2Matrix(matrix.nrows, len(cols), [rows for rows, _ in cols], [w for _, w in cols])
+
+
+def _slices(family, seed):
+    """(dim, slice, boundary) of one seed of a family: ``random_problem`` of
+    dims 1-3 ("random"), the ``DENSE_SHAPES`` with unit weights on even
+    seeds and random ones on odd seeds ("dense"), or both ("twins", before
+    their twins go in)."""
+    if family != "dense":
+        for dim in (1, 2, 3):
+            yield dim, *random_problem(seed, max_top=20, dim=dim)
+    if family != "random":
+        for dim, n_top, n_vertices in DENSE_SHAPES:
+            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights=("unit", "random")[seed % 2])
+            yield dim, cs, random_boundary(cs, seed=seed)
+
+
+def problems(seeds, families=FAMILIES):
+    """(label, dim, matrix, rows): the slices of each seed and family, the
+    "twins" ones with injected twin columns (``with_twins``), each with its
+    own weights and with weights redrawn from -3..3 (``label.signed``), and
+    each against its boundary and a random row subset
+    (``label.random_target``), which is mostly infeasible."""
+    for seed in seeds:
+        for family in families:
+            for dim, cs, boundary in _slices(family, seed):
+                rng = random.Random(f"{family}-{dim}-{seed}")
+                own = boundary_matrix(cs)
+                if family == "twins":
+                    own = with_twins(own, rng)
+                signed = Gf2Matrix(
+                    own.nrows, own.ncols, own.col_rows, [rng.randint(-3, 3) for _ in own.col_rows]
+                )
+                some = sorted(rng.sample(range(own.nrows), rng.randint(0, own.nrows)))
+                for mat in (own, signed):
+                    for rows in (sorted(boundary), some):
+                        label = Label(family, dim, seed, mat is signed, rows is some)
+                        yield label, dim, mat, rows
+
+
+def answer(result):
+    """(weight, witness) of a solve, or None where it is infeasible."""
+    return None if result.status is Status.INFEASIBLE else (result.weight, result.witness)
+
+
+def searchable_kernel(matrix, rows, label=None):
+    """``kernel.reduce``'s kernel of A x = u, asserted to weigh every column
+    more than 0: the unbounded search runs on it, and a cost of 0 or less
+    would let it cycle, so a broken kernel fails here instead of running
+    the search out of memory."""
+    kern = reduce(matrix, matrix.target_mask(rows))
+    assert all(w > 0 for w in kern.matrix.col_weights), (label, kern.matrix.col_weights)
+    return kern
+
+
+def check_engines(cases):
+    """Solve each (label, dim, matrix, rows) case with every exact engine and
+    assert each answer is ``canonical_optimum``'s, None where infeasible:
+    the brute-force oracle on ``kernel.reduce``'s kernel, decoded; the DP,
+    computed, on a min-degree decomposition and on that hung from another
+    node, which run on no vertex where the kernel is empty; the unbounded
+    search under each of ``PIVOT_ORDERS``; and, on dim-1 cases with
+    non-negative weights, mbc1, on status and weight. Every kernel column
+    weighs more than 0 (``searchable_kernel``), and every search's frontier
+    is monotone. Returns the reach counts per dimension:
+    "left" kernels with a column, "searched" kernels (more than one state
+    expanded), "tables" past the DP's empty one, and "infeasible" cases."""
+    reach = {key: Counter() for key in ("left", "searched", "tables", "infeasible")}
+    for label, dim, mat, rows in cases:
+        want = canonical_optimum(mat, rows)
+        reach["infeasible"][dim] += want is None
+        kern = searchable_kernel(mat, rows, label)
+        reach["left"][dim] += kern.matrix.ncols > 0
+        brute = brute_force_mld(kern.matrix, indices_from_mask(kern.target), mode="kernel")
+        got = None if brute.status is Status.INFEASIBLE else backtrack(mat, kern, brute.weight)
+        assert got == want, (label, "brute")
+        r = solve_mld_treewidth(mat, rows)
+        assert answer(r) == want, (label, "treewidth")
+        reach["tables"][dim] += r.stats["table_entries"] > 1
+        td = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
+        for ntd in (td, rerooted(td, random.Random(repr(label)).randrange(td.n_nodes))):
+            r = solve_mld_treewidth(mat, rows, ntd=ntd)
+            assert answer(r) == want, (label, "treewidth", ntd.root)
+            width = ntd.width if kern.matrix.nrows else -1  # contracted onto no vertex
+            assert r.stats["nodes"] == ntd.n_nodes and r.stats["width"] <= width, label
+        for order in PIVOT_ORDERS:
+            with pivot_order(order):
+                r = solve_mld_dijkstra(mat, rows)
+            assert answer(r) == want, (label, "dijkstra", order)
+            assert r.stats["monotone_frontier"], (label, order)
+        reach["searched"][dim] += r.stats["states_expanded"] > 1  # under max-step, its own key
+        if dim == 1 and min(mat.col_weights, default=0) >= 0:
+            r = solve_mbc1(mat, rows)
+            assert (r.status, r.weight) == (
+                (Status.INFEASIBLE, None) if want is None else (Status.OPTIMAL, want[0])
+            ), (label, "mbc1")
+    return reach
+
+
+def assert_floors(reach, floors):
+    """Assert every reach count that ``floors`` names, {key: {dim: floor}},
+    is at least its floor."""
+    for key, per_dim in floors.items():
+        for dim, floor in per_dim.items():
+            assert reach[key][dim] >= floor, (key, dim, reach)
+

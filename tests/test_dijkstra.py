@@ -15,7 +15,6 @@ from boundedchain import (
     instance_from_matrix,
     solve,
     solve_mld_dijkstra,
-    solve_mld_treewidth,
 )
 from boundedchain import dijkstra
 from boundedchain.complexes import Gf2Matrix
@@ -32,15 +31,19 @@ from boundedchain.gf2 import mask_from_indices
 from boundedchain.kernel import _propagate, _series, reduce
 from helpers import (
     PIVOT_ORDERS,
+    assert_floors,
     best_by_size,
     canonical_optimum,
+    check_engines,
     copied,
     irreducible,
     pivot_order,
+    problems,
     punctured_octahedron,
     random_problem,
     reference_max_step_pivot,
     reference_min_coface_pivot,
+    searchable_kernel,
 )
 
 
@@ -217,7 +220,11 @@ def test_default_pivot_depends_on_k(monkeypatch):
 def settled_states(cases, order=None):
     """The states the dijkstra solves of ``cases``, (instance, k) pairs,
     settle in total, and their answers, with the rows keyed by the search's
-    own key or by ``PIVOT_ORDERS[order]``."""
+    own key or by ``PIVOT_ORDERS[order]``. An unbounded solve's kernel is
+    checked to be searchable first."""
+    for inst, k in cases:
+        if k is None:
+            searchable_kernel(inst.matrix, inst.target)
     with nullcontext() if order is None else pivot_order(order):
         runs = [solve(inst, "dijkstra", k=k) for inst, k in cases]
     return sum(r.stats["states_expanded"] for r in runs), runs
@@ -259,39 +266,21 @@ def test_min_coface_settles_fewer_states_with_k():
 
 def test_signed_weights_without_k_match_treewidth():
     """Without k the search runs on the kernel, whose weights are all
-    positive, so any signed weights are solved: on random problems of dims
-    1-3 with weights from -3 to 3, against their boundary and a random row
-    subset, it gives the DP's status, weight and witness, also where the
-    kernel is left to search."""
-    infeasible = searched = 0
-    for dim in (1, 2, 3):
-        for seed in range(300):
-            cs, boundary = random_problem(seed, max_top=24, dim=dim)
-            base = boundary_matrix(cs)
-            rng = random.Random(f"signed-{dim}-{seed}")
-            weights = [rng.randint(-3, 3) for _ in range(base.ncols)]
-            mat = Gf2Matrix(base.nrows, base.ncols, base.col_rows, weights)
-            some = sorted(rng.sample(range(mat.nrows), rng.randint(0, mat.nrows)))
-            for rows in (sorted(boundary), some):
-                tw = solve_mld_treewidth(mat, rows)
-                r = solve_mld_dijkstra(mat, rows)
-                got, want = (r.status, r.weight, r.witness), (tw.status, tw.weight, tw.witness)
-                assert got == want, (dim, seed, rows)
-                infeasible += r.status is Status.INFEASIBLE
-                searched += r.stats["states_expanded"] > 1
-    assert infeasible >= 500 and searched >= 100, (infeasible, searched)
+    positive, so any signed weights are solved: the shared check on the
+    signed random problems and dense slices of seeds 180-185, whose kernels
+    are left to search in every dimension."""
+    reach = check_engines(case for case in problems(range(180, 186), ["random", "dense"]) if case[0].signed)
+    # measured, dims 1-3: searched 8, 11, 5
+    assert_floors(reach, {"searched": {1: 5, 2: 7, 3: 3}})
 
 
 def test_pivot_strategies_agree_with_oracle():
-    for seed in range(60):
-        cs, boundary = random_problem(seed, max_top=10)
-        ref = brute_force_mld(boundary_matrix(cs), boundary)
-        for order in PIVOT_ORDERS:
-            with pivot_order(order):
-                r = search(cs, boundary)
-            assert r.status is ref.status, (seed, order)
-            if ref.is_optimal:
-                assert r.weight == ref.weight, (seed, order)
+    """The shared check, which runs the unbounded search under every row
+    order, on the random problems and dense slices of seeds 190-195 with
+    their own weights."""
+    reach = check_engines(case for case in problems(range(190, 196), ["random", "dense"]) if not case[0].signed)
+    # measured, dims 1-3: searched 12, 13, 6
+    assert_floors(reach, {"searched": {1: 8, 2: 9, 3: 4}})
 
 
 def test_bounded_search_matches_restricted_enumeration():
@@ -339,7 +328,7 @@ def test_resource_limit_status():
     assert search_irreducible(cs, boundary).weight == 21
 
 
-def test_max_states_env(monkeypatch):
+def test_state_budget_is_an_argument_only(monkeypatch):
     """The state budget is an argument only: ``MBC_MAX_STATES`` in the
     environment changes nothing, whatever it holds."""
     cs, boundary = punctured_octahedron()
@@ -357,76 +346,57 @@ def test_max_states_env(monkeypatch):
             search(cs, boundary, max_states=bad)
 
 
-def test_frontier_is_monotone():
-    """Settled priorities never decrease: the bound is consistent."""
-    for seed in range(40):
-        cs, boundary = random_problem(seed)
-        r = search(cs, boundary)
-        assert r.stats["monotone_frontier"], seed
-
-
 def _bound(hf, mask):
     return sum(hf[r] for r in range(len(hf)) if mask >> r & 1)
 
 
 def test_lower_bound_is_consistent():
     """The face terms pack every column's weight, which is exactly what makes
-    the bound consistent, and the raise pass leaves no row that could grow."""
+    the bound consistent, and the raise pass leaves no row that could grow:
+    on the random problems of seeds 0-39, with their own weights."""
     rng = random.Random(43)
-    for seed in range(40):
-        cs, _ = random_problem(seed, max_top=14, dim=2 + seed % 2, weights="random")
-        mat = boundary_matrix(cs)
+    for label, _dim, mat, _rows in problems(range(40), ["random"]):
+        if label.signed or label.random_target:
+            continue
         scale, hf, _ = face_bounds(mat)
         assert _bound(hf, 0) == 0
-        assert min(hf) >= 0, seed
+        assert min(hf) >= 0, label
         slack = []
         for c, rows in enumerate(mat.col_rows):
             assert scale % len(rows) == 0
             slack.append(mat.col_weights[c] * scale - sum(hf[r] for r in rows))
-            assert slack[c] >= 0, (seed, c)
+            assert slack[c] >= 0, (label, c)
         for r, cols in enumerate(mat.row_cols):
             if cols:
-                assert min(slack[c] for c in cols) == 0, (seed, r)
+                assert min(slack[c] for c in cols) == 0, (label, r)
                 even = min(mat.col_weights[c] * scale // len(mat.col_rows[c]) for c in cols)
-                assert hf[r] >= even, (seed, r)
+                assert hf[r] >= even, (label, r)
         for _ in range(200):
             m = rng.getrandbits(mat.nrows)
             c = rng.randrange(mat.ncols)
             step = _bound(hf, m ^ mat.col_masks[c]) - _bound(hf, m)
-            assert scale * mat.col_weights[c] + step >= 0, (seed, m, c)
+            assert scale * mat.col_weights[c] + step >= 0, (label, m, c)
 
 
 def test_lift_is_the_sum_of_its_rows_terms():
     """``face_bounds``' lift[c] is the sum of hf over c's rows and at most
     L*w_c: the search updates h by the overlap of a move with the state on
-    these two facts. On whole dense slices of dims 1-3 and on their kernels
-    against a random row subset and the boundary of a random chain, signed
-    weights included. Most random subsets are infeasible, and their kernel
-    has no column, so the boundaries supply the dim-2 and dim-3 kernels."""
+    these two facts. On the dense slices of seeds 0-19, whole with their
+    own weights, and their kernels, signed weights included. Most random
+    subsets of dims 2 and 3 are infeasible, and their kernel has no column,
+    so the boundaries supply most kernels there."""
     kernels = Counter()
-    for dim, n_top, n_vertices in ((1, 14, 8), (2, 30, 9), (3, 25, 7)):
-        for seed in range(30):
-            weights = ("unit", "random")[seed % 2]
-            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights=weights)
-            base = boundary_matrix(cs)
-            rng = random.Random(f"lift-{dim}-{seed}")
-            signed = [rng.randint(-3, 3) for _ in range(base.ncols)]
-            rows = sorted(rng.sample(range(base.nrows), rng.randint(0, base.nrows)))
-            boundary = sorted(random_boundary(cs, seed=seed))
-            mats = [base]
-            for mat in (base, Gf2Matrix(base.nrows, base.ncols, base.col_rows, signed)):
-                for target in (rows, boundary):
-                    kern = reduce(mat, mat.target_mask(target))
-                    mats.append(kern.matrix)
-                    kernels[dim] += kern.matrix.ncols > 0
-            for mat in mats:
-                scale, hf, lift = face_bounds(mat)
-                assert len(lift) == mat.ncols
-                for c, col in enumerate(mat.col_rows):
-                    assert lift[c] == sum(hf[r] for r in col), (dim, seed, c)
-                    assert lift[c] <= mat.col_weights[c] * scale, (dim, seed, c)
-    # per dimension: 120, 22 and 64 of the 120 kernels keep a column
-    assert kernels[1] >= 100 and kernels[2] >= 15 and kernels[3] >= 50, kernels
+    for label, dim, mat, rows in problems(range(20), ["dense"]):
+        kern = reduce(mat, mat.target_mask(rows)).matrix
+        kernels[dim] += kern.ncols > 0
+        for m in [kern] if label.signed or label.random_target else [kern, mat]:
+            scale, hf, lift = face_bounds(m)
+            assert len(lift) == m.ncols
+            for c, col in enumerate(m.col_rows):
+                assert lift[c] == sum(hf[r] for r in col), (label, c)
+                assert lift[c] <= m.col_weights[c] * scale, (label, c)
+    # measured, dims 1-3: 80, 82 and 40 of the 80, 240 and 80 kernels
+    assert_floors({"kernels": kernels}, {"kernels": {1: 56, 2: 57, 3: 28}})
 
 
 def test_exact_bound_walks_straight_to_the_goal():
@@ -475,76 +445,30 @@ def test_random_weight_oracle_sweep():
 
 
 def test_treewidth_agrees_above_oracle_size():
-    """Unbounded, with weights from 0 to 9, on slices too big for the oracle,
-    where the raise pass lifts many faces above the even split."""
-    rng = random.Random(46)
-    raised = 0
-    for seed in range(40):
-        dim = 2 + seed % 2
-        cs = random_slice(40, 9, dim=dim, seed=seed)
-        boundary = sorted(random_boundary(cs, seed=seed, require_nonempty=True))
-        base = boundary_matrix(cs)
-        weights = [rng.randint(0, 9) for _ in range(base.ncols)]
-        mat = Gf2Matrix(base.nrows, base.ncols, base.col_rows, weights)
-        inst = instance_from_matrix(mat, boundary)
-        ref = solve(inst, "treewidth")
-        r = solve(inst, "dijkstra")
-        assert r.status is ref.status, seed
-        assert r.weight == ref.weight, seed
+    """The shared check on the dense slices of seeds 200-205 with their own
+    weights, most of them too big for the exhaustive oracle, where the
+    raise pass lifts many faces above the even split."""
+    cases = [case for case in problems(range(200, 206), ["dense"]) if not case[0].signed]
+    raised = Counter()
+    for label, dim, mat, _rows in cases:
+        if label.random_target:
+            continue
         scale, hf, _ = face_bounds(mat)
-        split = [min(weights[c] * scale // len(mat.col_rows[c]) for c in cols)
-                 for cols in mat.row_cols]
-        raised += hf != split
-    assert raised >= 20
-
-
-def test_witness_weight_matches_cost():
-    for seed in range(40):
-        cs, boundary = random_problem(seed, weights="random")
-        mat = boundary_matrix(cs)
-        r = solve_mld_dijkstra(mat, sorted(boundary))
-        if r.is_optimal:
-            assert mat.weight_of(r.witness) == r.weight
-            acc = 0
-            for j in r.witness:
-                acc ^= mat.col_masks[j]
-            want = 0
-            for i in boundary:
-                want |= 1 << i
-            assert acc == want
+        split = [min(mat.col_weights[c] * scale // len(mat.col_rows[c]) for c in cols) for cols in mat.row_cols]
+        raised[dim] += hf != split
+    reach = check_engines(cases)
+    # measured, dims 1-3: raised 3, 9, 3 of 6, 18, 6 slices; searched 7, 14, 6
+    assert_floors({"raised": raised, **reach}, {"raised": {1: 2, 2: 6, 3: 2}, "searched": {1: 5, 2: 10, 3: 4}})
 
 
 def test_unbounded_witness_is_the_canonical_one():
-    """On random slices of dims 1-3, dense enough that many kernels are left
-    to search, with unit and random weights, against their boundary and a
-    random row subset: the unbounded search's answer is treewidth's and the
-    least (weight, mask) optimum, under every row order."""
-    searched, tables = Counter(), Counter()
-    infeasible = 0
-    for dim, n_top, n_vertices in ((1, 14, 8), (2, 30, 9), (3, 25, 7)):
-        for seed in range(100):
-            weights = ("unit", "random")[seed % 2]
-            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights=weights)
-            mat = boundary_matrix(cs)
-            rng = random.Random(seed)
-            boundary = sorted(random_boundary(cs, seed=seed))
-            for rows in (boundary, sorted(rng.sample(range(mat.nrows), rng.randint(0, mat.nrows)))):
-                want = canonical_optimum(mat, rows)
-                infeasible += want is None
-                tw = solve_mld_treewidth(mat, rows)
-                assert (None if tw.status is Status.INFEASIBLE else (tw.weight, tw.witness)) == want
-                tables[dim] += tw.stats["table_entries"] > 1
-                for order in PIVOT_ORDERS:
-                    with pivot_order(order):
-                        r = solve_mld_dijkstra(mat, rows)
-                    got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-                    assert got == want, (dim, seed, rows, order)
-                    searched[dim] += r.stats["states_expanded"] > 1
-    # per dimension, of 200 targets: 137, 35 and 99 kernels searched (under
-    # each of the 3 orders), and 200, 37 and 101 tables past the empty one
-    assert searched[1] >= 300 and searched[2] >= 75 and searched[3] >= 225, searched
-    assert tables[1] >= 150 and tables[2] >= 25 and tables[3] >= 75, tables
-    assert infeasible >= 100, infeasible
+    """The shared check on the dense slices of seeds 210-215: the unbounded
+    search's answer under every row order is treewidth's and the least
+    (weight, mask) optimum, and many kernels are left to search in every
+    dimension."""
+    reach = check_engines(problems(range(210, 216), ["dense"]))
+    # measured, dims 1-3: searched 20, 25, 11; tables 24, 26, 12
+    assert_floors(reach, {"searched": {1: 14, 2: 17, 3: 7}, "tables": {1: 17, 2: 18, 3: 8}})
 
 
 def test_negative_kernel_columns_are_complemented(monkeypatch):
@@ -734,6 +658,7 @@ def test_pinned_search_counts():
         if (seed, weights) not in slices:
             cs = random_slice(24, 8, dim=2, seed=seed, weights=weights)
             slices[seed, weights] = (cs, random_boundary(cs, seed=seed, require_nonempty=True))
+            searchable_kernel(boundary_matrix(cs), slices[seed, weights][1])
         own = order == ("max-step" if k is None else "min-coface")
         with nullcontext() if own else pivot_order(order):
             r = search(*slices[seed, weights], k=k)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -400,3 +401,14 @@ def test_decomposition_errors():
         # node 1 has no bag line; an empty bag is written 'b 1'
         parse_decomposition_text("td 2 0\nb 0 1\ne 0 1\n")
     assert parse_decomposition_text("td 2 0\nb 0 1\nb 1\ne 0 1\n").bags[1] == frozenset()
+    # every node needs a bag line, so they are counted before any table
+    # sized by the header's node count is built: a million declared nodes
+    # with one bag cost what the text does
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="node 1 is missing its bag line"):
+            parse_decomposition_text("td 1000000 0\nb 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

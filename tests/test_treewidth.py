@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,6 @@ from boundedchain import (
     Status,
     UsageError,
     boundary_matrix,
-    brute_force_mld,
-    build_slice,
     greedy_decomposition,
     hasse_graph,
     make_nice,
@@ -39,10 +38,14 @@ from boundedchain.generators import (
 from boundedchain.kernel import Kernel, _propagate, _series, backtrack, reduce
 from boundedchain.treewidth import Lift, _contract, _plan, process_bag
 from helpers import (
+    answer,
+    assert_floors,
     assert_join_pairs_capped,
     canonical_optimum,
+    check_engines,
     copied,
     octahedron_slice,
+    problems,
     punctured_octahedron,
     random_problem,
     irreducible,
@@ -82,35 +85,14 @@ def test_negative_weights_pick_the_whole_sphere():
 
 
 def test_mixed_negative_weights_against_oracle():
-    rng = random.Random(13)
-    for trial in range(60):
-        cs, boundary = random_problem(trial, max_top=9, max_vertices=8)
-        mat = boundary_matrix(cs)
-        signed = [w if rng.random() < 0.5 else -w for w in mat.col_weights]
-        mat = Gf2Matrix(mat.nrows, mat.ncols, mat.col_rows, signed)
-        ref = brute_force_mld(mat, sorted(boundary), mode="exhaustive")
-        got = solve_mld_treewidth(mat, sorted(boundary))
-        assert got.status is ref.status, trial
-        assert got.weight == ref.weight, trial
-        acc = 0
-        for j in got.witness:
-            acc ^= mat.col_masks[j]
-        want = 0
-        for i in boundary:
-            want |= 1 << i
-        assert acc == want, trial
-
-
-def test_oracle_sweep_and_heuristic_invariance():
-    for seed in range(80):
-        cs, boundary = random_problem(seed, max_top=10)
-        mat = boundary_matrix(cs)
-        ref = brute_force_mld(mat, sorted(boundary))
-        for ntd in (None, reference_greedy_decomposition(hasse_graph(mat), "min-degree")):
-            r = solve_mld_treewidth(mat, sorted(boundary), ntd=ntd)
-            assert r.status is ref.status, (seed, ntd)
-            if ref.is_optimal:
-                assert r.weight == ref.weight, (seed, ntd)
+    """The shared check on the signed random problems and dense slices of
+    seeds 90-95: with weights from -3..3, every engine gives the least
+    (weight, mask) optimum."""
+    reach = check_engines(case for case in problems(range(90, 96), ["random", "dense"]) if case[0].signed)
+    # measured, dims 1-3: left and tables 20, 12, 7; searched 17, 12, 7
+    assert_floors(reach, {
+        "left": {1: 14, 2: 8, 3: 5}, "searched": {1: 12, 2: 8, 3: 5}, "tables": {1: 14, 2: 8, 3: 5}
+    })
 
 
 def test_supplied_decompositions():
@@ -376,33 +358,17 @@ def test_supplied_decomposition_is_checked_on_the_whole_graph(monkeypatch):
 
 
 def test_witness_is_canonical_where_propagation_fixes_columns():
-    """On random dim-2 and dim-3 slices where propagation fixes some columns,
-    with random and {-1, 0, 1} weights, under min-fill and a supplied
-    min-degree decomposition, the witness is the least (weight, mask)
-    optimum, fixed columns included. Most of their kernels are left for
+    """The shared check on the dense slices of seeds 100-105 where
+    propagation fixes some columns: the witness is the least (weight, mask)
+    optimum, fixed columns included, and many of their kernels are left for
     the DP."""
-    partial = reached = 0
-    for dim, n_top, n_vertices in ((2, 28, 8), (3, 25, 7)):
-        for seed in range(40):
-            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
-            mat = boundary_matrix(cs)
-            rows = sorted(random_boundary(cs, seed=seed))
-            left = len(_propagate(mat, mat.target_mask(rows))[2])
-            if left == mat.ncols:
-                continue
-            partial += left > 0
-            reached += reduce(mat, mat.target_mask(rows)).matrix.ncols > 0
-            rng = random.Random(seed)
-            signed = Gf2Matrix(
-                mat.nrows, mat.ncols, mat.col_rows, [rng.randint(-1, 1) for _ in range(mat.ncols)]
-            )
-            given = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
-            for m in (mat, signed):
-                want = canonical_optimum(m, rows)
-                for ntd in (None, given):
-                    r = solve_mld_treewidth(m, rows, ntd=ntd)
-                    assert (r.weight, r.witness) == want, (dim, seed, m is signed, ntd)
-    assert partial >= 20 and reached >= 60, (partial, reached)
+    partial = [
+        (label, dim, mat, rows) for label, dim, mat, rows in problems(range(100, 106), ["dense"])
+        if len(_propagate(mat, mat.target_mask(rows))[2]) < mat.ncols
+    ]
+    reach = check_engines(partial)
+    # measured, dims 1-3: tables 4, 28, 10 (dense graphs seldom have a leaf)
+    assert_floors(reach, {"tables": {1: 2, 2: 20, 3: 7}})
 
 
 def reduced(mat, rows):
@@ -447,67 +413,19 @@ def test_propagation_unpacks_one_byte_per_row():
             assert rows == cols == list(range(nrows)) and not fixed
 
 
-def series_problems():
-    """(label, slice, boundary): random problems of dims 1-3, most of which
-    propagation solves outright, and denser dim-2 and dim-3 slices, whose
-    kernels the series rule shrinks but mostly leaves."""
-    for dim in (1, 2, 3):
-        for seed in range(50):
-            yield (dim, seed), *random_problem(seed, max_top=12, dim=dim)
-    for dim, n_top, n_vertices in ((2, 30, 9), (3, 25, 7)):
-        for seed in range(20):
-            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
-            yield (dim, n_top, seed), cs, random_boundary(cs, seed=seed)
-
-
-def with_twins(mat, rng, count):
-    """``mat`` with weights redrawn from -4..9 and ``count`` of its columns
-    given a twin: a copy over the same rows, at a random place."""
-    cols = [(rows, rng.randint(-4, 9)) for rows in mat.col_rows]
-    for c in rng.sample(range(mat.ncols), min(count, mat.ncols)):
-        cols.insert(rng.randrange(len(cols) + 1), (mat.col_rows[c], rng.randint(-4, 9)))
-    return Gf2Matrix(mat.nrows, len(cols), [rows for rows, _ in cols], [w for _, w in cols])
-
-
-def twin_problems():
-    """(label, matrix, targets): the series problems' slices, whose columns
-    have distinct rows, each with one to three columns given a twin, and
-    with its boundary and a random row subset as targets."""
-    for label, cs, boundary in series_problems():
-        rng = random.Random(repr(label))
-        mat = with_twins(boundary_matrix(cs), rng, rng.randint(1, 3))
-        rows = sorted(rng.sample(range(mat.nrows), rng.randint(0, mat.nrows)))
-        yield label, mat, (sorted(boundary), rows)
-
-
 def test_series_reduction_against_canonical_optimum():
-    """Random problems, plain and with weights redrawn from -3..3, each
-    against its boundary and a random row subset as target (infeasible ones
-    included), under min-fill and a supplied min-degree decomposition, as
-    it is and hung from a random node: the answer is the least (weight,
-    mask) optimum, and the series rule shrinks many of the kernels."""
-    merged = infeasible = 0
-    for label, cs, boundary in series_problems():
-        plain = boundary_matrix(cs)
-        rng = random.Random(repr(label))
-        signed = Gf2Matrix(
-            plain.nrows, plain.ncols, plain.col_rows,
-            [rng.randint(-3, 3) for _ in range(plain.ncols)],
-        )
-        targets = (sorted(boundary), sorted(rng.sample(range(plain.nrows), rng.randint(0, plain.nrows))))
-        for mat in (plain, signed):
-            td = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
-            given = rerooted(td, rng.randrange(td.n_nodes))
-            for rows in targets:
-                left, kernel, _image = reduced(mat, rows)
-                merged += kernel.ncols < left
-                want = canonical_optimum(mat, rows)
-                infeasible += want is None
-                for ntd in (None, td, given):
-                    r = solve_mld_treewidth(mat, rows, ntd=ntd)
-                    got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-                    assert got == want, (label, mat is signed, rows, ntd)
-    assert merged >= 200 and infeasible >= 100, (merged, infeasible)
+    """The shared check on the random problems and dense slices of seeds
+    110-117, and the rules after propagation, the coset rule or the series
+    rule, shrink many of their kernels: fewer columns than propagation
+    leaves."""
+    cases = list(problems(range(110, 118), ["random", "dense"]))
+    merged = Counter()
+    for _label, dim, mat, rows in cases:
+        left, kernel, _image = reduced(mat, rows)
+        merged[dim] += kernel.ncols < left
+    # measured, dims 1-3: merged 36, 106, 34; tables 44, 36, 18
+    reach = check_engines(cases)
+    assert_floors({"merged": merged, **reach}, {"merged": {1: 25, 2: 75, 3: 24}, "tables": {1: 30, 2: 25, 3: 12}})
 
 
 def complemented(charges, col_rows):
@@ -545,8 +463,7 @@ def test_series_row_with_its_target_bit_set_adds_charges_crosswise():
             assert ktarget == mat.target_mask([r - 1 for r in rows if r]) ^ 0b100 ^ flips
             assert image[0] == image[4] == image[5] == 3  # row 0, columns 0 and 1
             r = solve_mld_treewidth(mat, rows)
-            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-            assert got == canonical_optimum(mat, rows), (weights, rows)
+            assert answer(r) == canonical_optimum(mat, rows), (weights, rows)
 
 
 def test_series_fixes_a_column_with_no_row_at_its_cheaper_side():
@@ -583,72 +500,62 @@ def test_series_survivor_on_a_row_count_tie_is_the_lower_id():
             assert image[0] == image[nrows + 8] == image[nrows + 1] == 5 + 1
             assert kernel.col_rows[1] == (1, 4)  # rows 2 and 5
             r = solve_mld_treewidth(mat, rows)
-            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-            assert got == canonical_optimum(mat, rows), (c1, rows)
+            assert answer(r) == canonical_optimum(mat, rows), (c1, rows)
 
 
 def test_supplied_decomposition_contracts_onto_the_kernel():
     """A merged column and its series row map to the column they merged
     into, and forced columns and dropped rows leave. The supplied
     decomposition so contracted decomposes the kernel's graph, at no larger
-    width: greedy and star decompositions of the series problems, of
-    denser dim-2 slices, and of slices with injected twins, which the
-    kernel keeps side by side. Dropping the series rows
-    instead breaks it: in a star decomposition the two columns a series row
-    merges sit in separate leaves, which only the row's image in the root
-    bag joins."""
-    problems = [(label, boundary_matrix(cs), (sorted(b),)) for label, cs, b in series_problems()]
-    for seed in range(20):
-        cs = random_slice(40, 10, dim=2, seed=seed, weights="random")
-        targets = (sorted(random_boundary(cs, seed=seed)),)
-        problems.append(((2, 40, seed), boundary_matrix(cs), targets))
+    width: greedy and star decompositions of the problems of seeds 0-11 of
+    every family, with their own weights, the twin columns among them,
+    which the kernel keeps side by side. Dropping the series rows instead
+    breaks it: in a star decomposition the two columns a series row merges
+    sit in separate leaves, which only the row's image in the root bag
+    joins."""
     broken = 0
-    for label, mat, targets in problems + list(twin_problems()):
+    for label, _dim, mat, rows in problems(range(12)):
+        if label.signed:
+            continue
         g = hasse_graph(mat)
         decompositions = [greedy_decomposition(g), reference_greedy_decomposition(g, "min-degree")]
         decompositions.append(star(mat, 0))
-        for rows in targets:
-            _left, kernel, image = reduced(mat, rows)
-            kg = hasse_graph(kernel)
-            for td in decompositions:
-                mapped = _contract(td, image)
-                assert validate_decomposition(mapped, kg) is None, (label, rows)
-                assert mapped.width <= td.width, (label, rows)
-            dropped = {v: w for v, w in image.items() if v >= mat.nrows or w < kernel.nrows}
-            broken += validate_decomposition(_contract(decompositions[-1], dropped), kg) is not None
-    assert broken >= 20, broken
+        _left, kernel, image = reduced(mat, rows)
+        kg = hasse_graph(kernel)
+        for td in decompositions:
+            mapped = _contract(td, image)
+            assert validate_decomposition(mapped, kg) is None, label
+            assert mapped.width <= td.width, label
+        dropped = {v: w for v, w in image.items() if v >= mat.nrows or w < kernel.nrows}
+        broken += validate_decomposition(_contract(decompositions[-1], dropped), kg) is not None
+    # measured: 124
+    assert broken >= 80, broken
 
 
 def test_twin_columns_against_canonical_optimum():
-    """Slices with injected twin columns and signed weights, against their
-    boundary and a random row subset, under min-fill and a supplied
-    min-degree decomposition, as it is and hung from a random node: the
-    answer is the least (weight, mask) optimum. Of a twin pair, an optimum
-    takes both where their weights sum below 0 and the lighter one where it
-    takes one, the lower index on a tie; the weights drawn take each side
-    of both comparisons many times."""
+    """The shared check on the slices of seeds 130-137 with injected twin
+    columns. Of a twin pair, an optimum takes both where their weights sum
+    below 0 and the lighter one where it takes one, the lower index on a
+    tie; the signed weights take each side of both comparisons many
+    times."""
+    cases = list(problems(range(130, 138), ["twins"]))
     branches = {"off": [0, 0], "on": [0, 0]}
-    infeasible = 0
-    for label, mat, targets in twin_problems():
+    for label, _dim, mat, rows in cases:
+        if label.random_target:  # the same weights as the boundary's case
+            continue
         groups: dict = {}
-        for c, rows in enumerate(mat.col_rows):
-            groups.setdefault(rows, []).append(mat.col_weights[c])
+        for c, col in enumerate(mat.col_rows):
+            groups.setdefault(col, []).append(mat.col_weights[c])
         for pair in groups.values():
             if len(pair) == 2:
                 w_first, w_second = pair
                 branches["off"][w_first + w_second < 0] += 1
                 branches["on"][w_second < w_first] += 1
-        td = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
-        given = rerooted(td, random.Random(repr(label)).randrange(td.n_nodes))
-        for rows in targets:
-            want = canonical_optimum(mat, rows)
-            infeasible += want is None
-            for ntd in (None, td, given):
-                r = solve_mld_treewidth(mat, rows, ntd=ntd)
-                got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-                assert got == want, (label, rows, ntd)
+    # measured: off 195 and 59, on 206 and 48
     assert min(branches["off"] + branches["on"]) >= 30, branches
-    assert infeasible >= 50, infeasible
+    reach = check_engines(cases)
+    # measured, dims 1-3: left 60, 48, 18; infeasible 14, 62, 30
+    assert_floors(reach, {"left": {1: 42, 2: 33, 3: 12}, "infeasible": {1: 9, 2: 43, 3: 21}})
 
 
 # rows 0 and 1 both lie on columns 0, 1 and 2 alone; every row has three
@@ -691,15 +598,37 @@ def test_twin_rows_with_differing_target_bits_are_infeasible():
 
 def test_join_table_size_is_bounded():
     """Each join pairs at most 2^|bag cols| * 4^|bag rows| entries, the bag
-    being the join node's."""
+    being the join node's: on the random problems of seeds 0-29, against
+    their boundary."""
     joins = 0
-    for seed in range(30):
-        cs, boundary = random_problem(seed)
-        mat = boundary_matrix(cs)
+    for label, _dim, mat, rows in problems(range(30), ["random"]):
+        if label.signed or label.random_target:
+            continue
         td = greedy_decomposition(hasse_graph(mat))
-        r = solve_mld_treewidth(mat, sorted(boundary), ntd=td, timing=True)
+        r = solve_mld_treewidth(mat, rows, ntd=td, timing=True)
         joins += assert_join_pairs_capped(td, mat.nrows, r.stats["join_bags"])
     assert joins
+
+
+def first_candidate_join(left, right, shared):
+    """``treewidth._join`` broken: each key keeps the first sum that reaches
+    it, not the least."""
+    out, pairs = {}, 0
+    for lkey, lval in left.items():
+        for rkey, rval in right.items():
+            if not (lkey ^ rkey) & shared:
+                pairs += 1
+                out.setdefault(lkey ^ rkey ^ (lkey & shared), lval + rval)
+    return out, pairs
+
+
+def test_check_catches_a_join_that_keeps_its_first_candidate(monkeypatch):
+    """The shared check has teeth: with the join keeping the first sum of
+    each key instead of the least, the DP's answers on the pooled problems
+    of seeds 0-2 fail it."""
+    monkeypatch.setattr(treewidth, "_join", first_candidate_join)
+    with pytest.raises(AssertionError, match="'treewidth'"):
+        check_engines(problems(range(3)))
 
 
 def value(weight, mask, ncols=8):
@@ -808,8 +737,7 @@ def test_forgotten_row_colour_is_reused_by_a_column_introduced_above():
         assert bits[0] == bits[1]
         for rows in ([0], []):
             r = solve_mld_treewidth(mat, rows, ntd=td)
-            got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-            assert got == canonical_optimum(mat, rows), (weights, rows)
+            assert answer(r) == canonical_optimum(mat, rows), (weights, rows)
 
 
 def star(matrix, introduced):
@@ -836,8 +764,7 @@ def test_star_decompositions():
         rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
         r = solve_mld_treewidth(mat, rows, ntd=td, timing=True)
         want = canonical_optimum(mat, rows)
-        got = None if r.status is Status.INFEASIBLE else (r.weight, r.witness)
-        assert got == want, seed
+        assert answer(r) == want, seed
         assert assert_join_pairs_capped(td, nrows, r.stats["join_bags"]) == (ncols > 2)
 
 
@@ -870,51 +797,51 @@ def test_root_first_ids():
 
 
 def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
-    """On the incidence graphs of 200 random matrices, for the min-fill and
-    the reference min-degree decompositions, their nice forms, root-first
-    relabellings and star decompositions: every vertex owns one key bit,
-    vertices that share a bag own distinct bits, at most width + 1 colours
-    are used and a bag's column bits are its columns'. Where no row is
-    empty, ``helpers.irreducible`` of the matrix with each column six times
-    (``helpers.copied``) gives every row three columns or more and its live
-    system more solutions than columns, so the kernel is the whole matrix,
-    and there a supplied greedy decomposition does the computed one's work.
-    Every decomposition gives the same answer."""
+    """On the incidence graphs of the random problems of seeds 0-39, for
+    the min-fill and the reference min-degree decompositions, their nice
+    forms, root-first relabellings and star decompositions: every vertex
+    owns one key bit, vertices that share a bag own distinct bits, at most
+    width + 1 colours are used and a bag's column bits are its columns'.
+    Against a boundary and up to ten columns, ``helpers.irreducible`` of
+    the matrix with each column six times (``helpers.copied``) gives every
+    row three columns or more and its live system more solutions than
+    columns, so the kernel is the whole matrix, and there a supplied greedy
+    decomposition does the computed one's work. Every decomposition gives
+    the same answer."""
     checked = 0
-    for trial in range(200):
-        rng = random.Random(trial)
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
-        cols = [sorted(rng.sample(range(nrows), rng.randint(0, min(3, nrows)))) for _ in range(ncols)]
-        mat = Gf2Matrix(nrows, ncols, cols, [rng.randint(-2, 5) for _ in range(ncols)])
+    for label, _dim, mat, rows in problems(range(40), ["random"]):
+        if label.signed != label.random_target:  # one weighting per target
+            continue
+        rng = random.Random(repr(label))
         g = hasse_graph(mat)
-        rows = sorted(rng.sample(range(nrows), rng.randint(0, nrows)))
-        decompositions = [star(mat, rng.randrange(ncols))]
-        guard = irreducible(copied(mat, 6))
-        whole = all(len(cols) >= 3 for cols in guard.row_cols)
-        checked += whole
+        decompositions = [star(mat, rng.randrange(mat.ncols))]
         computed = solve_mld_treewidth(mat, rows)
-        if whole:
+        if mat.ncols <= 10 and not label.random_target:
+            guard = irreducible(copied(mat, 6))
+            assert all(len(cols) >= 3 for cols in guard.row_cols), label
+            checked += 1
             own = solve_mld_treewidth(guard, rows)
             given = solve_mld_treewidth(guard, rows, ntd=greedy_decomposition(hasse_graph(guard)))
             for key in ("width", "nodes", "table_entries", "join_pairs"):
-                assert given.stats[key] == own.stats[key], (trial, key)
+                assert given.stats[key] == own.stats[key], (label, key)
         for td in (greedy_decomposition(g), reference_greedy_decomposition(g, "min-degree")):
             root = rng.randrange(td.n_nodes)
             decompositions += [td, make_nice(td, g), relabelled(rerooted(td, root))]
         want = (computed.status, computed.weight, computed.witness)
         for td in decompositions:
             _order, _lifts, bag_cols, bits = _plan(td, g.adj, mat, mat.target_mask(rows))
-            assert all(b > 0 and b & (b - 1) == 0 for b in bits), trial
+            assert all(b > 0 and b & (b - 1) == 0 for b in bits), label
             for t, bag in enumerate(td.bags):
-                assert len({bits[v] for v in bag}) == len(bag), (trial, t)
-                assert bag_cols[t] == sum(bits[v] for v in bag if v >= nrows), (trial, t)
+                assert len({bits[v] for v in bag}) == len(bag), (label, t)
+                assert bag_cols[t] == sum(bits[v] for v in bag if v >= mat.nrows), (label, t)
             used = 0
             for b in bits:
                 used |= b
-            assert used.bit_length() <= td.width + 1, trial
+            assert used.bit_length() <= td.width + 1, label
             r = solve_mld_treewidth(mat, rows, ntd=td)
-            assert (r.status, r.weight, r.witness) == want, trial
-    assert checked >= 100
+            assert (r.status, r.weight, r.witness) == want, label
+    # measured: 88
+    assert checked >= 60, checked
 
 
 # (generator seed, weights, weight, witness, table_entries, join_pairs) of
@@ -967,31 +894,12 @@ def test_pinned_dim3_answers(seed, weights, weight, witness, entries, pairs):
 
 
 def test_witness_is_the_least_weight_then_mask_optimum():
-    """On dim-2 and dim-3 slices with random and with {-1, 0, 1} weights,
-    under min-fill, a supplied min-degree decomposition and a supplied
-    min-fill one hung from a random node, the witness is the optimum with
-    the smallest column mask. The slices are dense enough that most
-    kernels are left for the DP."""
-    reached = 0
-    for dim, n_top, n_vertices in ((2, 28, 8), (3, 25, 7)):
-        for seed in range(25):
-            cs = random_slice(n_top, n_vertices, dim=dim, seed=seed, weights="random")
-            mat = boundary_matrix(cs)
-            rows = sorted(random_boundary(cs, seed=seed))
-            rng = random.Random(seed)
-            signed = Gf2Matrix(
-                mat.nrows, mat.ncols, mat.col_rows, [rng.randint(-1, 1) for _ in range(mat.ncols)]
-            )
-            td = greedy_decomposition(hasse_graph(mat))
-            given = rerooted(td, rng.randrange(td.n_nodes))
-            min_degree = reference_greedy_decomposition(hasse_graph(mat), "min-degree")
-            reached += reduce(mat, mat.target_mask(rows)).matrix.ncols > 0
-            for m in (mat, signed):
-                want = canonical_optimum(m, rows)
-                for ntd in (None, min_degree, given):
-                    r = solve_mld_treewidth(m, rows, ntd=ntd)
-                    assert (r.weight, r.witness) == want, (dim, seed, m is signed, ntd)
-    assert reached >= 40, reached
+    """The shared check on the dense slices of seeds 170-175, whose unit
+    and {-3..3} weights tie many optima: the witness is the optimum with
+    the smallest column mask, and most kernels are left for the DP."""
+    reach = check_engines(problems(range(170, 176), ["dense"]))
+    # measured, dims 1-3: tables 24, 28, 12
+    assert_floors(reach, {"tables": {1: 17, 2: 20, 3: 8}})
 
 
 def test_stats_shape():

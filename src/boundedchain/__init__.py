@@ -21,7 +21,6 @@ from .complexes import (
     hasse_graph,
 )
 from .decomposition import (
-    Graph,
     TreeDecomposition,
     greedy_decomposition,
     make_nice,
@@ -60,7 +59,6 @@ __all__ = [
     "EXIT_CODES",
     "Gf2Matrix",
     "Gf2System",
-    "Graph",
     "InputError",
     "Instance",
     "SolveResult",

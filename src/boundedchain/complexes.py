@@ -12,7 +12,8 @@ Input checks live here once: ``build_slice`` checks every simplex it is
 given, ``build_slice`` and ``Gf2Matrix`` refuse any weight, scale or
 matrix size that is not an int (a truncated float weight would make a
 false optimum), and ``Gf2Matrix.target_mask`` checks target rows. The
-incidence graph is a plain ``decomposition.Graph`` with rows first.
+incidence graph is a list of neighbour sets with rows first, the graph
+form that ``decomposition`` reads.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations
 from operator import ge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .decomposition import Graph
 from .errors import InputError, UsageError
 from .gf2 import mask_from_indices
 
@@ -245,11 +245,6 @@ class Gf2Matrix:
                 by_row[r].append(c)
         return tuple(tuple(cs) for cs in by_row)
 
-    def entries(self) -> Iterator[tuple[int, int]]:
-        for c, rs in enumerate(self.col_rows):
-            for r in rs:
-                yield (r, c)
-
     def product_mask(self, cols: Iterable[int]) -> int:
         """Row mask of A x for the 0/1 vector x supported on ``cols``."""
         acc = 0
@@ -286,12 +281,16 @@ def boundary_matrix(cslice: ComplexSlice) -> Gf2Matrix:
     )
 
 
-def hasse_graph(matrix: Gf2Matrix) -> Graph:
-    """Bipartite incidence graph of a matrix: one vertex per row and column.
+def hasse_graph(matrix: Gf2Matrix) -> list[set[int]]:
+    """Bipartite incidence graph of a matrix, as one neighbour set per row
+    and column.
 
     Rows come first (0..nrows-1), then columns (nrows..nrows+ncols-1), so
     column c is vertex nrows + c.
     """
-    nrows = matrix.nrows
-    return Graph(nrows + matrix.ncols, ((r, nrows + c) for r, c in matrix.entries()))
+    rows: list[set[int]] = [set() for _ in range(matrix.nrows)]
+    for v, rs in enumerate(matrix.col_rows, matrix.nrows):
+        for r in rs:
+            rows[r].add(v)
+    return rows + [set(rs) for rs in matrix.col_rows]
 

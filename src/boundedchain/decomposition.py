@@ -1,10 +1,13 @@
 """Tree decompositions: greedy min-fill elimination, validation, nice form.
 
-Decompositions are built by eliminating vertices in min-fill order, ties
-by smallest vertex id; the bag of an eliminated vertex is itself plus its
-current neighbourhood, which is then turned into a clique. Each vertex's
-fill count, its missing neighbour pairs, is counted once and kept in a
-heap keyed by (count, vertex id), then updated exactly from three terms:
+A graph on vertices 0..n-1 is its list of n neighbour sets, ``graph[v]``
+the neighbours of v, as ``complexes.hasse_graph`` builds it; nothing here
+checks it for self-loops or out-of-range ids. Decompositions are built by
+eliminating vertices in min-fill order, ties by smallest vertex id; the
+bag of an eliminated vertex is itself plus its current neighbourhood,
+which is then turned into a clique. Each vertex's fill count, its missing
+neighbour pairs, is counted once and kept in a heap keyed by (count,
+vertex id), then updated exactly from three terms:
 each neighbour a of the eliminated vertex v loses its pairs (v, x) with x
 outside v's neighbourhood; each fill edge (a, b) closes one pair at every
 common neighbour of a and b; and it opens at a the pairs (b, x) with x a
@@ -26,35 +29,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, UsageError
-
-
-class Graph:
-    """Simple undirected graph on vertices 0..n-1 with set adjacency."""
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
-        self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise InputError(f"self-loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"edge ({u}, {v}) out of range")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
 
 class TreeDecomposition:
@@ -145,12 +122,14 @@ def _eliminate_min_fill(adj: list[set[int]], score: list[int], v: int, nbrs: lis
     return changed
 
 
-def greedy_decomposition(graph: Graph) -> TreeDecomposition:
-    """Elimination-ordering decomposition under min-fill, ties by smallest id."""
-    n = graph.n
+def greedy_decomposition(graph: Sequence[set[int]]) -> TreeDecomposition:
+    """Elimination-ordering decomposition under min-fill, ties by smallest id.
+
+    ``graph`` is left as it is: the elimination runs on a copy."""
+    n = len(graph)
     if n == 0:
         return TreeDecomposition([frozenset()], [()], 0)
-    adj = [set(s) for s in graph.adj]
+    adj = [set(s) for s in graph]
     score = [_fill_count(adj, v) for v in range(n)]
     heap = sorted(zip(score, range(n)))
 
@@ -202,12 +181,15 @@ def _tree_ok(td: TreeDecomposition) -> Violation | None:
     return None
 
 
-def validate_decomposition(td: TreeDecomposition, graph: Graph) -> Violation | None:
-    """Check the three decomposition properties; None means valid."""
+def validate_decomposition(td: TreeDecomposition, graph: Sequence[set[int]]) -> Violation | None:
+    """Check the three decomposition properties; None means valid.
+
+    Edges are checked by u ascending, then v ascending, each once as u < v,
+    so an uncovered edge reported is the first in that order."""
     bad = _tree_ok(td)
     if bad:
         return bad
-    n = graph.n
+    n = len(graph)
     where: list[list[int]] = [[] for _ in range(n)]
     for t, bag in enumerate(td.bags):
         for v in bag:
@@ -217,9 +199,10 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> Violation | N
     for v in range(n):
         if not where[v]:
             return Violation("coverage", f"vertex {v} is in no bag")
-    for u, v in graph.edges():
-        if not any(u in td.bags[t] and v in td.bags[t] for t in where[u]):
-            return Violation("edge-coverage", f"edge ({u}, {v}) is in no bag")
+    for u in range(n):
+        for v in sorted(graph[u]):
+            if u < v and not any(v in td.bags[t] for t in where[u]):
+                return Violation("edge-coverage", f"edge ({u}, {v}) is in no bag")
     parents = td.parents()
     for v in range(n):
         nodes = set(where[v])
@@ -239,7 +222,7 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> Violation | N
     return None
 
 
-def make_nice(td: TreeDecomposition, graph: Graph | None = None) -> TreeDecomposition:
+def make_nice(td: TreeDecomposition, graph: Sequence[set[int]] | None = None) -> TreeDecomposition:
     """Rewrite a rooted decomposition into nice form with an empty root bag.
 
     Every node of the result is a leaf (no child, empty bag), introduces

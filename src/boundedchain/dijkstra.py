@@ -33,8 +33,10 @@ faces (rows) and a move is a column. A chain question reaches it through
 ``facade.solve(instance_from_complex(...), "dijkstra")``.
 
 Without a bound, the search runs on the instance's GF(2) kernel, from
-``kernel.reduce``, whose columns cost their packed charges; these are
-positive and never tie, so the first empty chain settled is the least
+``kernel.reduce``, whose columns cost their packed charges; these never
+tie, and they are positive, which the solve checks before it searches: a
+cost of 0 or less would let a known state improve forever, so it raises
+``ConsistencyError``. So the first empty chain settled is the least
 (weight, mask) optimum, and ``kernel.backtrack`` decodes it into the
 weight and the canonical witness, the one the treewidth DP returns. The
 feasibility check, the search and its stats then run on the kernel; an
@@ -253,6 +255,8 @@ def solve_mld_dijkstra(
     if k is None:
         kern = reduce(matrix, start)
         space, start = kern.matrix, kern.target
+        if min(space.col_weights, default=1) <= 0:
+            raise ConsistencyError("kernel column weights must be positive")
     reduced = time.perf_counter()
     numbering = number_rows(space, start, k is not None)
     numbered = time.perf_counter()

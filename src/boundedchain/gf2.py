@@ -36,7 +36,6 @@ class Gf2System:
     """
 
     def __init__(self, columns: Sequence[int]):
-        self.n = len(columns)
         # lowest set row -> (reduced pivot column, its mask over the columns)
         pivots: dict[int, tuple[int, int]] = {}
         kernel: list[int] = []

@@ -345,7 +345,7 @@ def solve_mld_treewidth(
         td = greedy_decomposition(g) if ntd is None else _contract(ntd, kern.image)
         decomposed = time.perf_counter()
         top, table_entries, join_pairs, peak_table, join_bags = _dp(
-            td, g.adj, kern.matrix, kern.target, timing
+            td, g, kern.matrix, kern.target, timing
         )
         done = time.perf_counter()
         width, nodes = td.width, td.n_nodes

@@ -145,16 +145,26 @@ def pivot_order(name):
         yield
 
 
+def adjacency(n, edges=()):
+    """The graph on vertices 0..n-1 with the given edges, as its list of
+    neighbour sets."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def reference_greedy_decomposition(graph, heuristic):
     """Rescore-everything elimination, the reference for greedy_decomposition.
 
     Every step takes min over all live vertices of (score, id) with the
     score computed from scratch, so it is quadratic but obviously right.
     """
-    n = graph.n
+    n = len(graph)
     if n == 0:
         return TreeDecomposition([frozenset()], [()], 0)
-    adj = [set(s) for s in graph.adj]
+    adj = [set(s) for s in graph]
     alive = set(range(n))
 
     def fill(v):

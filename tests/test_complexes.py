@@ -129,7 +129,6 @@ def test_matrix_products_and_weights():
     assert mat.product_mask([0, 1]) == 0b101
     assert mat.weight_of([0, 1]) == 7
     assert not mat.has_uniform_weights
-    assert sorted(mat.entries()) == [(0, 0), (1, 0), (1, 1), (2, 1)]
     assert mat.row_cols == ((0,), (0, 1), (1,))
 
 
@@ -165,13 +164,20 @@ def test_non_int_weights_and_scales_are_refused(bad):
 def test_hasse_graph_shape():
     mat = boundary_matrix(octahedron_slice())
     h = hasse_graph(mat)
-    assert h.n == 20
-    assert len(h.edges()) == 24
+    assert len(h) == 20
+    assert sum(map(len, h)) == 2 * 24
+    assert all(u in h[v] for u in range(20) for v in h[u])
     # rows first: vertices 0..11 are the 12 edges, 12..19 the 8 triangles
-    assert all(v >= 12 for v in h.adj[11])
-    assert h.adj[12] == set(mat.col_rows[0])
+    assert all(v >= 12 for v in h[11])
+    assert h[12] == set(mat.col_rows[0])
     # every column vertex of a triangle has degree 3
-    assert all(h.degree(12 + j) == 3 for j in range(8))
+    assert all(len(h[12 + j]) == 3 for j in range(8))
+
+
+def test_hasse_graph_keeps_a_zero_row_and_an_empty_column():
+    """Row 1 and column 1 have no entry; each is still a vertex, with no neighbour."""
+    mat = Gf2Matrix(3, 3, [(0, 2), (), (0,)], [1, 1, 1])
+    assert hasse_graph(mat) == [{3, 5}, set(), {3}, {0, 2}, set(), {0}]
 
 
 def test_feasibility_check_matches_solvability():

@@ -4,8 +4,6 @@ import random
 import pytest
 
 from boundedchain import (
-    Graph,
-    InputError,
     TreeDecomposition,
     UsageError,
     greedy_decomposition,
@@ -16,15 +14,15 @@ from boundedchain import (
 from boundedchain.complexes import boundary_matrix, hasse_graph
 from boundedchain.fileio import parse_decomposition_text, write_decomposition_text
 from boundedchain.generators import cylinder, random_slice, triangle_strip
-from helpers import reference_greedy_decomposition
+from helpers import adjacency, reference_greedy_decomposition
 
 
 def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return adjacency(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def clique(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return adjacency(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def random_graph(rng, n, m):
@@ -32,20 +30,7 @@ def random_graph(rng, n, m):
     while len(edges) < m:
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
-
-
-def test_graph_basics():
-    g = Graph(3, [(0, 1)])
-    g.add_edge(1, 2)
-    assert g.edges() == [(0, 1), (1, 2)]
-    assert g.degree(1) == 2
-    with pytest.raises(InputError):
-        g.add_edge(1, 1)
-    with pytest.raises(InputError):
-        g.add_edge(0, 7)
-    with pytest.raises(InputError):
-        Graph(-1)
+    return adjacency(n, sorted(edges))
 
 
 def decompositions(g):
@@ -54,9 +39,10 @@ def decompositions(g):
 
 
 def test_known_widths():
-    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    star = Graph(5, [(0, i) for i in range(1, 5)])
-    for g, width in ((path_graph(6), 1), (clique(5), 4), (triangle, 2), (star, 1), (Graph(3), 0)):
+    triangle = adjacency(3, [(0, 1), (1, 2), (0, 2)])
+    star = adjacency(5, [(0, i) for i in range(1, 5)])
+    graphs = ((path_graph(6), 1), (clique(5), 4), (triangle, 2), (star, 1), (adjacency(3), 0))
+    for g, width in graphs:
         for td in decompositions(g):
             assert td.width == width
 
@@ -70,7 +56,7 @@ def test_three_by_three_grid_width():
                 edges.append((v, v + 1))
             if r + 1 < 3:
                 edges.append((v, v + 3))
-    g = Graph(9, edges)
+    g = adjacency(9, edges)
     for td in decompositions(g):
         assert validate_decomposition(td, g) is None
         assert td.width == 3
@@ -104,8 +90,33 @@ def test_validate_catches_broken_properties():
     assert bad is not None and bad.kind == "structure"
 
 
+def test_validate_names_the_first_uncovered_edge():
+    """Edges are checked by u, then v, ascending, whatever order each
+    neighbour set iterates in: vertex 0's set below iterates 9 before 1."""
+    g = adjacency(10, [(5, 6), (0, 9), (0, 1), (2, 7)])
+    assert list(g[0]) == [9, 1]
+    singles = TreeDecomposition([{v} for v in range(10)], [(v + 1,) for v in range(9)] + [()], 0)
+    assert str(validate_decomposition(singles, g)) == "edge-coverage: edge (0, 1) is in no bag"
+    bags = list(singles.bags)
+    bags[0] = frozenset({0, 1})
+    td = TreeDecomposition(bags, singles.children, 0)
+    assert str(validate_decomposition(td, g)) == "edge-coverage: edge (0, 9) is in no bag"
+
+
+def test_greedy_decomposition_leaves_its_input_unchanged():
+    """The treewidth solve hands the same incidence graph to the DP after
+    the elimination, which adds fill edges and empties the sets it eliminates."""
+    rng = random.Random(5)
+    graphs = [clique(6), path_graph(5), _hasse(cylinder(4, 3)[0])]
+    graphs += [random_graph(rng, 12, 20) for _ in range(20)]
+    for g in graphs:
+        before = [set(s) for s in g]
+        greedy_decomposition(g)
+        assert g == before
+
+
 def test_make_nice_single_bag_sequence():
-    g = Graph(2, [(0, 1)])
+    g = adjacency(2, [(0, 1)])
     td = TreeDecomposition([frozenset({0, 1})], [()], 0)
     ntd = make_nice(td, g)
     # leaf, introduce 0, introduce 1, forget 0, forget 1
@@ -146,7 +157,7 @@ def test_make_nice_random_sweep():
 
 
 def test_join_nodes_appear_for_branching_trees():
-    g = Graph(7, [(0, i) for i in range(1, 7)])
+    g = adjacency(7, [(0, i) for i in range(1, 7)])
     td = reference_greedy_decomposition(g, "min-degree")
     ntd = make_nice(td, g)
     assert any(len(kids) == 2 for kids in ntd.children)
@@ -170,7 +181,7 @@ def test_validate_nice_shape_rules():
 def test_validate_nice_reads_the_shape_of_a_parsed_file():
     """Nice is a shape of any decomposition, so a nice form read back from
     a file passes; each broken shape names its node."""
-    g = Graph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4)])
+    g = adjacency(7, [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4)])
     ntd = make_nice(reference_greedy_decomposition(g, "min-degree"), g)
     back = parse_decomposition_text(write_decomposition_text(ntd))
     assert validate_nice(back) is None
@@ -191,7 +202,7 @@ def test_validate_nice_reads_the_shape_of_a_parsed_file():
 
 
 def test_empty_graph_decomposition():
-    g = Graph(0)
+    g = adjacency(0)
     td = greedy_decomposition(g)
     assert td.n_nodes == 1
     assert validate_decomposition(td, g) is None

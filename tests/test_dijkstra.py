@@ -2,10 +2,12 @@ import math
 import random
 from collections import Counter
 from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
 from boundedchain import (
+    ConsistencyError,
     Status,
     UsageError,
     boundary_matrix,
@@ -510,6 +512,30 @@ def test_negative_kernel_columns_are_complemented(monkeypatch):
         ref = brute_force_mld(mat, rows)
         assert (got.status, got.weight) == (ref.status, ref.weight), rows
         assert (got.weight, got.witness) == canonical_optimum(mat, rows), rows
+
+
+def test_non_positive_kernel_cost_is_refused_before_the_search(monkeypatch):
+    """The search bounds the states it stores, not how often a known state
+    improves, so a kernel column of cost 0 or less would run it until
+    memory ran out. The solve raises before it searches: the stand-in
+    search fails the test at once where that check is missing. The kernel
+    is the series rule's of the matrix above, with one cost made 0 or less."""
+    cols = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2)]
+    mat = Gf2Matrix(4, 5, cols, [1, 5, 1, 1, 1])
+    kern = _series(mat, *_propagate(mat, mat.target_mask([0])))
+    km = kern.matrix
+    assert km.ncols > 0 and min(km.col_weights) > 0
+
+    def search(*args):
+        raise AssertionError("the search ran on a kernel cost of 0 or less")
+
+    monkeypatch.setattr(dijkstra, "_search", search)
+    for first in (-km.col_weights[0], 0):
+        weights = (first, *km.col_weights[1:])
+        broken = replace(kern, matrix=Gf2Matrix(km.nrows, km.ncols, km.col_rows, weights))
+        monkeypatch.setattr(dijkstra, "reduce", lambda m, t: broken)
+        with pytest.raises(ConsistencyError, match="positive"):
+            solve_mld_dijkstra(mat, [0])
 
 
 def test_infeasible_kernel_with_and_without_the_precheck():

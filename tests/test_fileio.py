@@ -9,7 +9,6 @@ from boundedchain import InputError, UsageError, build_slice, generators
 from boundedchain.cli import main
 from boundedchain.complexes import Gf2Matrix, boundary_matrix, hasse_graph
 from boundedchain.decomposition import (
-    Graph,
     TreeDecomposition,
     greedy_decomposition,
     make_nice,
@@ -27,7 +26,12 @@ from boundedchain.fileio import (
     write_decomposition_text,
     write_matrix_text,
 )
-from helpers import punctured_octahedron, random_problem, reference_greedy_decomposition
+from helpers import (
+    adjacency,
+    punctured_octahedron,
+    random_problem,
+    reference_greedy_decomposition,
+)
 
 
 def _fingerprint(*texts):
@@ -353,7 +357,7 @@ def test_matrix_defaults():
 
 
 def test_decomposition_round_trip_plain():
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    g = adjacency(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     td = greedy_decomposition(g)
     text = write_decomposition_text(td)
     back = parse_decomposition_text(text)
@@ -366,7 +370,7 @@ def test_decomposition_round_trip_plain():
 
 def test_decomposition_round_trip_nice():
     """A nice decomposition is written and read in plain form; make_nice restores it."""
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = adjacency(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     ntd = make_nice(reference_greedy_decomposition(g, "min-degree"), g)
     text = write_decomposition_text(ntd, ["nice form"])
     assert "kind" not in text

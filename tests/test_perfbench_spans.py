@@ -39,5 +39,10 @@ def test_patch_points_exist_and_record_treewidth_spans():
     assert treewidth.process_bag is original
     assert result.is_optimal
     names = {span[0] for span in tracer.spans}
-    assert {"treewidth.dp", "treewidth.backtrack"} <= names
+    # no CI tracer run reaches the incidence build or min-fill: strips and
+    # slice3 stop at an empty kernel, and slice2 runs the search
+    spans_wanted = {
+        "complexes.incidence", "decomposition.elim", "treewidth.dp", "treewidth.backtrack"
+    }
+    assert spans_wanted <= names
     assert tracer.counts[0]["treewidth.peak_table"] > 0

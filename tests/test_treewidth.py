@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from boundedchain import (
-    Graph,
     InputError,
     Status,
     UsageError,
@@ -38,6 +37,7 @@ from boundedchain.generators import (
 from boundedchain.kernel import Kernel, _propagate, _series, backtrack, reduce
 from boundedchain.treewidth import Lift, _contract, _plan, process_bag
 from helpers import (
+    adjacency,
     answer,
     assert_floors,
     assert_join_pairs_capped,
@@ -159,7 +159,7 @@ def test_rejects_unusable_decompositions():
     cs, boundary = punctured_octahedron()
     mat = boundary_matrix(cs)
     # decomposition of a different (too small) graph
-    wrong = make_nice(greedy_decomposition(Graph(3, [(0, 1), (1, 2)])))
+    wrong = make_nice(greedy_decomposition(adjacency(3, [(0, 1), (1, 2)])))
     with pytest.raises(UsageError):
         solve_mld_treewidth(mat, sorted(boundary), ntd=wrong)
     with pytest.raises(UsageError):
@@ -733,7 +733,7 @@ def test_forgotten_row_colour_is_reused_by_a_column_introduced_above():
         mat = Gf2Matrix(1, 3, [(), (0,), (0,)], weights)
         g = hasse_graph(mat)
         assert validate_decomposition(td, g) is None
-        _order, _lifts, _cols, bits = _plan(td, g.adj, mat, 0b1)
+        _order, _lifts, _cols, bits = _plan(td, g, mat, 0b1)
         assert bits[0] == bits[1]
         for rows in ([0], []):
             r = solve_mld_treewidth(mat, rows, ntd=td)
@@ -829,7 +829,7 @@ def test_colouring_is_proper_and_uses_at_most_width_plus_one_colours():
             decompositions += [td, make_nice(td, g), relabelled(rerooted(td, root))]
         want = (computed.status, computed.weight, computed.witness)
         for td in decompositions:
-            _order, _lifts, bag_cols, bits = _plan(td, g.adj, mat, mat.target_mask(rows))
+            _order, _lifts, bag_cols, bits = _plan(td, g, mat, mat.target_mask(rows))
             assert all(b > 0 and b & (b - 1) == 0 for b in bits), label
             for t, bag in enumerate(td.bags):
                 assert len({bits[v] for v in bag}) == len(bag), (label, t)

@@ -64,14 +64,20 @@ columns leave unused. It also gives each column's lift, the sum of the
 terms of its rows. A move by c adds the terms of c's rows outside the
 state and takes off those inside, so h changes by lift[c] less twice the
 terms of the overlap of c with the state: the update walks the overlap
-beyond the pivot, not all of c, and h travels in the heap entry.
-Ties go to the deeper state, then to the smaller mask in the search's row
-numbering.
+beyond the pivot, not all of c.
 
-An unbounded search keeps only each state's least known cost: its
-optimum is the packed cost, which ``kernel.backtrack`` decodes. Only a
-bounded search keeps a parent pointer per state, to walk back to its
-witness.
+The two kinds of search run in two loops. The unbounded one, ``_search``,
+computes each column's step, L*w_c + lift[c], once per solve: a move by
+c from the pivot p sets f to f less twice p's term plus step[c], less
+twice the terms of the rest of the overlap. It orders its frontier by
+(f, -g, mask): on the kernel, costs are packed charges, so g names the
+columns taken and (f, g) names the state. It keeps only each state's
+least known cost: its optimum is the packed cost, which
+``kernel.backtrack`` decodes. The bounded one, ``_search_bounded``, is
+short and computes f per move. It runs on whole-matrix weights, which
+may tie, so it orders by (f, -g, steps, mask): ties go to the deeper
+state, then to the smaller mask in the search's row numbering. Only it
+keeps a parent pointer per state, to walk back to its witness.
 
 An optional bound k restricts attention to solutions using at most k top
 simplices. With uniform weights a chain never profits from being reached
@@ -148,13 +154,14 @@ def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int], list[int]]:
     """
     col_rows = matrix.col_rows
     row_cols = matrix.row_cols
-    weights = matrix.col_weights
-    scale = math.lcm(*(len(rs) for rs in col_rows if rs))
-    split = [w * scale // len(rs) if rs else 0 for w, rs in zip(weights, col_rows)]
+    scale = math.lcm(*map(len, filter(None, col_rows)))
+    # w_c*L, each column's share of the bound
+    cap = [w * scale for w in matrix.col_weights]
+    split = [c // len(rs) if rs else 0 for c, rs in zip(cap, col_rows)]
     split_of = split.__getitem__
     hf = [min(map(split_of, cols)) if cols else 0 for cols in row_cols]
     hf_of = hf.__getitem__
-    slack = [w * scale - sum(map(hf_of, rs)) for w, rs in zip(weights, col_rows)]
+    slack = [c - sum(map(hf_of, rs)) for c, rs in zip(cap, col_rows)]
     if any(slack):
         slack_of = slack.__getitem__
         for r, cols in enumerate(row_cols):
@@ -164,7 +171,7 @@ def face_bounds(matrix: Gf2Matrix) -> tuple[int, list[int], list[int]]:
                     hf[r] += d
                     for c in cols:
                         slack[c] -= d
-    return scale, hf, [w * scale - s for w, s in zip(weights, slack)]
+    return scale, hf, [c - s for c, s in zip(cap, slack)]
 
 
 class Numbering(NamedTuple):
@@ -262,10 +269,12 @@ def solve_mld_dijkstra(
     numbered = time.perf_counter()
     feasible = feasibility_check(numbering.col_masks, numbering.start)
     checked = time.perf_counter()
-    if feasible:
-        result = _search(space, numbering, k, max_states, stats)
-    else:
+    if not feasible:
         result = SolveResult(Status.INFEASIBLE, stats=stats)
+    elif k is None:
+        result = _search(space, numbering, max_states, stats)
+    else:
+        result = _search_bounded(space, numbering, k, max_states, stats)
     if k is None and result.is_optimal:
         weight, witness = backtrack(matrix, kern, result.weight)
         result = SolveResult(Status.OPTIMAL, weight, witness, stats)
@@ -278,37 +287,124 @@ def solve_mld_dijkstra(
     return result
 
 
-def _search(
-    matrix: Gf2Matrix, numbering: Numbering, k: int | None, max_states: int, stats: dict
-) -> SolveResult:
-    """The best-first search on ``matrix`` from the start mask of its
-    ``numbering``, ``number_rows(matrix, ...)``; fills ``stats``.
+def _search(matrix: Gf2Matrix, numbering: Numbering, max_states: int, stats: dict) -> SolveResult:
+    """The unbounded search on ``matrix`` from the start mask of its
+    ``numbering``, ``number_rows(matrix, ..., False)``; fills ``stats``.
 
-    An unbounded search keeps no parent pointers: its optimum's weight is
-    the packed kernel cost, which ``kernel.backtrack`` decodes, and its
-    witness is None. A bounded one walks its parents to the witness.
+    Each column's step, L*w_c + lift[c], is computed once: a move by c from
+    the pivot p sets f to f - hf2[p] + step[c], less hf2 over the rest of
+    c's overlap with the state. Heap entries are (f, -g, mask): on the
+    kernel, costs are packed charges, so g names the columns taken and
+    (f, g) the state. On a whole matrix, as some tests run it, ties in
+    (f, g) go to the smaller mask. No parent pointers are kept: the
+    optimum's weight is the packed kernel cost, which ``kernel.backtrack``
+    decodes, and its witness is None.
     """
     col_masks, start, row_cols, hf2, scale, lift = numbering
     if start == 0:
         stats["visited"] = 1
         return SolveResult(Status.OPTIMAL, 0, frozenset(), stats)
 
-    col_rows = matrix.col_rows
     weights = matrix.col_weights
-    bounded = k is not None
-    chain_keyed = not bounded or matrix.has_uniform_weights
-    h = sum(map(hf2.__getitem__, indices_from_mask(start))) // 2
-    cmax = max(map(len, col_rows), default=1)
+    step = [scale * w + up for w, up in zip(weights, lift)]
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+
+    # mask -> least known cost
+    best = {start: 0}
+    best_of = best.get
+    # entries (f, -g, mask) with f = L*g + h
+    heap = [(sum(map(hf2.__getitem__, indices_from_mask(start))) // 2, 0, start)]
+    prev_f = 0
+    # the counters live in locals and reach stats on every way out
+    expanded = 0
+    pushes = 1
+    frontier_peak = 1
+    monotone = True
+
+    try:
+        while heap:
+            f, neg_cost, mask = heappop(heap)
+            cost = -neg_cost
+            # a cheaper entry for this state came first: the bound is
+            # consistent, so a settled state is never improved or reopened
+            if best[mask] != cost:
+                continue
+            expanded += 1
+            if f < prev_f:
+                monotone = False
+            prev_f = f
+            if mask == 0:
+                return SolveResult(Status.OPTIMAL, cost, None, stats)
+
+            low = mask & -mask
+            p = low.bit_length() - 1
+            rest = mask ^ low
+            f -= hf2[p]
+            for col in row_cols[p]:
+                cm = col_masks[col]
+                nmask = mask ^ cm
+                ncost = cost + weights[col]
+                old = best_of(nmask)
+                if old is not None and old <= ncost:
+                    continue
+                if old is None and len(best) >= max_states:
+                    return SolveResult(Status.RESOURCE_LIMIT, stats=stats)
+                best[nmask] = ncost
+                nf = f + step[col]
+                both = rest & cm
+                while both:
+                    b = both & -both
+                    nf -= hf2[b.bit_length() - 1]
+                    both ^= b
+                heappush(heap, (nf, -ncost, nmask))
+                pushes += 1
+            if len(heap) > frontier_peak:
+                frontier_peak = len(heap)
+
+        return SolveResult(Status.INFEASIBLE, stats=stats)
+    finally:
+        stats["states_expanded"] = expanded
+        stats["pushes"] = pushes
+        stats["frontier_peak"] = frontier_peak
+        stats["visited"] = len(best)
+        stats["monotone_frontier"] = monotone
+
+
+def _search_bounded(
+    matrix: Gf2Matrix, numbering: Numbering, k: int, max_states: int, stats: dict
+) -> SolveResult:
+    """The search for a solution of at most ``k`` columns on ``matrix``
+    from the start mask of its ``numbering``, ``number_rows(matrix, ...,
+    True)``; fills ``stats``.
+
+    Heap entries are (f, -g, steps, mask): whole-matrix weights may tie,
+    so ties go to the deeper state, then to the smaller mask. f is computed
+    per move, as L*g + h: these searches are short, most settling fewer
+    states than the matrix has columns, so a step per column would cost
+    more than it saves. A state is keyed by its mask under
+    uniform weights, else by (mask, steps), and the search walks its parent
+    pointers back to the witness.
+    """
+    col_masks, start, row_cols, hf2, scale, lift = numbering
+    if start == 0:
+        stats["visited"] = 1
+        return SolveResult(Status.OPTIMAL, 0, frozenset(), stats)
+
+    weights = matrix.col_weights
+    chain_keyed = matrix.has_uniform_weights
+    cmax = max(map(len, matrix.col_rows), default=1)
     heappop = heapq.heappop
     heappush = heapq.heappush
 
     # key -> least known cost; a key is the mask, or (mask, steps)
     start_key = start if chain_keyed else (start, 0)
     best: dict = {start_key: 0}
-    # key -> (parent key, column), filled by bounded searches only
+    best_of = best.get
+    # key -> (parent key, column)
     parents: dict = {start_key: None}
     # entries (f, -g, steps, mask) with f = L*g + h
-    heap = [(h, 0, 0, start)]
+    heap = [(sum(map(hf2.__getitem__, indices_from_mask(start))) // 2, 0, 0, start)]
     prev_f = 0
     # the counters live in locals and reach stats on every way out
     expanded = 0
@@ -331,8 +427,6 @@ def _search(
             prev_f = f
 
             if mask == 0:
-                if not bounded:
-                    return SolveResult(Status.OPTIMAL, cost, None, stats)
                 used = 0
                 link = parents[key]
                 while link is not None:
@@ -347,12 +441,11 @@ def _search(
                     )
                 return SolveResult(Status.OPTIMAL, cost, witness, stats)
 
+            if steps >= k:
+                continue
             nsteps = steps + 1
-            if bounded:
-                if steps >= k:
-                    continue
-                # the faces the remaining k - nsteps columns can still clear
-                room = (k - nsteps) * cmax
+            # the faces the remaining k - nsteps columns can still clear
+            room = (k - nsteps) * cmax
             low = mask & -mask
             p = low.bit_length() - 1
             # a move by c adds c's rows outside the state and removes those
@@ -362,18 +455,17 @@ def _search(
             for col in row_cols[p]:
                 cm = col_masks[col]
                 nmask = mask ^ cm
-                if bounded and nmask.bit_count() > room:
+                if nmask.bit_count() > room:
                     continue
                 nkey = nmask if chain_keyed else (nmask, nsteps)
                 ncost = cost + weights[col]
-                old = best.get(nkey)
+                old = best_of(nkey)
                 if old is not None and old <= ncost:
                     continue
                 if old is None and len(best) >= max_states:
                     return SolveResult(Status.RESOURCE_LIMIT, stats=stats)
                 best[nkey] = ncost
-                if bounded:
-                    parents[nkey] = (key, col)
+                parents[nkey] = (key, col)
                 nh = h + lift[col]
                 both = mask & cm ^ low
                 while both:
@@ -385,9 +477,7 @@ def _search(
             if len(heap) > frontier_peak:
                 frontier_peak = len(heap)
 
-        if bounded:
-            return SolveResult(Status.NOT_FOUND_WITHIN_BOUND, stats=stats)
-        return SolveResult(Status.INFEASIBLE, stats=stats)
+        return SolveResult(Status.NOT_FOUND_WITHIN_BOUND, stats=stats)
     finally:
         stats["states_expanded"] = expanded
         stats["pushes"] = pushes

@@ -56,9 +56,11 @@ def search(cs, boundary, **options):
 def search_whole(matrix, rows):
     """The unbounded search run on ``matrix`` itself, with no kernel, its
     rows keyed as for a bounded search: the solve would reduce these
-    instances first, some of them whole."""
+    instances first, some of them whole. These weights are not packed
+    charges, so states may tie in (f, g); the search then takes the smaller
+    mask first, not the deeper state, and no test pins its counts here."""
     numbering = number_rows(matrix, matrix.target_mask(rows), True)
-    return _search(matrix, numbering, None, DEFAULT_MAX_STATES, {})
+    return _search(matrix, numbering, DEFAULT_MAX_STATES, {})
 
 
 def search_kernel(matrix, rows):
@@ -67,7 +69,7 @@ def search_kernel(matrix, rows):
     until the frontier runs out."""
     kern = reduce(matrix, matrix.target_mask(rows))
     numbering = number_rows(kern.matrix, kern.target, False)
-    return _search(kern.matrix, numbering, None, DEFAULT_MAX_STATES, {})
+    return _search(kern.matrix, numbering, DEFAULT_MAX_STATES, {})
 
 
 def search_irreducible(cs, boundary, **options):
@@ -323,9 +325,12 @@ def test_empty_target_is_trivial():
 
 def test_resource_limit_status():
     cs, boundary = punctured_octahedron()
-    r = search_irreducible(cs, boundary, max_states=2)
-    assert r.status is Status.RESOURCE_LIMIT
-    assert r.stats["visited"] <= 2
+    # both loops stop before storing a state past the budget, and not sooner
+    for m in range(1, 5):
+        for k in (None, 9):
+            r = search_irreducible(cs, boundary, max_states=m, k=k)
+            assert r.status is Status.RESOURCE_LIMIT, (m, k)
+            assert r.stats["visited"] == m, (m, k)
     # with room to finish, the same solve is optimal, at three times 7
     assert search_irreducible(cs, boundary).weight == 21
 
